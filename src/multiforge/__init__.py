@@ -16,9 +16,9 @@ from .quotient import (
     QuotientObject,
     associated_subgroup_round_trip,
     build_quotient,
-    has_complete_skeleton,
+    complex_has_complete_skeleton,
+    complex_is_simplicial,
     intersection_property,
-    is_simplicial,
     is_upper_regular,
     line_graph,
     quotient_map,
@@ -34,7 +34,7 @@ __all__ = [
     "MComplex", "is_link_connected", "is_lower_path_connected", "link", "nerve",
     "Ball", "ball_from_cosets", "build_ball", "unique_non_backtracking",
     "QuotientObject", "associated_subgroup_round_trip", "build_quotient",
-    "has_complete_skeleton", "intersection_property", "is_simplicial",
+    "complex_has_complete_skeleton", "complex_is_simplicial", "intersection_property",
     "is_upper_regular", "line_graph", "quotient_map",
     "link_connected_cover", "verify_universality",
     "boundary_matrix", "lambda_arboreal", "lambda_building", "spectral_gap", "up_laplacian",

@@ -45,10 +45,10 @@ from .quotient import (
     associated_subgroup_rep,
     associated_subgroup_round_trip,
     build_quotient,
+    complex_has_complete_skeleton,
+    complex_is_simplicial,
     complex_line_graph,
-    has_complete_skeleton,
     intersection_property,
-    is_simplicial,
     line_graph,
     nerve_matches_base,
 )
@@ -169,10 +169,10 @@ def crit_1_complete_partite() -> str:
     per_color = [sum(1 for c in q.complex.vertex_colors if c == i) for i in range(3)]
     assert per_color == [3, 3, 3], per_color
     assert counts == {0: 9, 1: 27, 2: 27}, counts
-    assert is_simplicial(q)
+    assert complex_is_simplicial(q.complex)
     for cell in q.complex.multicells(1):
         assert q.complex.degree(cell.mid) == 3
-    assert has_complete_skeleton(q)
+    assert complex_has_complete_skeleton(q.complex)
     assert is_link_connected(q.complex)
     return "9 vertices (3 per color), 27 edges, 27 triangles, simplicial, 3-regular, complete, link-connected"
 
@@ -222,7 +222,7 @@ def crit_6_intersection_iff_simplicial() -> str:
     reps.append(PermRep(Params(2, 2), 2, ((1, 0), (1, 0), (1, 0)), 0))
     for rep in reps:
         q = build_quotient(rep)
-        assert intersection_property(rep) == is_simplicial(q), rep
+        assert intersection_property(rep) == complex_is_simplicial(q.complex), rep
     return f"{len(reps)} reps: intersection property iff multiplicity-free"
 
 
@@ -287,7 +287,7 @@ def crit_9_spectral_sanity() -> str:
             lower = boundary_matrix(x, j - 1).matrix
             upper = boundary_matrix(x, j).matrix
             assert np.allclose(lower @ upper, 0.0), j
-        if is_simplicial(q):
+        if complex_is_simplicial(q.complex):
             faces, formula = up_laplacian_formula(x)
             own = boundary_matrix(x, x.d)
             order = [sorted(x.cell(m).vertices) for m in own.rows]

@@ -11,15 +11,7 @@ import os
 import sys
 
 from . import acceptance
-from .complexes import (
-    MComplex,
-    from_json,
-    is_link_connected,
-    is_lower_path_connected,
-    to_json,
-    to_json_dict,
-    validate_structure,
-)
+from .complexes import from_json, to_json, to_json_dict
 from .gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
 from .lcc import link_connected_cover
@@ -30,13 +22,7 @@ from .permrep import (
     parse_rep,
     random_rep_retry,
 )
-from .quotient import (
-    build_quotient,
-    complex_has_complete_skeleton,
-    complex_is_simplicial,
-    complex_is_upper_regular,
-    complex_line_graph,
-)
+from .quotient import analyze, build_quotient, complex_line_graph
 from .spectral import SpectralGapUndefined, coboundary_rank, spectral_gap, spectrum
 from .universal import Ball, ball_from_cosets, build_ball
 from .words import Params, Word, format_word, parse_word
@@ -67,43 +53,6 @@ def _fmt(x: float, raw: bool) -> str:
     return repr(x) if raw else f"{x:.6g}"
 
 
-def _analyze_report(x: MComplex) -> str:
-    lines = []
-    lines.append(f"d: {x.params.d}")
-    lines.append(f"k: {x.params.k}")
-    lines.append(f"vertices: {x.n_vertices}")
-    per_color = [sum(1 for c in x.vertex_colors if c == i) for i in range(x.d + 1)]
-    lines.append("vertices-per-color: " + " ".join(str(c) for c in per_color))
-    by_dim: dict[int, int] = {}
-    for colors, lst in x.cells.items():
-        by_dim[len(colors) - 1] = by_dim.get(len(colors) - 1, 0) + len(lst)
-    for dim in sorted(by_dim):
-        lines.append(f"multicells[{dim}]: {by_dim[dim]}")
-    base_by_dim: dict[int, int] = {}
-    for colors, lst in x.cells.items():
-        base_by_dim.setdefault(len(colors) - 1, 0)
-        base_by_dim[len(colors) - 1] += len({cell.vertices for cell in lst})
-    for dim in sorted(base_by_dim):
-        lines.append(f"cells[{dim}]: {base_by_dim[dim]}")
-    lines.append(f"structure-valid: {str(validate_structure(x).ok).lower()}")
-    lines.append(f"simplicial: {str(complex_is_simplicial(x)).lower()}")
-    lines.append(f"upper-regular: {str(complex_is_upper_regular(x)).lower()}")
-    lines.append(f"link-connected: {str(is_link_connected(x)).lower()}")
-    lines.append(
-        f"lower-path-connected: {str(is_lower_path_connected(x, x.d)).lower()}"
-    )
-    lines.append(f"skeleton-complete: {str(complex_has_complete_skeleton(x)).lower()}")
-    hist: dict[int, int] = {}
-    for cell in x.multicells(x.d - 1):
-        deg = x.degree(cell.mid)
-        hist[deg] = hist.get(deg, 0) + 1
-    lines.append(
-        f"degree-histogram[{x.d - 1}]: "
-        + " ".join(f"{deg}:{hist[deg]}" for deg in sorted(hist))
-    )
-    return "\n".join(lines) + "\n"
-
-
 def _ball_json(ball: Ball) -> str:
     doc = to_json_dict(ball.complex)
     doc["radius"] = ball.radius
@@ -122,8 +71,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    x = from_json(_read(args.complex))
-    _write(args.out, _analyze_report(x))
+    _write(args.out, analyze(from_json(_read(args.complex))))
     return 0
 
 

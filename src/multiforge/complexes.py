@@ -9,8 +9,10 @@ multiplicity one, so gluing to dimension zero is forced and derivable.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .permrep import UnionFind
 from .words import Params
@@ -552,56 +554,76 @@ def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
     return all(cell.mid in image for cell in y.multicells())
 
 
-def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
-    """Root-to-root BFS label propagation.
+def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, str]:
+    """The root-to-root label propagation behind isomorphism and
+    universality: a top cell's image fixes the images of its facets, and the
+    ordering cycle through each facet fixes the images of the other cofaces.
+    Cycles on the domain's boundary carry no data and are skipped.  Lower
+    cells follow through the top cells' down maps.
 
-    Objects of the category are rigid: a morphism is forced by the root
-    image and ordering equivariance, so propagating labels and checking the
-    result is a complete isomorphism test for rooted ordered complexes.
-    """
-    if x.params != y.params or x.root is None or y.root is None:
-        return None
+    Returns the map on every multicell reached, or None and the reason."""
+    if x.root is None or y.root is None:
+        return None, "both complexes must be rooted"
     if x.ordering is None or y.ordering is None:
-        return None
+        return None, "both complexes must be ordered"
     f: dict[MId, MId] = {x.root: y.root}
-    queue = [x.root]
+    queue = deque([x.root])
     while queue:
-        a = queue.pop(0)
+        a = queue.popleft()
         a_img = f[a]
         acell, icell = x.cell(a), y.cell(a_img)
         for l in acell.colors:
             b, b_img = acell.faces[l], icell.faces[l]
-            prev = f.get(b)
-            if prev is None:
-                f[b] = b_img
-            elif prev != b_img:
-                return None
+            if f.setdefault(b, b_img) != b_img:
+                return None, f"gluing conflict at {b}"
+            if b in x.boundary:
+                continue  # truncated cycle carries no propagation data
             cyc, img_cyc = x.ordering[b], y.ordering[b_img]
-            if len(cyc) != len(img_cyc):
-                return None
+            if len(cyc) % len(img_cyc) != 0:
+                return None, f"cycle length mismatch at {b}"
             ta, ti = cyc.index(a), img_cyc.index(a_img)
             for off in range(1, len(cyc)):
-                nxt, nxt_img = cyc[(ta + off) % len(cyc)], img_cyc[(ti + off) % len(img_cyc)]
+                nxt = cyc[(ta + off) % len(cyc)]
+                nxt_img = img_cyc[(ti + off) % len(img_cyc)]
                 prev = f.get(nxt)
                 if prev is None:
                     f[nxt] = nxt_img
                     queue.append(nxt)
                 elif prev != nxt_img:
-                    return None
-    tops_x = [c.mid for c in x.multicells(x.d)]
-    if len(f) < len(tops_x) or any(m not in f for m in tops_x):
-        return None  # domain not reachable from the root
-    # lower multicells are forced color-wise under any containing top cell
-    for cell in x.multicells():
-        if cell.dim == x.d:
-            continue
-        images = set()
-        for top in tops_x:
-            if x.contains(top, cell.mid):
-                images.add(y.sub_multicell(f[top], cell.colors))
-        if len(images) != 1:
-            return None
-        f[cell.mid] = images.pop()
+                    return None, f"ordering conflict at {nxt}"
+    tops = [c.mid for c in x.multicells(x.d)]
+    if any(m not in f for m in tops):
+        return None, "root component does not reach every top cell"
+    bad = extend_down(f, x, y, tops)
+    if bad is not None:
+        return None, f"lower cell {bad} has ambiguous image"
+    return f, "ok"
+
+
+def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]) -> MId | None:
+    """Extend `f` from the given top cells to all their faces, color set by
+    color set through the down maps of each top and of its image.  Returns
+    the first multicell that receives two images, else None."""
+    for top in tops:
+        img_down = y.down_map(f[top])
+        for colors, sub in x.down_map(top).items():
+            if f.setdefault(sub, img_down[colors]) != img_down[colors]:
+                return sub
+    return None
+
+
+def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
+    """Root-to-root label propagation.
+
+    Objects of the category are rigid: a morphism is forced by the root
+    image and ordering equivariance, so propagating labels and checking the
+    result is a complete isomorphism test for rooted ordered complexes.
+    """
+    if x.params != y.params:
+        return None
+    f, _ = propagate_from_root(x, y)
+    if f is None:
+        return None
     counts_x = {k: len(v) for k, v in x.cells.items()}
     counts_y = {k: len(v) for k, v in y.cells.items()}
     if counts_x != counts_y or len(set(f.values())) != len(f):
@@ -610,11 +632,92 @@ def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
     return f if ok else None
 
 
-def is_isomorphic(x: MComplex, y: MComplex) -> bool:
-    return find_isomorphism(x, y) is not None
-
-
 # -- constructions -----------------------------------------------------------------
+
+def complex_from_classes(
+    params: Params,
+    tops: Sequence,
+    key: Callable[[object, tuple[int, ...]], Hashable],
+    root: object,
+    step: Callable[[object, int], object | None] | None = None,
+    vertex_colors: list[int] | None = None,
+) -> tuple[MComplex, list[MId]]:
+    """The complex whose multicells of color set J are the classes of the
+    top objects under `key(top, J)`: the construction shared by quotients,
+    coset balls, Coxeter complexes and simplicial input.
+
+    Classes are indexed per color set in order of first appearance among
+    `tops`, and a cell's vertices and faces are read off its first top.
+    Vertices are numbered color by color in that order, unless
+    `vertex_colors` is given, in which case the key of a top under a single
+    color is its vertex id.  `step(top, i)` is the generator move along the
+    coface cycle of the facet missing color i; a cycle that steps outside
+    (None) marks its facet as boundary.  Without `step` each cycle lists
+    the cofaces in id order.  Returns the complex and each top's multicell.
+    """
+    full = tuple(params.colors)
+    color_sets = [cs for size in range(1, len(full) + 1) for cs in combinations(full, size)]
+    pos = {cs: p for p, cs in enumerate(color_sets)}
+    index: dict[tuple[int, ...], dict] = {cs: {} for cs in color_sets}  # key -> class
+    first: dict[tuple[int, ...], list[int]] = {cs: [] for cs in color_sets}  # class -> top
+    top_ids: list[list[int]] = []  # per top: its class under each color set
+    for t, top in enumerate(tops):
+        ids = []
+        for cs in color_sets:
+            classes, k = index[cs], key(top, cs)
+            idx = classes.get(k)
+            if idx is None:
+                idx = classes[k] = len(classes)
+                first[cs].append(t)
+            ids.append(idx)
+        top_ids.append(ids)
+
+    if vertex_colors is None:
+        vertex_colors, vert = [], {}
+        for c in full:
+            vert[c] = range(len(vertex_colors), len(vertex_colors) + len(index[(c,)]))
+            vertex_colors += [c] * len(index[(c,)])
+    else:
+        vert = {c: list(index[(c,)]) for c in full}
+    x = MComplex(params, vertex_colors, {})
+
+    def face_of(ids: list[int], sub: tuple[int, ...]) -> MId:
+        if len(sub) == 1:
+            return x.vertex_cell(vert[sub[0]][ids[pos[sub]]])
+        return (sub, ids[pos[sub]])
+
+    for cs in color_sets[len(full):]:
+        drops = [(l, tuple(c for c in cs if c != l)) for l in cs]
+        x.cells[cs] = [
+            Multicell(
+                cs,
+                idx,
+                tuple(vert[c][top_ids[t][pos[(c,)]]] for c in cs),
+                {l: face_of(top_ids[t], sub) for l, sub in drops},
+            )
+            for idx, t in enumerate(first[cs])
+        ]
+
+    top_mid = [(full, ids[-1]) for ids in top_ids]
+    x.ordering, boundary = {}, set()
+    for cs in color_sets[-len(full) - 1 : -1]:
+        i = next(c for c in full if c not in cs)
+        for t in first[cs]:
+            mid = face_of(top_ids[t], cs)
+            if step is None:
+                x.ordering[mid] = tuple(sorted(m for m, _ in x.delta(mid)))
+                continue
+            cyc, nxt = [top_mid[t]], step(tops[t], i)
+            while nxt is not None and (m := (full, index[full][key(nxt, full)])) != cyc[0]:
+                cyc.append(m)
+                nxt = step(nxt, i)
+            if nxt is None:
+                boundary.add(mid)
+            x.ordering[mid] = tuple(cyc)
+    x.boundary = frozenset(boundary)
+    x.root = (full, index[full][key(root, full)])
+    return x, top_mid
+
 
 def from_simplicial(
     params: Params,
@@ -625,66 +728,19 @@ def from_simplicial(
     """Pure multicomplex with multiplicity one from the vertex sets of its
     top cells.  The ordering is derived arbitrarily (cofaces in id order)
     and only valid when each (d-1)-cell degree divides k."""
-    d = params.d
+    tops = []
+    for t in map(set, top_vertex_sets):
+        by_color = {vertex_colors[v]: v for v in t}
+        if len(t) != params.d + 1 or sorted(by_color) != list(params.colors):
+            raise ValueError(f"top cell {sorted(t)} needs one vertex of each color 0..{params.d}")
+        tops.append(by_color)
 
-    def key_of(vs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        pairs = sorted((vertex_colors[v], v) for v in vs)
-        colors = tuple(c for c, _ in pairs)
-        verts = tuple(v for _, v in pairs)
-        if len(set(colors)) != len(colors):
-            raise ValueError(f"cell {vs} repeats a color")
-        return colors, verts
+    def key(by_color: dict[int, int], cs: tuple[int, ...]):
+        return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
 
-    registry: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    index_of: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-
-    def register(vs: tuple[int, ...]) -> MId:
-        colors, verts = key_of(vs)
-        key = (colors, verts)
-        if key not in index_of:
-            index_of[key] = len(registry.setdefault(colors, []))
-            registry[colors].append(verts)
-        return (colors, index_of[key])
-
-    tops = [tuple(sorted(set(t))) for t in top_vertex_sets]
-    for t in tops:
-        if len(t) != d + 1:
-            raise ValueError(f"top cell {t} must have {d + 1} vertices")
-        for mask in range(1, 1 << (d + 1)):
-            vs = tuple(t[j] for j in range(d + 1) if mask >> j & 1)
-            register(vs)
-
-    # 0-cell indices follow the vertex-id rank within each color
-    zero_id: dict[int, MId] = {}
-    per_color_rank: dict[int, int] = {}
-    for v, c in enumerate(vertex_colors):
-        zero_id[v] = ((c,), per_color_rank.get(c, 0))
-        per_color_rank[c] = per_color_rank.get(c, 0) + 1
-
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for colors in registry:
-        if len(colors) < 2:
-            continue
-        cells[colors] = []
-        for idx, verts in enumerate(registry[colors]):
-            faces: dict[int, MId] = {}
-            for pos, l in enumerate(colors):
-                sub = tuple(v for t, v in enumerate(verts) if t != pos)
-                sub_colors = tuple(c for c in colors if c != l)
-                if len(sub_colors) == 1:
-                    faces[l] = zero_id[sub[0]]
-                else:
-                    faces[l] = (sub_colors, index_of[(sub_colors, sub)])
-            cells[colors].append(Multicell(colors, idx, verts, faces))
-
-    x = MComplex(params, vertex_colors, cells)
-    ordering: dict[MId, tuple[MId, ...]] = {}
-    for cell in x.multicells(d - 1):
-        ordering[cell.mid] = tuple(sorted(m for m, _ in x.delta(cell.mid)))
-    x.ordering = ordering
-    colors_top, verts_top = key_of(tops[root_top])
-    x.root = (colors_top, index_of[(colors_top, verts_top)])
-    return x
+    return complex_from_classes(
+        params, tops, key, tops[root_top], vertex_colors=vertex_colors
+    )[0]
 
 
 def single_simplex(params: Params) -> MComplex:
@@ -719,7 +775,6 @@ def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
             faces = {}
             for l, fid in cell.faces.items():
                 if len(fid[0]) == 1:
-                    kept = next(v for c, v in zip(cell.colors, cell.vertices) if c != l)
                     faces[l] = None  # fixed after vertex table exists
                 else:
                     faces[l] = fid

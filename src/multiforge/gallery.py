@@ -3,11 +3,12 @@ Coxeter chamber complexes, and flag complexes of finite vector spaces."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
-from .complexes import MComplex, MId, Multicell, find_isomorphism, from_simplicial
+from .complexes import MComplex, complex_from_classes, find_isomorphism, from_simplicial
 from .permrep import PermRep
-from .quotient import build_quotient, is_simplicial
+from .quotient import build_quotient, complex_is_simplicial
 from .words import Params
 
 Permutation = tuple[int, ...]
@@ -99,62 +100,23 @@ def coxeter_direct_complex(gens: list[Permutation], cap: int = 20000) -> MComple
     and cells collect one coset per color."""
     _, elems = coxeter_kernel_rep(gens, cap)
     n_colors = len(gens)
-    p = Params(n_colors - 1, 2)
-    subgroup_cache: dict[tuple[int, ...], list[Permutation]] = {}
+    identity = tuple(range(len(gens[0])))
 
-    def subgroup(hat: tuple[int, ...]) -> list[Permutation]:
-        if hat not in subgroup_cache:
-            if hat:
-                subgroup_cache[hat] = _closure([gens[i] for i in hat], cap)
-            else:
-                subgroup_cache[hat] = [tuple(range(len(gens[0])))]
-        return subgroup_cache[hat]
+    @cache
+    def subgroup(colors: tuple[int, ...]) -> list[Permutation]:
+        hat = [gens[i] for i in range(n_colors) if i not in colors]
+        return _closure(hat, cap) if hat else [identity]
 
     def coset_key(w: Permutation, colors: tuple[int, ...]) -> Permutation:
-        hat = tuple(i for i in range(n_colors) if i not in colors)
-        return min(_compose(u, w) for u in subgroup(hat))
+        return min(_compose(u, w) for u in subgroup(colors))
 
-    registry: dict[tuple[int, ...], list[Permutation]] = {}
-    index: dict[tuple[tuple[int, ...], Permutation], int] = {}
-    for w in elems:
-        for size in range(1, n_colors + 1):
-            for colors in combinations(range(n_colors), size):
-                key = coset_key(w, colors)
-                if (colors, key) not in index:
-                    index[(colors, key)] = len(registry.setdefault(colors, []))
-                    registry[colors].append(key)
-
-    vid: dict[tuple[int, Permutation], int] = {}
-    vertex_colors: list[int] = []
-    for c in range(n_colors):
-        for key in registry[(c,)]:
-            vid[(c, key)] = len(vertex_colors)
-            vertex_colors.append(c)
-
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for colors in sorted(registry, key=lambda cs: (len(cs), cs)):
-        if len(colors) < 2:
-            continue
-        cells[colors] = []
-        for idx, key in enumerate(registry[colors]):
-            verts = tuple(vid[(c, coset_key(key, (c,)))] for c in colors)
-            faces: dict[int, MId] = {}
-            for l in colors:
-                sub = tuple(c for c in colors if c != l)
-                faces[l] = (sub, index[(sub, coset_key(key, sub))])
-            cells[colors].append(Multicell(colors, idx, verts, faces))
-
-    x = MComplex(p, vertex_colors, cells)
-    top = tuple(range(n_colors))
-    ordering: dict[MId, tuple[MId, ...]] = {}
-    for cell in x.multicells(p.d - 1):
-        missing = next(c for c in range(n_colors) if c not in cell.colors)
-        w0 = registry[cell.colors][cell.index]
-        w1 = _compose(gens[missing], w0)
-        cyc = [(top, index[(top, w0)]), (top, index[(top, w1)])]
-        ordering[cell.mid] = tuple(cyc)
-    x.ordering = ordering
-    x.root = (top, index[(top, coset_key(tuple(range(len(gens[0]))), top))])
+    x, _ = complex_from_classes(
+        Params(n_colors - 1, 2),
+        elems,
+        coset_key,
+        identity,
+        step=lambda w, i: _compose(gens[i], w),
+    )
     return x
 
 
@@ -164,7 +126,7 @@ def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex
     rep, _ = coxeter_kernel_rep(gens, cap)
     q = build_quotient(rep)
     direct = coxeter_direct_complex(gens, cap)
-    if not is_simplicial(q):
+    if not complex_is_simplicial(q.complex):
         raise ValueError("kernel quotient is not simplicial")
     if find_isomorphism(q.complex, direct) is None:
         raise ValueError("kernel quotient and direct chamber complex disagree")

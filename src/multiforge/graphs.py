@@ -103,12 +103,12 @@ def schreier_multigraph(rep: PermRep) -> Multigraph:
     g = Multigraph(rep.n)
     for i, beta in enumerate(rep.betas):
         for cyc in perm_cycles(beta):
-            _cycle_edges(g, cyc, i, k)
+            cycle_edges(g, cyc, i, k)
     g.sort_edges()
     return g
 
 
-def _cycle_edges(g: Multigraph, cyc: list[int], color: int, k: int) -> None:
+def cycle_edges(g: Multigraph, cyc: list[int], color: int, k: int) -> None:
     L = len(cyc)
     for l, involutive in generator_classes(k):
         step = l % L

@@ -15,6 +15,7 @@ from .complexes import (
     Multicell,
     check_morphism,
     is_surjective,
+    propagate_from_root,
 )
 from .permrep import UnionFind
 from .words import Params
@@ -81,7 +82,7 @@ def _builder_from(x: MComplex) -> _Builder:
         )
         proj[pid] = cell.mid
     ordering = {
-        mid: tuple(cyc) for mid, cyc in (x.ordering or {}).items()
+        to_pid(mid): tuple(to_pid(m) for m in cyc) for mid, cyc in (x.ordering or {}).items()
     }
     next_index = {colors: max(recs) + 1 for colors, recs in cells.items()}
     return _Builder(
@@ -90,7 +91,7 @@ def _builder_from(x: MComplex) -> _Builder:
         cells,
         ordering,
         x.root,
-        set(x.boundary),
+        {to_pid(m) for m in x.boundary},
         proj,
         next_index,
     )
@@ -262,49 +263,9 @@ def verify_universality(
     Builds psi: Z -> Y with pi . psi = phi when Z is link-connected and both
     maps are epimorphisms onto the same target; reports the offending
     multicell otherwise."""
-    if z.root is None or y.root is None:
-        return False, None, "both complexes must be rooted"
-    psi: dict[MId, MId] = {z.root: y.root}
-    queue = [z.root]
-    while queue:
-        a = queue.pop(0)
-        a_img = psi[a]
-        acell, icell = z.cell(a), y.cell(a_img)
-        for i in acell.colors:
-            fz, fy = acell.faces[i], icell.faces[i]
-            prev = psi.get(fz)
-            if prev is None:
-                psi[fz] = fy
-            elif prev != fy:
-                return False, None, f"gluing conflict at {fz}"
-            if fz in z.boundary:
-                continue  # truncated cycle carries no propagation data
-            cyc, img_cyc = z.ordering[fz], y.ordering[fy]
-            if len(cyc) % len(img_cyc) != 0:
-                return False, None, f"cycle length mismatch at {fz}"
-            ta, ti = cyc.index(a), img_cyc.index(a_img)
-            for off in range(1, len(cyc)):
-                nxt = cyc[(ta + off) % len(cyc)]
-                nxt_img = img_cyc[(ti + off) % len(img_cyc)]
-                prev = psi.get(nxt)
-                if prev is None:
-                    psi[nxt] = nxt_img
-                    queue.append(nxt)
-                elif prev != nxt_img:
-                    return False, None, f"ordering conflict at {nxt}"
-    tops = [c.mid for c in z.multicells(z.d)]
-    if any(m not in psi for m in tops):
-        return False, None, "root component does not reach every top cell"
-    for cell in z.multicells():
-        if cell.mid in psi:
-            continue
-        images = set()
-        for top in tops:
-            if z.contains(top, cell.mid):
-                images.add(y.sub_multicell(psi[top], cell.colors))
-        if len(images) != 1:
-            return False, None, f"lower cell {cell.mid} has ambiguous image"
-        psi[cell.mid] = images.pop()
+    psi, why = propagate_from_root(z, y)
+    if psi is None:
+        return False, None, why
     ok = check_morphism(psi, z, y)
     if not ok:
         return False, None, "; ".join(ok.messages[:3])

@@ -8,6 +8,7 @@ stabilizer of the root.  Points are 1-based in files and 0-based internally.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from math import comb, factorial
 from random import Random
@@ -174,18 +175,25 @@ def allowed_cycle_lengths(k: int) -> list[int]:
     return [l for l in range(1, k + 1) if k % l == 0]
 
 
-def count_order_dividing(n: int, k: int) -> int:
-    """Number of permutations of [n] all of whose cycle lengths divide k.
-    a(m) = sum over allowed l of C(m-1, l-1) * (l-1)! * a(m-l)."""
+def _cycle_weight(m: int, l: int, a: list[int]) -> int:
+    """Permutations of m points whose lowest point lies on an l-cycle."""
+    return comb(m - 1, l - 1) * factorial(l - 1) * a[m - l]
+
+
+def _order_dividing_table(n: int, k: int) -> list[int]:
+    """a[m] = number of permutations of [m] with all cycle lengths dividing
+    k, for m = 0..n."""
     lengths = allowed_cycle_lengths(k)
     a = [1] + [0] * n
     for m in range(1, n + 1):
-        a[m] = sum(
-            comb(m - 1, l - 1) * factorial(l - 1) * a[m - l]
-            for l in lengths
-            if l <= m
-        )
-    return a[n]
+        a[m] = sum(_cycle_weight(m, l, a) for l in lengths if l <= m)
+    return a
+
+
+def count_order_dividing(n: int, k: int) -> int:
+    """Number of permutations of [n] all of whose cycle lengths divide k.
+    a(m) = sum over allowed l of C(m-1, l-1) * (l-1)! * a(m-l)."""
+    return _order_dividing_table(n, k)[n]
 
 
 def random_order_dividing(n: int, k: int, rng: Random) -> Perm:
@@ -195,13 +203,7 @@ def random_order_dividing(n: int, k: int, rng: Random) -> Perm:
     exact counting weights, then the remaining members and their cyclic
     arrangement are drawn uniformly."""
     lengths = allowed_cycle_lengths(k)
-    a = [1] + [0] * n
-    for m in range(1, n + 1):
-        a[m] = sum(
-            comb(m - 1, l - 1) * factorial(l - 1) * a[m - l]
-            for l in lengths
-            if l <= m
-        )
+    a = _order_dividing_table(n, k)
     perm = [-1] * n
     unplaced = list(range(n))
     while unplaced:
@@ -210,7 +212,7 @@ def random_order_dividing(n: int, k: int, rng: Random) -> Perm:
         for l in lengths:
             if l > m:
                 continue
-            w = comb(m - 1, l - 1) * factorial(l - 1) * a[m - l]
+            w = _cycle_weight(m, l, a)
             if u < w:
                 break
             u -= w
@@ -261,9 +263,9 @@ def intersect_reps(r1: PermRep, r2: PermRep) -> tuple[PermRep, list[tuple[int, i
     d = r1.params.d
     pairs = [(r1.root, r2.root)]
     index = {pairs[0]: 0}
-    queue = [pairs[0]]
+    queue = deque(pairs[:1])
     while queue:
-        p, q = queue.pop(0)
+        p, q = queue.popleft()
         for i in range(d + 1):
             nxt = (r1.betas[i][p], r2.betas[i][q])
             if nxt not in index:

@@ -9,17 +9,21 @@ line-graph / Schreier identification, and the classification round trip.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (
     MComplex,
     MId,
-    Multicell,
     base_complex,
-    is_surjective,
+    complex_from_classes,
+    extend_down,
+    is_link_connected,
+    is_lower_path_connected,
     nerve,
+    validate_structure,
 )
-from .graphs import Multigraph, _cycle_edges
+from .graphs import Multigraph, cycle_edges
 from .permrep import OrbitPartition, PermRep, orbits, validate
 from .permrep import evaluate as rep_evaluate
 from .universal import Ball
@@ -46,52 +50,18 @@ def build_quotient(rep: PermRep) -> QuotientObject:
     diag = validate(rep)
     if not diag.ok:
         raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    d, k, n = rep.params.d, rep.params.k, rep.n
-
+    d, n = rep.params.d, rep.n
     partitions: dict[tuple[int, ...], OrbitPartition] = {}
     for mask in range(1, 1 << (d + 1)):
         colors = tuple(c for c in range(d + 1) if mask >> c & 1)
         partitions[colors] = orbits(rep, frozenset(colors))
-
-    vertex_colors: list[int] = []
-    vert_id: dict[tuple[int, int], int] = {}  # (color, orbit id) -> vertex
-    for c in range(d + 1):
-        for orbit_id in range(partitions[(c,)].count):
-            vert_id[(c, orbit_id)] = len(vertex_colors)
-            vertex_colors.append(c)
-
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for colors, part in sorted(partitions.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        if len(colors) < 2:
-            continue
-        cells[colors] = []
-        for orbit_id, rep_point in enumerate(part.reps):
-            verts = tuple(
-                vert_id[(c, partitions[(c,)].class_ids[rep_point])] for c in colors
-            )
-            faces: dict[int, MId] = {}
-            for l in colors:
-                sub = tuple(c for c in colors if c != l)
-                faces[l] = (sub, partitions[sub].class_ids[rep_point])
-            cells[colors].append(Multicell(colors, orbit_id, verts, faces))
-
-    top_colors = tuple(range(d + 1))
-    x = MComplex(rep.params, vertex_colors, cells)
-    ordering: dict[MId, tuple[MId, ...]] = {}
-    for i in range(d + 1):
-        colors = tuple(c for c in range(d + 1) if c != i)
-        beta = rep.betas[i]
-        for orbit_id, m in enumerate(partitions[colors].reps):
-            cyc = [m]
-            q = beta[m]
-            while q != m:
-                cyc.append(q)
-                q = beta[q]
-            ordering[(colors, orbit_id)] = tuple((top_colors, pt) for pt in cyc)
-    x.ordering = ordering
-    x.root = (top_colors, rep.root)
-
-    point_cell = [(top_colors, pt) for pt in range(n)]
+    x, point_cell = complex_from_classes(
+        rep.params,
+        range(n),
+        lambda pt, colors: partitions[colors].class_ids[pt],
+        rep.root,
+        step=lambda pt, i: rep.betas[i][pt],
+    )
     cell_point = {mid: pt for pt, mid in enumerate(point_cell)}
     return QuotientObject(x, rep, partitions, point_cell, cell_point)
 
@@ -110,7 +80,7 @@ def complex_line_graph(x: MComplex) -> Multigraph:
         colors = tuple(c for c in range(d + 1) if c != i)
         for cell in x.cells.get(colors, []):
             cyc = [pos[m] for m in x.ordering[cell.mid]]
-            _cycle_edges(g, cyc, i, k)
+            cycle_edges(g, cyc, i, k)
     g.sort_edges()
     return g
 
@@ -131,10 +101,6 @@ def complex_is_simplicial(x: MComplex) -> bool:
         if len(seen) != len(lst):
             return False
     return True
-
-
-def is_simplicial(q: QuotientObject) -> bool:
-    return complex_is_simplicial(q.complex)
 
 
 def intersection_property(rep: PermRep) -> bool:
@@ -198,32 +164,19 @@ def complex_has_complete_skeleton(x: MComplex) -> bool:
     return True
 
 
-def has_complete_skeleton(q: QuotientObject) -> bool:
-    return complex_has_complete_skeleton(q.complex)
-
-
 def quotient_map(ball: Ball, q: QuotientObject) -> dict[MId, MId]:
     """The unique morphism from the ball into the quotient: the cell of the
     coset of g maps to the orbit class of the point reached by g."""
     if ball.complex.params != q.rep.params:
         raise ValueError("ball and quotient must share (d, k)")
-    f: dict[MId, MId] = {}
-    for top, w in ball.cell_words.items():
-        pt = rep_evaluate(w, q.rep.root, q.rep)
-        f[top] = q.point_cell[pt]
-        dm_ball = ball.complex.down_map(top)
-        dm_quot = q.complex.down_map(q.point_cell[pt])
-        for colors, sub in dm_ball.items():
-            img = dm_quot[colors]
-            prev = f.get(sub)
-            if prev is not None and prev != img:
-                raise ValueError(f"quotient map ill-defined at {sub}")
-            f[sub] = img
+    f = {
+        top: q.point_cell[rep_evaluate(w, q.rep.root, q.rep)]
+        for top, w in ball.cell_words.items()
+    }
+    bad = extend_down(f, ball.complex, q.complex, list(f))
+    if bad is not None:
+        raise ValueError(f"quotient map ill-defined at {bad}")
     return f
-
-
-def quotient_map_surjective(f: dict[MId, MId], q: QuotientObject) -> bool:
-    return is_surjective(f, q.complex)
 
 
 def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -> PermRep:
@@ -268,29 +221,35 @@ def nerve_matches_base(q: QuotientObject) -> bool:
     return nerve(fam_by_vertex) == base_complex(q.complex)
 
 
-def analyze(q: QuotientObject) -> dict:
-    """Structural report used by the CLI and the acceptance suite."""
-    from .complexes import is_link_connected, is_lower_path_connected
-
-    x = q.complex
-    counts = {}
-    for colors, lst in sorted(x.cells.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        counts.setdefault(len(colors) - 1, 0)
-        counts[len(colors) - 1] += len(lst)
-    degrees: dict[int, int] = {}
-    for cell in x.multicells(x.d - 1):
-        deg = x.degree(cell.mid)
-        degrees[deg] = degrees.get(deg, 0) + 1
-    return {
-        "d": x.params.d,
-        "k": x.params.k,
-        "points": q.rep.n,
-        "cells_per_dim": counts,
-        "simplicial": is_simplicial(q),
-        "upper_regular": is_upper_regular(q.rep),
-        "link_connected": is_link_connected(x),
-        "lower_path_connected": is_lower_path_connected(x, x.d),
-        "skeleton_complete": has_complete_skeleton(q),
-        "intersection_property": intersection_property(q.rep),
-        "degree_histogram": degrees,
-    }
+def analyze(x: MComplex) -> str:
+    """The structural report printed by `multiforge analyze`, one
+    `name: value` line each: sizes per color and dimension, the structural
+    predicates, and the histogram of codimension-one degrees."""
+    by_dim: dict[int, int] = {}
+    base_by_dim: dict[int, int] = {}
+    for colors, lst in x.cells.items():
+        dim = len(colors) - 1
+        by_dim[dim] = by_dim.get(dim, 0) + len(lst)
+        base_by_dim[dim] = base_by_dim.get(dim, 0) + len({cell.vertices for cell in lst})
+    per_color = [x.vertex_colors.count(c) for c in x.params.colors]
+    hist = Counter(x.degree(cell.mid) for cell in x.multicells(x.d - 1))
+    flags = [
+        ("structure-valid", validate_structure(x).ok),
+        ("simplicial", complex_is_simplicial(x)),
+        ("upper-regular", complex_is_upper_regular(x)),
+        ("link-connected", is_link_connected(x)),
+        ("lower-path-connected", is_lower_path_connected(x, x.d)),
+        ("skeleton-complete", complex_has_complete_skeleton(x)),
+    ]
+    lines = [
+        f"d: {x.params.d}",
+        f"k: {x.params.k}",
+        f"vertices: {x.n_vertices}",
+        "vertices-per-color: " + " ".join(map(str, per_color)),
+        *(f"multicells[{dim}]: {by_dim[dim]}" for dim in sorted(by_dim)),
+        *(f"cells[{dim}]: {base_by_dim[dim]}" for dim in sorted(base_by_dim)),
+        *(f"{name}: {str(value).lower()}" for name, value in flags),
+        f"degree-histogram[{x.d - 1}]: "
+        + " ".join(f"{deg}:{hist[deg]}" for deg in sorted(hist)),
+    ]
+    return "\n".join(lines) + "\n"

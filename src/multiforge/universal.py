@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import MComplex, MId, Multicell, from_simplicial
+from .complexes import MComplex, MId, complex_from_classes, from_simplicial
 from .words import (
     EMPTY_WORD,
     Params,
@@ -105,71 +105,19 @@ def ball_from_cosets(p: Params, n: int) -> Ball:
     outside J are stripped from the left."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    d, k = p.d, p.k
-    top_words = [w for w in enumerate_reduced_words(p, n)]
-    all_colors = frozenset(range(d + 1))
+    top_words = list(enumerate_reduced_words(p, n))
+    inside = {w.letters for w in top_words}
+    all_colors = frozenset(p.colors)
 
-    def coset_key(w: Word, colors: frozenset[int]) -> tuple:
-        return strip_left(w, all_colors - colors, p).letters
+    def coset_key(w: Word, colors: tuple[int, ...]) -> tuple:
+        return strip_left(w, all_colors.difference(colors), p).letters
 
-    # enumerate cells per color set, indexed by canonical stripped word
-    index: dict[tuple[tuple[int, ...], tuple], int] = {}
-    registry: dict[tuple[int, ...], list[tuple]] = {}
-    for w in top_words:
-        for mask in range(1, 1 << (d + 1)):
-            colors = tuple(c for c in range(d + 1) if mask >> c & 1)
-            key = coset_key(w, frozenset(colors))
-            if (colors, key) not in index:
-                index[(colors, key)] = len(registry.setdefault(colors, []))
-                registry[colors].append(key)
+    def step(w: Word, i: int) -> Word | None:
+        nxt = multiply(generator(i), w, p)
+        return nxt if nxt.letters in inside else None
 
-    # vertices grouped by color, in registry order
-    vid: dict[tuple[int, tuple], int] = {}
-    vertex_colors: list[int] = []
-    for c in range(d + 1):
-        for key in registry[(c,)]:
-            vid[(c, key)] = len(vertex_colors)
-            vertex_colors.append(c)
-
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for colors in sorted(registry, key=lambda cs: (len(cs), cs)):
-        if len(colors) < 2:
-            continue
-        cells[colors] = []
-        for idx, key in enumerate(registry[colors]):
-            w = Word(key)
-            verts = tuple(vid[(c, coset_key(w, frozenset({c})))] for c in colors)
-            faces: dict[int, MId] = {}
-            for l in colors:
-                sub = tuple(c for c in colors if c != l)
-                sub_key = coset_key(w, frozenset(sub))
-                faces[l] = (sub, index[(sub, sub_key)])
-            cells[colors].append(Multicell(colors, idx, verts, faces))
-
-    x = MComplex(p, vertex_colors, cells)
-    ordering: dict[MId, tuple[MId, ...]] = {}
-    boundary = set()
-    top_colors = tuple(range(d + 1))
-    for cell in x.multicells(d - 1):
-        colors = cell.colors
-        missing = ({*range(d + 1)} - set(colors)).pop()
-        w0 = Word(registry[colors][cell.index])
-        cyc = []
-        for l in range(k):
-            cof = multiply(generator(missing, l), w0, p)
-            key = cof.letters
-            if (top_colors, key) in index:
-                cyc.append((top_colors, index[(top_colors, key)]))
-        ordering[cell.mid] = tuple(cyc)
-        if len(cyc) < k:
-            boundary.add(cell.mid)
-    x.ordering = ordering
-    x.boundary = frozenset(boundary)
-    x.root = (top_colors, index[(top_colors, ())])
-    cell_words = {
-        (top_colors, index[(top_colors, w.letters)]): w for w in top_words
-    }
-    return Ball(x, n, cell_words)
+    x, top_mid = complex_from_classes(p, top_words, coset_key, EMPTY_WORD, step)
+    return Ball(x, n, dict(zip(top_mid, top_words)))
 
 
 def unique_non_backtracking(b: Ball, t1: MId, t2: MId) -> list[MId]:

@@ -281,3 +281,19 @@ def test_find_isomorphism_detects_difference():
 
     expected = same_up_to_relabeling(associated_subgroup_rep(a), associated_subgroup_rep(b))
     assert (iso_ab is not None) == expected
+
+
+def test_from_simplicial_needs_one_vertex_per_color():
+    colors = [0, 1, 2, 1]
+    for bad in [(0, 1), (0, 1, 3), (0, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="one vertex of each color"):
+            from_simplicial(Params(2, 2), colors, [(0, 1, 2), bad])
+
+
+def test_find_isomorphism_needs_rooted_ordered_input():
+    x = single_simplex(Params(2, 2))
+    unordered = single_simplex(Params(2, 2))
+    unordered.ordering = None
+    assert find_isomorphism(x, x) is not None
+    assert find_isomorphism(x, unordered) is None
+    assert find_isomorphism(unordered, x) is None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import seeded_rep
+from multiforge import cli
 from multiforge.complexes import (
     check_morphism,
     find_isomorphism,
@@ -61,6 +62,18 @@ def test_fixed_point_on_link_connected_input():
     cover, proj = link_connected_cover(q.complex)
     assert to_json(cover) == to_json(q.complex)
     assert all(src == dst for src, dst in proj.items())
+
+
+@pytest.mark.parametrize("k, n, seed", [(2, 8, 1), (3, 12, 1), (3, 9, 5)])
+def test_fixed_point_on_ordered_d1_quotient(k, n, seed, tmp_path):
+    x = build_quotient(seeded_rep(1, k, n, seed)).complex
+    cover, proj = link_connected_cover(x)
+    assert to_json(cover) == to_json(x)
+    assert all(src == dst for src, dst in proj.items())
+    path = tmp_path / "x.json"
+    path.write_text(to_json(x))
+    assert cli.main(["lcc", str(path), "--out", str(tmp_path / "cover.json")]) == 0
+    assert (tmp_path / "cover.json").read_text() == to_json(x)
 
 
 def test_wedge_splits_into_disjoint_triangles():
@@ -162,3 +175,13 @@ def test_universality_detects_wrong_root():
     rerooted.complex.root = other_top
     ok, _, _ = verify_universality(rerooted.complex, ident, q.complex, ident)
     assert not ok
+
+
+def test_universality_reports_unordered_input():
+    q = build_quotient(seeded_rep(2, 2, 6, 20))
+    ident = {c.mid: c.mid for c in q.complex.multicells()}
+    unordered = build_quotient(seeded_rep(2, 2, 6, 20)).complex
+    unordered.ordering = None
+    assert verify_universality(q.complex, ident, unordered, ident) == (
+        False, None, "both complexes must be ordered"
+    )

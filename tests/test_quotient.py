@@ -13,15 +13,14 @@ from multiforge.quotient import (
     associated_subgroup_rep,
     associated_subgroup_round_trip,
     build_quotient,
+    complex_has_complete_skeleton,
+    complex_is_simplicial,
     complex_line_graph,
-    has_complete_skeleton,
     intersection_property,
-    is_simplicial,
     is_upper_regular,
     line_graph,
     nerve_matches_base,
     quotient_map,
-    quotient_map_surjective,
 )
 from multiforge.universal import build_ball
 from multiforge.words import Params, Word
@@ -35,7 +34,7 @@ def test_index_one_gives_single_simplex():
     assert q.complex.n_vertices == 3
     assert len(q.complex.top_cells()) == 1
     assert all(q.complex.degree(c.mid) == 1 for c in q.complex.multicells(1))
-    assert is_simplicial(q) and has_complete_skeleton(q)
+    assert complex_is_simplicial(q.complex) and complex_has_complete_skeleton(q.complex)
 
 
 def test_build_quotient_rejects_invalid():
@@ -49,7 +48,7 @@ def test_m23_complete_partite():
     assert q.complex.n_vertices == 9
     assert sum(1 for _ in q.complex.multicells(1)) == 27
     assert sum(1 for _ in q.complex.multicells(2)) == 27
-    assert is_simplicial(q)
+    assert complex_is_simplicial(q.complex)
 
 
 def test_m_family_counts():
@@ -69,7 +68,7 @@ def test_two_triangles_on_shared_vertices():
     for cell in q.complex.multicells(1):
         assert q.complex.degree(cell.mid) == 2
         assert len(q.complex.cells[cell.colors]) == 1  # multiplicity 1 per edge
-    assert not is_simplicial(q)  # the doubled top cell
+    assert not complex_is_simplicial(q.complex)  # the doubled top cell
 
 
 def multiplicity_two_somewhere(q) -> bool:
@@ -83,7 +82,7 @@ def test_doubled_edge_not_simplicial():
     # swapping points with two generators doubles the {1,2}-colored edge
     rep = PermRep(Params(2, 2), 2, ((0, 1), (1, 0), (1, 0)), 0)
     q = build_quotient(rep)
-    assert not is_simplicial(q)
+    assert not complex_is_simplicial(q.complex)
     assert not intersection_property(rep)
     assert multiplicity_two_somewhere(q)
     doubled = q.complex.cells[(1, 2)]
@@ -94,7 +93,7 @@ def test_single_swap_stays_simplicial():
     # one swapping generator only: two triangles sharing an edge, no doubling
     rep = PermRep(Params(2, 2), 2, ((1, 0), (0, 1), (0, 1)), 0)
     q = build_quotient(rep)
-    assert is_simplicial(q)
+    assert complex_is_simplicial(q.complex)
     assert intersection_property(rep)
 
 
@@ -135,8 +134,8 @@ def test_upper_regular_examples():
 
 
 def test_complete_skeleton_examples():
-    assert has_complete_skeleton(build_quotient(m_subgroup_rep(Params(2, 2))))
-    assert has_complete_skeleton(build_quotient(TRIVIAL))
+    assert complex_has_complete_skeleton(build_quotient(m_subgroup_rep(Params(2, 2))).complex)
+    assert complex_has_complete_skeleton(build_quotient(TRIVIAL).complex)
 
 
 def test_complete_skeleton_matches_orbit_oracle():
@@ -156,7 +155,7 @@ def test_complete_skeleton_matches_orbit_oracle():
             for oa, ob in product(parts[ca].members(), parts[cb].members()):
                 if not set(oa) & set(ob):
                     expected = False
-        assert has_complete_skeleton(q) == expected, seed
+        assert complex_has_complete_skeleton(q.complex) == expected, seed
         found_incomplete = found_incomplete or not expected
     assert found_incomplete  # the sample must exercise the negative branch
 
@@ -173,7 +172,7 @@ def test_quotient_map_trivial_target():
     q = build_quotient(TRIVIAL)
     f = quotient_map(ball, q)
     assert check_morphism(f, ball.complex, q.complex).ok
-    assert quotient_map_surjective(f, q)
+    assert is_surjective(f, q.complex)
     assert len(set(f.values())) == sum(1 for _ in q.complex.multicells())
 
 
@@ -204,11 +203,11 @@ def test_round_trip_small_and_merged():
 
 def test_analyze_report_shape():
     q = build_quotient(m_subgroup_rep(Params(2, 3)))
-    report = analyze(q)
-    assert report["simplicial"] and report["upper_regular"]
-    assert report["cells_per_dim"] == {0: 9, 1: 27, 2: 27}
-    assert report["degree_histogram"] == {3: 27}
-    assert report["link_connected"] and report["skeleton_complete"]
+    report = dict(line.split(": ", 1) for line in analyze(q.complex).splitlines())
+    assert report["simplicial"] == report["upper-regular"] == "true"
+    assert [report[f"multicells[{dim}]"] for dim in range(3)] == ["9", "27", "27"]
+    assert report["degree-histogram[1]"] == "3:27"
+    assert report["link-connected"] == report["skeleton-complete"] == "true"
 
 
 def test_every_quotient_validates():
