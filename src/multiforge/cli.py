@@ -311,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command!r}; the input is too large", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -798,7 +798,26 @@ def _mid_json(mid: MId) -> list:
 
 
 def _mid_from_json(obj) -> MId:
+    if not (
+        isinstance(obj, list)
+        and len(obj) == 2
+        and isinstance(obj[0], list)
+        and isinstance(obj[1], int)
+    ):
+        raise ValueError(f"multicell id must be [colors, index], got {obj!r}")
     return (tuple(obj[0]), obj[1])
+
+
+def _field(rec: dict, key: str, kind: type, where: str):
+    """rec[key] if present and of type `kind`, else a one-line ValueError
+    naming the record and the key."""
+    if key not in rec:
+        raise ValueError(f"{where}: missing {key!r}")
+    if not isinstance(rec[key], kind):
+        raise ValueError(
+            f"{where}: {key!r} must be {kind.__name__}, got {type(rec[key]).__name__}"
+        )
+    return rec[key]
 
 
 def to_json_dict(x: MComplex) -> dict:
@@ -836,17 +855,27 @@ def to_json(x: MComplex) -> str:
 
 
 def from_json_dict(doc: dict) -> MComplex:
+    """Read an mcomplex/1 document.  A document of the wrong shape raises a
+    ValueError naming the first missing or wrongly typed field."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
     if doc.get("format") != "mcomplex/1":
         raise ValueError("not an mcomplex/1 document")
-    params = Params(doc["params"]["d"], doc["params"]["k"])
+    params_rec = _field(doc, "params", dict, "complex")
+    params = Params(*(_field(params_rec, key, int, "params") for key in ("d", "k")))
+    vertex_colors = _field(doc, "vertex_colors", list, "complex")
     cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for rec in doc["cells"]:
-        colors = tuple(rec["colors"])
+    for t, rec in enumerate(_field(doc, "cells", list, "complex")):
+        where = f"cell record {t}"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where}: must be an object, got {type(rec).__name__}")
+        colors = tuple(_field(rec, "colors", list, where))
+        faces = _field(rec, "faces", dict, where)
         cell = Multicell(
             colors,
-            rec["index"],
-            tuple(rec["vertices"]),
-            {int(l): _mid_from_json(fid) for l, fid in rec["faces"].items()},
+            _field(rec, "index", int, where),
+            tuple(_field(rec, "vertices", list, where)),
+            {int(l): _mid_from_json(fid) for l, fid in faces.items()},
         )
         cells.setdefault(colors, []).append(cell)
     for lst in cells.values():
@@ -859,7 +888,7 @@ def from_json_dict(doc: dict) -> MComplex:
         }
     root = None if doc.get("root") is None else _mid_from_json(doc["root"])
     boundary = frozenset(_mid_from_json(m) for m in doc.get("boundary", []))
-    return MComplex(params, list(doc["vertex_colors"]), cells, ordering, root, boundary)
+    return MComplex(params, vertex_colors, cells, ordering, root, boundary)
 
 
 def from_json(text: str) -> MComplex:

@@ -3,8 +3,10 @@ and spectral gaps.
 
 The reference orientation of every multicell is the ascending order of its
 vertex ids; the gap is orientation-invariant so any canonical choice works.
-Eigenvalues come from an in-package cyclic Jacobi solver on dense symmetric
-matrices (desk-scale inputs, reproducible rank decisions).
+Eigenvalues come from numpy's dense symmetric eigensolver (`eigvalsh`) and
+the coboundary rank from the singular values of B_{d-1} against an explicit
+tolerance; both hold the whole matrix in memory, so the cost grows with the
+cube of the number of forms.
 """
 
 from __future__ import annotations
@@ -60,105 +62,39 @@ def up_laplacian(x: MComplex) -> np.ndarray:
     return b.matrix @ b.matrix.T
 
 
-def jacobi_eigvalsh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 200) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, swept
-    until the off-diagonal norm drops below `tol`."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise ValueError("matrix is not symmetric")
-    for _ in range(max_sweeps):
-        off = sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol / max(1, n * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = 1.0 / (tau + sqrt(1.0 + tau * tau)) if tau >= 0 else -1.0 / (
-                    -tau + sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = (a + a.T) / 2.0
-    return np.sort(np.diag(a))
+def spectrum(x: MComplex) -> np.ndarray:
+    """Full upper-Laplacian spectrum on codimension-one forms, ascending."""
+    return np.linalg.eigvalsh(up_laplacian(x))
 
 
-def orthonormal_columns(mat: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the column space by modified Gram-Schmidt with an
-    explicit rank cutoff."""
-    basis: list[np.ndarray] = []
-    for t in range(mat.shape[1]):
-        v = mat[:, t].astype(float).copy()
-        for b in basis:
-            v -= (b @ v) * b
-        for b in basis:  # second pass for numerical stability
-            v -= (b @ v) * b
-        norm = sqrt(v @ v)
-        if norm > rank_tol:
-            basis.append(v / norm)
-    if not basis:
-        return np.zeros((mat.shape[0], 0))
-    return np.stack(basis, axis=1)
-
-
-def complement_basis(q: np.ndarray, dim: int, rank_tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(q) in R^dim."""
-    basis = [q[:, t] for t in range(q.shape[1])]
-    comp: list[np.ndarray] = []
-    for t in range(dim):
-        v = np.zeros(dim)
-        v[t] = 1.0
-        for b in basis + comp:
-            v -= (b @ v) * b
-        for b in basis + comp:
-            v -= (b @ v) * b
-        norm = sqrt(v @ v)
-        if norm > rank_tol:
-            comp.append(v / norm)
-    if not comp:
-        return np.zeros((dim, 0))
-    return np.stack(comp, axis=1)
+def coboundary_rank(x: MComplex, tol: float = 1e-9) -> int:
+    """Dimension of the codimension-one coboundaries: the number of singular
+    values of B_{d-1} above `tol`."""
+    b = boundary_matrix(x, x.d - 1).matrix
+    if b.size == 0:
+        return 0
+    return int((np.linalg.svd(b, compute_uv=False) > tol).sum())
 
 
 def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
     """Minimum of the upper Laplacian spectrum restricted to the orthogonal
     complement of the codimension-one coboundaries.
 
+    L_up = B_d B_d^T is zero on the coboundaries (B_d^T B_{d-1}^T = 0) and
+    preserves their orthogonal complement, so its spectrum is `rank` zeros
+    from the coboundaries plus the spectrum on the complement, and the gap
+    is the eigenvalue right after the first `rank`.
+
     Raises SpectralGapUndefined when that complement is zero-dimensional."""
-    lap = up_laplacian(x)
-    cob = boundary_matrix(x, x.d - 1).matrix.T  # coboundary: (d-2)- to (d-1)-forms
-    q = orthonormal_columns(cob, rank_tol=tol)
-    comp = complement_basis(q, lap.shape[0], rank_tol=tol)
-    if comp.shape[1] == 0:
+    eigs = spectrum(x)
+    rank = coboundary_rank(x, tol)
+    if rank == len(eigs):
         raise SpectralGapUndefined(
-            f"all {x.d - 1}-forms are coboundaries (rank {q.shape[1]} of {lap.shape[0]})"
+            f"all {x.d - 1}-forms are coboundaries (rank {rank} of {len(eigs)})"
         )
-    reduced = comp.T @ lap @ comp
-    eigs = jacobi_eigvalsh(reduced)
-    lam = float(eigs[0])
-    if lam < -tol:
-        raise ValueError(f"upper Laplacian not positive semidefinite: {lam}")
-    return lam
-
-
-def coboundary_rank(x: MComplex, tol: float = 1e-9) -> int:
-    cob = boundary_matrix(x, x.d - 1).matrix.T
-    return orthonormal_columns(cob, rank_tol=tol).shape[1]
-
-
-def spectrum(x: MComplex) -> np.ndarray:
-    """Full upper-Laplacian spectrum on codimension-one forms."""
-    return jacobi_eigvalsh(up_laplacian(x))
+    if eigs[0] < -tol:
+        raise ValueError(f"upper Laplacian not positive semidefinite: {eigs[0]}")
+    return float(eigs[rank])
 
 
 def lambda_arboreal(p: Params) -> float:

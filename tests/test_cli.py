@@ -1,0 +1,113 @@
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from multiforge import cli
+from multiforge.complexes import from_json
+from multiforge.spectral import boundary_matrix, up_laplacian
+
+
+def run(argv: list) -> int:
+    return cli.main([str(a) for a in argv])
+
+
+def build_m_quotient(tmp_path, d: int, k: int):
+    """Path of the JSON quotient of the M-subgroup rep at (d, k), built
+    through the CLI."""
+    rep, x_path = tmp_path / "m.txt", tmp_path / "m.json"
+    assert run(["gallery", "m", "--d", d, "--k", k, "--out", rep]) == 0
+    assert run(["build", "--rep", rep, "--out", x_path]) == 0
+    return x_path
+
+
+@pytest.mark.parametrize("d, k, n, seed", [(1, 3, 40, 11), (2, 3, 30, 12)])
+def test_pipeline_round_trip(tmp_path, capsys, d, k, n, seed):
+    rep, x_path, cover = tmp_path / "rep.txt", tmp_path / "x.json", tmp_path / "cover.json"
+    report, gap = tmp_path / "report.txt", tmp_path / "gap.txt"
+    assert run(["random", "--d", d, "--k", k, "--n", n, "--seed", seed, "--out", rep]) == 0
+    assert run(["build", "--rep", rep, "--out", x_path]) == 0
+    assert run(["analyze", x_path, "--out", report]) == 0
+    assert "structure-valid: true" in report.read_text().splitlines()
+    assert run(["lcc", x_path, "--out", cover]) == 0
+    assert cover.read_text() == x_path.read_text()
+    assert run(["spectra", x_path, "--raw", "--out", gap]) == 0
+    assert "error" not in capsys.readouterr().err
+
+    x = from_json(x_path.read_text())
+    lines = dict(line.split(": ", 1) for line in gap.read_text().splitlines())
+    lap = up_laplacian(x)
+    rank = np.linalg.matrix_rank(boundary_matrix(x, x.d - 1).matrix)
+    assert int(lines["forms"]) == lap.shape[0]
+    assert int(lines["coboundary-rank"]) == rank
+    assert abs(float(lines["lambda"]) - np.linalg.eigvalsh(lap)[rank]) < 1e-9
+
+
+def test_full_spectrum_of_k33(tmp_path, capsys):
+    assert run(["spectra", build_m_quotient(tmp_path, 1, 3), "--full"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "forms: 6",
+        "coboundary-rank: 1",
+        "lambda: 3",
+        "spectrum: 0.000x1 3.000x4 6.000x1",
+    ]
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _drop_from_cell(key):
+    return lambda doc: doc["cells"][0].pop(key)
+
+
+MALFORMED = {
+    "not-an-object": lambda doc: [1],
+    "no-params": _drop("params"),
+    "params-list": _set("params", [2, 2]),
+    "params-d-string": _set("params", {"d": "2", "k": 2}),
+    "no-cells": _drop("cells"),
+    "cells-object": _set("cells", {}),
+    "no-vertex-colors": _drop("vertex_colors"),
+    "vertex-colors-int": _set("vertex_colors", 3),
+    "cell-not-object": lambda doc: doc["cells"].__setitem__(0, 0),
+    "cell-no-colors": _drop_from_cell("colors"),
+    "cell-no-index": _drop_from_cell("index"),
+    "cell-no-vertices": _drop_from_cell("vertices"),
+    "cell-no-faces": _drop_from_cell("faces"),
+    "cell-bad-face-id": lambda doc: doc["cells"][0]["faces"].__setitem__("0", [[1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
+    doc = json.loads(build_m_quotient(tmp_path, 2, 2).read_text())
+    doc = MALFORMED[case](doc) or doc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("analyze", "lcc", "spectra"):
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    x_path = build_m_quotient(tmp_path, 1, 3)
+    capsys.readouterr()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "spectral_gap", no_memory)
+    assert run(["spectra", x_path]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,12 +16,10 @@ from multiforge.spectral import (
     boundary_matrix,
     building_vs_arboreal,
     coboundary_rank,
-    complement_basis,
-    jacobi_eigvalsh,
     lambda_arboreal,
     lambda_building,
-    orthonormal_columns,
     spectral_gap,
+    spectrum,
     up_laplacian,
 )
 from multiforge.words import Params
@@ -72,30 +71,54 @@ def test_graph_case_recovers_standard_laplacian():
 def test_single_simplex_spectrum():
     for d in (1, 2, 3):
         x = single_simplex(Params(d, 2))
-        eigs = jacobi_eigvalsh(up_laplacian(x))
+        eigs = spectrum(x)
         assert np.allclose(eigs[:-1], 0.0, atol=1e-9)
         assert abs(eigs[-1] - (d + 1)) < 1e-9
 
 
-def coboundary_basis(x, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the codimension-one coboundaries of x: the left
-    singular vectors of the coboundary matrix whose singular values exceed
-    tol.  The leading columns of an unpivoted QR are no such basis, since
-    leading coboundary columns can be dependent (on a 3-simplex the
-    coboundaries of the three edges at v0 sum to dd(v0) = 0)."""
-    cob = boundary_matrix(x, x.d - 1).matrix.T
+def coboundary_basis(cob: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Orthonormal basis of the column space of a coboundary matrix: its
+    left singular vectors whose singular values exceed tol.  The leading
+    columns of an unpivoted QR are no such basis, since leading coboundary
+    columns can be dependent (on a 3-simplex the coboundaries of the three
+    edges at v0 sum to dd(v0) = 0)."""
     u, s, _ = np.linalg.svd(cob, full_matrices=False)
     return u[:, s > tol]
 
 
-def projected_up_spectrum(x) -> tuple[int, np.ndarray]:
-    """Coboundary rank and the ascending spectrum of P L_up P, where P
-    projects out the coboundaries: `rank` zeros, then the spectrum on the
-    cycles."""
-    lap = up_laplacian(x)
-    basis = coboundary_basis(x)
+def projected_up_spectrum(lap: np.ndarray, cob: np.ndarray) -> tuple[int, np.ndarray]:
+    """Coboundary rank and the ascending spectrum of P lap P, where P
+    projects out the column space of `cob`: `rank` zeros, then the
+    spectrum on the cycles."""
+    basis = coboundary_basis(cob)
     proj = np.eye(lap.shape[0]) - basis @ basis.T
     return basis.shape[1], np.linalg.eigvalsh(proj @ lap @ proj)
+
+
+def operators(x) -> tuple[np.ndarray, np.ndarray]:
+    """The upper Laplacian of x and its codimension-one coboundary matrix."""
+    return up_laplacian(x), boundary_matrix(x, x.d - 1).matrix.T
+
+
+def exact_rank(mat: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix, by Gaussian elimination
+    in Fractions on sparse rows: each row is reduced against the stored
+    pivot rows, lowest column first, and stored if anything is left."""
+    assert np.array_equal(mat, np.round(mat))
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in mat:
+        v = {j: Fraction(int(a)) for j, a in enumerate(row) if a}
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                pivots[lead] = {j: a / v[lead] for j, a in v.items()}
+                break
+            factor = v[lead]
+            for j, a in pivots[lead].items():
+                v[j] = v.get(j, 0) - factor * a
+                if v[j] == 0:
+                    del v[j]
+    return len(pivots)
 
 
 def simplicial_fixtures() -> tuple[list, list]:
@@ -142,13 +165,19 @@ def test_formula_equals_matrix_on_simplicial_fixtures():
         assert np.allclose(formula, lap[np.ix_(perm, perm)])
 
 
-def test_jacobi_matches_numpy(rng):
-    for n in (2, 5, 9):
-        a = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-        a = (a + a.T) / 2
-        assert np.allclose(jacobi_eigvalsh(a), np.linalg.eigvalsh(a), atol=1e-8)
-    with pytest.raises(ValueError):
-        jacobi_eigvalsh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_spectrum_meets_trace_identities():
+    """Solver-independent facts about the spectrum: it is ascending, sums to
+    trace(L_up), and its squares sum to the squared Frobenius norm."""
+    fixed, drawn = simplicial_fixtures()
+    for x in fixed + drawn:
+        lap = up_laplacian(x)
+        eigs = spectrum(x)
+        assert len(eigs) == lap.shape[0]
+        assert np.all(np.diff(eigs) >= 0)
+        assert np.isclose(eigs.sum(), np.trace(lap), rtol=1e-12, atol=1e-8)
+        assert np.isclose((eigs**2).sum(), (lap**2).sum(), rtol=1e-12, atol=1e-8)
+    k33 = build_quotient(m_subgroup_rep(Params(1, 3))).complex
+    assert np.allclose(spectrum(k33), [0.0, 3.0, 3.0, 3.0, 3.0, 6.0], atol=1e-9)
 
 
 def test_psd_and_symmetry():
@@ -156,7 +185,7 @@ def test_psd_and_symmetry():
         x = build_quotient(seeded_rep(2, 3, 9, 1100 + seed)).complex
         lap = up_laplacian(x)
         assert np.allclose(lap, lap.T)
-        assert jacobi_eigvalsh(lap)[0] >= -1e-9
+        assert spectrum(x)[0] >= -1e-9
 
 
 def test_spectral_gap_k33_is_three():
@@ -169,7 +198,7 @@ def test_spectral_gap_matches_dense_oracle():
     q = build_quotient(m_subgroup_rep(Params(2, 2)))
     x = q.complex
     lam = spectral_gap(x)
-    rank, eigs = projected_up_spectrum(x)
+    rank, eigs = projected_up_spectrum(*operators(x))
     assert rank == coboundary_rank(x)
     assert np.allclose(eigs[:rank], 0.0, atol=1e-9)
     assert abs(lam - eigs[rank]) < 1e-6
@@ -186,10 +215,8 @@ def test_spectral_gap_orientation_invariant():
         signs = np.array([rng.choice([-1.0, 1.0]) for _ in range(b_top.shape[0])])
         flipped_lap = (signs[:, None] * b_top) @ (signs[:, None] * b_top).T
         flipped_cob = signs[:, None] * cob
-        qb = orthonormal_columns(flipped_cob)
-        comp = complement_basis(qb, flipped_lap.shape[0])
-        lam = jacobi_eigvalsh(comp.T @ flipped_lap @ comp)[0]
-        assert abs(lam - reference) < 1e-8
+        rank, eigs = projected_up_spectrum(flipped_lap, flipped_cob)
+        assert abs(eigs[rank] - reference) < 1e-8
 
 
 def test_single_simplex_gap_is_dim_plus_one():
@@ -202,10 +229,33 @@ def test_single_simplex_gap_is_dim_plus_one():
         # dense oracle on the explicitly projected matrix: d of the d+1
         # facets' forms are coboundaries, the one cycle class carries d+1
         assert coboundary_rank(x) == d
-        rank, eigs = projected_up_spectrum(x)
+        rank, eigs = projected_up_spectrum(*operators(x))
         assert rank == d and len(eigs) == d + 1
         assert np.allclose(eigs[:d], 0.0, atol=1e-9)
         assert abs(eigs[-1] - (d + 1)) < 1e-9  # the projected maximum
+
+
+def gap_oracle_cases() -> list:
+    """The simplicial fixtures, then three seeded quotients of each family
+    the `spectra` benchmark draws from."""
+    fixed, drawn = simplicial_fixtures()
+    sampled = [
+        build_quotient(seeded_rep(d, k, n, 1300 + seed)).complex
+        for d, k, n in [(1, 3, 72), (1, 5, 120), (2, 5, 80)]
+        for seed in range(3)
+    ]
+    return fixed + drawn + sampled
+
+
+def test_rank_and_gap_match_exact_oracles():
+    """The float coboundary rank equals the rank over Q, and the gap equals
+    the eigenvalue after `rank` zeros of the explicitly projected matrix."""
+    for x in gap_oracle_cases():
+        rank = coboundary_rank(x)
+        assert rank == exact_rank(boundary_matrix(x, x.d - 1).matrix)
+        oracle_rank, eigs = projected_up_spectrum(*operators(x))
+        assert rank == oracle_rank < len(eigs)
+        assert abs(spectral_gap(x) - eigs[rank]) < 1e-8
 
 
 def test_spectral_gap_undefined_when_no_complement():
