@@ -10,17 +10,17 @@ classical example families.
 
 from .words import Params, Word, multiply, reduce_word, theta, word_length
 from .permrep import PermRep, evaluate, intersect_reps, orbits, random_rep, validate
-from .complexes import MComplex, is_link_connected, is_lower_path_connected, link, nerve
+from .complexes import MComplex, is_link_connected, is_lower_path_connected, link_with_map, nerve
 from .universal import Ball, ball_from_cosets, build_ball, unique_non_backtracking
 from .quotient import (
     QuotientObject,
-    associated_subgroup_round_trip,
+    associated_subgroup_rep,
     build_quotient,
     complex_has_complete_skeleton,
     complex_is_simplicial,
+    complex_line_graph,
     intersection_property,
     is_upper_regular,
-    line_graph,
     quotient_map,
 )
 from .lcc import link_connected_cover, verify_universality
@@ -31,11 +31,11 @@ from .graphs import Multigraph, counterexample_graph, decompose_regular, is_schr
 __all__ = [
     "Params", "Word", "multiply", "reduce_word", "theta", "word_length",
     "PermRep", "evaluate", "intersect_reps", "orbits", "random_rep", "validate",
-    "MComplex", "is_link_connected", "is_lower_path_connected", "link", "nerve",
+    "MComplex", "is_link_connected", "is_lower_path_connected", "link_with_map", "nerve",
     "Ball", "ball_from_cosets", "build_ball", "unique_non_backtracking",
-    "QuotientObject", "associated_subgroup_round_trip", "build_quotient",
-    "complex_has_complete_skeleton", "complex_is_simplicial", "intersection_property",
-    "is_upper_regular", "line_graph", "quotient_map",
+    "QuotientObject", "associated_subgroup_rep", "build_quotient",
+    "complex_has_complete_skeleton", "complex_is_simplicial", "complex_line_graph",
+    "intersection_property", "is_upper_regular", "quotient_map",
     "link_connected_cover", "verify_universality",
     "boundary_matrix", "lambda_arboreal", "lambda_building", "spectral_gap", "up_laplacian",
     "coxeter_complex", "flag_complex", "m_subgroup_rep",

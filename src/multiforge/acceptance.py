@@ -31,7 +31,7 @@ from .graphs import (
     is_schreier,
     schreier_multigraph,
 )
-from .lcc import link_connected_cover, projection_is_morphism
+from .lcc import link_connected_cover
 from .permrep import (
     PermRep,
     count_order_dividing,
@@ -43,13 +43,11 @@ from .permrep import (
 )
 from .quotient import (
     associated_subgroup_rep,
-    associated_subgroup_round_trip,
     build_quotient,
     complex_has_complete_skeleton,
     complex_is_simplicial,
     complex_line_graph,
     intersection_property,
-    line_graph,
     nerve_matches_base,
 )
 from .spectral import (
@@ -202,14 +200,14 @@ def crit_3_word_length_distance() -> str:
 def crit_4_line_graph_is_schreier() -> str:
     for rep in seeded_reps(20):
         q = build_quotient(rep)
-        assert line_graph(q).same_as(schreier_multigraph(rep)), rep.params
+        assert complex_line_graph(q.complex).same_as(schreier_multigraph(rep)), rep.params
     return "20 reps: labeled line graph == Schreier multigraph"
 
 
 def crit_5_classification_round_trip() -> str:
     for rep in seeded_reps(20):
         q = build_quotient(rep)
-        back = associated_subgroup_round_trip(q)
+        back = associated_subgroup_rep(q.complex, q.point_cell)
         assert same_up_to_relabeling(back, rep), rep.params
     return "20 reps: associated subgroup reproduces the rep up to relabeling"
 
@@ -245,7 +243,7 @@ def crit_7_link_connected_cover() -> str:
     wedge = from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)])
     cover, proj = link_connected_cover(wedge)
     assert is_link_connected(cover)
-    assert projection_is_morphism(cover, proj, wedge)
+    assert check_morphism(proj, cover, wedge)
     assert complex_line_graph(cover).same_as(complex_line_graph(wedge))
     again, _ = link_connected_cover(cover)
     assert to_json(again) == to_json(cover)
@@ -255,7 +253,7 @@ def crit_7_link_connected_cover() -> str:
         original, merged = _merge_fixture(t)
         cov, pr = link_connected_cover(merged)
         assert is_link_connected(cov), t
-        assert projection_is_morphism(cov, pr, merged), t
+        assert check_morphism(pr, cov, merged), t
         assert complex_line_graph(cov).same_as(complex_line_graph(merged)), t
         twice, _ = link_connected_cover(cov)
         assert to_json(twice) == to_json(cov), t

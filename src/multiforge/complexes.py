@@ -434,10 +434,6 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     return lk, back
 
 
-def link(x: MComplex, mid: MId) -> MComplex:
-    return link_with_map(x, mid)[0]
-
-
 # -- nerve ----------------------------------------------------------------------
 
 def nerve(family: dict[object, frozenset] | list[Iterable]) -> frozenset:
@@ -601,14 +597,24 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
 
 
 def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]) -> MId | None:
-    """Extend `f` from the given top cells to all their faces, color set by
-    color set through the down maps of each top and of its image.  Returns
-    the first multicell that receives two images, else None."""
-    for top in tops:
-        img_down = y.down_map(f[top])
-        for colors, sub in x.down_map(top).items():
-            if f.setdefault(sub, img_down[colors]) != img_down[colors]:
-                return sub
+    """Extend `f` from the given top cells to all their faces, one dimension
+    down at a time: the facet of a cell that drops color l maps to the facet
+    of its image that drops l.  Every (cell, dropped color) pair is checked,
+    also where `f` is already defined.  Returns the first multicell that
+    receives two images, else None."""
+    frontier = list(tops)
+    seen = set(frontier)
+    while frontier:
+        below = []
+        for a in frontier:
+            img_faces = y.cell(f[a]).faces
+            for l, b in x.cell(a).faces.items():
+                if f.setdefault(b, img_faces[l]) != img_faces[l]:
+                    return b
+                if b not in seen:
+                    seen.add(b)
+                    below.append(b)
+        frontier = below
     return None
 
 
@@ -820,6 +826,15 @@ def _field(rec: dict, key: str, kind: type, where: str):
     return rec[key]
 
 
+def _records(doc: dict, key: str, name: str) -> Iterator[tuple[dict, str]]:
+    """The objects listed under doc[key], each with its label for errors."""
+    for t, rec in enumerate(_field(doc, key, list, "complex")):
+        where = f"{name} record {t}"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where}: must be an object, got {type(rec).__name__}")
+        yield rec, where
+
+
 def to_json_dict(x: MComplex) -> dict:
     cells = []
     for cell in x.multicells():
@@ -865,10 +880,7 @@ def from_json_dict(doc: dict) -> MComplex:
     params = Params(*(_field(params_rec, key, int, "params") for key in ("d", "k")))
     vertex_colors = _field(doc, "vertex_colors", list, "complex")
     cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for t, rec in enumerate(_field(doc, "cells", list, "complex")):
-        where = f"cell record {t}"
-        if not isinstance(rec, dict):
-            raise ValueError(f"{where}: must be an object, got {type(rec).__name__}")
+    for rec, where in _records(doc, "cells", "cell"):
         colors = tuple(_field(rec, "colors", list, where))
         faces = _field(rec, "faces", dict, where)
         cell = Multicell(
@@ -883,12 +895,16 @@ def from_json_dict(doc: dict) -> MComplex:
     ordering = None
     if doc.get("ordering") is not None:
         ordering = {
-            _mid_from_json(rec["cell"]): tuple(_mid_from_json(m) for m in rec["cycle"])
-            for rec in doc["ordering"]
+            _mid_from_json(_field(rec, "cell", list, where)): tuple(
+                _mid_from_json(m) for m in _field(rec, "cycle", list, where)
+            )
+            for rec, where in _records(doc, "ordering", "ordering")
         }
     root = None if doc.get("root") is None else _mid_from_json(doc["root"])
-    boundary = frozenset(_mid_from_json(m) for m in doc.get("boundary", []))
-    return MComplex(params, vertex_colors, cells, ordering, root, boundary)
+    boundary = _field(doc, "boundary", list, "complex") if "boundary" in doc else []
+    return MComplex(
+        params, vertex_colors, cells, ordering, root, frozenset(map(_mid_from_json, boundary))
+    )
 
 
 def from_json(text: str) -> MComplex:

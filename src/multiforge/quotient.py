@@ -39,31 +39,48 @@ class QuotientObject:
 
 
 def build_quotient(rep: PermRep) -> QuotientObject:
-    """The quotient object of the subgroup presented by `rep`.
+    """The quotient object of the subgroup presented by `rep`: `orbit_quotient`
+    of a rep that passes `validate`."""
+    diag = validate(rep)
+    if not diag.ok:
+        raise ValueError("invalid rep: " + "; ".join(diag.messages))
+    x, point_cell, partitions = orbit_quotient(rep)
+    cell_point = {mid: pt for pt, mid in enumerate(point_cell)}
+    return QuotientObject(x, rep, partitions, point_cell, cell_point)
+
+
+def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
+    """The orbits of the points under the generators outside each nonempty
+    color set, keyed by the sorted color set."""
+    d = rep.params.d
+    partitions: dict[tuple[int, ...], OrbitPartition] = {}
+    for mask in range(1, 1 << (d + 1)):
+        colors = tuple(c for c in range(d + 1) if mask >> c & 1)
+        partitions[colors] = orbits(rep, frozenset(colors))
+    return partitions
+
+
+def orbit_quotient(
+    rep: PermRep,
+) -> tuple[MComplex, list[MId], dict[tuple[int, ...], OrbitPartition]]:
+    """The complex of the orbits of any action, transitive or not.
 
     Vertices are the orbits for singleton color sets (colored by that color),
     j-multicells the orbits for (j+1)-color sets, gluing drops one color,
     the coface cycle of a codimension-one multicell follows ascending powers
     of the missing generator from the orbit minimum, and the root is the
-    class of the root point.
+    class of the root point.  Returns the complex, each point's top
+    multicell and the partitions.
     """
-    diag = validate(rep)
-    if not diag.ok:
-        raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    d, n = rep.params.d, rep.n
-    partitions: dict[tuple[int, ...], OrbitPartition] = {}
-    for mask in range(1, 1 << (d + 1)):
-        colors = tuple(c for c in range(d + 1) if mask >> c & 1)
-        partitions[colors] = orbits(rep, frozenset(colors))
+    partitions = orbit_partitions(rep)
     x, point_cell = complex_from_classes(
         rep.params,
-        range(n),
+        range(rep.n),
         lambda pt, colors: partitions[colors].class_ids[pt],
         rep.root,
         step=lambda pt, i: rep.betas[i][pt],
     )
-    cell_point = {mid: pt for pt, mid in enumerate(point_cell)}
-    return QuotientObject(x, rep, partitions, point_cell, cell_point)
+    return x, point_cell, partitions
 
 
 def complex_line_graph(x: MComplex) -> Multigraph:
@@ -85,12 +102,6 @@ def complex_line_graph(x: MComplex) -> Multigraph:
     return g
 
 
-def line_graph(q: QuotientObject) -> Multigraph:
-    """Line graph of the quotient, vertex-labeled by points; equals the
-    Schreier multigraph of the source rep."""
-    return complex_line_graph(q.complex)
-
-
 def complex_is_simplicial(x: MComplex) -> bool:
     """True iff every multiplicity is one, i.e. multicells of equal color
     set never share their vertex set."""
@@ -110,16 +121,12 @@ def intersection_property(rep: PermRep) -> bool:
     diag = validate(rep)
     if not diag.ok:
         raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    d, n = rep.params.d, rep.n
-    parts: dict[tuple[int, ...], OrbitPartition] = {}
-    for mask in range(1, 1 << (d + 1)):
-        colors = tuple(c for c in range(d + 1) if mask >> c & 1)
-        parts[colors] = orbits(rep, frozenset(colors))
+    parts = orbit_partitions(rep)
     members = {colors: part.members() for colors, part in parts.items()}
     for colors, part in parts.items():
         if len(colors) < 2:
             continue
-        for p in range(n):
+        for p in range(rep.n):
             meet = set(members[(colors[0],)][parts[(colors[0],)].class_ids[p]])
             for i in colors[1:]:
                 meet &= set(members[(i,)][parts[(i,)].class_ids[p]])
@@ -184,10 +191,14 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
     the complex root: generator i advances one step along the coface cycle
     of a top cell's facet missing color i.  For quotient objects this
     recovers the source rep up to a root-fixing relabeling."""
-    if x.ordering is None or x.root is None:
-        raise ValueError("need an ordered rooted complex")
+    if x.ordering is None:
+        raise ValueError("the complex has no ordering")
+    if x.root is None:
+        raise ValueError("the complex has no root")
     tops = point_order if point_order is not None else [c.mid for c in x.multicells(x.d)]
     pos = {m: t for t, m in enumerate(tops)}
+    if x.root not in pos:
+        raise ValueError(f"the root {x.root} is not a top cell")
     betas = []
     for i in range(x.d + 1):
         images = []
@@ -197,10 +208,6 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
             images.append(pos[cyc[(cyc.index(m) + 1) % len(cyc)]])
         betas.append(tuple(images))
     return PermRep(x.params, len(tops), tuple(betas), pos[x.root])
-
-
-def associated_subgroup_round_trip(q: QuotientObject) -> PermRep:
-    return associated_subgroup_rep(q.complex, q.point_cell)
 
 
 def coset_family(q: QuotientObject) -> dict[MId, frozenset[int]]:

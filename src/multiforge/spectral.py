@@ -83,7 +83,8 @@ def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
     L_up = B_d B_d^T is zero on the coboundaries (B_d^T B_{d-1}^T = 0) and
     preserves their orthogonal complement, so its spectrum is `rank` zeros
     from the coboundaries plus the spectrum on the complement, and the gap
-    is the eigenvalue right after the first `rank`.
+    is the eigenvalue right after the first `rank`.  A zero gap can come out
+    of the eigensolver a few ulps below zero; it is returned as 0.0.
 
     Raises SpectralGapUndefined when that complement is zero-dimensional."""
     eigs = spectrum(x)
@@ -94,7 +95,7 @@ def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
         )
     if eigs[0] < -tol:
         raise ValueError(f"upper Laplacian not positive semidefinite: {eigs[0]}")
-    return float(eigs[rank])
+    return max(0.0, float(eigs[rank]))
 
 
 def lambda_arboreal(p: Params) -> float:

@@ -82,6 +82,14 @@ MALFORMED = {
     "cell-no-vertices": _drop_from_cell("vertices"),
     "cell-no-faces": _drop_from_cell("faces"),
     "cell-bad-face-id": lambda doc: doc["cells"][0]["faces"].__setitem__("0", [[1]]),
+    "ordering-int": _set("ordering", 5),
+    "ordering-record-not-object": lambda doc: doc["ordering"].__setitem__(0, 0),
+    "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycle"),
+    "ordering-cycle-int": lambda doc: doc["ordering"][0].__setitem__("cycle", 5),
+    "ordering-bad-cell-id": lambda doc: doc["ordering"][0].__setitem__("cell", [0]),
+    "root-int": _set("root", 5),
+    "boundary-int": _set("boundary", 5),
+    "boundary-bad-id": _set("boundary", [5]),
 }
 
 
@@ -98,6 +106,28 @@ def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+LCC_INPUT_ERRORS = {
+    "unordered": (_set("ordering", None), "no ordering"),
+    "unrooted": (_set("root", None), "no root"),
+    "vertex-root": (_set("root", [[0], 0]), "not a top cell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LCC_INPUT_ERRORS))
+def test_lcc_input_error_is_one_line(tmp_path, capsys, case):
+    edit, problem = LCC_INPUT_ERRORS[case]
+    doc = json.loads(build_m_quotient(tmp_path, 2, 2).read_text())
+    edit(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["lcc", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and problem in lines[0], lines
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

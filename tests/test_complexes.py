@@ -15,7 +15,6 @@ from multiforge.complexes import (
     from_simplicial,
     is_link_connected,
     is_lower_path_connected,
-    link,
     link_components,
     link_with_map,
     merge_vertices,
@@ -135,7 +134,7 @@ def test_link_of_empty_cell_is_whole_complex():
 
 def test_link_of_vertex_in_simplex():
     x = single_simplex(Params(3, 2))
-    lk = link(x, x.vertex_cell(0))
+    lk = link_with_map(x, x.vertex_cell(0))[0]
     assert lk.params.d == 2
     assert lk.n_vertices == 3
     assert len(lk.top_cells()) == 1
@@ -145,7 +144,7 @@ def test_link_of_vertex_in_simplex():
 def test_link_of_root_vertex_in_ball():
     ball = build_ball(Params(2, 2), 1)
     x = ball.complex
-    lk = link(x, x.vertex_cell(0))
+    lk = link_with_map(x, x.vertex_cell(0))[0]
     # the link of a vertex of the universal (2,2)-complex is the 2-regular
     # tree; inside B_1 it shows up as a path on 4 vertices
     assert lk.params.d == 1
@@ -189,7 +188,7 @@ def test_link_connected_iff_links_lower_path_connected():
         rhs = True
         for cell in x.multicells():
             if 0 <= cell.dim <= x.d - 2:
-                lk = link(x, cell.mid)
+                lk = link_with_map(x, cell.mid)[0]
                 if not is_lower_path_connected(lk, x.d - cell.dim - 1):
                     rhs = False
         assert lhs == rhs == True  # quotients are always link-connected

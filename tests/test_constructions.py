@@ -55,7 +55,9 @@ DIGESTS = {
     "coxeter-B2": "47a2b264676216199551105b8d79d152e989813340cb747d2c56a2fcc4105e4f",
     "coxeter-S3": "ffa25644dfa8e9d64eff5d6d71714fcf8a87a91ccd5c77cd404e5b683c86e0bf",
     "flag-3-2-ordered": "3c5d2e7dc98aab749aad22a577c8c12271095a92f57c4772f78c19f18365b81b",
-    "lcc-merge-fixture-1": "cd3bb9af7a44746632a9047bfb2e8334a3479be167083a42a97dbb4a65b41b9f",
+    # the cover of a merged quotient is the unmerged quotient: this is the
+    # digest of to_json(_merge_fixture(1)[0]), the quotient before merging
+    "lcc-merge-fixture-1": "71bfd11b04ab97b5b08ba04428c6bb7de0db0e3a7d2a0377d240a6dc9ae822fe",
     "quotient-m23": "24f5e65475bdb9ad7eda2d4e645ca895c14e017ff233504e67501343f752f8db",
     "quotient-m32": "a23b701f3cec535cdb4a1e673e38512ed505154dbedf5912ae3af57ffbae24f8",
     "quotient-seeded-1-3-12": "62efb8c724636bdfcb027dbd9fc2229c94a75bfa6e2851609730409a2163a0d7",

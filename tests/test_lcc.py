@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_rep
 from multiforge import cli
+from multiforge.acceptance import _merge_fixture
 from multiforge.complexes import (
     check_morphism,
     find_isomorphism,
@@ -13,7 +16,8 @@ from multiforge.complexes import (
     to_json,
     validate_structure,
 )
-from multiforge.lcc import link_connected_cover, projection_is_morphism, verify_universality
+from multiforge.gallery import coxeter_complex, flag_complex
+from multiforge.lcc import link_connected_cover, verify_universality
 from multiforge.permrep import intersect_reps
 from multiforge.quotient import (
     associated_subgroup_rep,
@@ -83,7 +87,7 @@ def test_wedge_splits_into_disjoint_triangles():
     assert len(cover.top_cells()) == 2
     assert is_link_connected(cover)
     assert validate_structure(cover).ok
-    assert projection_is_morphism(cover, proj, x).ok
+    assert check_morphism(proj, cover, x).ok
     # the split vertex is identified by the projection
     split = [src for src, dst in proj.items() if dst == x.vertex_cell(0)]
     assert len(split) == 2
@@ -103,15 +107,81 @@ def test_identified_quotient_recovered():
     cover, proj = link_connected_cover(merged)
     assert is_link_connected(cover)
     assert find_isomorphism(cover, q.complex) is not None
-    assert projection_is_morphism(cover, proj, merged).ok
+    assert check_morphism(proj, cover, merged).ok
     assert complex_line_graph(cover).same_as(complex_line_graph(merged))
 
 
 def test_cover_equals_quotient_of_associated_subgroup():
-    _, merged, _ = merged_quotient(seed=8)
-    cover, _ = link_connected_cover(merged)
-    rebuilt = build_quotient(associated_subgroup_rep(merged))
-    assert find_isomorphism(cover, rebuilt.complex) is not None
+    q, merged, _ = merged_quotient(seed=8)
+    cases = [(q.complex, merged)] + [_merge_fixture(t) for t in range(10)]
+    for t, (original, merged) in enumerate(cases):
+        cover, proj = link_connected_cover(merged)
+        rebuilt = build_quotient(associated_subgroup_rep(merged))
+        assert find_isomorphism(cover, rebuilt.complex) is not None, t
+        assert to_json(cover) == to_json(original), t
+        assert check_morphism(proj, cover, merged).ok, t
+
+
+COVER_INPUTS = {
+    "ball-2-3-r3": lambda: build_ball(Params(2, 3), 3).complex,
+    "coxeter-B2": lambda: coxeter_complex([(1, 0, 3, 2), (0, 2, 1, 3)])[0],
+    "flag-3-2-ordered": lambda: flag_complex(3, 2, ordered=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_INPUTS))
+def test_cover_of_link_connected_input_is_isomorphic(name):
+    x = COVER_INPUTS[name]()
+    assert is_link_connected(x)
+    cover, proj = link_connected_cover(x)
+    assert validate_structure(cover).ok
+    assert find_isomorphism(cover, x) is not None
+    assert check_morphism(proj, cover, x).ok
+    assert len(set(proj.values())) == len(proj) == sum(1 for _ in x.multicells())
+    assert len(cover.boundary) == len(x.boundary)
+    twice, _ = link_connected_cover(cover)
+    assert to_json(twice) == to_json(cover)
+
+
+QUOTIENTS = dict(
+    d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6)
+)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def quotient_on_multiple_of_k(d, k, m, seed):
+    """A seeded quotient on m*k points, where a transitive action exists."""
+    return build_quotient(seeded_rep(d, k, m * k, seed)).complex
+
+
+@PROPERTY
+@given(**QUOTIENTS)
+def test_cover_of_quotient_is_itself(d, k, m, seed):
+    q = quotient_on_multiple_of_k(d, k, m, seed)
+    cover, proj = link_connected_cover(q)
+    assert to_json(cover) == to_json(q)
+    assert all(src == dst for src, dst in proj.items())
+
+
+@PROPERTY
+@given(
+    **{**QUOTIENTS, "d": st.integers(2, 3)},
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+)
+def test_cover_undoes_vertex_merges(d, k, m, seed, picks):
+    """After 1-3 identifications of same-color vertices, the cover is the
+    quotient again, byte for byte."""
+    q = quotient_on_multiple_of_k(d, k, m, seed)
+    x = q
+    for pick in picks:
+        colors = [c for c in range(d + 1) if x.vertex_colors.count(c) >= 2]
+        assume(colors or x is not q)
+        if not colors:
+            break
+        vs = [v for v in range(x.n_vertices) if x.vertex_colors[v] == colors[pick % len(colors)]]
+        x = merge_vertices(x, vs[pick % len(vs)], vs[(pick + 1) % len(vs)])
+    assert not is_link_connected(x)
+    assert to_json(link_connected_cover(x)[0]) == to_json(q)
 
 
 def test_universality_identity_case():

@@ -11,14 +11,12 @@ from multiforge.permrep import PermRep, evaluate, same_up_to_relabeling, validat
 from multiforge.quotient import (
     analyze,
     associated_subgroup_rep,
-    associated_subgroup_round_trip,
     build_quotient,
     complex_has_complete_skeleton,
     complex_is_simplicial,
     complex_line_graph,
     intersection_property,
     is_upper_regular,
-    line_graph,
     nerve_matches_base,
     quotient_map,
 )
@@ -162,7 +160,7 @@ def test_complete_skeleton_matches_orbit_oracle():
 
 def test_line_graph_of_m12_is_four_cycle():
     q = build_quotient(m_subgroup_rep(Params(1, 2)))
-    g = line_graph(q)
+    g = complex_line_graph(q.complex)
     assert g.n == 4
     assert sorted((u, v) for u, v, _ in g.edges) == [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -194,7 +192,7 @@ def test_quotient_map_requires_matching_params():
 def test_round_trip_small_and_merged():
     rep = m_subgroup_rep(Params(2, 2))
     q = build_quotient(rep)
-    assert same_up_to_relabeling(associated_subgroup_round_trip(q), rep)
+    assert same_up_to_relabeling(associated_subgroup_rep(q.complex, q.point_cell), rep)
     again = build_quotient(associated_subgroup_rep(q.complex))
     from multiforge.complexes import find_isomorphism
 

@@ -258,6 +258,17 @@ def test_rank_and_gap_match_exact_oracles():
         assert abs(spectral_gap(x) - eigs[rank]) < 1e-8
 
 
+def test_zero_gap_is_not_negative():
+    """The (2,3) quotient of seed 19 on 9 points has a zero gap, which the
+    eigensolver returns a few ulps below zero (about -2.1e-16 with numpy
+    2.4); the gap is reported as exactly +0.0."""
+    x = build_quotient(seeded_rep(2, 3, 9, 19)).complex
+    rank = coboundary_rank(x)
+    assert abs(spectrum(x)[rank]) < 1e-12
+    gap = spectral_gap(x)
+    assert gap == 0.0 and np.copysign(1.0, gap) == 1.0
+
+
 def test_spectral_gap_undefined_when_no_complement():
     from multiforge.complexes import MComplex
 
