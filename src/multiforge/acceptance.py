@@ -8,9 +8,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .complexes import (
     MComplex,
@@ -62,6 +60,9 @@ from .spectral import (
 from .universal import ball_from_cosets, build_ball
 from .words import Params
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass
 class Criterion:
@@ -91,6 +92,8 @@ def seeded_reps(count: int) -> list[PermRep]:
 def up_laplacian_formula(x: MComplex) -> tuple[list[frozenset], np.ndarray]:
     """The displayed-formula route for simplicial complexes: degree on the
     diagonal, signed neighbor counts off it, all from vertex-set scans."""
+    import numpy as np
+
     faces = sorted(
         {frozenset(c.vertices) for c in x.multicells(x.d - 1)}, key=sorted
     )
@@ -272,6 +275,8 @@ def crit_8_nerve_identity() -> str:
 
 
 def crit_9_spectral_sanity() -> str:
+    import numpy as np
+
     tol = 1e-9
     fixtures = [build_quotient(m_subgroup_rep(Params(d, k))) for d, k in [(1, 3), (2, 2), (1, 2)]]
     fixtures += [build_quotient(rep) for rep in seeded_reps(6)]

@@ -23,7 +23,7 @@ from .permrep import (
     random_rep_retry,
 )
 from .quotient import analyze, build_quotient, complex_line_graph
-from .spectral import SpectralGapUndefined, coboundary_rank, spectral_gap, spectrum
+from .spectral import SpectralGapUndefined, coboundary_rank, gap_from_spectrum, spectrum
 from .universal import Ball, ball_from_cosets, build_ball
 from .words import Params, Word, format_word, parse_word
 
@@ -90,16 +90,15 @@ def cmd_lcc(args) -> int:
 
 def cmd_spectra(args) -> int:
     x = from_json(_read(args.complex))
-    lines = []
-    lines.append(f"forms: {sum(1 for _ in x.multicells(x.d - 1))}")
-    lines.append(f"coboundary-rank: {coboundary_rank(x, tol=args.tol)}")
+    eigs = spectrum(x)
+    rank = coboundary_rank(x, tol=args.tol)
+    lines = [f"forms: {len(eigs)}", f"coboundary-rank: {rank}"]
     try:
-        lam = spectral_gap(x, tol=args.tol)
+        lam = gap_from_spectrum(eigs, rank, args.tol, x.d)
         lines.append(f"lambda: {_fmt(lam, args.raw)}")
     except SpectralGapUndefined as exc:
         lines.append(f"lambda: undefined ({exc})")
     if args.full:
-        eigs = spectrum(x)
         clusters: list[tuple[float, int]] = []
         for e in eigs:
             e = 0.0 if abs(e) < 5e-4 else float(e)

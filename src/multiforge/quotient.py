@@ -186,11 +186,31 @@ def quotient_map(ball: Ball, q: QuotientObject) -> dict[MId, MId]:
     return f
 
 
+def _misordered_facet(x: MComplex, tops: list[MId], i: int) -> str:
+    """Why generator i repeats an image although every facet missing color
+    i has a cycle listing all of its cofaces: one such cycle repeats an
+    entry or lists a cell that is not its coface."""
+    top_set = set(tops)
+    for b in dict.fromkeys(x.cell(m).faces[i] for m in tops):
+        cyc = x.ordering[b]
+        if len(set(cyc)) != len(cyc):
+            return f"the ordering cycle of the facet {b} lists a coface twice"
+        for c in cyc:
+            if c not in top_set or x.cell(c).faces[i] != b:
+                return f"the ordering cycle of the facet {b} lists {c}, not a coface"
+    raise AssertionError("generator images repeat, yet every ordering cycle is well formed")
+
+
 def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -> PermRep:
     """The left action of the generators on the top multicells, rooted at
     the complex root: generator i advances one step along the coface cycle
     of a top cell's facet missing color i.  For quotient objects this
-    recovers the source rep up to a root-fixing relabeling."""
+    recovers the source rep up to a root-fixing relabeling.
+
+    Raises ValueError naming the facet when a facet it follows has no
+    ordering cycle, or when that cycle leaves out a coface, lists a cell
+    outside `tops` or a top cell that is not a coface, or repeats an entry
+    so that the generator does not permute the top cells."""
     if x.ordering is None:
         raise ValueError("the complex has no ordering")
     if x.root is None:
@@ -204,8 +224,17 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
         images = []
         for m in tops:
             b = x.cell(m).faces[i]
-            cyc = x.ordering[b]
-            images.append(pos[cyc[(cyc.index(m) + 1) % len(cyc)]])
+            cyc = x.ordering.get(b)
+            if cyc is None:
+                raise ValueError(f"the facet {b} has no ordering cycle")
+            if m not in cyc:
+                raise ValueError(f"the ordering cycle of the facet {b} leaves out its coface {m}")
+            nxt = cyc[(cyc.index(m) + 1) % len(cyc)]
+            if nxt not in pos:
+                raise ValueError(f"the ordering cycle of the facet {b} lists {nxt}, not a top cell")
+            images.append(pos[nxt])
+        if len(set(images)) != len(images):
+            raise ValueError(_misordered_facet(x, tops, i))
         betas.append(tuple(images))
     return PermRep(x.params, len(tops), tuple(betas), pos[x.root])
 

@@ -6,18 +6,21 @@ vertex ids; the gap is orientation-invariant so any canonical choice works.
 Eigenvalues come from numpy's dense symmetric eigensolver (`eigvalsh`) and
 the coboundary rank from the singular values of B_{d-1} against an explicit
 tolerance; both hold the whole matrix in memory, so the cost grows with the
-cube of the number of forms.
+cube of the number of forms.  numpy is imported by the functions that use
+it, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .complexes import MComplex, MId
 from .words import Params
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -35,6 +38,8 @@ def boundary_matrix(x: MComplex, j: int) -> SignedIncidence:
     """Signed incidence between j-multicells and their glued facets; the
     sign of a facet is (-1)^(position of the dropped vertex in the
     ascending vertex list)."""
+    import numpy as np
+
     if not 0 <= j <= x.d:
         raise ValueError(f"dimension {j} out of range 0..{x.d}")
     cols = [c.mid for c in x.multicells(j)]
@@ -64,12 +69,16 @@ def up_laplacian(x: MComplex) -> np.ndarray:
 
 def spectrum(x: MComplex) -> np.ndarray:
     """Full upper-Laplacian spectrum on codimension-one forms, ascending."""
+    import numpy as np
+
     return np.linalg.eigvalsh(up_laplacian(x))
 
 
 def coboundary_rank(x: MComplex, tol: float = 1e-9) -> int:
     """Dimension of the codimension-one coboundaries: the number of singular
     values of B_{d-1} above `tol`."""
+    import numpy as np
+
     b = boundary_matrix(x, x.d - 1).matrix
     if b.size == 0:
         return 0
@@ -78,7 +87,15 @@ def coboundary_rank(x: MComplex, tol: float = 1e-9) -> int:
 
 def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
     """Minimum of the upper Laplacian spectrum restricted to the orthogonal
-    complement of the codimension-one coboundaries.
+    complement of the codimension-one coboundaries; see `gap_from_spectrum`.
+
+    Raises SpectralGapUndefined when that complement is zero-dimensional."""
+    return gap_from_spectrum(spectrum(x), coboundary_rank(x, tol), tol, x.d)
+
+
+def gap_from_spectrum(eigs: np.ndarray, rank: int, tol: float, d: int) -> float:
+    """The spectral gap of a d-dimensional complex from its ascending
+    upper-Laplacian spectrum `eigs` and its coboundary rank.
 
     L_up = B_d B_d^T is zero on the coboundaries (B_d^T B_{d-1}^T = 0) and
     preserves their orthogonal complement, so its spectrum is `rank` zeros
@@ -86,12 +103,11 @@ def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
     is the eigenvalue right after the first `rank`.  A zero gap can come out
     of the eigensolver a few ulps below zero; it is returned as 0.0.
 
-    Raises SpectralGapUndefined when that complement is zero-dimensional."""
-    eigs = spectrum(x)
-    rank = coboundary_rank(x, tol)
+    Raises SpectralGapUndefined when the complement is zero-dimensional,
+    ValueError when an eigenvalue is below -tol."""
     if rank == len(eigs):
         raise SpectralGapUndefined(
-            f"all {x.d - 1}-forms are coboundaries (rank {rank} of {len(eigs)})"
+            f"all {d - 1}-forms are coboundaries (rank {rank} of {len(eigs)})"
         )
     if eigs[0] < -tol:
         raise ValueError(f"upper Laplacian not positive semidefinite: {eigs[0]}")

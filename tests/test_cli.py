@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,10 +111,38 @@ def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def _shorten_first_cycle(doc):
+    doc["ordering"][0]["cycle"] = doc["ordering"][0]["cycle"][:1]
+
+
+def _edit_first_cycle(doc):
+    doc["ordering"][0]["cycle"][1:] = [[[0, 1, 2], 5], [[0, 1, 2], 1]]
+
+
+def _repeat_in_first_cycle(doc):
+    doc["ordering"][0]["cycle"].insert(0, [[0, 1, 2], 0])
+
+
 LCC_INPUT_ERRORS = {
     "unordered": (_set("ordering", None), "no ordering"),
     "unrooted": (_set("root", None), "no root"),
     "vertex-root": (_set("root", [[0], 0]), "not a top cell"),
+    "ordering-record-removed": (
+        lambda doc: doc["ordering"].pop(0),
+        "the facet ((0, 1), 0) has no ordering cycle",
+    ),
+    "cycle-lists-one-coface": (
+        _shorten_first_cycle,
+        "the ordering cycle of the facet ((0, 1), 0) leaves out its coface ((0, 1, 2), 1)",
+    ),
+    "cycle-lists-a-stranger": (
+        _edit_first_cycle,
+        "the ordering cycle of the facet ((0, 1), 0) lists ((0, 1, 2), 5), not a coface",
+    ),
+    "cycle-repeats-a-coface": (
+        _repeat_in_first_cycle,
+        "the ordering cycle of the facet ((0, 1), 0) lists a coface twice",
+    ),
 }
 
 
@@ -137,7 +168,68 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "spectral_gap", no_memory)
+    monkeypatch.setattr(cli, "spectrum", no_memory)
     assert run(["spectra", x_path]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
+def test_cli_import_loads_no_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = "import sys, multiforge, multiforge.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.split() == ["False"]
+
+
+def test_full_spectra_decomposes_once(tmp_path, capsys, monkeypatch):
+    """One `spectra --full` run takes one SVD for the rank and one dense
+    eigensolve for both the gap and the printed spectrum."""
+    x_path = build_m_quotient(tmp_path, 2, 3)
+    calls = []
+
+    def counted(name):
+        orig = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert run(["spectra", x_path, "--full", "--raw"]) == 0
+    assert sorted(calls) == ["eigvalsh", "svd"]
+
+
+def _m23_rep_text(tmp_path) -> str:
+    path = tmp_path / "m23.txt"
+    assert run(["gallery", "m", "--d", 2, "--k", 3, "--out", path]) == 0
+    return path.read_text()
+
+
+REP_ERRORS = {
+    "non-integer-header": (
+        lambda text: "2 3 x 1\n" + text.split("\n", 1)[1],
+        "error: the header '2 3 x 1' must be four integers: d k n root",
+    ),
+    "root-out-of-range": (
+        lambda text: "2 3 27 99\n" + text.split("\n", 1)[1],
+        "error: root 99 out of range 1..27",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REP_ERRORS))
+def test_rep_file_error_is_one_line(tmp_path, capsys, case):
+    edit, expected = REP_ERRORS[case]
+    text = _m23_rep_text(tmp_path)
+    assert text.startswith("2 3 27 1\n")
+    path = tmp_path / "bad.txt"
+    path.write_text(edit(text))
+    capsys.readouterr()
+    assert run(["build", "--rep", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]

@@ -34,12 +34,16 @@ def wedge():
 
 
 def merged_quotient(seed: int = 3):
-    rep = seeded_rep(2, 2, 8, seed)
-    q = build_quotient(rep)
-    x = q.complex
-    vs = [v for v in range(x.n_vertices) if x.vertex_colors[v] == 0]
-    assert len(vs) >= 2
-    return q, merge_vertices(x, vs[0], vs[1]), (vs[0], vs[1])
+    """The first seeded (2,2) quotient from `seed` on with two vertices of
+    color 0, and the complex with those two merged; some draws have only one
+    vertex per color, as in `acceptance._merge_fixture`."""
+    for bump in range(40):
+        q = build_quotient(seeded_rep(2, 2, 8, seed + 131 * bump))
+        x = q.complex
+        vs = [v for v in range(x.n_vertices) if x.vertex_colors[v] == 0]
+        if len(vs) >= 2:
+            return q, merge_vertices(x, vs[0], vs[1]), (vs[0], vs[1])
+    raise AssertionError(f"no mergeable (2,2) quotient from seed {seed}")
 
 
 def vertex_merge_map(x, merged, v_keep, v_gone):

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from math import factorial, floor, perm, sqrt
 
 import pytest
 
 from conftest import random_word, seeded_rep
+from multiforge import permrep
 from multiforge.gallery import m_subgroup_rep
 from multiforge.permrep import (
     PermRep,
+    allowed_cycle_lengths,
     canonical_relabel,
     count_order_dividing,
     evaluate,
@@ -17,6 +25,7 @@ from multiforge.permrep import (
     orbits,
     parse_permutation,
     parse_rep,
+    perm_cycles,
     random_order_dividing,
     random_rep,
     same_up_to_relabeling,
@@ -285,3 +294,173 @@ def test_parse_permutation_cycle_notation():
     assert parse_permutation("3 1 2", 3) == (2, 0, 1)
     with pytest.raises(ValueError):
         parse_permutation("1 1 2", 3)
+
+
+# -- exactness of the linear-time sampler ---------------------------------------
+
+def _cycle_type(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(len(c) for c in perm_cycles(sigma)))
+
+
+def _cycle_type_law(n: int, k: int) -> dict[tuple[int, ...], float]:
+    """Exact probability of each cycle type of a uniform permutation of [n]
+    with cycle lengths dividing k: n! / prod(l^c_l c_l!) / a[n]."""
+    a_n = count_order_dividing(n, k)
+    law = {}
+
+    def types(rest: int, lengths: list[int]):
+        if rest == 0:
+            yield ()
+            return
+        if not lengths:
+            return
+        l, smaller = lengths[0], lengths[1:]
+        for c in range(rest // l, -1, -1):
+            for tail in types(rest - c * l, smaller):
+                yield (l,) * c + tail
+
+    for parts in types(n, sorted(allowed_cycle_lengths(k), reverse=True)):
+        denom = 1
+        for l in set(parts):
+            c = parts.count(l)
+            denom *= l**c * factorial(c)
+        law[tuple(sorted(parts))] = factorial(n) // denom / a_n
+    return law
+
+
+def _chi2_999(df: int) -> float:
+    """Upper 0.999 quantile of chi-square (Wilson-Hilferty)."""
+    z = 3.0902
+    return df * (1 - 2 / (9 * df) + z * sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("n, k, seed", [(30, 3, 1), (45, 4, 2), (40, 6, 3), (60, 6, 4)])
+def test_cycle_types_follow_exact_law(n, k, seed):
+    draws = 10_000
+    rng = random.Random(seed)
+    counts = Counter(_cycle_type(random_order_dividing(n, k, rng)) for _ in range(draws))
+    law = _cycle_type_law(n, k)
+    assert set(counts) <= set(law)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    # types expected fewer than 5 times are pooled into one bin
+    bins, pooled_p, pooled_c = [], 0.0, 0
+    for t, p in law.items():
+        if p * draws >= 5:
+            bins.append((p, counts[t]))
+        else:
+            pooled_p, pooled_c = pooled_p + p, pooled_c + counts[t]
+    bins.append((pooled_p, pooled_c))
+    chi2 = sum((c - p * draws) ** 2 / (p * draws) for p, c in bins)
+    df = len(bins) - 1
+    assert df >= 4
+    assert chi2 < _chi2_999(df), (chi2, df)
+
+
+def test_forced_exact_path_gives_the_same_draws(monkeypatch):
+    calls = []
+    exact = permrep._exact_length
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact(*args)
+
+    monkeypatch.setattr(permrep, "_exact_length", counted)
+    cases = [(40, 3, 5), (40, 4, 6), (60, 6, 7)]
+    default = [[random_order_dividing(n, k, rng) for _ in range(200)]
+               for n, k, rng in ((n, k, random.Random(s)) for n, k, s in cases)]
+    assert calls == []
+    monkeypatch.setattr(permrep, "_MARGIN", 0.5)
+    widened = [[random_order_dividing(n, k, rng) for _ in range(200)]
+               for n, k, rng in ((n, k, random.Random(s)) for n, k, s in cases)]
+    assert len(calls) > 1000
+    assert widened == default
+
+
+class _RecordingRandom(random.Random):
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.words: list[int] = []
+
+    def getrandbits(self, k: int) -> int:
+        word = super().getrandbits(k)
+        self.words.append(word)
+        return word
+
+
+@pytest.mark.parametrize("m, k", [(10, 3), (25, 4), (31, 6)])
+def test_exact_step_refines_a_straddling_uniform(m, k):
+    """A uniform whose 53 bits straddle the first boundary S_1 / a[m] needs
+    more bits; the length chosen agrees with the exact comparison of the
+    refined interval."""
+    a = count_order_dividing(m, k)
+    lengths = [l for l in allowed_cycle_lengths(k) if l <= m]
+    first = Fraction(count_order_dividing(m - 1, k), a)  # the 1-cycle bucket
+    j = floor(first * 2**53)
+    assert j < first * 2**53 < j + 1
+    rng = _RecordingRandom(m)
+    l = permrep._exact_length(m, k, lengths, j / 2**53, rng)
+    assert rng.words, "the 53-bit prefix alone cannot decide"
+    x, e = j, 53
+    for word in rng.words:
+        x, e = (x << 32) | word, e + 32
+    if l == 1:
+        assert Fraction(x + 1, 2**e) <= first
+    else:
+        assert Fraction(x, 2**e) >= first and l == lengths[1]
+
+
+def test_ratio_table_matches_exact_probabilities():
+    worst = 0.0
+    for k in (1, 2, 3, 4, 6):
+        a = permrep._order_dividing_table(2000, k)
+        law = permrep._CycleLengthLaw(2000, k)
+        for m in range(1, 2001):
+            for l, p in law.probabilities(m):
+                exact = perm(m - 1, l - 1) * a[m - l] / a[m]  # correctly rounded
+                worst = max(worst, abs(p - exact))
+    assert worst < permrep._MARGIN / 1000, worst
+
+
+def test_retry_seeds_never_share_a_stream():
+    pairs = [(seed, t) for seed in range(-300, 300) for t in range(64)]
+    seeds = {permrep._try_seed(seed, t) for seed, t in pairs}
+    assert len(seeds) == len(pairs) and min(seeds) >= 0
+    assert permrep._try_seed(0, 1) != permrep._try_seed(10_000, 0)
+    firsts = {random.Random(s).getrandbits(64) for s in seeds}
+    assert len(firsts) == len(pairs)
+
+
+def test_each_retry_calls_random_rep_with_its_own_seed(monkeypatch):
+    seen = []
+    draw = permrep.random_rep
+
+    def failing_twice(p, n, seed):
+        seen.append(seed)
+        return None if len(seen) < 3 else draw(p, n, seed)
+
+    monkeypatch.setattr(permrep, "random_rep", failing_twice)
+    rep, tries = permrep.random_rep_retry(Params(2, 3), 12, seed=5)
+    assert tries == 3
+    assert seen == [permrep._try_seed(5, t) for t in range(3)]
+    assert rep == draw(Params(2, 3), 12, seen[-1])
+
+
+def test_random_rep_retry_is_linear_at_1e5_points():
+    """One (2,3) draw at n = 1e5 in a fresh interpreter; the quadratic
+    sampler it replaced needed 14 s and 6.7 GB here for its count table."""
+    code = (
+        "import resource, time\n"
+        "from multiforge.permrep import random_rep_retry\n"
+        "from multiforge.words import Params\n"
+        "start = time.perf_counter()\n"
+        "rep, tries = random_rep_retry(Params(2, 3), 100_000, seed=1)\n"
+        "print(time.perf_counter() - start, "
+        "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    seconds, rss_mib = (float(v) for v in out.split())
+    assert rss_mib < 200, rss_mib
+    assert seconds < 10, seconds
