@@ -355,6 +355,8 @@ def crit_12_coxeter() -> str:
     s4, rep4 = coxeter_complex([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])
     assert len(s4.top_cells()) == 24 and s4.n_vertices == 14
     assert rep3.n == 6 and rep4.n == 24
+    for direct, rep in ((hexagon, rep3), (s4, rep4)):
+        assert find_isomorphism(build_quotient(rep).complex, direct) is not None
     return "S3 -> hexagon (6 chambers), S4 -> 24 chambers on 14 vertices; both routes agree"
 
 

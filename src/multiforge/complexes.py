@@ -4,6 +4,13 @@ A multicomplex is a simplicial complex plus a multiplicity per cell and a
 gluing map choosing which copy of each facet bounds each copy of a cell.
 Multicells are keyed by (color set, dense index).  Vertices always have
 multiplicity one, so gluing to dimension zero is forced and derivable.
+
+The gluing is consistent when, in every multicell, the facet that drops
+color a and the facet that drops color b share the face that drops both.
+Any two orders of dropping colors differ by a chain of swaps of two
+adjacent colors, so this local identity makes every order reach the same
+face: each multicell then contains exactly one face per subset of its
+colors, and faces, links and cofaces are read straight from the facets.
 """
 
 from __future__ import annotations
@@ -34,9 +41,6 @@ class Multicell:
     @property
     def dim(self) -> int:
         return len(self.colors) - 1
-
-    def vertex_of_color(self, c: int) -> int:
-        return self.vertices[self.colors.index(c)]
 
 
 @dataclass
@@ -75,7 +79,6 @@ class MComplex:
         self.root = root
         self.boundary = frozenset(boundary)
         self._delta: dict[MId, list[tuple[MId, int]]] | None = None
-        self._down: dict[MId, dict[tuple[int, ...], MId]] = {}
 
     def _install_zero_cells(self) -> None:
         per_color: dict[int, int] = {}
@@ -124,9 +127,6 @@ class MComplex:
     def top_cells(self) -> list[Multicell]:
         return list(self.multicells(self.d))
 
-    def all_colors(self) -> tuple[int, ...]:
-        return tuple(range(self.d + 1))
-
     # -- incidence structure ---------------------------------------------------
 
     def delta(self, mid: MId) -> list[tuple[MId, int]]:
@@ -144,57 +144,16 @@ class MComplex:
     def degree(self, mid: MId) -> int:
         return len(self.delta(mid))
 
-    def down_map(self, mid: MId) -> dict[tuple[int, ...], MId]:
-        """The containment bijection under `mid`: color subset -> multicell.
-
-        Raises ValueError when the gluing is inconsistent (two chains reach
-        different copies of the same face).
-        """
-        cached = self._down.get(mid)
-        if cached is not None:
-            return cached
-        out: dict[tuple[int, ...], MId] = {self.cell(mid).colors: mid}
-        frontier = [mid]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                cur_cell = self.cell(cur)
-                if cur_cell.dim == 0:
-                    continue
-                for l in cur_cell.colors:
-                    fid = cur_cell.faces[l]
-                    sub = tuple(c for c in cur_cell.colors if c != l)
-                    if not self.has_cell(fid):
-                        raise ValueError(f"dangling gluing reference {fid} from {cur}")
-                    prev = out.get(sub)
-                    if prev is None:
-                        out[sub] = fid
-                        nxt.append(fid)
-                    elif prev != fid:
-                        raise ValueError(
-                            f"inconsistent gluing under {mid}: face of colors {sub} "
-                            f"reached as both {prev} and {fid}"
-                        )
-            frontier = nxt
-        self._down[mid] = out
-        return out
-
-    def sub_multicell(self, mid: MId, colors: Iterable[int]) -> MId:
-        """The unique multicell of the given color set contained in `mid`."""
-        key = tuple(sorted(colors))
-        try:
-            return self.down_map(mid)[key]
-        except KeyError:
-            raise KeyError(f"{mid} has no face with colors {key}") from None
-
-    def contains(self, big: MId, small: MId) -> bool:
-        """small <= big in the containment order."""
-        if small == big:
-            return True
-        key = tuple(small[0])
-        if not set(key) <= set(big[0]):
-            return False
-        return self.down_map(big).get(key) == small
+    def face(self, mid: MId, colors: Iterable[int]) -> MId:
+        """The face of `mid` with the given colors, reached by dropping the
+        other colors in ascending order (on a consistent complex every order
+        reaches it)."""
+        keep = set(colors)
+        cur = mid
+        for l in mid[0]:
+            if l not in keep:
+                cur = self.cell(cur).faces[l]
+        return cur
 
     def up_set(self, mid: MId) -> list[MId]:
         """All multicells strictly containing `mid`, by BFS through cofaces."""
@@ -204,7 +163,7 @@ class MComplex:
             nxt = []
             for cur in frontier:
                 for cof, _ in self.delta(cur):
-                    if cof not in seen and self.contains(cof, mid):
+                    if cof not in seen:
                         seen.add(cof)
                         nxt.append(cof)
             frontier = nxt
@@ -212,27 +171,53 @@ class MComplex:
 
     def invalidate_caches(self) -> None:
         self._delta = None
-        self._down = {}
 
 
 # -- structural audits --------------------------------------------------------
 
 def check_consistency(x: MComplex) -> Diagnostics:
-    """Every multicell must induce a well-defined bijection between the color
-    subsets of its cell and the multicells it contains; equivalently, common
-    faces of same-dimension faces glue identically."""
+    """The gluing is well formed and consistent.
+
+    Well formed: each multicell of dimension >= 1 has one facet per color,
+    and the facet dropping color l exists and carries the other colors.
+    Consistent: in each multicell, the facet that drops a and the facet that
+    drops b share the face that drops both.  This local identity suffices:
+    any two orders of dropping colors differ by swaps of adjacent colors,
+    and each swap is such a square in some face of the multicell, so every
+    order reaches the same face and each multicell contains exactly one
+    face per subset of its colors."""
     messages = []
     for cell in x.multicells():
-        try:
-            x.down_map(cell.mid)
-        except ValueError as exc:
-            messages.append(str(exc))
+        if cell.dim == 0:
+            continue
+        if set(cell.faces) != set(cell.colors):
+            messages.append(f"{cell.mid}: facet keys != colors")
+            continue
+        for l, fid in cell.faces.items():
+            if not x.has_cell(fid):
+                messages.append(f"dangling gluing reference {fid} from {cell.mid}")
+            elif x.cell(fid).colors != tuple(c for c in cell.colors if c != l):
+                messages.append(f"{cell.mid}: facet {fid} has wrong colors")
+    if messages:
+        return Diagnostics(False, messages)
+    for cell in x.multicells():
+        if cell.dim < 2:
+            continue
+        for a, b in combinations(cell.colors, 2):
+            via_a = x.cell(cell.faces[a]).faces[b]
+            via_b = x.cell(cell.faces[b]).faces[a]
+            if via_a != via_b:
+                sub = tuple(c for c in cell.colors if c not in (a, b))
+                messages.append(
+                    f"inconsistent gluing under {cell.mid}: face of colors {sub} "
+                    f"reached as both {via_a} and {via_b}"
+                )
     return Diagnostics(not messages, messages)
 
 
 def validate_structure(x: MComplex) -> Diagnostics:
-    """Well-formedness: colors sorted, vertex alignment, facet color/vertex
-    coherence, dense indices, purity, ordering validity, degree bound."""
+    """Well-formedness: colors sorted, vertex alignment, consistent gluing,
+    facet vertices, dense indices, purity, ordering validity, degree bound."""
     msgs = []
     d, k = x.params.d, x.params.k
     for v, c in enumerate(x.vertex_colors):
@@ -250,29 +235,13 @@ def validate_structure(x: MComplex) -> Diagnostics:
             for c, v in zip(cell.colors, cell.vertices):
                 if not (0 <= v < x.n_vertices and x.vertex_colors[v] == c):
                     msgs.append(f"{cell.mid}: vertex {v} does not carry color {c}")
-            if cell.dim >= 1:
-                if set(cell.faces) != set(cell.colors):
-                    msgs.append(f"{cell.mid}: facet keys != colors")
-                    continue
-                for l, fid in cell.faces.items():
-                    if not x.has_cell(fid):
-                        msgs.append(f"{cell.mid}: dangling facet {fid}")
-                        continue
-                    fcell = x.cell(fid)
-                    want_colors = tuple(c for c in cell.colors if c != l)
-                    want_vertices = tuple(
-                        v for c, v in zip(cell.colors, cell.vertices) if c != l
-                    )
-                    if fcell.colors != want_colors or fcell.vertices != want_vertices:
-                        msgs.append(f"{cell.mid}: facet {fid} has wrong colors/vertices")
-    cons = check_consistency(x)
-    msgs.extend(cons.messages)
-    if not msgs:
-        for cell in x.multicells():
-            if cell.dim < d and not any(
-                len(top[0]) == d + 1 for top in x.up_set(cell.mid)
-            ):
+            for l, fid in cell.faces.items():
+                want = tuple(v for c, v in zip(cell.colors, cell.vertices) if c != l)
+                if x.has_cell(fid) and x.cell(fid).vertices != want:
+                    msgs.append(f"{cell.mid}: facet {fid} has wrong vertices")
+            if cell.dim < d and not x.delta(cell.mid):
                 msgs.append(f"{cell.mid}: not contained in any top multicell (impure)")
+    msgs.extend(check_consistency(x).messages)
     for cell in x.multicells(d - 1):
         if x.degree(cell.mid) > k:
             msgs.append(f"{cell.mid}: degree {x.degree(cell.mid)} exceeds k={k}")
@@ -311,24 +280,18 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
 
 def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
     """Connected components of the link's 1-skeleton, each given as the list
-    of cofaces of `mid` one dimension up (the link's vertices)."""
+    of cofaces of `mid` one dimension up (the link's vertices).  Assumes a
+    consistent complex: a coface s two dimensions up joins its two facets
+    over `mid`, the one `t` it was reached from and the one that drops the
+    color `t` adds to `mid`."""
     verts = sorted(m for m, _ in x.delta(mid))
     if not verts:
         return []
     pos = {m: t for t, m in enumerate(verts)}
     uf = UnionFind(len(verts))
-    own_colors = set(mid[0])
-    for two_up in x.up_set(mid):
-        if len(two_up[0]) != len(mid[0]) + 2:
-            continue
-        dm = x.down_map(two_up)
-        ends = []
-        for l in two_up[0]:
-            if l in own_colors:
-                continue
-            sub = tuple(sorted(own_colors | {l}))
-            ends.append(dm[sub])
-        uf.union(pos[ends[0]], pos[ends[1]])
+    for t, l in x.delta(mid):
+        for s, _ in x.delta(t):
+            uf.union(pos[t], pos[x.cell(s).faces[l]])
     groups: dict[int, list[MId]] = {}
     for m, t in pos.items():
         groups.setdefault(uf.find(t), []).append(m)
@@ -359,7 +322,8 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     Link vertices are the cofaces of `mid` one dimension up (multiplicity of
     the link's 0-cells is removed by that re-indexing); colors are re-mapped
     onto 0..d-|colors(mid)| in the order of the surviving original colors.
-    The link of the empty multicell is the complex itself.
+    The link of the empty multicell is the complex itself.  Assumes a
+    consistent complex: link facets are read off the original facets.
     """
     if mid == EMPTY_CELL:
         clone = from_json_dict(to_json_dict(x))
@@ -407,12 +371,8 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
         new_colors = tuple(color_map[c] for c in extra)
         cells[new_colors] = []
         for m in lst:
-            dm = x.down_map(m)
-            vids = tuple(orig_to_vid[dm[tuple(sorted(own | {c}))]] for c in extra)
-            faces: dict[int, MId] = {}
-            for c in extra:
-                sub = tuple(sorted((set(extra) - {c}) | own))
-                faces[color_map[c]] = link_id[dm[sub]]
+            vids = tuple(orig_to_vid[x.face(m, own | {c})] for c in extra)
+            faces = {color_map[c]: link_id[x.cell(m).faces[c]] for c in extra}
             cell = Multicell(new_colors, len(cells[new_colors]), vids, faces)
             cells[new_colors].append(cell)
             link_id[m] = cell.mid
@@ -427,9 +387,7 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     boundary = frozenset(
         link_id[m] for m in members if m in x.boundary and len(m[0]) == x.d
     )
-    root = None
-    if x.root is not None and x.contains(x.root, mid):
-        root = link_id.get(x.root)
+    root = link_id.get(x.root)
     lk = MComplex(Params(d_link, x.params.k), vertex_colors, cells, ordering, root, boundary)
     return lk, back
 
@@ -464,16 +422,6 @@ def nerve(family: dict[object, frozenset] | list[Iterable]) -> frozenset:
 def base_complex(x: MComplex) -> frozenset:
     """Underlying simplicial complex: the set of vertex sets of multicells."""
     return frozenset(frozenset(c.vertices) for c in x.multicells())
-
-
-def multiplicity(x: MComplex, vertex_set: Iterable[int]) -> int:
-    vs = tuple(sorted(vertex_set))
-    colors = tuple(sorted(x.vertex_colors[v] for v in vs))
-    count = 0
-    for cell in x.cells.get(colors, []):
-        if tuple(sorted(cell.vertices)) == vs:
-            count += 1
-    return count
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -555,7 +503,7 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
     universality: a top cell's image fixes the images of its facets, and the
     ordering cycle through each facet fixes the images of the other cofaces.
     Cycles on the domain's boundary carry no data and are skipped.  Lower
-    cells follow through the top cells' down maps.
+    cells follow from the top cells through `extend_down`.
 
     Returns the map on every multicell reached, or None and the reason."""
     if x.root is None or y.root is None:

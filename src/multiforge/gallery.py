@@ -6,9 +6,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from .complexes import MComplex, complex_from_classes, find_isomorphism, from_simplicial
+from .complexes import MComplex, complex_from_classes, from_simplicial
 from .permrep import PermRep
-from .quotient import build_quotient, complex_is_simplicial
+from .quotient import complex_is_simplicial
 from .words import Params
 
 Permutation = tuple[int, ...]
@@ -94,11 +94,14 @@ def coxeter_kernel_rep(gens: list[Permutation], cap: int = 20000) -> tuple[PermR
     return PermRep(p, len(elems), betas, index[identity]), elems
 
 
-def coxeter_direct_complex(gens: list[Permutation], cap: int = 20000) -> MComplex:
-    """Chamber complex built straight from coset enumeration: vertices are
-    cosets of the maximal standard subgroups, a chamber per group element,
-    and cells collect one coset per color."""
-    _, elems = coxeter_kernel_rep(gens, cap)
+def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex, PermRep]:
+    """The chamber complex of the involutions, built straight from coset
+    enumeration, and the kernel rep of its group: vertices are cosets of
+    the maximal standard subgroups, a chamber per group element, and cells
+    collect one coset per color.  Raises ValueError when the complex is not
+    simplicial; the chamber complex of a Coxeter system always is.  The
+    quotient of the kernel rep is the same complex (criterion 12)."""
+    rep, elems = coxeter_kernel_rep(gens, cap)
     n_colors = len(gens)
     identity = tuple(range(len(gens[0])))
 
@@ -111,26 +114,15 @@ def coxeter_direct_complex(gens: list[Permutation], cap: int = 20000) -> MComple
         return min(_compose(u, w) for u in subgroup(colors))
 
     x, _ = complex_from_classes(
-        Params(n_colors - 1, 2),
+        rep.params,
         elems,
         coset_key,
         identity,
         step=lambda w, i: _compose(gens[i], w),
     )
-    return x
-
-
-def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex, PermRep]:
-    """Both routes to the chamber complex: the kernel-subgroup quotient and
-    the direct coset recipe.  They must agree and be simplicial."""
-    rep, _ = coxeter_kernel_rep(gens, cap)
-    q = build_quotient(rep)
-    direct = coxeter_direct_complex(gens, cap)
-    if not complex_is_simplicial(q.complex):
-        raise ValueError("kernel quotient is not simplicial")
-    if find_isomorphism(q.complex, direct) is None:
-        raise ValueError("kernel quotient and direct chamber complex disagree")
-    return direct, rep
+    if not complex_is_simplicial(x):
+        raise ValueError("the chamber complex of these involutions is not simplicial")
+    return x, rep
 
 
 # -- flag complexes ---------------------------------------------------------------

@@ -42,9 +42,6 @@ class Multigraph:
                 total += 1
         return total
 
-    def loops_at(self, v: int) -> int:
-        return sum(1 for u, w, _ in self.edges if u == v == w)
-
     def edge_multiset(self, with_labels: bool = True) -> list:
         if with_labels:
             return sorted((u, v, repr(l)) for u, v, l in self.edges)

@@ -16,6 +16,7 @@ from .complexes import (
     MComplex,
     MId,
     base_complex,
+    check_consistency,
     complex_from_classes,
     extend_down,
     is_link_connected,
@@ -260,7 +261,12 @@ def nerve_matches_base(q: QuotientObject) -> bool:
 def analyze(x: MComplex) -> str:
     """The structural report printed by `multiforge analyze`, one
     `name: value` line each: sizes per color and dimension, the structural
-    predicates, and the histogram of codimension-one degrees."""
+    predicates, and the histogram of codimension-one degrees.  Raises
+    ValueError with the first gluing fault, since the link and path
+    predicates read faces through the gluing."""
+    valid = validate_structure(x)
+    if not valid and not (glued := check_consistency(x)):
+        raise ValueError(glued.messages[0])
     by_dim: dict[int, int] = {}
     base_by_dim: dict[int, int] = {}
     for colors, lst in x.cells.items():
@@ -270,7 +276,7 @@ def analyze(x: MComplex) -> str:
     per_color = [x.vertex_colors.count(c) for c in x.params.colors]
     hist = Counter(x.degree(cell.mid) for cell in x.multicells(x.d - 1))
     flags = [
-        ("structure-valid", validate_structure(x).ok),
+        ("structure-valid", valid.ok),
         ("simplicial", complex_is_simplicial(x)),
         ("upper-regular", complex_is_upper_regular(x)),
         ("link-connected", is_link_connected(x)),

@@ -20,7 +20,6 @@ from .words import (
     multiply,
     reduce_word,
     strip_left,
-    word_length,
 )
 
 

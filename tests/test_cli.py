@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from multiforge import cli
-from multiforge.complexes import from_json
+from multiforge.complexes import from_json, single_simplex, to_json_dict
 from multiforge.spectral import boundary_matrix, up_laplacian
+from multiforge.words import Params
+from test_complexes import figure_two_complex
 
 
 def run(argv: list) -> int:
@@ -109,6 +111,47 @@ def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _dangling_simplex():
+    doc = to_json_dict(single_simplex(Params(2, 2)))
+    triangle = next(cell for cell in doc["cells"] if cell["colors"] == [0, 1, 2])
+    triangle["faces"]["2"] = [[0, 1], 5]
+    return doc
+
+
+GLUING_ERRORS = {
+    "inconsistent-figure-two": (
+        lambda: to_json_dict(figure_two_complex(consistent=False)),
+        "error: inconsistent gluing under ((0, 1, 2, 3), 0): face of colors (0, 1) "
+        "reached as both ((0, 1), 1) and ((0, 1), 0)",
+    ),
+    "dangling-facet": (
+        _dangling_simplex,
+        "error: dangling gluing reference ((0, 1), 5) from ((0, 1, 2), 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GLUING_ERRORS))
+def test_analyze_gluing_error_is_one_line(tmp_path, capsys, case):
+    make, expected = GLUING_ERRORS[case]
+    path = tmp_path / "glued.json"
+    path.write_text(json.dumps(make()))
+    assert run(["analyze", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]
+
+
+def test_non_coxeter_involutions_are_one_error_line(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("4\n1 2 4 3\n1 3 2 4\n1 4 3 2\n")
+    assert run(["gallery", "coxeter", "--gens", gens]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def _shorten_first_cycle(doc):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_rep
+from multiforge.acceptance import _merge_fixture
 from multiforge.complexes import (
     EMPTY_CELL,
     MComplex,
@@ -18,15 +23,14 @@ from multiforge.complexes import (
     link_components,
     link_with_map,
     merge_vertices,
-    multiplicity,
     nerve,
     single_simplex,
     to_json,
     validate_structure,
 )
-from multiforge.gallery import m_subgroup_rep
+from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from multiforge.quotient import build_quotient
-from multiforge.universal import build_ball
+from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
 
 WEDGE = from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)])
@@ -179,19 +183,23 @@ def test_link_connected_examples():
         assert is_link_connected(q.complex)
 
 
+def links_lower_path_connected(x: MComplex) -> bool:
+    return all(
+        is_lower_path_connected(link_with_map(x, cell.mid)[0], x.d - cell.dim - 1)
+        for cell in x.multicells()
+        if cell.dim <= x.d - 2
+    )
+
+
 def test_link_connected_iff_links_lower_path_connected():
     for seed in range(20):
         d = 2 + seed % 2
-        q = build_quotient(seeded_rep(d, 2, 8, 200 + seed))
-        x = q.complex
-        lhs = is_link_connected(x)
-        rhs = True
-        for cell in x.multicells():
-            if 0 <= cell.dim <= x.d - 2:
-                lk = link_with_map(x, cell.mid)[0]
-                if not is_lower_path_connected(lk, x.d - cell.dim - 1):
-                    rhs = False
-        assert lhs == rhs == True  # quotients are always link-connected
+        x = build_quotient(seeded_rep(d, 2, 8, 200 + seed)).complex
+        # quotients are always link-connected
+        assert is_link_connected(x) and links_lower_path_connected(x)
+    for x in [WEDGE] + [_merge_fixture(t)[1] for t in range(10)]:
+        assert not is_link_connected(x)
+        assert not links_lower_path_connected(x)
 
 
 def test_lower_path_connected_examples():
@@ -259,13 +267,18 @@ def test_json_round_trip_stable():
         assert to_json(from_json(text)) == text
 
 
-def test_validate_structure_flags_impurity():
+def impure_simplex() -> MComplex:
+    """A triangle plus a second copy of its (0,1)-edge with no coface."""
     x = single_simplex(Params(2, 2))
     x.cells[(0, 1)].append(
         Multicell((0, 1), 1, (0, 1), {0: ((1,), 0), 1: ((0,), 0)})
     )
     x.invalidate_caches()
-    report = validate_structure(x)
+    return x
+
+
+def test_validate_structure_flags_impurity():
+    report = validate_structure(impure_simplex())
     assert not report.ok
     assert any("impure" in m or "cycle" in m for m in report.messages)
 
@@ -296,3 +309,146 @@ def test_find_isomorphism_needs_rooted_ordered_input():
     assert find_isomorphism(x, x) is not None
     assert find_isomorphism(x, unordered) is None
     assert find_isomorphism(unordered, x) is None
+
+
+# -- brute-force oracle for the gluing checks ------------------------------------
+
+
+def faces_by_every_order(x: MComplex, mid) -> dict[tuple[int, ...], set]:
+    """Each nonempty color subset of `mid`, mapped to the set of faces
+    reached by dropping the other colors in every order."""
+    reached = {mid[0]: {mid}}
+    for order in permutations(mid[0]):
+        face = mid
+        for t, l in enumerate(order[:-1]):
+            face = x.cell(face).faces[l]
+            reached.setdefault(tuple(sorted(order[t + 1 :])), set()).add(face)
+    return reached
+
+
+def gluing_oracle(x: MComplex):
+    """(consistent, up sets, link components) computed from
+    `faces_by_every_order`; the last two are None when inconsistent."""
+    down = {}
+    for cell in x.multicells():
+        reached = faces_by_every_order(x, cell.mid)
+        if any(len(faces) > 1 for faces in reached.values()):
+            return False, None, None
+        down[cell.mid] = {colors: next(iter(faces)) for colors, faces in reached.items()}
+    up = {m: [] for m in down}
+    for big, faces in down.items():
+        for small in faces.values():
+            if small != big:
+                up[small].append(big)
+    links = {}
+    for mid, above in up.items():
+        if len(mid[0]) > x.d - 1:
+            continue
+        own = set(mid[0])
+        comp = {m: {m} for m in above if len(m[0]) == len(mid[0]) + 1}
+        for s in above:
+            if len(s[0]) == len(mid[0]) + 2:
+                a, b = (tuple(sorted(own | {c})) for c in set(s[0]) - own)
+                merged = comp[down[s][a]] | comp[down[s][b]]
+                for m in merged:
+                    comp[m] = merged
+        links[mid] = sorted({tuple(sorted(g)) for g in comp.values()})
+    return True, up, links
+
+
+def seeded_quotient(d: int, k: int, n: int, seed: int):
+    return lambda: build_quotient(seeded_rep(d, k, n, seed)).complex
+
+
+ORACLE_CORPUS = {
+    **{
+        f"quotient-{d}-{k}-{n}-{seed}": seeded_quotient(d, k, n, seed)
+        for d, k, n in [(1, 3, 12), (2, 3, 12), (3, 2, 10), (4, 2, 6)]
+        for seed in (1, 2, 3)
+    },
+    **{f"merged-{t}": (lambda t=t: _merge_fixture(t)[1]) for t in range(10)},
+    "wedge": lambda: WEDGE,
+    "ball-2-3-r2": lambda: build_ball(Params(2, 3), 2).complex,
+    "coset-ball-2-3-r2": lambda: ball_from_cosets(Params(2, 3), 2).complex,
+    "flag-4-2": lambda: flag_complex(4, 2),
+    "coxeter-B2": lambda: coxeter_complex([(1, 0, 3, 2), (0, 2, 1, 3)])[0],
+    "figure-two-consistent": lambda: figure_two_complex(consistent=True),
+    "figure-two-inconsistent": lambda: figure_two_complex(consistent=False),
+    "impure": impure_simplex,
+}
+
+
+def assert_gluing_matches_oracle(x: MComplex) -> bool:
+    consistent, up, links = gluing_oracle(x)
+    assert check_consistency(x).ok == consistent
+    if not consistent:
+        return False
+    for cell in x.multicells():
+        assert x.up_set(cell.mid) == sorted(up[cell.mid], key=lambda m: (len(m[0]), m))
+    for mid, comps in links.items():
+        assert sorted(map(tuple, link_components(x, mid))) == comps, mid
+    assert is_link_connected(x) == all(len(c) <= 1 for c in links.values())
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_gluing_checks_match_brute_force(name):
+    x = ORACLE_CORPUS[name]()
+    assert assert_gluing_matches_oracle(x) == (name != "figure-two-inconsistent")
+
+
+@pytest.mark.parametrize("name", ["wedge", "merged-0", "quotient-3-2-10-1", "flag-4-2"])
+def test_link_cells_match_brute_force(name):
+    """Every link multicell maps back to a cell over the base, and its
+    vertices and facets map to that cell's faces by every dropping order."""
+    x = ORACLE_CORPUS[name]()
+    for base in x.multicells():
+        if base.dim > x.d - 2:
+            continue
+        own = base.colors
+        lk, back = link_with_map(x, base.mid)
+        assert sorted(back.values()) == sorted(x.up_set(base.mid))
+        for cell in lk.multicells():
+            orig = back[cell.mid]
+            extra = [c for c in orig[0] if c not in own]
+            reached = faces_by_every_order(x, orig)
+            for t, v in enumerate(cell.vertices):
+                assert reached[tuple(sorted(own + (extra[t],)))] == {back[lk.vertex_cell(v)]}
+            for l, facet in cell.faces.items():
+                dropped = extra[cell.colors.index(l)]
+                assert reached[tuple(c for c in orig[0] if c != dropped)] == {back[facet]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 3), k=st.integers(2, 3), m=st.integers(1, 4),
+       seed=st.integers(0, 10**6), data=st.data())
+def test_repointed_facet_matches_brute_force(d, k, m, seed, data):
+    """Re-point one facet of a small quotient to another multicell of the
+    same color set; the checks still agree with the oracle."""
+    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    cells = [cell for cell in x.multicells() if cell.dim >= 1]
+    cell = data.draw(st.sampled_from(cells))
+    l = data.draw(st.sampled_from(cell.colors))
+    sub = cell.faces[l][0]
+    cell.faces[l] = (sub, data.draw(st.integers(0, len(x.cells[sub]) - 1)))
+    x.invalidate_caches()
+    assert_gluing_matches_oracle(x)
+
+
+def test_malformed_gluing_is_reported_not_raised():
+    dangling = single_simplex(Params(2, 2))
+    dangling.cells[(0, 1, 2)][0].faces[2] = ((0, 1), 5)
+    miskeyed = single_simplex(Params(2, 2))
+    faces = miskeyed.cells[(0, 1, 2)][0].faces
+    faces[5] = faces.pop(2)
+    wrong_colors = single_simplex(Params(2, 2))
+    wrong_colors.cells[(0, 1, 2)][0].faces[2] = ((0, 2), 0)
+    expected = [
+        (dangling, "dangling gluing reference ((0, 1), 5) from ((0, 1, 2), 0)"),
+        (miskeyed, "((0, 1, 2), 0): facet keys != colors"),
+        (wrong_colors, "((0, 1, 2), 0): facet ((0, 2), 0) has wrong colors"),
+    ]
+    for x, message in expected:
+        x.invalidate_caches()
+        for report in (check_consistency(x), validate_structure(x)):
+            assert not report.ok and message in report.messages

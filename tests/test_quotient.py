@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
 
 from conftest import seeded_rep
-from multiforge.complexes import check_morphism, is_surjective, validate_structure
-from multiforge.gallery import m_subgroup_rep
+from multiforge.complexes import (
+    check_morphism,
+    find_isomorphism,
+    is_surjective,
+    validate_structure,
+)
+from multiforge.gallery import coxeter_complex, coxeter_kernel_rep, m_subgroup_rep
 from multiforge.permrep import PermRep, evaluate, same_up_to_relabeling, validate
 from multiforge.quotient import (
     analyze,
@@ -214,3 +220,25 @@ def test_every_quotient_validates():
         q = build_quotient(rep)
         assert validate_structure(q.complex).ok
         assert nerve_matches_base(q)
+
+
+def test_coxeter_chambers_are_the_kernel_quotient():
+    """For each of the 20 triples of transpositions of S4, the kernel
+    quotient is simplicial exactly when the direct chamber complex is, and
+    then the two are isomorphic."""
+    transpositions = []
+    for a, b in combinations(range(4), 2):
+        perm = list(range(4))
+        perm[a], perm[b] = b, a
+        transpositions.append(tuple(perm))
+    simplicial = 0
+    for gens in combinations(transpositions, 3):
+        kernel = build_quotient(coxeter_kernel_rep(list(gens))[0]).complex
+        if complex_is_simplicial(kernel):
+            direct, _ = coxeter_complex(list(gens))
+            assert find_isomorphism(kernel, direct) is not None, gens
+            simplicial += 1
+        else:
+            with pytest.raises(ValueError, match="not simplicial"):
+                coxeter_complex(list(gens))
+    assert 0 < simplicial < 20
