@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import acceptance
-from .complexes import from_json, to_json, to_json_dict
+from .complexes import check_consistency, from_json, to_json, to_json_dict
 from .gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
 from .lcc import link_connected_cover
@@ -60,7 +60,7 @@ def _ball_json(ball: Ball) -> str:
         {"cell": [list(mid[0]), mid[1]], "word": format_word(w)}
         for mid, w in sorted(ball.cell_words.items())
     ]
-    return json.dumps(doc, indent=1) + "\n"
+    return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def cmd_build(args) -> int:
@@ -84,12 +84,15 @@ def cmd_lcc(args) -> int:
             {"from": [list(src[0]), src[1]], "to": [list(dst[0]), dst[1]]}
             for src, dst in sorted(proj.items())
         ]
-        _write(args.map, json.dumps(entries, indent=1) + "\n")
+        _write(args.map, json.dumps(entries, separators=(",", ":")) + "\n")
     return 0
 
 
 def cmd_spectra(args) -> int:
     x = from_json(_read(args.complex))
+    glued = check_consistency(x)
+    if not glued:
+        raise ValueError(glued.messages[0])
     eigs = spectrum(x)
     rank = coboundary_rank(x, tol=args.tol)
     lines = [f"forms: {len(eigs)}", f"coboundary-rank: {rank}"]

@@ -11,6 +11,30 @@ Any two orders of dropping colors differ by a chain of swaps of two
 adjacent colors, so this local identity makes every order reach the same
 face: each multicell then contains exactly one face per subset of its
 colors, and faces, links and cofaces are read straight from the facets.
+
+Complex files are mcomplex/2 JSON, one object with the keys `format`,
+`params` ({d, k}), `vertex_colors`, `cells`, `ordering`, `root` and
+`boundary`.  The facet of a cell that drops one of its colors J[p] has
+the other colors, so a cell is fixed by its vertices and the indices of
+its facets:
+
+- `cells` holds one record per color set J with |J| >= 2, in (size,
+  colors) order: {"colors": J, "vertices": [...], "faces": [...]}, two
+  flat columns of n_J·|J| ints.  Cell i is (J, i); its vertices are
+  vertices[i·|J| : (i+1)·|J|] and its facet that drops J[p] is
+  (J minus J[p], faces[i·|J| + p]).  Vertices are the 0-cells: vertex v
+  is (c,), its rank among the vertices of color c.
+- `ordering` is null or holds one record per color set J of size d:
+  {"colors": J, "cycles": [...]}, one entry per (d-1)-cell of J in index
+  order, the indices of its top cofaces in cycle order (null where a cell
+  has no cycle).
+- `root` is null or a multicell id [colors, index]; `boundary` lists ids.
+
+The reader also takes mcomplex/1, which had one record per cell
+({colors, index, vertices, faces: {color: id}}) and per ordering cycle
+({cell: id, cycle: [id, ...]}): it regroups them into the columns above
+and reads those, refusing what the columns cannot hold.  Nothing writes
+mcomplex/1.
 """
 
 from __future__ import annotations
@@ -747,112 +771,228 @@ def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
 
 # -- serialization --------------------------------------------------------------
 
+FORMAT = "mcomplex/2"
+
+
 def _mid_json(mid: MId) -> list:
     return [list(mid[0]), mid[1]]
 
 
-def _mid_from_json(obj) -> MId:
-    if not (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and isinstance(obj[0], list)
-        and isinstance(obj[1], int)
-    ):
-        raise ValueError(f"multicell id must be [colors, index], got {obj!r}")
-    return (tuple(obj[0]), obj[1])
-
-
 def _field(rec: dict, key: str, kind: type, where: str):
-    """rec[key] if present and of type `kind`, else a one-line ValueError
-    naming the record and the key."""
+    """rec[key] if present and of type `kind` (a bool is not an int), else a
+    one-line ValueError naming the record and the key."""
     if key not in rec:
         raise ValueError(f"{where}: missing {key!r}")
-    if not isinstance(rec[key], kind):
+    if type(rec[key]) is not kind:
         raise ValueError(
             f"{where}: {key!r} must be {kind.__name__}, got {type(rec[key]).__name__}"
         )
     return rec[key]
 
 
+def _ints(obj, where: str) -> list[int]:
+    """obj if it is a list of ints (bools refused), else a one-line ValueError."""
+    if type(obj) is not list:
+        raise ValueError(f"{where}: must be a list of integers, got {type(obj).__name__}")
+    if not set(map(type, obj)) <= {int}:
+        bad = next(v for v in obj if type(v) is not int)
+        raise ValueError(f"{where}: {bad!r} is not an integer")
+    return obj
+
+
+def _colors(obj, d: int, where: str) -> tuple[int, ...]:
+    colors = tuple(_ints(obj, where))
+    if list(colors) != sorted(set(colors)) or not all(0 <= c <= d for c in colors):
+        raise ValueError(f"{where}: colors {list(colors)} must increase strictly within 0..{d}")
+    return colors
+
+
+def _mid_from_json(obj, d: int, where: str) -> MId:
+    if not (type(obj) is list and len(obj) == 2 and type(obj[1]) is int):
+        raise ValueError(f"{where}: multicell id must be [colors, index], got {obj!r}")
+    return (_colors(obj[0], d, where), obj[1])
+
+
 def _records(doc: dict, key: str, name: str) -> Iterator[tuple[dict, str]]:
     """The objects listed under doc[key], each with its label for errors."""
     for t, rec in enumerate(_field(doc, key, list, "complex")):
         where = f"{name} record {t}"
-        if not isinstance(rec, dict):
+        if type(rec) is not dict:
             raise ValueError(f"{where}: must be an object, got {type(rec).__name__}")
         yield rec, where
 
 
+def _params(doc: dict) -> Params:
+    rec = _field(doc, "params", dict, "complex")
+    return Params(*(_field(rec, key, int, "params") for key in ("d", "k")))
+
+
 def to_json_dict(x: MComplex) -> dict:
-    cells = []
-    for cell in x.multicells():
-        if cell.dim == 0:
-            continue
-        cells.append(
+    """The mcomplex/2 document of x (layout in the module docstring).  The
+    facet that drops color l is written as its index alone, so each facet is
+    assumed to carry the other colors, as `check_consistency` demands."""
+    by_size = sorted(x.cells, key=lambda c: (len(c), c))
+    cells = [
+        {
+            "colors": list(colors),
+            "vertices": [v for cell in x.cells[colors] for v in cell.vertices],
+            "faces": [cell.faces[l][1] for cell in x.cells[colors] for l in colors],
+        }
+        for colors in by_size
+        if len(colors) >= 2
+    ]
+    ordering = None
+    if x.ordering is not None:
+        ordering = [
             {
-                "colors": list(cell.colors),
-                "index": cell.index,
-                "vertices": list(cell.vertices),
-                "faces": {str(l): _mid_json(fid) for l, fid in sorted(cell.faces.items())},
+                "colors": list(colors),
+                "cycles": [
+                    None if (cyc := x.ordering.get(cell.mid)) is None else [m[1] for m in cyc]
+                    for cell in x.cells[colors]
+                ],
             }
-        )
-    doc = {
-        "format": "mcomplex/1",
+            for colors in by_size
+            if len(colors) == x.d
+        ]
+    return {
+        "format": FORMAT,
         "params": {"d": x.params.d, "k": x.params.k},
         "vertex_colors": list(x.vertex_colors),
         "cells": cells,
-        "ordering": None
-        if x.ordering is None
-        else [
-            {"cell": _mid_json(mid), "cycle": [_mid_json(m) for m in cyc]}
-            for mid, cyc in sorted(x.ordering.items())
-        ],
+        "ordering": ordering,
         "root": None if x.root is None else _mid_json(x.root),
         "boundary": [_mid_json(m) for m in sorted(x.boundary)],
     }
-    return doc
 
 
 def to_json(x: MComplex) -> str:
-    return json.dumps(to_json_dict(x), indent=1) + "\n"
+    """x as one line of compact mcomplex/2 JSON.  Each color set J with
+    |J| >= 2 gets a column of vertex ids and a column of facet indices,
+    n_J·|J| ints each: cell i drops J[p] to (J minus J[p], faces[i·|J|+p]).
+    Each color set of size d gets the cycles of its (d-1)-cells as lists
+    of top indices.  The module docstring has the full layout.  Written
+    without indentation, so `json` runs its C encoder.  `from_json` reads
+    this and the older mcomplex/1 (one record per cell), which nothing
+    writes any more."""
+    return json.dumps(to_json_dict(x), separators=(",", ":")) + "\n"
+
+
+def _columns_from_v1(doc: dict) -> dict:
+    """The mcomplex/2 document holding the same complex as an mcomplex/1
+    one, whose cells are records {colors, index, vertices, faces: {l: id}}
+    and whose ordering lists {cell: id, cycle: [id, ...]}.  A v1 document
+    that the columns cannot hold (indices not dense per color set, a facet
+    of the wrong colors, a cycle through a lower cell) raises ValueError."""
+    d = _params(doc).d
+    full = tuple(range(d + 1))
+    rows: dict[tuple[int, ...], list] = {}
+    for rec, where in _records(doc, "cells", "cell"):
+        colors = _colors(_field(rec, "colors", list, where), d, where)
+        vertices = _ints(_field(rec, "vertices", list, where), where)
+        faces = _field(rec, "faces", dict, where)
+        if len(vertices) != len(colors):
+            raise ValueError(f"{where}: {len(vertices)} vertices for {len(colors)} colors")
+        if set(faces) != set(map(str, colors)):
+            raise ValueError(f"{where}: facet keys {sorted(faces)} != colors {list(colors)}")
+        column = []
+        for l in colors:
+            sub, index = _mid_from_json(faces[str(l)], d, where)
+            if sub != tuple(c for c in colors if c != l):
+                raise ValueError(f"{where}: the facet dropping {l} has colors {list(sub)}")
+            column.append(index)
+        rows.setdefault(colors, []).append((_field(rec, "index", int, where), vertices, column))
+    cells = []
+    for colors in sorted(rows, key=lambda c: (len(c), c)):
+        group = sorted(rows[colors], key=lambda row: row[0])
+        if [row[0] for row in group] != list(range(len(group))):
+            raise ValueError(f"cell indices of colors {list(colors)} are not 0..{len(group) - 1}")
+        cells.append(
+            {
+                "colors": list(colors),
+                "vertices": [v for row in group for v in row[1]],
+                "faces": [f for row in group for f in row[2]],
+            }
+        )
+    ordering = None
+    if doc.get("ordering") is not None:
+        vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")
+        cycles: dict[tuple[int, ...], list] = {}
+        for rec, where in _records(doc, "ordering", "ordering"):
+            colors, index = _mid_from_json(_field(rec, "cell", list, where), d, where)
+            members = [_mid_from_json(m, d, where) for m in _field(rec, "cycle", list, where)]
+            if any(c != full for c, _ in members):
+                raise ValueError(f"{where}: the cycle lists a cell that is not a top cell")
+            if colors not in cycles:
+                n = len(rows.get(colors, ())) if len(colors) != 1 else vertex_colors.count(colors[0])
+                cycles[colors] = [None] * n
+            if not 0 <= index < len(cycles[colors]):
+                raise ValueError(f"{where}: no multicell {(colors, index)} to order")
+            cycles[colors][index] = [t for _, t in members]
+        ordering = [{"colors": list(c), "cycles": cycles[c]} for c in sorted(cycles)]
+    return {**doc, "format": FORMAT, "cells": cells, "ordering": ordering}
 
 
 def from_json_dict(doc: dict) -> MComplex:
-    """Read an mcomplex/1 document.  A document of the wrong shape raises a
-    ValueError naming the first missing or wrongly typed field."""
-    if not isinstance(doc, dict):
+    """Read an mcomplex/2 document, or an mcomplex/1 one through
+    `_columns_from_v1`.  A document of the wrong shape raises a one-line
+    ValueError naming the first missing or wrongly typed field; every
+    vertex, color, index and facet must be an int."""
+    if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
-    if doc.get("format") != "mcomplex/1":
-        raise ValueError("not an mcomplex/1 document")
-    params_rec = _field(doc, "params", dict, "complex")
-    params = Params(*(_field(params_rec, key, int, "params") for key in ("d", "k")))
-    vertex_colors = _field(doc, "vertex_colors", list, "complex")
+    if doc.get("format") == "mcomplex/1":
+        doc = _columns_from_v1(doc)
+    elif doc.get("format") != FORMAT:
+        raise ValueError(f"not an {FORMAT} or mcomplex/1 document")
+    params = _params(doc)
+    d = params.d
+    vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")
     cells: dict[tuple[int, ...], list[Multicell]] = {}
     for rec, where in _records(doc, "cells", "cell"):
-        colors = tuple(_field(rec, "colors", list, where))
-        faces = _field(rec, "faces", dict, where)
-        cell = Multicell(
-            colors,
-            _field(rec, "index", int, where),
-            tuple(_field(rec, "vertices", list, where)),
-            {int(l): _mid_from_json(fid) for l, fid in faces.items()},
-        )
-        cells.setdefault(colors, []).append(cell)
-    for lst in cells.values():
-        lst.sort(key=lambda c: c.index)
-    ordering = None
-    if doc.get("ordering") is not None:
-        ordering = {
-            _mid_from_json(_field(rec, "cell", list, where)): tuple(
-                _mid_from_json(m) for m in _field(rec, "cycle", list, where)
+        colors = _colors(_field(rec, "colors", list, where), d, where)
+        size = len(colors)
+        if size < 2:
+            raise ValueError(f"{where}: a cell record needs two colors or more, got {list(colors)}")
+        if colors in cells:
+            raise ValueError(f"{where}: a second record for colors {list(colors)}")
+        vertices = _ints(_field(rec, "vertices", list, where), f"{where}: vertices")
+        faces = _ints(_field(rec, "faces", list, where), f"{where}: faces")
+        if len(vertices) % size or len(faces) != len(vertices):
+            raise ValueError(
+                f"{where}: vertices and faces need {size} entries per cell, "
+                f"got {len(vertices)} and {len(faces)}"
             )
-            for rec, where in _records(doc, "ordering", "ordering")
-        }
-    root = None if doc.get("root") is None else _mid_from_json(doc["root"])
+        subs = [tuple(c for c in colors if c != l) for l in colors]
+        rows = zip(zip(*[iter(vertices)] * size), zip(*[iter(faces)] * size))
+        cells[colors] = [
+            Multicell(colors, i, vs, dict(zip(colors, zip(subs, fs))))
+            for i, (vs, fs) in enumerate(rows)
+        ]
+    root = None if doc.get("root") is None else _mid_from_json(doc["root"], d, "root")
     boundary = _field(doc, "boundary", list, "complex") if "boundary" in doc else []
-    return MComplex(
-        params, vertex_colors, cells, ordering, root, frozenset(map(_mid_from_json, boundary))
-    )
+    boundary = frozenset(_mid_from_json(m, d, "boundary") for m in boundary)
+    x = MComplex(params, vertex_colors, cells, None, root, boundary)
+    if doc.get("ordering") is not None:
+        full = tuple(params.colors)
+        x.ordering = {}
+        seen = set()
+        for rec, where in _records(doc, "ordering", "ordering"):
+            colors = _colors(_field(rec, "colors", list, where), d, where)
+            cycles = _field(rec, "cycles", list, where)
+            n = len(x.cells.get(colors, ()))
+            if len(colors) != d:
+                raise ValueError(f"{where}: ordered cells have {d} colors, got {list(colors)}")
+            if colors in seen:
+                raise ValueError(f"{where}: a second record for colors {list(colors)}")
+            if len(cycles) != n:
+                raise ValueError(
+                    f"{where}: {len(cycles)} cycles for the {n} cells of colors {list(colors)}"
+                )
+            seen.add(colors)
+            for i, cyc in enumerate(cycles):
+                if cyc is not None:
+                    members = _ints(cyc, f"{where}: cycle {i}")
+                    x.ordering[(colors, i)] = tuple((full, t) for t in members)
+    return x
 
 
 def from_json(text: str) -> MComplex:

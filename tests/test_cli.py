@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,15 +84,22 @@ MALFORMED = {
     "vertex-colors-int": _set("vertex_colors", 3),
     "cell-not-object": lambda doc: doc["cells"].__setitem__(0, 0),
     "cell-no-colors": _drop_from_cell("colors"),
-    "cell-no-index": _drop_from_cell("index"),
+    # the index of a cell is its position: a column cut short leaves it undefined
+    "cell-no-index": lambda doc: doc["cells"][0]["vertices"].pop(),
     "cell-no-vertices": _drop_from_cell("vertices"),
     "cell-no-faces": _drop_from_cell("faces"),
-    "cell-bad-face-id": lambda doc: doc["cells"][0]["faces"].__setitem__("0", [[1]]),
+    "cell-bad-face-id": lambda doc: doc["cells"][0]["faces"].__setitem__(0, "0"),
+    "cell-face-id-nested-list": lambda doc: doc["cells"][0]["faces"].__setitem__(0, [[1]]),
+    "cell-vertex-nested-list": lambda doc: doc["cells"][0]["vertices"].__setitem__(0, [0]),
+    "cell-vertex-bool": lambda doc: doc["cells"][0]["vertices"].__setitem__(0, False),
+    "vertex-color-nested-list": lambda doc: doc["vertex_colors"].__setitem__(2, [1]),
+    "cell-colors-unsorted": lambda doc: doc["cells"][0].__setitem__("colors", [1, 0]),
+    "cell-colors-out-of-range": lambda doc: doc["cells"][0].__setitem__("colors", [0, 3]),
     "ordering-int": _set("ordering", 5),
     "ordering-record-not-object": lambda doc: doc["ordering"].__setitem__(0, 0),
-    "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycle"),
-    "ordering-cycle-int": lambda doc: doc["ordering"][0].__setitem__("cycle", 5),
-    "ordering-bad-cell-id": lambda doc: doc["ordering"][0].__setitem__("cell", [0]),
+    "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycles"),
+    "ordering-cycle-int": lambda doc: doc["ordering"][0]["cycles"].__setitem__(0, 5),
+    "ordering-bad-cell-id": lambda doc: doc["ordering"][0].__setitem__("colors", [0]),
     "root-int": _set("root", 5),
     "boundary-int": _set("boundary", 5),
     "boundary-bad-id": _set("boundary", [5]),
@@ -116,7 +124,7 @@ def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
 def _dangling_simplex():
     doc = to_json_dict(single_simplex(Params(2, 2)))
     triangle = next(cell for cell in doc["cells"] if cell["colors"] == [0, 1, 2])
-    triangle["faces"]["2"] = [[0, 1], 5]
+    triangle["faces"][2] = 5  # the facet that drops color 2 becomes ((0, 1), 5)
     return doc
 
 
@@ -138,10 +146,11 @@ def test_analyze_gluing_error_is_one_line(tmp_path, capsys, case):
     make, expected = GLUING_ERRORS[case]
     path = tmp_path / "glued.json"
     path.write_text(json.dumps(make()))
-    assert run(["analyze", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [expected]
+    for command in ("analyze", "spectra"):
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [expected]
 
 
 def test_non_coxeter_involutions_are_one_error_line(tmp_path, capsys):
@@ -155,15 +164,16 @@ def test_non_coxeter_involutions_are_one_error_line(tmp_path, capsys):
 
 
 def _shorten_first_cycle(doc):
-    doc["ordering"][0]["cycle"] = doc["ordering"][0]["cycle"][:1]
+    cycles = doc["ordering"][0]["cycles"]
+    cycles[0] = cycles[0][:1]
 
 
 def _edit_first_cycle(doc):
-    doc["ordering"][0]["cycle"][1:] = [[[0, 1, 2], 5], [[0, 1, 2], 1]]
+    doc["ordering"][0]["cycles"][0][1:] = [5, 1]
 
 
 def _repeat_in_first_cycle(doc):
-    doc["ordering"][0]["cycle"].insert(0, [[0, 1, 2], 0])
+    doc["ordering"][0]["cycles"][0].insert(0, 0)
 
 
 LCC_INPUT_ERRORS = {
@@ -197,6 +207,80 @@ def test_lcc_input_error_is_one_line(tmp_path, capsys, case):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
+    assert run(["lcc", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and problem in lines[0], lines
+
+
+# An mcomplex/1 file of the (2,2) M-subgroup quotient, one record per cell,
+# and the edits that the cases above made to that shape before the columns.
+V1_FILE = Path(__file__).parent / "data" / "quotient-m22.mcomplex1.json"
+
+
+def _set_face_0(value):
+    return lambda doc: doc["cells"][0]["faces"].__setitem__("0", value)
+
+
+V1_MALFORMED = {
+    "cell-no-index": _drop_from_cell("index"),
+    "cell-bad-face-id": _set_face_0([[1]]),
+    "cell-face-id-nested-list": _set_face_0([[[1]], 0]),
+    "cell-face-wrong-colors": _set_face_0([[0], 0]),
+    "cell-vertex-nested-list": lambda doc: doc["cells"][0]["vertices"].__setitem__(0, [0]),
+    "vertex-color-nested-list": lambda doc: doc["vertex_colors"].__setitem__(2, [1]),
+    "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycle"),
+    "ordering-cycle-int": lambda doc: doc["ordering"][0].__setitem__("cycle", 5),
+    "ordering-bad-cell-id": lambda doc: doc["ordering"][0].__setitem__("cell", [0]),
+    "ordering-cell-no-colors": lambda doc: doc["ordering"][0].__setitem__("cell", [[], 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V1_MALFORMED))
+def test_malformed_v1_json_is_one_error_line(tmp_path, capsys, case):
+    doc = json.loads(V1_FILE.read_text())
+    assert doc["format"] == "mcomplex/1"
+    V1_MALFORMED[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "lcc", "spectra"):
+        assert run([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+V1_LCC_INPUT_ERRORS = {
+    "ordering-record-removed": (
+        lambda doc: doc["ordering"].pop(0),
+        "the facet ((0, 1), 0) has no ordering cycle",
+    ),
+    "cycle-lists-one-coface": (
+        lambda doc: doc["ordering"][0].__setitem__("cycle", doc["ordering"][0]["cycle"][:1]),
+        "the ordering cycle of the facet ((0, 1), 0) leaves out its coface ((0, 1, 2), 1)",
+    ),
+    "cycle-lists-a-stranger": (
+        lambda doc: doc["ordering"][0]["cycle"].__setitem__(
+            slice(1, None), [[[0, 1, 2], 5], [[0, 1, 2], 1]]
+        ),
+        "the ordering cycle of the facet ((0, 1), 0) lists ((0, 1, 2), 5), not a coface",
+    ),
+    "cycle-repeats-a-coface": (
+        lambda doc: doc["ordering"][0]["cycle"].insert(0, [[0, 1, 2], 0]),
+        "the ordering cycle of the facet ((0, 1), 0) lists a coface twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V1_LCC_INPUT_ERRORS))
+def test_v1_lcc_input_error_is_one_line(tmp_path, capsys, case):
+    edit, problem = V1_LCC_INPUT_ERRORS[case]
+    doc = json.loads(V1_FILE.read_text())
+    edit(doc)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
     assert run(["lcc", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

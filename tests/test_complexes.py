@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 from itertools import permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_rep
@@ -265,6 +267,57 @@ def test_json_round_trip_stable():
         x = build_quotient(seeded_rep(2, 3, 9, seed)).complex
         text = to_json(x)
         assert to_json(from_json(text)) == text
+
+
+def assert_round_trip(x: MComplex) -> None:
+    text = to_json(x)
+    again = from_json(text)
+    assert to_json(again) == text
+    assert validate_structure(again).ok
+
+
+JSON_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@JSON_PROPERTY
+@given(
+    d=st.integers(1, 3),
+    k=st.integers(2, 4),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    merges=st.lists(st.integers(0, 10**6), max_size=2),
+)
+def test_json_round_trip_of_quotients(d, k, m, seed, merges):
+    """Seeded quotients on m*k points, with 0-2 vertex identifications
+    where d >= 2 allows them."""
+    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    for pick in merges:
+        colors = [c for c in range(d + 1) if x.vertex_colors.count(c) >= 2]
+        assume(d >= 2 and colors)
+        vs = [v for v in range(x.n_vertices) if x.vertex_colors[v] == colors[pick % len(colors)]]
+        x = merge_vertices(x, vs[pick % len(vs)], vs[(pick + 1) % len(vs)])
+    assert_round_trip(x)
+
+
+@JSON_PROPERTY
+@given(d=st.integers(1, 3), k=st.integers(2, 4), radius=st.integers(0, 2), cosets=st.booleans())
+def test_json_round_trip_of_balls(d, k, radius, cosets):
+    ball = (ball_from_cosets if cosets else build_ball)(Params(d, k), radius)
+    assert ball.complex.boundary  # the cut-off facets are written too
+    assert_round_trip(ball.complex)
+
+
+V1_FILE = Path(__file__).parent / "data" / "quotient-m22.mcomplex1.json"
+
+
+def test_v1_file_reads_as_its_v2_text():
+    """An mcomplex/1 file of the (2,2) M-subgroup quotient reads to the
+    complex that `build_quotient` makes, written back as mcomplex/2."""
+    text = V1_FILE.read_text()
+    assert json.loads(text)["format"] == "mcomplex/1"
+    x = from_json(text)
+    assert validate_structure(x).ok
+    assert to_json(x) == to_json(build_quotient(m_subgroup_rep(Params(2, 2))).complex)
 
 
 def impure_simplex() -> MComplex:

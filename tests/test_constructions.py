@@ -6,7 +6,11 @@ before the four constructions were rewritten as adapters over one
 class-assembly routine.  A mismatch means the JSON changed: cell order,
 indices, faces, ordering cycles, root or boundary.  The seeded cases and
 `lcc-merge-fixture-1` draw their reps from the sampler, so their digests
-were re-recorded when the sampler's random stream changed.
+were re-recorded when the sampler's random stream changed.  The twelve
+JSON digests were re-recorded once more when complex files became the
+mcomplex/2 columns: each new text is what the new `to_json` writes for
+the complex read back from the old mcomplex/1 text, so the complexes
+themselves did not change.
 """
 
 from __future__ import annotations
@@ -52,20 +56,20 @@ CASES = {
 
 DIGESTS = {
     "analyze-seeded-2-3-15": "8d060e52e5ffec691259cc5cdb994373575fbe80aa5640bbac6c5cddf8424bea",
-    "ball-2-3-r3": "69e72d18a804f4154fcd1af1b6d5e1b0446b20dcc887ee76e218f5b58c8be657",
-    "coset-ball-2-3-r3": "f41fdf779db9048850d647be593f1a99b684dc601f29130a3f1b78ec886b5c72",
-    "coxeter-B2": "47a2b264676216199551105b8d79d152e989813340cb747d2c56a2fcc4105e4f",
-    "coxeter-S3": "ffa25644dfa8e9d64eff5d6d71714fcf8a87a91ccd5c77cd404e5b683c86e0bf",
-    "flag-3-2-ordered": "3c5d2e7dc98aab749aad22a577c8c12271095a92f57c4772f78c19f18365b81b",
+    "ball-2-3-r3": "20f096b2fe6e897f9e7e5d1c3319b5b1930d1abaf1c7f6851083a3e9bf8abf1e",
+    "coset-ball-2-3-r3": "af7f9326c9576e9adabdedd38367ddeeb0f7fc411aa1ed5ef23afcbd7f7d01bc",
+    "coxeter-B2": "d64ebe577d4d7c497f13e095d2ee50fe0bb2f94020ddec665b5fb298f1d74438",
+    "coxeter-S3": "d7dff7b328dbf920caa103954700fa141d3b4ecf6a51171643df367406f06819",
+    "flag-3-2-ordered": "8d788f12112891abbf51bd2b0a37ff91c4e85ee9dac052c2b8bfc3c7c81c895a",
     # the cover of a merged quotient is the unmerged quotient: this is the
     # digest of to_json(_merge_fixture(1)[0]), the quotient before merging
-    "lcc-merge-fixture-1": "e37d69f51af25ba0f4bf0631ebb7bdc4356c9669181a95d92800a85cf0bca4e0",
-    "quotient-m23": "24f5e65475bdb9ad7eda2d4e645ca895c14e017ff233504e67501343f752f8db",
-    "quotient-m32": "a23b701f3cec535cdb4a1e673e38512ed505154dbedf5912ae3af57ffbae24f8",
-    "quotient-seeded-1-3-12": "69dd4e3cff82c5b33154cc7f5148072555172ec7934a1f9b52b7db1ba8992d0b",
-    "quotient-seeded-2-3-15": "8bd0f889da6abb061e5d13f517066fe7a53e801861a5ddf20bb6fbf9cdb7bd3c",
-    "quotient-seeded-3-2-10": "b7e2e4d971817cbd46640e57a787e90a75f8c4b463c87858868467f74270f5c2",
-    "wedge": "c980556c871a80a5720f094cb1ba8ef33d8fbb6bb99decfeffdb64e753852981",
+    "lcc-merge-fixture-1": "33279c0932cc4bb29646345db72b5c5b66d8b883eb6855b61fb3eddddadc3144",
+    "quotient-m23": "22b4808776b3ab3adb60e7072344bc9943e1d791b1296b38bd7edb7addbcca59",
+    "quotient-m32": "058cc45dce859d214b5a73dab1ec29305d94c0e3273bff03242b4b2d9105363e",
+    "quotient-seeded-1-3-12": "8fee3cced64d8507ad8bd0a8eb4f9121c245931256c9562f0d283921df95f3fc",
+    "quotient-seeded-2-3-15": "e4195e076482d3f06ec4e892870aa6a8f95de1bba0f8924c920e52b1a4b6f528",
+    "quotient-seeded-3-2-10": "1083a3e13697ef0353bac630d65c4e3fc348e6b4e3f419fefa33d433c25df4b7",
+    "wedge": "c78a333f3cb17aab32464f1ed50e5f5d20078b0ac26dab47474aa0a8e0b1424e",
 }
 
 
