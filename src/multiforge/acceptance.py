@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable
 from .complexes import (
     MComplex,
     check_morphism,
+    extend_down,
     find_isomorphism,
     is_link_connected,
     is_surjective,
@@ -379,21 +380,8 @@ def crit_14_common_cover() -> str:
         q3 = build_quotient(r3)
         for side, r in ((0, r1), (1, r2)):
             q = build_quotient(r)
-            f = {}
-            for colors, part in q3.partitions.items():
-                target = q.partitions[colors]
-                for orbit_id, rep_point in enumerate(part.reps):
-                    source = q3.complex.cells[colors][orbit_id].mid if len(colors) >= 2 else None
-                    image_orbit = target.class_ids[pairs[rep_point][side]]
-                    if len(colors) >= 2:
-                        f[source] = (colors, image_orbit)
-                    else:
-                        mid = q3.complex.vertex_cell(
-                            q3.complex.cells[colors][orbit_id].vertices[0]
-                        )
-                        f[mid] = q.complex.vertex_cell(
-                            q.complex.cells[colors][image_orbit].vertices[0]
-                        )
+            f = {q3.point_cell[p]: q.point_cell[pair[side]] for p, pair in enumerate(pairs)}
+            assert extend_down(f, q3.complex, q.complex, list(f)) is None, (d, k, n, side)
             assert check_morphism(f, q3.complex, q.complex), (d, k, n, side)
             assert is_surjective(f, q.complex), (d, k, n, side)
     return "5 pairs: diagonal intersection covers both factors via checked epimorphisms"

@@ -174,6 +174,8 @@ def cmd_gallery(args) -> int:
             for ln in _read(args.gens).splitlines()
             if ln.strip() and not ln.lstrip().startswith("#")
         ]
+        if not lines:
+            raise ValueError("the generator file is empty: expected the degree line")
         degree = int(lines[0])
         gens = [parse_permutation(ln, degree) for ln in lines[1:]]
         x, rep = coxeter_complex(gens)

@@ -343,77 +343,66 @@ EMPTY_CELL: MId = ((), 0)  # sentinel for the unique (-1)-multicell
 def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     """The link of a multicell, plus the map link-multicell -> original.
 
-    Link vertices are the cofaces of `mid` one dimension up (multiplicity of
-    the link's 0-cells is removed by that re-indexing); colors are re-mapped
-    onto 0..d-|colors(mid)| in the order of the surviving original colors.
-    The link of the empty multicell is the complex itself.  Assumes a
-    consistent complex: link facets are read off the original facets.
+    The link of σ is the class complex of the top cells above σ: a top's
+    class under link color set J is its face of colors colors(σ) ∪ rest[J],
+    where `rest` lists the colors outside σ in ascending order.  So the
+    link vertices are the cofaces of σ one dimension up, and link color t
+    is the original color rest[t].  Ordering cycles, boundary flags and the
+    root carry over verbatim through the class map.  The link of the empty
+    multicell is the complex itself.
     """
     if mid == EMPTY_CELL:
         clone = from_json_dict(to_json_dict(x))
         return clone, {c.mid: c.mid for c in clone.multicells()}
-    base = x.cell(mid)
-    own = set(base.colors)
-    rest = [c for c in range(x.d + 1) if c not in own]
-    color_map = {c: t for t, c in enumerate(rest)}
-    d_link = x.d - len(base.colors)
-    if d_link < 1:
+    own = x.cell(mid).colors
+    rest = [c for c in x.params.colors if c not in own]
+    if len(rest) < 2:
         raise ValueError(
             "links are built for multicells of dimension <= d-2; "
             "the cofaces of a (d-1)-multicell are available via delta()"
         )
-
-    members = x.up_set(mid)
-    by_extra: dict[tuple[int, ...], list[MId]] = {}
-    for m in members:
-        extra = tuple(sorted(set(m[0]) - own))
-        by_extra.setdefault(extra, []).append(m)
-    for lst in by_extra.values():
-        lst.sort()
-
-    # link vertices = cofaces one dimension up, grouped by remapped color
-    vert_orig: list[MId] = []
-    for c in rest:
-        vert_orig.extend(by_extra.get((c,), []))
-    vertex_colors = [color_map[next(iter(set(m[0]) - own))] for m in vert_orig]
-    orig_to_vid = {m: v for v, m in enumerate(vert_orig)}
-
-    link_id: dict[MId, MId] = {}
-    back: dict[MId, MId] = {}
-    for v, m in enumerate(vert_orig):
-        lid = (
-            (vertex_colors[v],),
-            sum(1 for u in range(v) if vertex_colors[u] == vertex_colors[v]),
-        )
-        link_id[m] = lid
-        back[lid] = m
-
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for extra, lst in sorted(by_extra.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        if len(extra) < 2:
-            continue
-        new_colors = tuple(color_map[c] for c in extra)
-        cells[new_colors] = []
-        for m in lst:
-            vids = tuple(orig_to_vid[x.face(m, own | {c})] for c in extra)
-            faces = {color_map[c]: link_id[x.cell(m).faces[c]] for c in extra}
-            cell = Multicell(new_colors, len(cells[new_colors]), vids, faces)
-            cells[new_colors].append(cell)
-            link_id[m] = cell.mid
-            back[cell.mid] = m
-
-    ordering = None
-    if x.ordering is not None:
-        ordering = {}
-        for m in members:
-            if len(m[0]) == x.d and m in x.ordering:
-                ordering[link_id[m]] = tuple(link_id[t] for t in x.ordering[m])
-    boundary = frozenset(
-        link_id[m] for m in members if m in x.boundary and len(m[0]) == x.d
+    tops = [m for m in x.up_set(mid) if len(m[0]) == x.d + 1]
+    if not tops:
+        raise ValueError(f"{mid} lies in no top cell")
+    lk, to_link = _class_complex(
+        x, tops, lambda top, cs: x.face(top, own + tuple(rest[j] for j in cs)), rest, None
     )
-    root = link_id.get(x.root)
-    lk = MComplex(Params(d_link, x.params.k), vertex_colors, cells, ordering, root, boundary)
-    return lk, back
+    return lk, {m: orig for orig, m in to_link.items()}
+
+
+def _class_complex(
+    x: MComplex,
+    tops: list[MId],
+    key: Callable[[MId, tuple[int, ...]], Hashable],
+    colors: Sequence[int],
+    vertex_colors: list[int] | None,
+) -> tuple[MComplex, dict[MId, MId]]:
+    """`complex_from_classes` of the top cells `tops` of x, its color t
+    standing for x's color colors[t], with x's ordering cycles, boundary
+    flags and root (of any dimension) carried over verbatim through the
+    class map.  Returns the complex and the class map, which takes each
+    face of a top in `tops` that keeps the colors outside `colors` to its
+    class, found by walking down both complexes side by side."""
+    y, top_mid = complex_from_classes(
+        Params(len(colors) - 1, x.params.k), tops, key, tops[0], vertex_colors=vertex_colors
+    )
+    f = dict(zip(tops, top_mid))
+    frontier = tops
+    while frontier:
+        below = []
+        for a in frontier:
+            faces = x.cell(a).faces
+            for l, b in y.cell(f[a]).faces.items():
+                facet = faces[colors[l]]
+                if facet not in f:
+                    f[facet] = b
+                    below.append(facet)
+        frontier = below
+    if x.ordering is not None:
+        y.ordering = {f[m]: tuple(f[t] for t in cyc) for m, cyc in x.ordering.items() if m in f}
+    y.boundary = frozenset(f[m] for m in x.boundary if m in f)
+    y.root = f.get(x.root)
+    return y, f
 
 
 # -- nerve ----------------------------------------------------------------------
@@ -450,12 +439,7 @@ def base_complex(x: MComplex) -> frozenset:
 
 # -- morphisms -------------------------------------------------------------------
 
-def check_morphism(
-    f: dict[MId, MId],
-    x: MComplex,
-    y: MComplex,
-    require_root: bool = True,
-) -> Diagnostics:
+def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     """Verify f is a simplicial multimap preserving coloring, gluing, the
     root and the ordering.  Ordering equivariance is skipped at multicells
     flagged as boundary in the domain (radius-truncated complexes)."""
@@ -491,11 +475,10 @@ def check_morphism(
         for l, fid in cell.faces.items():
             if f[fid] != icell.faces[l]:
                 msgs.append(f"{cell.mid}: gluing not preserved at dropped color {l}")
-    if require_root:
-        if x.root is None or y.root is None:
-            msgs.append("root missing on one side")
-        elif f[x.root] != y.root:
-            msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
+    if x.root is None or y.root is None:
+        msgs.append("root missing on one side")
+    elif f[x.root] != y.root:
+        msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
         for cell in x.multicells(x.d - 1):
             if cell.mid in x.boundary:
@@ -621,17 +604,19 @@ def complex_from_classes(
     vertex_colors: list[int] | None = None,
 ) -> tuple[MComplex, list[MId]]:
     """The complex whose multicells of color set J are the classes of the
-    top objects under `key(top, J)`: the construction shared by quotients,
-    coset balls, Coxeter complexes and simplicial input.
+    top objects under `key(top, J)`: the one construction behind quotients,
+    coset balls, Coxeter complexes, simplicial input, links and vertex
+    merges.
 
     Classes are indexed per color set in order of first appearance among
     `tops`, and a cell's vertices and faces are read off its first top.
     Vertices are numbered color by color in that order, unless
     `vertex_colors` is given, in which case the key of a top under a single
-    color is its vertex id.  `step(top, i)` is the generator move along the
-    coface cycle of the facet missing color i; a cycle that steps outside
-    (None) marks its facet as boundary.  Without `step` each cycle lists
-    the cofaces in id order.  Returns the complex and each top's multicell.
+    color is its vertex id.  The root is the class of `root`.  `step(top, i)`
+    is the generator move along the coface cycle of the facet missing color
+    i; a cycle that steps outside (None) marks its facet as boundary.
+    Without `step` the complex is left unordered, for the caller to order.
+    Returns the complex and each top's multicell.
     """
     full = tuple(params.colors)
     color_sets = [cs for size in range(1, len(full) + 1) for cs in combinations(full, size)]
@@ -659,10 +644,13 @@ def complex_from_classes(
         vert = {c: list(index[(c,)]) for c in full}
     x = MComplex(params, vertex_colors, {})
 
+    # one id tuple per cell, shared by every reference to it
+    mids = {cs: [(cs, i) for i in range(len(first[cs]))] for cs in color_sets[len(full):]}
+
     def face_of(ids: list[int], sub: tuple[int, ...]) -> MId:
         if len(sub) == 1:
             return x.vertex_cell(vert[sub[0]][ids[pos[sub]]])
-        return (sub, ids[pos[sub]])
+        return mids[sub][ids[pos[sub]]]
 
     for cs in color_sets[len(full):]:
         drops = [(l, tuple(c for c in cs if c != l)) for l in cs]
@@ -676,24 +664,23 @@ def complex_from_classes(
             for idx, t in enumerate(first[cs])
         ]
 
-    top_mid = [(full, ids[-1]) for ids in top_ids]
+    top_mid = [mids[full][ids[-1]] for ids in top_ids]
+    x.root = (full, index[full][key(root, full)])
+    if step is None:
+        return x, top_mid
     x.ordering, boundary = {}, set()
     for cs in color_sets[-len(full) - 1 : -1]:
         i = next(c for c in full if c not in cs)
         for t in first[cs]:
             mid = face_of(top_ids[t], cs)
-            if step is None:
-                x.ordering[mid] = tuple(sorted(m for m, _ in x.delta(mid)))
-                continue
             cyc, nxt = [top_mid[t]], step(tops[t], i)
-            while nxt is not None and (m := (full, index[full][key(nxt, full)])) != cyc[0]:
+            while nxt is not None and (m := mids[full][index[full][key(nxt, full)]]) != cyc[0]:
                 cyc.append(m)
                 nxt = step(nxt, i)
             if nxt is None:
                 boundary.add(mid)
             x.ordering[mid] = tuple(cyc)
     x.boundary = frozenset(boundary)
-    x.root = (full, index[full][key(root, full)])
     return x, top_mid
 
 
@@ -716,9 +703,9 @@ def from_simplicial(
     def key(by_color: dict[int, int], cs: tuple[int, ...]):
         return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
 
-    return complex_from_classes(
-        params, tops, key, tops[root_top], vertex_colors=vertex_colors
-    )[0]
+    x = complex_from_classes(params, tops, key, tops[root_top], vertex_colors=vertex_colors)[0]
+    x.ordering = {c.mid: tuple(sorted(m for m, _ in x.delta(c.mid))) for c in x.multicells(x.d - 1)}
+    return x
 
 
 def single_simplex(params: Params) -> MComplex:
@@ -729,44 +716,25 @@ def single_simplex(params: Params) -> MComplex:
 def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
     """Identify two same-color vertices (the classical way to leave the
     link-connected world without changing the line graph).  d >= 2 only,
-    since in dimension one the ordering lives on vertices."""
+    since in dimension one the ordering lives on vertices.
+
+    The merge is the class complex of all top cells in id order, classed
+    by their faces, with `v_keep` and `v_gone` in one vertex class; the
+    other vertices keep their order.  Ordering cycles, boundary flags and
+    the root carry over verbatim through the class map."""
     if x.d < 2:
         raise ValueError("vertex identification requires d >= 2")
     if x.vertex_colors[v_keep] != x.vertex_colors[v_gone] or v_keep == v_gone:
         raise ValueError("need two distinct vertices of the same color")
-    relabel = {}
-    new_colors = []
-    for v, c in enumerate(x.vertex_colors):
-        if v == v_gone:
-            continue
-        relabel[v] = len(new_colors)
-        new_colors.append(c)
+    relabel = [v - (v > v_gone) for v in range(x.n_vertices)]
     relabel[v_gone] = relabel[v_keep]
 
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
-    for colors in x.cells:
-        if len(colors) < 2:
-            continue
-        cells[colors] = []
-        for cell in x.cells[colors]:
-            verts = tuple(relabel[v] for v in cell.vertices)
-            faces = {}
-            for l, fid in cell.faces.items():
-                if len(fid[0]) == 1:
-                    faces[l] = None  # fixed after vertex table exists
-                else:
-                    faces[l] = fid
-            cells[colors].append(Multicell(cell.colors, cell.index, verts, faces))
-    out = MComplex(x.params, new_colors, cells, dict(x.ordering or {}), x.root, x.boundary)
-    for colors, lst in out.cells.items():
-        if len(colors) != 2:
-            continue
-        for cell in lst:
-            for pos, l in enumerate(cell.colors):
-                keep_pos = 1 - pos
-                cell.faces[l] = out.vertex_cell(cell.vertices[keep_pos])
-    out.invalidate_caches()
-    return out
+    def key(top: MId, cs: tuple[int, ...]) -> Hashable:
+        return relabel[x.cell(top).vertices[cs[0]]] if len(cs) == 1 else x.face(top, cs)
+
+    tops = [c.mid for c in x.multicells(x.d)]
+    colors = x.vertex_colors[:v_gone] + x.vertex_colors[v_gone + 1 :]
+    return _class_complex(x, tops, key, x.params.colors, colors)[0]
 
 
 # -- serialization --------------------------------------------------------------

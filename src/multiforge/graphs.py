@@ -31,26 +31,11 @@ class Multigraph:
     def sort_edges(self) -> None:
         self.edges.sort(key=lambda e: (e[0], e[1], repr(e[2])))
 
-    def degree(self, v: int, loop_weight: int = 1) -> int:
-        """Incident edge count; loops contribute `loop_weight` (the appendix
-        matching convention counts them once)."""
-        total = 0
-        for u, w, _ in self.edges:
-            if u == v and w == v:
-                total += loop_weight
-            elif u == v or w == v:
-                total += 1
-        return total
+    def edge_multiset(self) -> list:
+        return sorted((u, v, repr(l)) for u, v, l in self.edges)
 
-    def edge_multiset(self, with_labels: bool = True) -> list:
-        if with_labels:
-            return sorted((u, v, repr(l)) for u, v, l in self.edges)
-        return sorted((u, v) for u, v, _ in self.edges)
-
-    def same_as(self, other: "Multigraph", with_labels: bool = True) -> bool:
-        return self.n == other.n and self.edge_multiset(with_labels) == other.edge_multiset(
-            with_labels
-        )
+    def same_as(self, other: "Multigraph") -> bool:
+        return self.n == other.n and self.edge_multiset() == other.edge_multiset()
 
     def is_connected(self) -> bool:
         if self.n <= 1:
@@ -380,9 +365,7 @@ def check_decomposition(g: Multigraph, factors: list[Factor], k: int) -> bool:
     return sorted(used) == list(range(len(g.edges))) and m + 2 * f == k
 
 
-def decompose_regular(
-    g: Multigraph, k: int, use_labels: bool = True
-) -> list[Factor] | None:
+def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
     """Partition the edges into m perfect matchings and f 2-factors with
     m + 2f = k, or report that none exists.
 
@@ -390,7 +373,7 @@ def decompose_regular(
     matchings for loopless bipartite graphs, Euler 2-factorization for even
     uniform degree, and exact backtracking otherwise.
     """
-    if use_labels and g.edges and all(e[2] is not None for e in g.edges):
+    if g.edges and all(e[2] is not None for e in g.edges):
         by_label: dict[object, set[int]] = {}
         for t, (_, _, label) in enumerate(g.edges):
             by_label.setdefault(repr(label), set()).add(t)
@@ -515,14 +498,34 @@ def format_multigraph(g: Multigraph) -> str:
 
 
 def parse_multigraph(text: str) -> Multigraph:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    g = Multigraph(int(lines[0].strip()))
-    for ln in lines[1:]:
+    """Read the text of `format_multigraph`: the vertex count n >= 0, then
+    one edge per line as two endpoints in 1..n and an optional
+    multiplicity >= 1.  Blank lines and `#` comments are skipped.  Raises
+    one ValueError naming the first malformed line."""
+    lines = [
+        (t, ln.strip())
+        for t, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+    if not lines:
+        raise ValueError("the graph file is empty: expected the vertex count")
+    t, head = lines[0]
+    if not head.isdecimal():
+        raise ValueError(f"line {t}: the vertex count must be an integer >= 0, got {head!r}")
+    g = Multigraph(int(head))
+    for t, ln in lines[1:]:
         parts = ln.split()
-        u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        mult = int(parts[2]) if len(parts) > 2 else 1
+        if 2 <= len(parts) <= 3 and all(p.isdecimal() for p in parts):
+            u, v, mult = map(int, (parts + ["1"])[:3])
+        else:
+            u = v = mult = 0
+        if not (1 <= u <= g.n and 1 <= v <= g.n and mult >= 1):
+            raise ValueError(
+                f"line {t}: an edge line holds two endpoints in 1..{g.n} "
+                f"and an optional multiplicity >= 1, got {ln!r}"
+            )
         for _ in range(mult):
-            g.add_edge(u, v)
+            g.add_edge(u - 1, v - 1)
     g.sort_edges()
     return g
 

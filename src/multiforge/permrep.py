@@ -72,7 +72,6 @@ class OrbitPartition:
     """Orbits of the points under the generators whose index lies outside
     the color set J.  Orbit ids are dense, ordered by minimal point."""
 
-    color_set: frozenset[int]
     class_ids: list[int]  # point -> orbit id
     reps: list[int]  # orbit id -> minimal point
 
@@ -178,7 +177,6 @@ def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition
 
     With |J| = j+1 these orbits are exactly the j-multicells of the quotient;
     J = all colors gives the discrete partition (points = top cells)."""
-    color_set = frozenset(color_set)
     complement = [i for i in range(rep.params.d + 1) if i not in color_set]
     uf = UnionFind(rep.n)
     for i in complement:
@@ -194,7 +192,7 @@ def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition
             root_to_id[r] = len(reps)
             reps.append(r)
         class_ids[p] = root_to_id[r]
-    return OrbitPartition(color_set, class_ids, reps)
+    return OrbitPartition(class_ids, reps)
 
 
 def stabilizer_contains(w: Word, rep: PermRep) -> bool:

@@ -118,23 +118,21 @@ def complex_is_simplicial(x: MComplex) -> bool:
 def intersection_property(rep: PermRep) -> bool:
     """For every color set J and point p, the intersection over i in J of
     the orbits of p under the generators other than i must equal the orbit
-    of p under the generators outside J."""
+    of p under the generators outside J.
+
+    The J-orbits refine each {i}-orbit with i in J, so the property holds
+    iff no two J-orbits lie in the same {i}-orbits for every i in J: iff
+    the J-orbits are as many as the distinct tuples (class of p under {i},
+    i in J) over the points.  Linear in the points per color set."""
     diag = validate(rep)
     if not diag.ok:
         raise ValueError("invalid rep: " + "; ".join(diag.messages))
     parts = orbit_partitions(rep)
-    members = {colors: part.members() for colors, part in parts.items()}
-    for colors, part in parts.items():
-        if len(colors) < 2:
-            continue
-        for p in range(rep.n):
-            meet = set(members[(colors[0],)][parts[(colors[0],)].class_ids[p]])
-            for i in colors[1:]:
-                meet &= set(members[(i,)][parts[(i,)].class_ids[p]])
-            own = set(members[colors][part.class_ids[p]])
-            if meet != own:
-                return False
-    return True
+    return all(
+        len(set(zip(*(parts[(i,)].class_ids for i in colors)))) == part.count
+        for colors, part in parts.items()
+        if len(colors) >= 2
+    )
 
 
 def is_upper_regular(rep: PermRep) -> bool:
@@ -240,22 +238,15 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
     return PermRep(x.params, len(tops), tuple(betas), pos[x.root])
 
 
-def coset_family(q: QuotientObject) -> dict[MId, frozenset[int]]:
-    """The point set of each vertex's orbit class, indexed by vertex cell;
-    its nerve is the base complex."""
-    fam: dict[MId, frozenset[int]] = {}
-    for c in range(q.rep.params.d + 1):
-        part = q.partitions[(c,)]
-        for orbit_id, pts in enumerate(part.members()):
-            vid = q.complex.cells[(c,)][orbit_id].vertices[0]
-            fam[q.complex.vertex_cell(vid)] = frozenset(pts)
-    return fam
-
-
 def nerve_matches_base(q: QuotientObject) -> bool:
-    fam = {vid: pts for vid, pts in coset_family(q).items()}
-    fam_by_vertex = {q.complex._cell_vertex[cid]: pts for cid, pts in fam.items()}
-    return nerve(fam_by_vertex) == base_complex(q.complex)
+    """The nerve of the coset family, the point set of each vertex's orbit
+    class keyed by vertex id, is the base complex."""
+    fam = {
+        q.complex.cells[(c,)][orbit_id].vertices[0]: pts
+        for c in q.rep.params.colors
+        for orbit_id, pts in enumerate(q.partitions[(c,)].members())
+    }
+    return nerve(fam) == base_complex(q.complex)
 
 
 def analyze(x: MComplex) -> str:

@@ -360,3 +360,40 @@ def test_rep_file_error_is_one_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [expected]
+
+
+EDGE_LINE = "an edge line holds two endpoints in 1..{n} and an optional multiplicity >= 1"
+
+GRAPH_ERRORS = {
+    "empty": ("", "error: the graph file is empty: expected the vertex count"),
+    "comments-only": ("# nothing\n\n", "error: the graph file is empty: expected the vertex count"),
+    "one-endpoint": ("3\n1\n", f"error: line 2: {EDGE_LINE.format(n=3)}, got '1'"),
+    "negative-vertex-count": ("-1\n", "error: line 1: the vertex count must be an integer >= 0, got '-1'"),
+    "vertex-count-not-integer": ("x\n", "error: line 1: the vertex count must be an integer >= 0, got 'x'"),
+    "negative-multiplicity": ("2\n1 2 -1\n", f"error: line 2: {EDGE_LINE.format(n=2)}, got '1 2 -1'"),
+    "zero-multiplicity": ("2\n1 2 0\n", f"error: line 2: {EDGE_LINE.format(n=2)}, got '1 2 0'"),
+    "endpoint-out-of-range": ("2\n# K2\n1 3\n", f"error: line 3: {EDGE_LINE.format(n=2)}, got '1 3'"),
+    "four-fields": ("2\n1 2 1 1\n", f"error: line 2: {EDGE_LINE.format(n=2)}, got '1 2 1 1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_ERRORS))
+def test_graph_file_error_is_one_line(tmp_path, capsys, case):
+    text, expected = GRAPH_ERRORS[case]
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run(["decompose", path, "--k", 1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]
+
+
+def test_empty_generator_file_is_one_line(tmp_path, capsys):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("# no generators\n")
+    assert run(["gallery", "coxeter", "--gens", gens]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the generator file is empty: expected the degree line"
+    ]

@@ -159,6 +159,14 @@ def test_link_of_root_vertex_in_ball():
     assert is_lower_path_connected(lk, 1)
 
 
+def test_link_of_cell_in_no_top_is_refused():
+    x = single_simplex(Params(3, 2))
+    x.cells[(0, 1)].append(Multicell((0, 1), 1, (0, 1), {0: ((1,), 0), 1: ((0,), 0)}))
+    x.invalidate_caches()
+    with pytest.raises(ValueError, match=r"\(\(0, 1\), 1\) lies in no top cell"):
+        link_with_map(x, ((0, 1), 1))
+
+
 def test_link_involution_matches_union():
     rep = seeded_rep(3, 2, 8, 33)
     x = build_quotient(rep).complex
@@ -260,6 +268,35 @@ def test_multiplicity_and_merge():
     assert merged.n_vertices == x.n_vertices - 1
     with pytest.raises(ValueError):
         merge_vertices(x, vs[0], vs[0])
+
+
+def test_merge_of_unordered_complex_stays_unordered():
+    x = flag_complex(4, 2)
+    assert x.ordering is None
+    merged = merge_vertices(x, 0, 1)
+    assert merged.ordering is None
+    assert validate_structure(merged).ok
+
+
+def test_rotated_boundary_cycle_survives_link_and_merge():
+    """A cycle that does not start at its smallest coface, on a facet
+    flagged as boundary, is carried over as it stands."""
+    x = build_quotient(m_subgroup_rep(Params(2, 3))).complex
+    facet = x.cell(((0, 1), 0))
+    cycle = x.ordering[facet.mid]
+    rotated = cycle[1:] + cycle[:1]
+    assert rotated != tuple(sorted(rotated))
+    x.ordering[facet.mid] = rotated
+    x.boundary = frozenset({facet.mid})
+
+    merged = merge_vertices(x, 6, 7)  # two vertices of color 2
+    assert merged.ordering[facet.mid] == rotated
+    assert merged.boundary == {facet.mid}
+
+    lk, back = link_with_map(x, x.vertex_cell(facet.vertices[0]))
+    (lid,) = [m for m, orig in back.items() if orig == facet.mid]
+    assert [back[m] for m in lk.ordering[lid]] == list(rotated)
+    assert lk.boundary == {lid}
 
 
 def test_json_round_trip_stable():

@@ -16,12 +16,13 @@ themselves did not change.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from conftest import seeded_rep
 from multiforge.acceptance import _merge_fixture
-from multiforge.complexes import from_simplicial, to_json
+from multiforge.complexes import from_simplicial, link_with_map, merge_vertices, to_json
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from multiforge.lcc import link_connected_cover
 from multiforge.quotient import analyze, build_quotient
@@ -77,3 +78,95 @@ DIGESTS = {
 def test_construction_bytes_unchanged(name):
     text = CASES[name]()
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+# -- links and vertex merges ----------------------------------------------------
+#
+# Each fixture contributes two digests: every link of a multicell of
+# dimension <= d-2 (in `multicells()` order, each with its map back to the
+# complex), and the merges of the first and last vertex of each color.  The
+# texts were recorded before links and merges became class complexes of the
+# top cells, and must not change, with one intended exception: a merge of an
+# unordered complex stays unordered and writes `"ordering":null` where it used
+# to write one record per color set with every cycle null.
+
+
+def _links_text(x) -> str:
+    out = []
+    for cell in x.multicells():
+        if cell.dim <= x.d - 2:
+            lk, back = link_with_map(x, cell.mid)
+            out.append(to_json(lk) + json.dumps(sorted(back.items())) + "\n")
+    return "".join(out)
+
+
+def _merges_text(x) -> str:
+    out = []
+    for c in x.params.colors:
+        vs = [v for v, col in enumerate(x.vertex_colors) if col == c]
+        if len(vs) >= 2:
+            out.append(to_json(merge_vertices(x, vs[0], vs[-1])))
+    return "".join(out)
+
+
+def _quotient(rep):
+    return lambda: build_quotient(rep()).complex
+
+
+LINK_MERGE_FIXTURES = {
+    "quotient-seeded-2-3-15": _quotient(lambda: seeded_rep(2, 3, 15, 17)),
+    "quotient-seeded-3-2-10": _quotient(lambda: seeded_rep(3, 2, 10, 29)),
+    "quotient-seeded-2-2-8": _quotient(lambda: seeded_rep(2, 2, 8, 300)),
+    "quotient-seeded-2-4-12": _quotient(lambda: seeded_rep(2, 4, 12, 5)),
+    "quotient-seeded-3-3-12": _quotient(lambda: seeded_rep(3, 3, 12, 2)),
+    "quotient-m23": _quotient(lambda: m_subgroup_rep(Params(2, 3))),
+    "quotient-m32": _quotient(lambda: m_subgroup_rep(Params(3, 2))),
+    "ball-2-3-r3": lambda: build_ball(Params(2, 3), 3).complex,
+    "coset-ball-2-3-r3": lambda: ball_from_cosets(Params(2, 3), 3).complex,
+    "ball-3-2-r2": lambda: build_ball(Params(3, 2), 2).complex,
+    "coxeter-S4": lambda: coxeter_complex([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])[0],
+    "flag-4-2-ordered": lambda: flag_complex(4, 2, ordered=True),
+    "flag-4-2": lambda: flag_complex(4, 2),
+    "wedge": lambda: from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)]),
+}
+
+LINK_MERGE_DIGESTS = {
+    "links-ball-2-3-r3": "607bfb4f3bfe101e5bdeab4448b32a8f38ff8ee8901593bc816bbbe0e6753e80",
+    "links-ball-3-2-r2": "4ea60100af76cf52f2dcb61b0554c5fbbec7653dcc22bba50bb2838047608fda",
+    "links-coset-ball-2-3-r3": "187a9e58f25c7cdadc06451cd168c1d32671c8dea026f468d1565e746e6f8bfc",
+    "links-coxeter-S4": "6d63536a6a72be9b60f2fab3e1046fc917057a0aff02c1cbe017f526101083e5",
+    "links-flag-4-2": "bc87bdf44dd47899e408eba7d6581bc4ecb236dc0009cd5fb5e152fec661f0b9",
+    "links-flag-4-2-ordered": "579197af89f5ad827a80deb96c9387c151c3fbb565ef8d9818047689e5505c79",
+    "links-quotient-m23": "18120aa579c89a29f96fc750cdbbd89c702857d6f30c48a18c112abc52d4607c",
+    "links-quotient-m32": "36f146a8f47fc75b199c9ff65ef9f99f554862e31bc6ab89028d83678f94cf0b",
+    "links-quotient-seeded-2-2-8": "bebf7b45afe1b060ec24d56d1be846e90539ce025a10f4dc6ba10d92fd1e43ad",
+    "links-quotient-seeded-2-3-15": "c68f6452bfc24464dd3d768b257c517e5003b918c28e7b17ee8a1e219df6c049",
+    "links-quotient-seeded-2-4-12": "a486000754f83087eb3a483272747debfcbb011b39280fe67b120f24e5fd5950",
+    "links-quotient-seeded-3-2-10": "5d9a8fdf4d69402cfa7a3e0ed6cd6f2c7359224aa495b432f4c427d074003501",
+    "links-quotient-seeded-3-3-12": "7773f5c0bfa89e71b35ff358e868bc92f9ee5ca41994e188b6f1e9106ea06cf6",
+    "links-wedge": "c7574db901bb55e871c51c20981d2c85c7afcda7d1e2a944d6315cd7028327a6",
+    "merges-ball-2-3-r3": "d2e9ff166a925a8315164b0d7312a23f28e18bde874ac223a9dc503457263177",
+    "merges-ball-3-2-r2": "bd48bc5ca284ffa6b84079f25c5884bcbee56f5f192ffebe79d13ee9ea85e1d0",
+    "merges-coset-ball-2-3-r3": "31ac227890e56204efbb98d554b2afa9c515fb45575387c711b2383e7aeb4173",
+    "merges-coxeter-S4": "5a9e615241a8e1673bb4407e8b1f5acc489ec90e31f35b5ad75fffb271c041c8",
+    # recorded after the change: the parent text with "ordering" set to null
+    "merges-flag-4-2": "106cb8b550831301f8ac8c4f473c7d2d04de09f1f57d541e1f7ad202e722ed5f",
+    "merges-flag-4-2-ordered": "78bbcfb8c3b0ceb496d2898e6290234fc38cd4ce46d40635e70a39f0d7c02609",
+    "merges-quotient-m23": "f05576d58497a28392fb136b5e0caae3176adea45d252c82e7dd212ff3c3cfbf",
+    "merges-quotient-m32": "6ca8c7d02aae567b06cd5423d3851c14499c30d575c89fff1418cda7df9433cd",
+    "merges-quotient-seeded-2-2-8": "a0633515cc747f2d7c45619e59d936553b1e7c3c7fdf9b6d05fc69acf75392b9",
+    "merges-quotient-seeded-2-3-15": "3c35f254bd48694572afad15887bddd4ad15ccde73305bb13951b5258ad81d83",
+    "merges-quotient-seeded-2-4-12": "1d704313e39d3c5ce80287fc40d0af280b8b46b9c81cf1f285709f16b450800a",
+    "merges-quotient-seeded-3-2-10": "3ff1bfaaf1ceebef5ff8337f270392e4814d966f6a816d0e7f8d03ba0327927e",
+    "merges-quotient-seeded-3-3-12": "e499119f08e6e54d876d33a679616ca2e07e9f07addc4565b681392006be6ea8",
+    "merges-wedge": "f0426ad1aa61609ee31ef2bcb61e6aedfc2161a918b19557a0e8202d34d07a88",
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind", [(name, kind) for name in sorted(LINK_MERGE_FIXTURES) for kind in ("links", "merges")]
+)
+def test_link_and_merge_bytes_unchanged(name, kind):
+    x = LINK_MERGE_FIXTURES[name]()
+    text = (_links_text if kind == "links" else _merges_text)(x)
+    assert hashlib.sha256(text.encode()).hexdigest() == LINK_MERGE_DIGESTS[f"{kind}-{name}"]

@@ -1,0 +1,134 @@
+"""Matchings, 2-factors and decompositions of tiny multigraphs with loops,
+checked against brute force over all edge subsets."""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import seeded_rep
+from multiforge.graphs import (
+    Factor,
+    Multigraph,
+    check_decomposition,
+    decompose_regular,
+    euler_two_factorization,
+    format_multigraph,
+    is_perfect_matching,
+    is_two_factor,
+    parse_multigraph,
+    perfect_matchings,
+    schreier_multigraph,
+    two_factors,
+)
+
+GRAPH_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tiny_multigraphs(draw, max_n: int = 4, max_edges: int = 7) -> Multigraph:
+    """Up to `max_n` vertices and `max_edges` edges, loops and parallel
+    edges included."""
+    n = draw(st.integers(1, max_n))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = Multigraph(n)
+    for u, v in draw(st.lists(ends, max_size=max_edges)):
+        g.add_edge(u, v)
+    return g
+
+
+def subsets(items) -> list[frozenset[int]]:
+    items = list(items)
+    return [frozenset(c) for r in range(len(items) + 1) for c in combinations(items, r)]
+
+
+def degrees(g: Multigraph, edges) -> list[int]:
+    """Degrees in `edges`, a loop counting two."""
+    deg = [0] * g.n
+    for e in edges:
+        u, v, _ = g.edges[e]
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def brute_decomposable(g: Multigraph, avail: frozenset[int], k: int) -> bool:
+    """Whether `avail` splits into m perfect matchings and f 2-factors with
+    m + 2f = k.  Each factor holds the lowest edge left, so every partition
+    is tried once."""
+    if not avail:
+        return k == 0
+    low = min(avail)
+    for rest in subsets(avail - {low}):
+        part = rest | {low}
+        if k >= 1 and is_perfect_matching(g, set(part)) and brute_decomposable(g, avail - part, k - 1):
+            return True
+        if k >= 2 and is_two_factor(g, set(part)) and brute_decomposable(g, avail - part, k - 2):
+            return True
+    return False
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs())
+def test_perfect_matchings_are_exactly_the_accepted_subsets(g):
+    found = [frozenset(m) for m in perfect_matchings(g)]
+    assert len(found) == len(set(found))
+    all_edges = range(len(g.edges))
+    assert set(found) == {s for s in subsets(all_edges) if is_perfect_matching(g, set(s))}
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs())
+def test_two_factors_are_exactly_the_accepted_subsets(g):
+    found = [frozenset(f) for f in two_factors(g)]
+    assert len(found) == len(set(found))
+    all_edges = range(len(g.edges))
+    assert set(found) == {s for s in subsets(all_edges) if is_two_factor(g, set(s))}
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs(max_edges=8))
+def test_euler_two_factorization_covers_even_regular_edge_sets(g):
+    for avail in subsets(range(len(g.edges))):
+        deg = degrees(g, avail)
+        if not avail or deg[0] % 2 or any(d != deg[0] for d in deg):
+            continue
+        factors = euler_two_factorization(g, set(avail))
+        assert factors is not None and len(factors) == deg[0] // 2
+        assert all(is_two_factor(g, f) for f in factors)
+        assert sorted(e for f in factors for e in f) == sorted(avail)
+
+
+def assert_decomposition_exact(g: Multigraph, k: int) -> None:
+    result: list[Factor] | None = decompose_regular(g, k)
+    assert (result is not None) == brute_decomposable(g, frozenset(range(len(g.edges))), k)
+    if result is not None:
+        assert check_decomposition(g, result, k)
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs(), k=st.integers(1, 4))
+def test_decompose_regular_is_exact(g, k):
+    assert_decomposition_exact(g, k)
+
+
+def test_decompose_regular_is_exact_on_labeled_schreier_graphs():
+    """Schreier graphs carry generator labels, which `decompose_regular`
+    tries first; the answer must still agree with brute force, at the
+    graph's own degree and one below it."""
+    for d, k, n, seed in [(1, 2, 2, 1), (1, 2, 4, 2), (1, 3, 3, 3), (2, 2, 2, 4), (1, 4, 2, 5)]:
+        g = schreier_multigraph(seeded_rep(d, k, n, seed))
+        assert all(label is not None for _, _, label in g.edges)
+        degree = (d + 1) * (k - 1)
+        for target in (degree, degree - 1):
+            assert_decomposition_exact(g, target)
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs(max_n=6, max_edges=12))
+def test_format_parse_round_trip_keeps_edges(g):
+    back = parse_multigraph(format_multigraph(g))
+    assert back.n == g.n
+    assert sorted((u, v) for u, v, _ in back.edges) == sorted((u, v) for u, v, _ in g.edges)

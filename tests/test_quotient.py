@@ -4,6 +4,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import seeded_rep
 from multiforge.complexes import (
@@ -99,6 +101,22 @@ def test_single_swap_stays_simplicial():
     q = build_quotient(rep)
     assert complex_is_simplicial(q.complex)
     assert intersection_property(rep)
+
+
+SEEDED_REPS = st.tuples(
+    st.integers(1, 3), st.integers(2, 4), st.integers(1, 4), st.integers(0, 10**6)
+).map(lambda t: seeded_rep(t[0], t[1], t[2] * t[1], t[3]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rep=SEEDED_REPS)
+@example(rep=PermRep(Params(2, 2), 2, ((1, 0), (0, 1), (0, 1)), 0))
+@example(rep=PermRep(Params(2, 2), 2, ((1, 0), (1, 0), (1, 0)), 0))
+@example(rep=PermRep(Params(2, 2), 2, ((0, 1), (1, 0), (1, 0)), 0))
+def test_intersection_property_iff_simplicial(rep):
+    """Seeded quotients on m*k points (d 1-3, k 2-4) and the two-point reps
+    of criterion 6 and of the doubled edge above."""
+    assert intersection_property(rep) == complex_is_simplicial(build_quotient(rep).complex)
 
 
 def test_top_cell_count_is_index():
