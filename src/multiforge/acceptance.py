@@ -19,7 +19,6 @@ from .complexes import (
     is_surjective,
     merge_vertices,
     to_json,
-    validate_structure,
 )
 from .gallery import coxeter_complex, flag_complex, flag_count, m_subgroup_rep
 from .graphs import (
@@ -50,7 +49,6 @@ from .quotient import (
     nerve_matches_base,
 )
 from .spectral import (
-    SpectralGapUndefined,
     boundary_matrix,
     lambda_arboreal,
     lambda_building,

@@ -11,13 +11,14 @@ import os
 import sys
 
 from . import acceptance
-from .complexes import check_consistency, from_json, to_json, to_json_dict
+from .complexes import check_consistency, from_json, to_json, to_json_dict, validate_structure
 from .gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
 from .lcc import link_connected_cover
 from .permrep import (
     format_rep,
     intersect_reps,
+    numbered_lines,
     parse_permutation,
     parse_rep,
     random_rep_retry,
@@ -25,7 +26,7 @@ from .permrep import (
 from .quotient import analyze, build_quotient, complex_line_graph
 from .spectral import SpectralGapUndefined, coboundary_rank, gap_from_spectrum, spectrum
 from .universal import Ball, ball_from_cosets, build_ball
-from .words import Params, Word, format_word, parse_word
+from .words import Params, format_word, parse_word
 
 
 def _read(path: str) -> str:
@@ -90,9 +91,9 @@ def cmd_lcc(args) -> int:
 
 def cmd_spectra(args) -> int:
     x = from_json(_read(args.complex))
-    glued = check_consistency(x)
-    if not glued:
-        raise ValueError(glued.messages[0])
+    for diag in (check_consistency(x), validate_structure(x)):
+        if not diag:
+            raise ValueError(diag.messages[0])
     eigs = spectrum(x)
     rank = coboundary_rank(x, tol=args.tol)
     lines = [f"forms: {len(eigs)}", f"coboundary-rank: {rank}"]
@@ -163,22 +164,37 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _parse_generators(text: str) -> list[tuple[int, ...]]:
+    """The generator file of `gallery coxeter`: a degree m >= 1, then two
+    or more permutations of [m], one a line.  Blank lines and `#` comments
+    are skipped; each error names its line."""
+    lines = numbered_lines(text)
+    if not lines:
+        raise ValueError("the generator file is empty: expected the degree line")
+    t, head = lines[0]
+    if not head.isdecimal() or int(head) < 1:
+        raise ValueError(f"line {t}: the degree must be an integer >= 1, got {head!r}")
+    if len(lines) < 3:
+        raise ValueError(
+            f"line {t}: the degree line must be followed by two generator lines or more, "
+            f"got {len(lines) - 1}"
+        )
+    gens = []
+    for t, ln in lines[1:]:
+        try:
+            gens.append(parse_permutation(ln, int(head)))
+        except ValueError as exc:
+            raise ValueError(f"line {t}: {exc}") from None
+    return gens
+
+
 def cmd_gallery(args) -> int:
     if args.family == "m":
         rep = m_subgroup_rep(Params(args.d, args.k))
         _write(args.out, format_rep(rep))
         return 0
     if args.family == "coxeter":
-        lines = [
-            ln
-            for ln in _read(args.gens).splitlines()
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not lines:
-            raise ValueError("the generator file is empty: expected the degree line")
-        degree = int(lines[0])
-        gens = [parse_permutation(ln, degree) for ln in lines[1:]]
-        x, rep = coxeter_complex(gens)
+        x, rep = coxeter_complex(_parse_generators(_read(args.gens)))
         if args.out_rep:
             _write(args.out_rep, format_rep(rep))
         _write(args.out, to_json(x))
@@ -191,8 +207,6 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    if args.suite != "desk":
-        raise ValueError(f"unknown suite {args.suite!r}; only 'desk' is available")
     failures = acceptance.run_all(verbose=True)
     return 1 if failures else 0
 
@@ -301,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
-    p.add_argument("--suite", default="desk")
     p.set_defaults(func=cmd_verify_all)
 
     return top

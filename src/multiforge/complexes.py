@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .permrep import UnionFind
+from .permrep import partition
 from .words import Params
 
 MId = tuple[tuple[int, ...], int]  # (sorted color tuple, index dense per color set)
@@ -241,7 +241,8 @@ def check_consistency(x: MComplex) -> Diagnostics:
 
 def validate_structure(x: MComplex) -> Diagnostics:
     """Well-formedness: colors sorted, vertex alignment, consistent gluing,
-    facet vertices, dense indices, purity, ordering validity, degree bound."""
+    facet vertices, dense indices, purity, ordering validity, degree bound,
+    and boundary flags that name (d-1)-multicells."""
     msgs = []
     d, k = x.params.d, x.params.k
     for v, c in enumerate(x.vertex_colors):
@@ -280,6 +281,9 @@ def validate_structure(x: MComplex) -> Diagnostics:
                 msgs.append(f"{cell.mid}: cycle does not visit each coface once")
             if cell.mid not in x.boundary and (len(cyc) == 0 or k % len(cyc) != 0):
                 msgs.append(f"{cell.mid}: cycle length {len(cyc)} does not divide k")
+    for mid in sorted(x.boundary):
+        if len(mid[0]) != d or not x.has_cell(mid):
+            msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
     if x.root is not None and not x.has_cell(x.root):
         msgs.append(f"root {x.root} missing")
     return Diagnostics(not msgs, msgs)
@@ -290,16 +294,13 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
     with consecutive ones sharing a (j-1)-multicell via their gluing."""
     if not 1 <= j <= x.d:
         raise ValueError(f"j must be in 1..{x.d}")
-    cells = [c.mid for c in x.multicells(j)]
-    if len(cells) <= 1:
-        return True
-    pos = {m: t for t, m in enumerate(cells)}
-    uf = UnionFind(len(cells))
-    for face in x.multicells(j - 1):
-        incident = [m for m, _ in x.delta(face.mid)]
-        for other in incident[1:]:
-            uf.union(pos[incident[0]], pos[other])
-    return len({uf.find(t) for t in range(len(cells))}) == 1
+    pos = {c.mid: t for t, c in enumerate(x.multicells(j))}
+    pairs = (
+        (pos[cofaces[0][0]], pos[m])
+        for cofaces in (x.delta(face.mid) for face in x.multicells(j - 1))
+        for m, _ in cofaces
+    )
+    return partition(len(pos), pairs).count <= 1
 
 
 def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
@@ -309,17 +310,9 @@ def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
     over `mid`, the one `t` it was reached from and the one that drops the
     color `t` adds to `mid`."""
     verts = sorted(m for m, _ in x.delta(mid))
-    if not verts:
-        return []
     pos = {m: t for t, m in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    for t, l in x.delta(mid):
-        for s, _ in x.delta(t):
-            uf.union(pos[t], pos[x.cell(s).faces[l]])
-    groups: dict[int, list[MId]] = {}
-    for m, t in pos.items():
-        groups.setdefault(uf.find(t), []).append(m)
-    return [sorted(g) for _, g in sorted(groups.items())]
+    pairs = ((pos[t], pos[x.cell(s).faces[l]]) for t, l in x.delta(mid) for s, _ in x.delta(t))
+    return [[verts[t] for t in group] for group in partition(len(verts), pairs).members()]
 
 
 def is_link_connected(x: MComplex) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .permrep import PermRep, UnionFind, perm_cycles, validate
+from .permrep import PermRep, numbered_lines, partition, perm_cycles, validate
 
 Edge = tuple[int, int, object]  # (u, v, label) with u <= v; u == v is a loop
 
@@ -38,34 +38,15 @@ class Multigraph:
         return self.n == other.n and self.edge_multiset() == other.edge_multiset()
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        uf = UnionFind(self.n)
-        for u, v, _ in self.edges:
-            uf.union(u, v)
-        return len({uf.find(v) for v in range(self.n)}) == 1
+        return partition(self.n, ((u, v) for u, v, _ in self.edges)).count <= 1
 
     def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for a, b, _ in self.edges:
-                    if v not in (a, b):
-                        continue
-                    w = b if a == v else a
-                    if w == v:
-                        return False  # loop
-                    if color[w] == -1:
-                        color[w] = 1 - color[v]
-                        queue.append(w)
-                    elif color[w] == color[v]:
-                        return False
-        return True
+        """No odd cycle, a loop included: in the double cover, with u ~ v+n
+        and v ~ u+n for each edge, no vertex u shares a class with u+n."""
+        n = self.n
+        pairs = ((a, b) for u, v, _ in self.edges for a, b in ((u, v + n), (v, u + n)))
+        ids = partition(2 * n, pairs).class_ids
+        return all(ids[u] != ids[u + n] for u in range(n))
 
 
 def generator_classes(k: int) -> list[tuple[int, bool]]:
@@ -502,11 +483,7 @@ def parse_multigraph(text: str) -> Multigraph:
     one edge per line as two endpoints in 1..n and an optional
     multiplicity >= 1.  Blank lines and `#` comments are skipped.  Raises
     one ValueError naming the first malformed line."""
-    lines = [
-        (t, ln.strip())
-        for t, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    lines = numbered_lines(text)
     if not lines:
         raise ValueError("the graph file is empty: expected the vertex count")
     t, head = lines[0]

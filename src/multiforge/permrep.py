@@ -40,9 +40,9 @@ import math
 import re
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 from random import Random
 
 from .words import Params, Word
@@ -69,11 +69,12 @@ class RepDiagnostics:
 
 @dataclass
 class OrbitPartition:
-    """Orbits of the points under the generators whose index lies outside
-    the color set J.  Orbit ids are dense, ordered by minimal point."""
+    """Classes of the points 0..n-1 under an equivalence, such as the
+    orbits of the generators outside a color set J (`orbits`).  Class ids
+    are dense and ordered by minimal point."""
 
-    class_ids: list[int]  # point -> orbit id
-    reps: list[int]  # orbit id -> minimal point
+    class_ids: list[int]  # point -> class id
+    reps: list[int]  # class id -> minimal point
 
     @property
     def count(self) -> int:
@@ -86,24 +87,28 @@ class OrbitPartition:
         return out
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+def partition(n: int, pairs: Iterable[tuple[int, int]]) -> OrbitPartition:
+    """Classes of 0..n-1 under the equivalence that `pairs` generates, by
+    union-find with path halving; the points are then labeled in increasing
+    order, so each class id is first met at its minimal point."""
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
+    ids = [-1] * n
+    class_ids, reps = [0] * n, []
+    for p in range(n):
+        r = p
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        if ids[r] < 0:
+            ids[r] = len(reps)
+            reps.append(p)
+        class_ids[p] = ids[r]
+    return OrbitPartition(class_ids, reps)
 
 
 def perm_cycles(perm: Perm) -> list[list[int]]:
@@ -143,11 +148,8 @@ def validate(rep: PermRep) -> RepDiagnostics:
             messages.append(f"generator {i} has cycle lengths {sorted(set(bad))} not dividing k={k}")
     transitive = False
     if all(is_perm):
-        uf = UnionFind(n)
-        for beta in rep.betas:
-            for p in range(n):
-                uf.union(p, beta[p])
-        transitive = len({uf.find(p) for p in range(n)}) == 1
+        pairs = chain.from_iterable(map(enumerate, rep.betas))  # p ~ beta_i(p)
+        transitive = partition(n, pairs).count == 1
         if not transitive:
             messages.append("action is not transitive")
     if not 0 <= rep.root < n:
@@ -173,26 +175,13 @@ def evaluate(w: Word, point: int, rep: PermRep) -> int:
 
 def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition:
     """Partition of the points into orbits of the subgroup generated by the
-    permutations whose index is NOT in `color_set`.
+    permutations whose index is NOT in `color_set`, the classes of the
+    pairs p ~ beta_i(p) for each such i.
 
     With |J| = j+1 these orbits are exactly the j-multicells of the quotient;
     J = all colors gives the discrete partition (points = top cells)."""
-    complement = [i for i in range(rep.params.d + 1) if i not in color_set]
-    uf = UnionFind(rep.n)
-    for i in complement:
-        beta = rep.betas[i]
-        for p in range(rep.n):
-            uf.union(p, beta[p])
-    root_to_id: dict[int, int] = {}
-    reps: list[int] = []
-    class_ids = [0] * rep.n
-    for p in range(rep.n):
-        r = uf.find(p)  # UnionFind keeps the minimal point as representative
-        if r not in root_to_id:
-            root_to_id[r] = len(reps)
-            reps.append(r)
-        class_ids[p] = root_to_id[r]
-    return OrbitPartition(class_ids, reps)
+    outside = [rep.betas[i] for i in range(rep.params.d + 1) if i not in color_set]
+    return partition(rep.n, chain.from_iterable(map(enumerate, outside)))
 
 
 def stabilizer_contains(w: Word, rep: PermRep) -> bool:
@@ -441,6 +430,16 @@ def same_up_to_relabeling(r1: PermRep, r2: PermRep) -> bool:
 
 # -- text format -------------------------------------------------------------
 
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped text) of each line that is neither
+    blank nor a `#` comment."""
+    return [
+        (t, ln.strip())
+        for t, ln in enumerate(text.splitlines(), start=1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
+
+
 def _integers(tokens: list[str], what: str) -> list[int]:
     try:
         return [int(tok) for tok in tokens]
@@ -476,13 +475,13 @@ def format_rep(rep: PermRep) -> str:
 
 
 def parse_rep(text: str) -> PermRep:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [ln for _, ln in numbered_lines(text)]
     if not lines:
         raise ValueError("empty rep file")
     try:
         d, k, n, root = (int(x) for x in lines[0].split())
     except ValueError:
-        raise ValueError(f"the header {lines[0].strip()!r} must be four integers: d k n root") from None
+        raise ValueError(f"the header {lines[0]!r} must be four integers: d k n root") from None
     p = Params(d, k)
     if n < 1:
         raise ValueError(f"the point count n must be at least 1, got {n}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from multiforge import cli
-from multiforge.complexes import from_json, single_simplex, to_json_dict
+from multiforge.complexes import from_json, single_simplex, to_json_dict, validate_structure
 from multiforge.spectral import boundary_matrix, up_laplacian
 from multiforge.words import Params
 from test_complexes import figure_two_complex
@@ -397,3 +397,78 @@ def test_empty_generator_file_is_one_line(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "error: the generator file is empty: expected the degree line"
     ]
+
+
+BAD_BOUNDARY = {
+    "no-such-cell": ([[[0, 1], 99]], "boundary ((0, 1), 99): not a 1-multicell"),
+    "a-vertex": ([[[0], 0]], "boundary ((0,), 0): not a 1-multicell"),
+    "a-top-cell": ([[[0, 1, 2], 0]], "boundary ((0, 1, 2), 0): not a 1-multicell"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BOUNDARY))
+def test_boundary_entry_must_be_a_codimension_one_cell(tmp_path, capsys, case):
+    boundary, message = BAD_BOUNDARY[case]
+    path = build_m_quotient(tmp_path, 2, 2)
+    doc = json.loads(path.read_text())
+    doc["boundary"] = boundary
+    path.write_text(json.dumps(doc))
+    assert validate_structure(from_json(path.read_text())).messages == [message]
+    capsys.readouterr()
+    assert run(["analyze", path]) == 0
+    assert "structure-valid: false" in capsys.readouterr().out.splitlines()
+    assert run(["spectra", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_spectra_refuses_a_vertex_out_of_range(tmp_path, capsys):
+    path = build_m_quotient(tmp_path, 2, 2)
+    doc = json.loads(path.read_text())
+    doc["cells"][0]["vertices"][0] = 999
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["spectra", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: ((0, 1), 0): vertex 999 does not carry color 0"]
+
+
+GENERATOR_ERRORS = {
+    "one-generator": (
+        "3\n2 1 3\n",
+        "error: line 1: the degree line must be followed by two generator lines or more, got 1",
+    ),
+    "degree-only": (
+        "# S3\n3\n",
+        "error: line 2: the degree line must be followed by two generator lines or more, got 0",
+    ),
+    "degree-not-integer": (
+        "x\n2 1 3\n1 3 2\n",
+        "error: line 1: the degree must be an integer >= 1, got 'x'",
+    ),
+    "degree-zero": ("0\n\n\n", "error: line 1: the degree must be an integer >= 1, got '0'"),
+    "wrong-length": ("3\n2 1 3\n# s2\n1 3 2 4\n", "error: line 4: expected 3 images, got 4"),
+    "not-a-permutation": (
+        "3\n2 1 3\n1 1 2\n",
+        "error: line 3: not a permutation (images are not a bijection)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_ERRORS))
+def test_generator_file_error_names_the_line(tmp_path, capsys, case):
+    text, expected = GENERATOR_ERRORS[case]
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+    assert run(["gallery", "coxeter", "--gens", gens]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [expected]
+
+
+def test_verify_all_takes_no_suite_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-all", "--suite", "desk"])
+    assert exc.value.code == 2

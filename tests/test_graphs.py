@@ -1,9 +1,10 @@
-"""Matchings, 2-factors and decompositions of tiny multigraphs with loops,
-checked against brute force over all edge subsets."""
+"""Connectivity, bipartiteness, matchings, 2-factors and decompositions of
+tiny multigraphs with loops, checked against brute force over all vertex
+colorings or edge subsets."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,47 @@ def test_format_parse_round_trip_keeps_edges(g):
     back = parse_multigraph(format_multigraph(g))
     assert back.n == g.n
     assert sorted((u, v) for u, v, _ in back.edges) == sorted((u, v) for u, v, _ in g.edges)
+
+
+def brute_connected(g: Multigraph) -> bool:
+    """Every vertex is reached from vertex 0 by a BFS over the edge list."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        w = frontier.pop()
+        for u, v, _ in g.edges:
+            for a, b in ((u, v), (v, u)):
+                if a == w and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+    return len(seen) == g.n
+
+
+def brute_bipartite(g: Multigraph) -> bool:
+    """Some 2-coloring of the vertices gives every edge two colors (a loop
+    never has two)."""
+    return any(
+        all(coloring[u] != coloring[v] for u, v, _ in g.edges)
+        for coloring in product((0, 1), repeat=g.n)
+    )
+
+
+@GRAPH_PROPERTY
+@given(g=tiny_multigraphs(max_n=6, max_edges=9))
+def test_connected_and_bipartite_match_brute_force(g):
+    assert g.is_connected() == brute_connected(g)
+    assert g.is_bipartite() == brute_bipartite(g)
+
+
+def test_connected_and_bipartite_examples():
+    empty, loop = Multigraph(0), Multigraph(2)
+    assert empty.is_connected() and empty.is_bipartite()
+    loop.add_edge(0, 1)
+    assert loop.is_connected() and loop.is_bipartite()
+    loop.add_edge(1, 1)
+    assert loop.is_connected() and not loop.is_bipartite()
+    assert not Multigraph(2).is_connected() and Multigraph(2).is_bipartite()
+    for n in range(3, 9):
+        cycle = Multigraph(n)
+        for u in range(n):
+            cycle.add_edge(u, (u + 1) % n)
+        assert cycle.is_connected() and cycle.is_bipartite() == (n % 2 == 0)

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import factorial, floor, perm, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word, seeded_rep
 from multiforge import permrep
@@ -25,6 +27,7 @@ from multiforge.permrep import (
     orbits,
     parse_permutation,
     parse_rep,
+    partition,
     perm_cycles,
     random_order_dividing,
     random_rep,
@@ -32,7 +35,7 @@ from multiforge.permrep import (
     stabilizer_contains,
     validate,
 )
-from multiforge.words import EMPTY_WORD, Params, Word, generator, multiply, parse_word, theta
+from multiforge.words import EMPTY_WORD, Params, generator, multiply, parse_word, theta
 
 
 PATH_REP = PermRep(Params(1, 2), 3, ((1, 0, 2), (0, 2, 1)), 0)  # (1 2), (2 3)
@@ -123,6 +126,47 @@ def test_orbit_refinement(rng):
         coarse, fine = orbits(rep, small), orbits(rep, big)
         for orbit in fine.members():
             assert len({coarse.class_ids[p] for p in orbit}) == 1
+
+
+@st.composite
+def pair_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    point = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(point, point), max_size=20))
+
+
+def bfs_labels(n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """Class of each point, numbered by a BFS over the pairs started at each
+    unlabeled point in increasing order."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    label = [-1] * n
+    count = 0
+    for start in range(n):
+        if label[start] < 0:
+            label[start], queue = count, [start]
+            for p in queue:
+                for q in nbrs[p]:
+                    if label[q] < 0:
+                        label[q] = count
+                        queue.append(q)
+            count += 1
+    return label
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=pair_lists())
+def test_partition_matches_bfs_labels(case):
+    n, pairs = case
+    part = partition(n, pairs)
+    assert part.class_ids == bfs_labels(n, pairs)
+    assert part.reps == [part.class_ids.index(c) for c in range(part.count)]
+    members = [[p for p in range(n) if part.class_ids[p] == c] for c in range(part.count)]
+    assert part.members() == members
 
 
 def test_stabilizer_examples(rng):

@@ -29,7 +29,7 @@ from multiforge.quotient import (
     quotient_map,
 )
 from multiforge.universal import build_ball
-from multiforge.words import Params, Word
+from multiforge.words import Params
 
 
 TRIVIAL = PermRep(Params(2, 2), 1, ((0,), (0,), (0,)), 0)

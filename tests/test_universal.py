@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from multiforge.complexes import find_isomorphism, validate_structure
-from multiforge.permrep import evaluate
 from multiforge.quotient import complex_line_graph
 from multiforge.universal import (
     PathExitsBall,
@@ -16,7 +15,6 @@ from multiforge.words import (
     EMPTY_WORD,
     Params,
     enumerate_reduced_words,
-    format_word,
     multiply,
     word_length,
 )
