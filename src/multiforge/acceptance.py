@@ -135,25 +135,14 @@ def line_graph_distances(x: MComplex, source) -> dict:
 
 
 def brute_force_order_dividing(n: int, k: int) -> set[tuple[int, ...]]:
+    """Every permutation of range(n) whose k-th power is the identity."""
+    identity = tuple(range(n))
     out = set()
-    for perm in itertools.permutations(range(n)):
-        power = list(perm)
-        order_ok = True
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            length = 1
-            seen[start] = True
-            q = perm[start]
-            while q != start:
-                seen[q] = True
-                length += 1
-                q = perm[q]
-            if k % length != 0:
-                order_ok = False
-                break
-        if order_ok:
+    for perm in itertools.permutations(identity):
+        power = identity
+        for _ in range(k):
+            power = tuple(perm[v] for v in power)
+        if power == identity:
             out.add(perm)
     return out
 

@@ -12,7 +12,7 @@ import sys
 
 from . import acceptance
 from .complexes import check_consistency, from_json, to_json, to_json_dict, validate_structure
-from .gallery import coxeter_complex, flag_complex, m_subgroup_rep
+from .gallery import NotAnInvolution, coxeter_complex, flag_complex, m_subgroup_rep
 from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
 from .lcc import link_connected_cover
 from .permrep import (
@@ -164,10 +164,11 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _parse_generators(text: str) -> list[tuple[int, ...]]:
+def _parse_generators(text: str) -> tuple[list[tuple[int, ...]], list[int]]:
     """The generator file of `gallery coxeter`: a degree m >= 1, then two
     or more permutations of [m], one a line.  Blank lines and `#` comments
-    are skipped; each error names its line."""
+    are skipped; each error names its line.  Returns the generators and the
+    line of each."""
     lines = numbered_lines(text)
     if not lines:
         raise ValueError("the generator file is empty: expected the degree line")
@@ -185,7 +186,7 @@ def _parse_generators(text: str) -> list[tuple[int, ...]]:
             gens.append(parse_permutation(ln, int(head)))
         except ValueError as exc:
             raise ValueError(f"line {t}: {exc}") from None
-    return gens
+    return gens, [t for t, _ in lines[1:]]
 
 
 def cmd_gallery(args) -> int:
@@ -194,7 +195,11 @@ def cmd_gallery(args) -> int:
         _write(args.out, format_rep(rep))
         return 0
     if args.family == "coxeter":
-        x, rep = coxeter_complex(_parse_generators(_read(args.gens)))
+        gens, line_of = _parse_generators(_read(args.gens))
+        try:
+            x, rep = coxeter_complex(gens)
+        except NotAnInvolution as exc:
+            raise ValueError(f"line {line_of[exc.index]}: not an involution") from None
         if args.out_rep:
             _write(args.out_rep, format_rep(rep))
         _write(args.out, to_json(x))

@@ -16,7 +16,8 @@ Complex files are mcomplex/2 JSON, one object with the keys `format`,
 `params` ({d, k}), `vertex_colors`, `cells`, `ordering`, `root` and
 `boundary`.  The facet of a cell that drops one of its colors J[p] has
 the other colors, so a cell is fixed by its vertices and the indices of
-its facets:
+its facets.  `MComplex` stores exactly these columns: the in-memory layout
+is the file layout.
 
 - `cells` holds one record per color set J with |J| >= 2, in (size,
   colors) order: {"colors": J, "vertices": [...], "faces": [...]}, two
@@ -40,10 +41,13 @@ mcomplex/1.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from functools import cache
+from itertools import accumulate, combinations
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .permrep import partition
 from .words import Params
@@ -51,12 +55,45 @@ from .words import Params
 MId = tuple[tuple[int, ...], int]  # (sorted color tuple, index dense per color set)
 
 
+def _by_size(colors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return (len(colors), colors)
+
+
+@cache
+def _drops(colors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The color set of the facet that drops colors[p], for each p."""
+    if len(colors) < 2:
+        return ()
+    return tuple(colors[:p] + colors[p + 1 :] for p in range(len(colors)))
+
+
 @dataclass
+class Cells:
+    """The multicells of one color set J as two flat columns: cell i has
+    the vertices vertices[i·|J| : (i+1)·|J|], and its facet that drops J[p]
+    is (J minus J[p], faces[i·|J| + p]).  A vertex color set (c,) lists the
+    vertex ids of color c in increasing order and has no facets."""
+
+    colors: tuple[int, ...]
+    vertices: list[int]
+    faces: list[int]
+
+    def __len__(self) -> int:
+        return len(self.vertices) // len(self.colors)
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """The vertex tuple of each cell, in index order."""
+        return zip(*[iter(self.vertices)] * len(self.colors))
+
+
+@dataclass(frozen=True)
 class Multicell:
+    """A read-only view of one multicell, made by `MComplex.cell`."""
+
     colors: tuple[int, ...]  # strictly increasing
     index: int
     vertices: tuple[int, ...]  # vertex ids, aligned with colors
-    faces: dict[int, MId]  # dropped color -> glued facet copy; {} in dim 0
+    faces: Mapping[int, MId]  # dropped color -> glued facet copy; empty in dim 0
 
     @property
     def mid(self) -> MId:
@@ -79,9 +116,11 @@ class Diagnostics:
 class MComplex:
     """A d-multicomplex with vertex coloring, optional k-ordering and root.
 
-    `cells` holds the multicells of dimension >= 1; dimension-0 multicells
-    are synthesized from `vertex_colors` (index = rank among same-color
-    vertices).  `ordering` maps each (d-1)-multicell to the cycle its
+    `cells` maps each color set to its `Cells` columns, the layout of the
+    mcomplex/2 file; nothing else stores the multicells.  The vertex color
+    sets are made from `vertex_colors` (index = rank among same-color
+    vertices).  `cell` and `multicells` give read-only views, made on
+    demand.  `ordering` maps each (d-1)-multicell to the cycle its
     top-dimensional cofaces form under the chosen generator; `boundary`
     flags (d-1)-multicells with incomplete cycles (radius cutoffs).
     """
@@ -90,32 +129,20 @@ class MComplex:
         self,
         params: Params,
         vertex_colors: list[int],
-        cells: dict[tuple[int, ...], list[Multicell]],
+        cells: dict[tuple[int, ...], Cells],
         ordering: dict[MId, tuple[MId, ...]] | None = None,
         root: MId | None = None,
         boundary: frozenset[MId] = frozenset(),
     ):
         self.params = params
         self.vertex_colors = list(vertex_colors)
-        self.cells = {tuple(k): list(v) for k, v in cells.items() if len(k) >= 2}
-        self._install_zero_cells()
+        self.cells = {tuple(k): v for k, v in cells.items() if len(k) >= 2}
+        for v, c in enumerate(self.vertex_colors):
+            self.cells.setdefault((c,), Cells((c,), [], [])).vertices.append(v)
         self.ordering = dict(ordering) if ordering is not None else None
         self.root = root
         self.boundary = frozenset(boundary)
-        self._delta: dict[MId, list[tuple[MId, int]]] | None = None
-
-    def _install_zero_cells(self) -> None:
-        per_color: dict[int, int] = {}
-        self._vertex_cell: list[MId] = []
-        zero: dict[tuple[int, ...], list[Multicell]] = {}
-        for v, c in enumerate(self.vertex_colors):
-            idx = per_color.get(c, 0)
-            per_color[c] = idx + 1
-            cell = Multicell((c,), idx, (v,), {})
-            zero.setdefault((c,), []).append(cell)
-            self._vertex_cell.append(cell.mid)
-        self.cells.update(zero)
-        self._cell_vertex = {mid: v for v, mid in enumerate(self._vertex_cell)}
+        self._cofaces: dict[tuple[int, ...], list[list[tuple[MId, int]]]] | None = None
 
     # -- basic access --------------------------------------------------------
 
@@ -128,25 +155,42 @@ class MComplex:
         return len(self.vertex_colors)
 
     def cell(self, mid: MId) -> Multicell:
+        """A read-only view of one multicell, read off its columns."""
+        colors, index = tuple(mid[0]), mid[1]
+        faces = dict(zip(colors, self.facets((colors, index))))
+        vertices = self.cells[colors].vertices[index * len(colors) : (index + 1) * len(colors)]
+        return Multicell(colors, index, tuple(vertices), MappingProxyType(faces))
+
+    def facets(self, mid: MId) -> list[MId]:
+        """The facets of `mid` in the order of the colors they drop (none for
+        a vertex), read off the faces column."""
         colors, index = mid
-        try:
-            return self.cells[tuple(colors)][index]
-        except (KeyError, IndexError):
-            raise KeyError(f"no multicell {mid}") from None
+        cells, size = self.cells.get(colors), len(colors)
+        if cells is None or not 0 <= index < len(cells.vertices) // size:
+            raise KeyError(f"no multicell {mid}")
+        return list(zip(_drops(colors), cells.faces[index * size : (index + 1) * size]))
+
+    def facet(self, mid: MId, l: int) -> MId:
+        """The facet of `mid` that drops color l."""
+        return self.facets(mid)[mid[0].index(l)]
 
     def has_cell(self, mid: MId) -> bool:
         colors, index = mid
-        lst = self.cells.get(tuple(colors))
-        return lst is not None and 0 <= index < len(lst)
+        cells = self.cells.get(tuple(colors))
+        return cells is not None and 0 <= index < len(cells.vertices) // len(cells.colors)
+
+    def mids(self, dim: int | None = None) -> Iterator[MId]:
+        """The multicell ids, by (size, colors) and then index."""
+        for colors in sorted(self.cells, key=_by_size):
+            if dim is None or len(colors) == dim + 1:
+                yield from ((colors, i) for i in range(len(self.cells[colors])))
 
     def multicells(self, dim: int | None = None) -> Iterator[Multicell]:
-        for colors in sorted(self.cells, key=lambda c: (len(c), c)):
-            if dim is not None and len(colors) != dim + 1:
-                continue
-            yield from self.cells[colors]
+        return map(self.cell, self.mids(dim))
 
     def vertex_cell(self, v: int) -> MId:
-        return self._vertex_cell[v]
+        c = self.vertex_colors[v]
+        return ((c,), bisect_left(self.cells[(c,)].vertices, v))
 
     def top_cells(self) -> list[Multicell]:
         return list(self.multicells(self.d))
@@ -154,16 +198,21 @@ class MComplex:
     # -- incidence structure ---------------------------------------------------
 
     def delta(self, mid: MId) -> list[tuple[MId, int]]:
-        """Cofaces one dimension up: pairs (coface id, dropped color)."""
-        if self._delta is None:
-            idx: dict[MId, list[tuple[MId, int]]] = {}
-            for cell in self.multicells():
-                for l, fid in cell.faces.items():
-                    idx.setdefault(fid, []).append((cell.mid, l))
-            for cell in self.multicells(0):
-                idx.setdefault(cell.mid, idx.get(cell.mid, []))
-            self._delta = idx
-        return self._delta.get(mid, [])
+        """Cofaces one dimension up: pairs (coface id, dropped color), by
+        (size, colors), then index, then color.  Built once from the faces
+        columns; a facet index with no cell behind it is left out."""
+        if self._cofaces is None:
+            self._cofaces = {J: [[] for _ in range(len(c))] for J, c in self.cells.items()}
+            for J in sorted(self.cells, key=_by_size):
+                size, ids = len(J), [(J, i) for i in range(len(self.cells[J]))]
+                for p, sub in enumerate(_drops(J)):
+                    lists = self._cofaces.get(sub, [])
+                    for coface, f in zip(ids, self.cells[J].faces[p::size]):
+                        if 0 <= f < len(lists):
+                            lists[f].append((coface, J[p]))
+        colors, index = mid
+        lists = self._cofaces.get(tuple(colors), [])
+        return lists[index] if 0 <= index < len(lists) else []
 
     def degree(self, mid: MId) -> int:
         return len(self.delta(mid))
@@ -172,29 +221,22 @@ class MComplex:
         """The face of `mid` with the given colors, reached by dropping the
         other colors in ascending order (on a consistent complex every order
         reaches it)."""
-        keep = set(colors)
-        cur = mid
-        for l in mid[0]:
-            if l not in keep:
-                cur = self.cell(cur).faces[l]
+        cur, keep = mid, set(colors)
+        for l in (l for l in mid[0] if l not in keep):
+            cur = self.facet(cur, l)
         return cur
 
     def up_set(self, mid: MId) -> list[MId]:
-        """All multicells strictly containing `mid`, by BFS through cofaces."""
-        seen: set[MId] = set()
-        frontier = [mid]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for cof, _ in self.delta(cur):
-                    if cof not in seen:
-                        seen.add(cof)
-                        nxt.append(cof)
-            frontier = nxt
-        return sorted(seen, key=lambda m: (len(m[0]), m[0], m[1]))
+        """All multicells strictly containing `mid`, one dimension at a time."""
+        found, level = [], {mid}
+        while level:
+            level = {cof for cur in level for cof, _ in self.delta(cur)}
+            found += level
+        return sorted(found, key=lambda m: (len(m[0]), m[0], m[1]))
 
     def invalidate_caches(self) -> None:
-        self._delta = None
+        """Forget the coface index; call after editing a column."""
+        self._cofaces = None
 
 
 # -- structural audits --------------------------------------------------------
@@ -202,85 +244,72 @@ class MComplex:
 def check_consistency(x: MComplex) -> Diagnostics:
     """The gluing is well formed and consistent.
 
-    Well formed: each multicell of dimension >= 1 has one facet per color,
-    and the facet dropping color l exists and carries the other colors.
-    Consistent: in each multicell, the facet that drops a and the facet that
-    drops b share the face that drops both.  This local identity suffices:
-    any two orders of dropping colors differ by swaps of adjacent colors,
-    and each swap is such a square in some face of the multicell, so every
-    order reaches the same face and each multicell contains exactly one
-    face per subset of its colors."""
+    Well formed: the facet of each multicell of dimension >= 1 that drops
+    color l exists (the columns give it the other colors).  Consistent: in
+    each multicell, the facet that drops a and the facet that drops b share
+    the face that drops both.  This local identity suffices: any two orders
+    of dropping colors differ by swaps of adjacent colors, and each swap is
+    such a square in some face of the multicell, so every order reaches the
+    same face and each multicell contains exactly one face per subset of its
+    colors."""
     messages = []
-    for cell in x.multicells():
-        if cell.dim == 0:
-            continue
-        if set(cell.faces) != set(cell.colors):
-            messages.append(f"{cell.mid}: facet keys != colors")
-            continue
-        for l, fid in cell.faces.items():
-            if not x.has_cell(fid):
-                messages.append(f"dangling gluing reference {fid} from {cell.mid}")
-            elif x.cell(fid).colors != tuple(c for c in cell.colors if c != l):
-                messages.append(f"{cell.mid}: facet {fid} has wrong colors")
+    for J in sorted(x.cells, key=_by_size):
+        size, subs = len(J), _drops(J)
+        counts = [len(x.cells[sub]) if sub in x.cells else 0 for sub in subs]
+        for t, f in enumerate(x.cells[J].faces):
+            if not 0 <= f < counts[t % size]:
+                fid, mid = (subs[t % size], f), (J, t // size)
+                messages.append(f"dangling gluing reference {fid} from {mid}")
     if messages:
         return Diagnostics(False, messages)
-    for cell in x.multicells():
-        if cell.dim < 2:
-            continue
-        for a, b in combinations(cell.colors, 2):
-            via_a = x.cell(cell.faces[a]).faces[b]
-            via_b = x.cell(cell.faces[b]).faces[a]
+    for mid in x.mids():
+        below = [x.facets(b) for b in x.facets(mid)] if len(mid[0]) >= 3 else []
+        for pa, pb in combinations(range(len(below)), 2):
+            via_a, via_b = below[pa][pb - 1], below[pb][pa]  # each drops the colors at pa and pb
             if via_a != via_b:
-                sub = tuple(c for c in cell.colors if c not in (a, b))
                 messages.append(
-                    f"inconsistent gluing under {cell.mid}: face of colors {sub} "
+                    f"inconsistent gluing under {mid}: face of colors {via_a[0]} "
                     f"reached as both {via_a} and {via_b}"
                 )
     return Diagnostics(not messages, messages)
 
 
 def validate_structure(x: MComplex) -> Diagnostics:
-    """Well-formedness: colors sorted, vertex alignment, consistent gluing,
-    facet vertices, dense indices, purity, ordering validity, degree bound,
-    and boundary flags that name (d-1)-multicells."""
-    msgs = []
-    d, k = x.params.d, x.params.k
-    for v, c in enumerate(x.vertex_colors):
-        if not 0 <= c <= d:
-            msgs.append(f"vertex {v} has color {c} out of range")
-    for colors, lst in x.cells.items():
-        for pos, cell in enumerate(lst):
-            if cell.index != pos:
-                msgs.append(f"{cell.mid}: index not dense/positional")
-            if tuple(sorted(set(cell.colors))) != cell.colors:
-                msgs.append(f"{cell.mid}: colors not sorted/distinct")
-            if len(cell.vertices) != len(cell.colors):
-                msgs.append(f"{cell.mid}: vertex/color arity mismatch")
-                continue
-            for c, v in zip(cell.colors, cell.vertices):
-                if not (0 <= v < x.n_vertices and x.vertex_colors[v] == c):
-                    msgs.append(f"{cell.mid}: vertex {v} does not carry color {c}")
-            for l, fid in cell.faces.items():
-                want = tuple(v for c, v in zip(cell.colors, cell.vertices) if c != l)
-                if x.has_cell(fid) and x.cell(fid).vertices != want:
-                    msgs.append(f"{cell.mid}: facet {fid} has wrong vertices")
-            if cell.dim < d and not x.delta(cell.mid):
-                msgs.append(f"{cell.mid}: not contained in any top multicell (impure)")
+    """Well-formedness: vertex colors, consistent gluing, facet vertices,
+    purity, ordering validity, degree bound, and boundary flags that name
+    (d-1)-multicells.  Color order, dense indices and arity are the
+    columns' own shape, which the reader checks."""
+    d, k, n, vertex_colors = x.params.d, x.params.k, x.n_vertices, x.vertex_colors
+    msgs = [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
+            if not 0 <= c <= d]
+    for colors, cells in x.cells.items():
+        size, subs = len(colors), _drops(colors)
+        below = [list(x.cells[sub].rows()) if sub in x.cells else [] for sub in subs]
+        for i, row in enumerate(cells.rows()):
+            mid = (colors, i)
+            for c, v in zip(colors, row):
+                if not (0 <= v < n and vertex_colors[v] == c):
+                    msgs.append(f"{mid}: vertex {v} does not carry color {c}")
+            for p, f in enumerate(cells.faces[i * size : (i + 1) * size]):
+                if 0 <= f < len(below[p]) and below[p][f] != row[:p] + row[p + 1 :]:
+                    msgs.append(f"{mid}: facet {(subs[p], f)} has wrong vertices")
+            if size <= d and not x.delta(mid):
+                msgs.append(f"{mid}: not contained in any top multicell (impure)")
     msgs.extend(check_consistency(x).messages)
-    for cell in x.multicells(d - 1):
-        if x.degree(cell.mid) > k:
-            msgs.append(f"{cell.mid}: degree {x.degree(cell.mid)} exceeds k={k}")
+    for mid in x.mids(d - 1):
+        if x.degree(mid) > k:
+            msgs.append(f"{mid}: degree {x.degree(mid)} exceeds k={k}")
     if x.ordering is not None:
-        for cell in x.multicells(d - 1):
-            cyc = x.ordering.get(cell.mid)
+        for mid in x.mids(d - 1):
+            cyc = x.ordering.get(mid)
             if cyc is None:
-                msgs.append(f"{cell.mid}: no ordering cycle")
+                msgs.append(f"{mid}: no ordering cycle")
                 continue
-            cofaces = {m for m, _ in x.delta(cell.mid)}
+            cofaces = {m for m, _ in x.delta(mid)}
             if sorted(cyc) != sorted(cofaces) or len(cyc) != len(cofaces):
-                msgs.append(f"{cell.mid}: cycle does not visit each coface once")
-            if cell.mid not in x.boundary and (len(cyc) == 0 or k % len(cyc) != 0):
-                msgs.append(f"{cell.mid}: cycle length {len(cyc)} does not divide k")
+                msgs.append(f"{mid}: cycle does not visit each coface once")
+            if mid not in x.boundary and (len(cyc) == 0 or k % len(cyc) != 0):
+                msgs.append(f"{mid}: cycle length {len(cyc)} does not divide k")
     for mid in sorted(x.boundary):
         if len(mid[0]) != d or not x.has_cell(mid):
             msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
@@ -294,11 +323,9 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
     with consecutive ones sharing a (j-1)-multicell via their gluing."""
     if not 1 <= j <= x.d:
         raise ValueError(f"j must be in 1..{x.d}")
-    pos = {c.mid: t for t, c in enumerate(x.multicells(j))}
+    pos = {m: t for t, m in enumerate(x.mids(j))}
     pairs = (
-        (pos[cofaces[0][0]], pos[m])
-        for cofaces in (x.delta(face.mid) for face in x.multicells(j - 1))
-        for m, _ in cofaces
+        (pos[cofaces[0][0]], pos[m]) for cofaces in map(x.delta, x.mids(j - 1)) for m, _ in cofaces
     )
     return partition(len(pos), pairs).count <= 1
 
@@ -311,7 +338,7 @@ def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
     color `t` adds to `mid`."""
     verts = sorted(m for m, _ in x.delta(mid))
     pos = {m: t for t, m in enumerate(verts)}
-    pairs = ((pos[t], pos[x.cell(s).faces[l]]) for t, l in x.delta(mid) for s, _ in x.delta(t))
+    pairs = ((pos[t], pos[x.facet(s, l)]) for t, l in x.delta(mid) for s, _ in x.delta(t))
     return [[verts[t] for t in group] for group in partition(len(verts), pairs).members()]
 
 
@@ -320,11 +347,25 @@ def is_link_connected(x: MComplex) -> bool:
 
     The empty multicell is excluded, so a disjoint union of link-connected
     pieces passes; global connectivity is `is_lower_path_connected(x, d)`.
+    The links of all j-cells are read at once: faces entry p of a (j+1)-cell
+    t is t as a vertex of the link of its facet dropping t's p-th color, and
+    a cell two dimensions up joins its facets dropping a and b over the face
+    dropping both.  On a consistent complex the links are connected iff
+    these classes are as many as the j-cells with cofaces.
     """
-    for cell in x.multicells():
-        if 0 <= cell.dim <= x.d - 2:
-            if len(link_components(x, cell.mid)) > 1:
-                return False
+    for j in range(x.d - 1):
+        sets = [colors for colors in x.cells if len(colors) == j + 2]
+        *offsets, total = accumulate((len(x.cells[c].faces) for c in sets), initial=0)
+        start = dict(zip(sets, offsets))
+        pairs = (
+            (start[drops[pa]] + u * (size - 1) + pb - 1, start[drops[pb]] + w * (size - 1) + pa)
+            for colors, cells in x.cells.items()
+            if (size := len(colors)) == j + 3 and (drops := _drops(colors))
+            for pa, pb in combinations(range(size), 2)
+            for u, w in zip(cells.faces[pa::size], cells.faces[pb::size])
+        )
+        if partition(total, pairs).count != sum(1 for mid in x.mids(j) if x.delta(mid)):
+            return False
     return True
 
 
@@ -345,8 +386,8 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     multicell is the complex itself.
     """
     if mid == EMPTY_CELL:
-        clone = from_json_dict(to_json_dict(x))
-        return clone, {c.mid: c.mid for c in clone.multicells()}
+        clone = from_json(to_json(x))
+        return clone, {m: m for m in clone.mids()}
     own = x.cell(mid).colors
     rest = [c for c in x.params.colors if c not in own]
     if len(rest) < 2:
@@ -384,9 +425,8 @@ def _class_complex(
     while frontier:
         below = []
         for a in frontier:
-            faces = x.cell(a).faces
-            for l, b in y.cell(f[a]).faces.items():
-                facet = faces[colors[l]]
+            for l, b in zip(f[a][0], y.facets(f[a])):
+                facet = x.facet(a, colors[l])
                 if facet not in f:
                     f[facet] = b
                     below.append(facet)
@@ -404,10 +444,7 @@ def nerve(family: dict[object, frozenset] | list[Iterable]) -> frozenset:
     """Nerve complex of a family of nonempty sets: a subset of the index set
     is a face iff the member sets intersect.  Returned as a frozenset of
     nonempty frozensets (vertices included)."""
-    if isinstance(family, dict):
-        items = list(family.items())
-    else:
-        items = list(enumerate(family))
+    items = family.items() if isinstance(family, dict) else enumerate(family)
     sets = {key: frozenset(val) for key, val in items}
     for key, s in sets.items():
         if not s:
@@ -416,18 +453,15 @@ def nerve(family: dict[object, frozenset] | list[Iterable]) -> frozenset:
     for key, s in sets.items():
         for pt in s:
             carriers.setdefault(pt, set()).add(key)
-    faces: set[frozenset] = set()
-    for keys in carriers.values():
-        keys = sorted(keys, key=repr)
-        m = len(keys)
-        for mask in range(1, 1 << m):
-            faces.add(frozenset(keys[t] for t in range(m) if mask >> t & 1))
-    return frozenset(faces)
+    return frozenset(
+        frozenset(face) for keys in carriers.values()
+        for size in range(1, len(keys) + 1) for face in combinations(keys, size)
+    )
 
 
 def base_complex(x: MComplex) -> frozenset:
     """Underlying simplicial complex: the set of vertex sets of multicells."""
-    return frozenset(frozenset(c.vertices) for c in x.multicells())
+    return frozenset(frozenset(row) for cells in x.cells.values() for row in cells.rows())
 
 
 # -- morphisms -------------------------------------------------------------------
@@ -436,10 +470,7 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     """Verify f is a simplicial multimap preserving coloring, gluing, the
     root and the ordering.  Ordering equivariance is skipped at multicells
     flagged as boundary in the domain (radius-truncated complexes)."""
-    msgs = []
-    for cell in x.multicells():
-        if cell.mid not in f:
-            msgs.append(f"map not defined on {cell.mid}")
+    msgs = [f"map not defined on {mid}" for mid in x.mids() if mid not in f]
     if msgs:
         return Diagnostics(False, msgs)
     vmap: dict[int, int] = {}
@@ -448,54 +479,67 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
         if not y.has_cell(img) or len(img[0]) != 1:
             msgs.append(f"vertex {v} maps to non-vertex {img}")
             continue
-        w = y._cell_vertex[img]
+        w = y.cells[tuple(img[0])].vertices[img[1]]
         vmap[v] = w
         if y.vertex_colors[w] != x.vertex_colors[v]:
             msgs.append(f"vertex {v}: color {x.vertex_colors[v]} not preserved")
     if msgs:
         return Diagnostics(False, msgs)
-    for cell in x.multicells():
-        img = f[cell.mid]
-        if not y.has_cell(img):
-            msgs.append(f"{cell.mid}: image {img} missing in codomain")
-            continue
-        icell = y.cell(img)
-        if icell.colors != cell.colors:
-            msgs.append(f"{cell.mid}: image colors {icell.colors} != {cell.colors}")
-            continue
-        if icell.vertices != tuple(vmap[v] for v in cell.vertices):
-            msgs.append(f"{cell.mid}: image is not induced by the vertex map")
-        for l, fid in cell.faces.items():
-            if f[fid] != icell.faces[l]:
-                msgs.append(f"{cell.mid}: gluing not preserved at dropped color {l}")
+    for colors in sorted(x.cells, key=_by_size):
+        size, mine, theirs = len(colors), x.cells[colors], y.cells.get(colors)
+        for i, row in enumerate(mine.rows()):
+            mid, img = (colors, i), f[(colors, i)]
+            if not y.has_cell(img):
+                msgs.append(f"{mid}: image {img} missing in codomain")
+                continue
+            if tuple(img[0]) != colors:
+                msgs.append(f"{mid}: image colors {tuple(img[0])} != {colors}")
+                continue
+            j = img[1] * size
+            if theirs.vertices[j : j + size] != [vmap[v] for v in row]:
+                msgs.append(f"{mid}: image is not induced by the vertex map")
+            for p, sub in enumerate(_drops(colors)):
+                if f[(sub, mine.faces[i * size + p])] != (sub, theirs.faces[j + p]):
+                    msgs.append(f"{mid}: gluing not preserved at dropped color {colors[p]}")
     if x.root is None or y.root is None:
         msgs.append("root missing on one side")
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
-        for cell in x.multicells(x.d - 1):
-            if cell.mid in x.boundary:
+        for mid in x.mids(x.d - 1):
+            if mid in x.boundary:
                 continue
-            cyc = x.ordering.get(cell.mid)
+            cyc = x.ordering.get(mid)
             if cyc is None:
-                msgs.append(f"{cell.mid}: domain has no ordering cycle")
+                msgs.append(f"{mid}: domain has no ordering cycle")
                 continue
-            img_cyc = y.ordering.get(f[cell.mid])
+            img_cyc = y.ordering.get(f[mid])
             if img_cyc is None:
-                msgs.append(f"{cell.mid}: image has no ordering cycle")
+                msgs.append(f"{mid}: image has no ordering cycle")
                 continue
             step = {img_cyc[t]: img_cyc[(t + 1) % len(img_cyc)] for t in range(len(img_cyc))}
             for t in range(len(cyc)):
                 a, nxt = cyc[t], cyc[(t + 1) % len(cyc)]
                 if step.get(f[a]) != f[nxt]:
-                    msgs.append(f"{cell.mid}: ordering not equivariant at {a}")
+                    msgs.append(f"{mid}: ordering not equivariant at {a}")
                     break
     return Diagnostics(not msgs, msgs)
 
 
 def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
     image = set(f.values())
-    return all(cell.mid in image for cell in y.multicells())
+    return all(mid in image for mid in y.mids())
+
+
+def _glued(x: MComplex, y: MComplex, a: MId, b: MId) -> Iterator[tuple[MId, MId]]:
+    """The facets of a in x beside those of b in y, by the color they drop,
+    read off the faces columns.  b must be a multicell of y of a's colors."""
+    (colors, i), (other, j), size = a, b, len(a[0])
+    mine, theirs = x.cells[colors].faces, y.cells.get(other)
+    if other != colors or theirs is None or not 0 <= j * size < len(theirs.vertices):
+        raise KeyError(f"no multicell {b}")
+    for p, sub in enumerate(_drops(colors)):
+        yield (sub, mine[i * size + p]), (sub, theirs.faces[j * size + p])
 
 
 def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, str]:
@@ -515,9 +559,7 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
     while queue:
         a = queue.popleft()
         a_img = f[a]
-        acell, icell = x.cell(a), y.cell(a_img)
-        for l in acell.colors:
-            b, b_img = acell.faces[l], icell.faces[l]
+        for b, b_img in _glued(x, y, a, a_img):
             if f.setdefault(b, b_img) != b_img:
                 return None, f"gluing conflict at {b}"
             if b in x.boundary:
@@ -535,7 +577,7 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
                     queue.append(nxt)
                 elif prev != nxt_img:
                     return None, f"ordering conflict at {nxt}"
-    tops = [c.mid for c in x.multicells(x.d)]
+    tops = list(x.mids(x.d))
     if any(m not in f for m in tops):
         return None, "root component does not reach every top cell"
     bad = extend_down(f, x, y, tops)
@@ -555,9 +597,8 @@ def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]
     while frontier:
         below = []
         for a in frontier:
-            img_faces = y.cell(f[a]).faces
-            for l, b in x.cell(a).faces.items():
-                if f.setdefault(b, img_faces[l]) != img_faces[l]:
+            for b, b_img in _glued(x, y, a, f[a]):
+                if f.setdefault(b, b_img) != b_img:
                     return b
                 if b not in seen:
                     seen.add(b)
@@ -636,38 +677,30 @@ def complex_from_classes(
     else:
         vert = {c: list(index[(c,)]) for c in full}
     x = MComplex(params, vertex_colors, {})
+    # a cell's index is its class, except for a vertex: its rank in its color
+    at = {(c,): [x.vertex_cell(v)[1] for v in vert[c]] for c in full}
+    for cs in color_sets[len(full) :]:
+        x.cells[cs] = cells = Cells(cs, [], [])
+        corners = [(vert[c], pos[(c,)]) for c in cs]
+        facets = [(at.get(sub), pos[sub]) for sub in _drops(cs)]
+        for ids in map(top_ids.__getitem__, first[cs]):
+            cells.vertices += [vertex[ids[q]] for vertex, q in corners]
+            cells.faces += [ids[q] if rank is None else rank[ids[q]] for rank, q in facets]
 
-    # one id tuple per cell, shared by every reference to it
-    mids = {cs: [(cs, i) for i in range(len(first[cs]))] for cs in color_sets[len(full):]}
-
-    def face_of(ids: list[int], sub: tuple[int, ...]) -> MId:
-        if len(sub) == 1:
-            return x.vertex_cell(vert[sub[0]][ids[pos[sub]]])
-        return mids[sub][ids[pos[sub]]]
-
-    for cs in color_sets[len(full):]:
-        drops = [(l, tuple(c for c in cs if c != l)) for l in cs]
-        x.cells[cs] = [
-            Multicell(
-                cs,
-                idx,
-                tuple(vert[c][top_ids[t][pos[(c,)]]] for c in cs),
-                {l: face_of(top_ids[t], sub) for l, sub in drops},
-            )
-            for idx, t in enumerate(first[cs])
-        ]
-
-    top_mid = [mids[full][ids[-1]] for ids in top_ids]
-    x.root = (full, index[full][key(root, full)])
+    # one id tuple per top cell, shared by every reference to it
+    top_cells = [(full, i) for i in range(len(first[full]))]
+    top_mid = [top_cells[ids[-1]] for ids in top_ids]
+    x.root = top_cells[index[full][key(root, full)]]
     if step is None:
         return x, top_mid
     x.ordering, boundary = {}, set()
     for cs in color_sets[-len(full) - 1 : -1]:
         i = next(c for c in full if c not in cs)
         for t in first[cs]:
-            mid = face_of(top_ids[t], cs)
+            cls = top_ids[t][pos[cs]]
+            mid = (cs, at[cs][cls] if cs in at else cls)
             cyc, nxt = [top_mid[t]], step(tops[t], i)
-            while nxt is not None and (m := mids[full][index[full][key(nxt, full)]]) != cyc[0]:
+            while nxt is not None and (m := top_cells[index[full][key(nxt, full)]]) != cyc[0]:
                 cyc.append(m)
                 nxt = step(nxt, i)
             if nxt is None:
@@ -697,7 +730,7 @@ def from_simplicial(
         return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
 
     x = complex_from_classes(params, tops, key, tops[root_top], vertex_colors=vertex_colors)[0]
-    x.ordering = {c.mid: tuple(sorted(m for m, _ in x.delta(c.mid))) for c in x.multicells(x.d - 1)}
+    x.ordering = {mid: tuple(sorted(m for m, _ in x.delta(mid))) for mid in x.mids(x.d - 1)}
     return x
 
 
@@ -725,9 +758,8 @@ def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
     def key(top: MId, cs: tuple[int, ...]) -> Hashable:
         return relabel[x.cell(top).vertices[cs[0]]] if len(cs) == 1 else x.face(top, cs)
 
-    tops = [c.mid for c in x.multicells(x.d)]
     colors = x.vertex_colors[:v_gone] + x.vertex_colors[v_gone + 1 :]
-    return _class_complex(x, tops, key, x.params.colors, colors)[0]
+    return _class_complex(x, list(x.mids(x.d)), key, x.params.colors, colors)[0]
 
 
 # -- serialization --------------------------------------------------------------
@@ -790,17 +822,12 @@ def _params(doc: dict) -> Params:
 
 def to_json_dict(x: MComplex) -> dict:
     """The mcomplex/2 document of x (layout in the module docstring).  The
-    facet that drops color l is written as its index alone, so each facet is
-    assumed to carry the other colors, as `check_consistency` demands."""
-    by_size = sorted(x.cells, key=lambda c: (len(c), c))
+    `cells` records hold x's own columns, not copies."""
+    by_size = sorted(x.cells, key=_by_size)
     cells = [
-        {
-            "colors": list(colors),
-            "vertices": [v for cell in x.cells[colors] for v in cell.vertices],
-            "faces": [cell.faces[l][1] for cell in x.cells[colors] for l in colors],
-        }
-        for colors in by_size
-        if len(colors) >= 2
+        {"colors": list(J), "vertices": x.cells[J].vertices, "faces": x.cells[J].faces}
+        for J in by_size
+        if len(J) >= 2
     ]
     ordering = None
     if x.ordering is not None:
@@ -808,8 +835,8 @@ def to_json_dict(x: MComplex) -> dict:
             {
                 "colors": list(colors),
                 "cycles": [
-                    None if (cyc := x.ordering.get(cell.mid)) is None else [m[1] for m in cyc]
-                    for cell in x.cells[colors]
+                    None if (cyc := x.ordering.get((colors, i))) is None else [m[1] for m in cyc]
+                    for i in range(len(x.cells[colors]))
                 ],
             }
             for colors in by_size
@@ -827,14 +854,9 @@ def to_json_dict(x: MComplex) -> dict:
 
 
 def to_json(x: MComplex) -> str:
-    """x as one line of compact mcomplex/2 JSON.  Each color set J with
-    |J| >= 2 gets a column of vertex ids and a column of facet indices,
-    n_J·|J| ints each: cell i drops J[p] to (J minus J[p], faces[i·|J|+p]).
-    Each color set of size d gets the cycles of its (d-1)-cells as lists
-    of top indices.  The module docstring has the full layout.  Written
-    without indentation, so `json` runs its C encoder.  `from_json` reads
-    this and the older mcomplex/1 (one record per cell), which nothing
-    writes any more."""
+    """x as one line of compact mcomplex/2 JSON (layout in the module
+    docstring), written without indentation so that `json` runs its C
+    encoder."""
     return json.dumps(to_json_dict(x), separators=(",", ":")) + "\n"
 
 
@@ -894,10 +916,10 @@ def _columns_from_v1(doc: dict) -> dict:
 
 
 def from_json_dict(doc: dict) -> MComplex:
-    """Read an mcomplex/2 document, or an mcomplex/1 one through
-    `_columns_from_v1`.  A document of the wrong shape raises a one-line
-    ValueError naming the first missing or wrongly typed field; every
-    vertex, color, index and facet must be an int."""
+    """Read an mcomplex/2 document, keeping its columns, or an mcomplex/1
+    one through `_columns_from_v1`.  A document of the wrong shape raises a
+    one-line ValueError naming the first missing or wrongly typed field;
+    every vertex, color, index and facet must be an int."""
     if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
     if doc.get("format") == "mcomplex/1":
@@ -907,7 +929,7 @@ def from_json_dict(doc: dict) -> MComplex:
     params = _params(doc)
     d = params.d
     vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")
-    cells: dict[tuple[int, ...], list[Multicell]] = {}
+    cells: dict[tuple[int, ...], Cells] = {}
     for rec, where in _records(doc, "cells", "cell"):
         colors = _colors(_field(rec, "colors", list, where), d, where)
         size = len(colors)
@@ -922,12 +944,7 @@ def from_json_dict(doc: dict) -> MComplex:
                 f"{where}: vertices and faces need {size} entries per cell, "
                 f"got {len(vertices)} and {len(faces)}"
             )
-        subs = [tuple(c for c in colors if c != l) for l in colors]
-        rows = zip(zip(*[iter(vertices)] * size), zip(*[iter(faces)] * size))
-        cells[colors] = [
-            Multicell(colors, i, vs, dict(zip(colors, zip(subs, fs))))
-            for i, (vs, fs) in enumerate(rows)
-        ]
+        cells[colors] = Cells(colors, vertices, faces)
     root = None if doc.get("root") is None else _mid_from_json(doc["root"], d, "root")
     boundary = _field(doc, "boundary", list, "complex") if "boundary" in doc else []
     boundary = frozenset(_mid_from_json(m, d, "boundary") for m in boundary)

@@ -48,6 +48,14 @@ class GroupSizeCapExceeded(ValueError):
     pass
 
 
+class NotAnInvolution(ValueError):
+    """Generator `index` (counted from 0) is the identity or has order > 2."""
+
+    def __init__(self, index: int):
+        super().__init__(f"generator {index} is not an involution")
+        self.index = index
+
+
 def _compose(a: Permutation, b: Permutation) -> Permutation:
     return tuple(a[b[t]] for t in range(len(a)))
 
@@ -84,7 +92,7 @@ def coxeter_kernel_rep(gens: list[Permutation], cap: int = 20000) -> tuple[PermR
         if len(s) != m or sorted(s) != list(range(m)):
             raise ValueError(f"generator {t} is not a permutation")
         if s == identity or _compose(s, s) != identity:
-            raise ValueError(f"generator {t} is not an involution")
+            raise NotAnInvolution(t)
     elems = _closure(gens, cap)
     index = {w: t for t, w in enumerate(elems)}
     betas = tuple(

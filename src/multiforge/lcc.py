@@ -34,15 +34,13 @@ def link_connected_cover(x: MComplex) -> tuple[MComplex, dict[MId, MId]]:
     when its image is.  Raises ValueError on an unordered or unrooted
     input, on a root that is not a top cell, and when the projection is
     ill-defined on a lower cell."""
-    tops = [c.mid for c in x.multicells(x.d)]
+    tops = list(x.mids(x.d))
     cover, cover_tops, _ = orbit_quotient(associated_subgroup_rep(x, tops))
     proj = dict(zip(cover_tops, tops))
     bad = extend_down(proj, cover, x, cover_tops)
     if bad is not None:
         raise ValueError(f"cover projection ill-defined at {bad}")
-    cover.boundary = frozenset(
-        c.mid for c in cover.multicells(x.d - 1) if proj[c.mid] in x.boundary
-    )
+    cover.boundary = frozenset(m for m in cover.mids(x.d - 1) if proj[m] in x.boundary)
     return cover, proj
 
 

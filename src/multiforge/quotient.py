@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .complexes import (
     MComplex,
@@ -91,13 +92,12 @@ def complex_line_graph(x: MComplex) -> Multigraph:
     if x.ordering is None:
         raise ValueError("need an ordered complex")
     d, k = x.params.d, x.params.k
-    tops = sorted(c.mid for c in x.multicells(d))
-    pos = {m: t for t, m in enumerate(tops)}
-    g = Multigraph(len(tops))
+    pos = {m: t for t, m in enumerate(x.mids(d))}
+    g = Multigraph(len(pos))
     for i in range(d + 1):
         colors = tuple(c for c in range(d + 1) if c != i)
-        for cell in x.cells.get(colors, []):
-            cyc = [pos[m] for m in x.ordering[cell.mid]]
+        for j in range(len(x.cells[colors]) if colors in x.cells else 0):
+            cyc = [pos[m] for m in x.ordering[(colors, j)]]
             cycle_edges(g, cyc, i, k)
     g.sort_edges()
     return g
@@ -106,13 +106,7 @@ def complex_line_graph(x: MComplex) -> Multigraph:
 def complex_is_simplicial(x: MComplex) -> bool:
     """True iff every multiplicity is one, i.e. multicells of equal color
     set never share their vertex set."""
-    for colors, lst in x.cells.items():
-        if len(colors) < 2:
-            continue
-        seen = {cell.vertices for cell in lst}
-        if len(seen) != len(lst):
-            return False
-    return True
+    return all(len(set(cells.rows())) == len(cells) for cells in x.cells.values())
 
 
 def intersection_property(rep: PermRep) -> bool:
@@ -149,25 +143,18 @@ def is_upper_regular(rep: PermRep) -> bool:
 def complex_is_upper_regular(x: MComplex) -> bool:
     """Degree-k regularity read off the complex: every codimension-one
     multicell has exactly k cofaces."""
-    return all(x.degree(c.mid) == x.params.k for c in x.multicells(x.d - 1))
+    return all(x.degree(mid) == x.params.k for mid in x.mids(x.d - 1))
 
 
 def complex_has_complete_skeleton(x: MComplex) -> bool:
     """Every choice of one vertex per color in a proper color set spans at
     least one cell of the base complex (singletons always span)."""
-    d = x.params.d
-    counts: dict[int, int] = {}
-    for c in x.vertex_colors:
-        counts[c] = counts.get(c, 0) + 1
-    for colors, lst in x.cells.items():
-        if len(colors) < 2 or len(colors) == d + 1:
-            continue
-        want = 1
-        for c in colors:
-            want *= counts[c]
-        if len({cell.vertices for cell in lst}) != want:
-            return False
-    return True
+    counts = Counter(x.vertex_colors)
+    return all(
+        len(set(cells.rows())) == prod(counts[c] for c in colors)
+        for colors, cells in x.cells.items()
+        if 2 <= len(colors) <= x.d
+    )
 
 
 def quotient_map(ball: Ball, q: QuotientObject) -> dict[MId, MId]:
@@ -190,12 +177,12 @@ def _misordered_facet(x: MComplex, tops: list[MId], i: int) -> str:
     i has a cycle listing all of its cofaces: one such cycle repeats an
     entry or lists a cell that is not its coface."""
     top_set = set(tops)
-    for b in dict.fromkeys(x.cell(m).faces[i] for m in tops):
+    for b in dict.fromkeys(x.facet(m, i) for m in tops):
         cyc = x.ordering[b]
         if len(set(cyc)) != len(cyc):
             return f"the ordering cycle of the facet {b} lists a coface twice"
         for c in cyc:
-            if c not in top_set or x.cell(c).faces[i] != b:
+            if c not in top_set or x.facet(c, i) != b:
                 return f"the ordering cycle of the facet {b} lists {c}, not a coface"
     raise AssertionError("generator images repeat, yet every ordering cycle is well formed")
 
@@ -214,7 +201,7 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
         raise ValueError("the complex has no ordering")
     if x.root is None:
         raise ValueError("the complex has no root")
-    tops = point_order if point_order is not None else [c.mid for c in x.multicells(x.d)]
+    tops = point_order if point_order is not None else list(x.mids(x.d))
     pos = {m: t for t, m in enumerate(tops)}
     if x.root not in pos:
         raise ValueError(f"the root {x.root} is not a top cell")
@@ -222,7 +209,7 @@ def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -
     for i in range(x.d + 1):
         images = []
         for m in tops:
-            b = x.cell(m).faces[i]
+            b = x.facet(m, i)
             cyc = x.ordering.get(b)
             if cyc is None:
                 raise ValueError(f"the facet {b} has no ordering cycle")
@@ -242,7 +229,7 @@ def nerve_matches_base(q: QuotientObject) -> bool:
     """The nerve of the coset family, the point set of each vertex's orbit
     class keyed by vertex id, is the base complex."""
     fam = {
-        q.complex.cells[(c,)][orbit_id].vertices[0]: pts
+        q.complex.cells[(c,)].vertices[orbit_id]: pts
         for c in q.rep.params.colors
         for orbit_id, pts in enumerate(q.partitions[(c,)].members())
     }
@@ -258,14 +245,13 @@ def analyze(x: MComplex) -> str:
     valid = validate_structure(x)
     if not valid and not (glued := check_consistency(x)):
         raise ValueError(glued.messages[0])
-    by_dim: dict[int, int] = {}
-    base_by_dim: dict[int, int] = {}
-    for colors, lst in x.cells.items():
-        dim = len(colors) - 1
-        by_dim[dim] = by_dim.get(dim, 0) + len(lst)
-        base_by_dim[dim] = base_by_dim.get(dim, 0) + len({cell.vertices for cell in lst})
+    by_dim: Counter = Counter()
+    base_by_dim: Counter = Counter()
+    for colors, cells in x.cells.items():
+        by_dim[len(colors) - 1] += len(cells)
+        base_by_dim[len(colors) - 1] += len(set(cells.rows()))
     per_color = [x.vertex_colors.count(c) for c in x.params.colors]
-    hist = Counter(x.degree(cell.mid) for cell in x.multicells(x.d - 1))
+    hist = Counter(map(x.degree, x.mids(x.d - 1)))
     flags = [
         ("structure-valid", valid.ok),
         ("simplicial", complex_is_simplicial(x)),

@@ -51,12 +51,9 @@ def boundary_matrix(x: MComplex, j: int) -> SignedIncidence:
     row_pos = {m: t for t, m in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)))
     for t, mid in enumerate(cols):
-        cell = x.cell(mid)
-        by_id = sorted(range(j + 1), key=lambda s: cell.vertices[s])
-        for position, s in enumerate(by_id):
-            dropped_color = cell.colors[s]
-            fid = cell.faces[dropped_color]
-            mat[row_pos[fid], t] += (-1) ** position
+        vertices, facets = x.cell(mid).vertices, x.facets(mid)
+        for position, s in enumerate(sorted(range(j + 1), key=vertices.__getitem__)):
+            mat[row_pos[facets[s]], t] += (-1) ** position
     return SignedIncidence(rows, cols, mat)
 
 

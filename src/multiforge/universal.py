@@ -80,20 +80,13 @@ def build_ball(p: Params, n: int) -> Ball:
         frontier = new_frontier
 
     x = from_simplicial(p, vertex_colors, tops, root_top=0)
-    top_id: dict[frozenset[int], MId] = {}
-    for cell in x.multicells(d):
-        top_id[frozenset(cell.vertices)] = cell.mid
-    tid = [top_id[frozenset(t)] for t in tops]
-    facet_id: dict[frozenset[int], MId] = {}
-    for cell in x.multicells(d - 1):
-        facet_id[frozenset(cell.vertices)] = cell.mid
-    ordering = {
-        facet_id[frozenset(f)]: tuple(tid[t] for t in cyc) for f, cyc in cycles.items()
+    cell_id = {  # the ball is simplicial: a cell is fixed by its vertex set
+        frozenset(row): (colors, i) for colors, cells in x.cells.items()
+        for i, row in enumerate(cells.rows())
     }
-    x.ordering = ordering
-    x.boundary = frozenset(
-        facet_id[frozenset(f)] for f, cyc in cycles.items() if len(cyc) < k
-    )
+    tid = [cell_id[frozenset(t)] for t in tops]
+    x.ordering = {cell_id[frozenset(f)]: tuple(tid[t] for t in cyc) for f, cyc in cycles.items()}
+    x.boundary = frozenset(cell_id[frozenset(f)] for f, cyc in cycles.items() if len(cyc) < k)
     cell_words = {tid[t]: words[t] for t in range(len(tops))}
     return Ball(x, n, cell_words)
 

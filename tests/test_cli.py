@@ -228,6 +228,9 @@ V1_MALFORMED = {
     "cell-bad-face-id": _set_face_0([[1]]),
     "cell-face-id-nested-list": _set_face_0([[[1]], 0]),
     "cell-face-wrong-colors": _set_face_0([[0], 0]),
+    "cell-face-keys": lambda doc: doc["cells"][0]["faces"].__setitem__(
+        "5", doc["cells"][0]["faces"].pop("0")
+    ),
     "cell-vertex-nested-list": lambda doc: doc["cells"][0]["vertices"].__setitem__(0, [0]),
     "vertex-color-nested-list": lambda doc: doc["vertex_colors"].__setitem__(2, [1]),
     "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycle"),
@@ -454,6 +457,8 @@ GENERATOR_ERRORS = {
         "3\n2 1 3\n1 1 2\n",
         "error: line 3: not a permutation (images are not a bijection)",
     ),
+    "identity-after-a-comment": ("3\n2 1 3\n# identity\n1 2 3\n", "error: line 4: not an involution"),
+    "three-cycle": ("3\n2 3 1\n1 3 2\n", "error: line 2: not an involution"),
 }
 
 

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import json
-from itertools import permutations
+from dataclasses import FrozenInstanceError
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,9 @@ from conftest import seeded_rep
 from multiforge.acceptance import _merge_fixture
 from multiforge.complexes import (
     EMPTY_CELL,
+    Cells,
     MComplex,
+    MId,
     Multicell,
     base_complex,
     check_consistency,
@@ -41,58 +44,15 @@ WEDGE = from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)])
 def figure_two_complex(consistent: bool) -> MComplex:
     """Full 3-complex on four vertices with a doubled {0,1,3}-triangle and a
     doubled {0,1}-edge; the tetrahedron is glued to triangle copies whose
-    edge gluings agree or disagree on the shared edge."""
-    p = Params(3, 2)
-    e01 = ((0, 1), 0)
-    e01b = ((0, 1), 1)
-
-    def edge(colors, verts, idx=0, zero_faces=None):
-        faces = {
-            colors[0]: ((colors[1],), 0),
-            colors[1]: ((colors[0],), 0),
-        }
-        return Multicell(colors, idx, verts, faces)
-
-    cells = {
-        (0, 1): [edge((0, 1), (0, 1)), Multicell((0, 1), 1, (0, 1), {0: ((1,), 0), 1: ((0,), 0)})],
-        (0, 2): [edge((0, 2), (0, 2))],
-        (0, 3): [edge((0, 3), (0, 3))],
-        (1, 2): [edge((1, 2), (1, 2))],
-        (1, 3): [edge((1, 3), (1, 3))],
-        (2, 3): [edge((2, 3), (2, 3))],
-        (0, 1, 2): [
-            Multicell((0, 1, 2), 0, (0, 1, 2), {2: e01, 1: ((0, 2), 0), 0: ((1, 2), 0)})
-        ],
-        (0, 1, 3): [
-            Multicell((0, 1, 3), 0, (0, 1, 3), {3: e01, 1: ((0, 3), 0), 0: ((1, 3), 0)}),
-            Multicell(
-                (0, 1, 3),
-                1,
-                (0, 1, 3),
-                {3: e01 if consistent else e01b, 1: ((0, 3), 0), 0: ((1, 3), 0)},
-            ),
-        ],
-        (0, 2, 3): [
-            Multicell((0, 2, 3), 0, (0, 2, 3), {3: ((0, 2), 0), 2: ((0, 3), 0), 0: ((2, 3), 0)})
-        ],
-        (1, 2, 3): [
-            Multicell((1, 2, 3), 0, (1, 2, 3), {3: ((1, 2), 0), 2: ((1, 3), 0), 1: ((2, 3), 0)})
-        ],
-        (0, 1, 2, 3): [
-            Multicell(
-                (0, 1, 2, 3),
-                0,
-                (0, 1, 2, 3),
-                {
-                    3: ((0, 1, 2), 0),
-                    2: ((0, 1, 3), 1),
-                    1: ((0, 2, 3), 0),
-                    0: ((1, 2, 3), 0),
-                },
-            )
-        ],
-    }
-    return MComplex(p, [0, 1, 2, 3], cells)
+    edge gluings agree or disagree on the shared edge.  Vertex v has color
+    v, and every other facet is copy 0."""
+    columns = {J: (list(J), [0] * len(J)) for size in (2, 3) for J in combinations(range(4), size)}
+    columns[(0, 1)] = ([0, 1, 0, 1], [0, 0, 0, 0])
+    # the second {0,1,3}-triangle drops color 3 to edge copy 0 or 1
+    columns[(0, 1, 3)] = ([0, 1, 3, 0, 1, 3], [0, 0, 0, 0, 0, 0 if consistent else 1])
+    columns[(0, 1, 2, 3)] = ([0, 1, 2, 3], [0, 0, 1, 0])  # drops color 2 to triangle copy 1
+    cells = {J: Cells(J, *cols) for J, cols in columns.items()}
+    return MComplex(Params(3, 2), [0, 1, 2, 3], cells)
 
 
 def test_consistency_simplicial_always_passes():
@@ -160,9 +120,7 @@ def test_link_of_root_vertex_in_ball():
 
 
 def test_link_of_cell_in_no_top_is_refused():
-    x = single_simplex(Params(3, 2))
-    x.cells[(0, 1)].append(Multicell((0, 1), 1, (0, 1), {0: ((1,), 0), 1: ((0,), 0)}))
-    x.invalidate_caches()
+    x = impure_simplex(Params(3, 2))
     with pytest.raises(ValueError, match=r"\(\(0, 1\), 1\) lies in no top cell"):
         link_with_map(x, ((0, 1), 1))
 
@@ -357,12 +315,11 @@ def test_v1_file_reads_as_its_v2_text():
     assert to_json(x) == to_json(build_quotient(m_subgroup_rep(Params(2, 2))).complex)
 
 
-def impure_simplex() -> MComplex:
-    """A triangle plus a second copy of its (0,1)-edge with no coface."""
-    x = single_simplex(Params(2, 2))
-    x.cells[(0, 1)].append(
-        Multicell((0, 1), 1, (0, 1), {0: ((1,), 0), 1: ((0,), 0)})
-    )
+def impure_simplex(params: Params = Params(2, 2)) -> MComplex:
+    """A simplex plus a second copy of its (0,1)-edge with no coface."""
+    x = single_simplex(params)
+    x.cells[(0, 1)].vertices.extend([0, 1])
+    x.cells[(0, 1)].faces.extend([0, 0])
     x.invalidate_caches()
     return x
 
@@ -516,29 +473,71 @@ def test_repointed_facet_matches_brute_force(d, k, m, seed, data):
     """Re-point one facet of a small quotient to another multicell of the
     same color set; the checks still agree with the oracle."""
     x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
-    cells = [cell for cell in x.multicells() if cell.dim >= 1]
-    cell = data.draw(st.sampled_from(cells))
-    l = data.draw(st.sampled_from(cell.colors))
-    sub = cell.faces[l][0]
-    cell.faces[l] = (sub, data.draw(st.integers(0, len(x.cells[sub]) - 1)))
-    x.invalidate_caches()
+    repoint_facet(x, data, lambda n: st.integers(0, n - 1))
     assert_gluing_matches_oracle(x)
 
 
+def repoint_facet(x: MComplex, data, index) -> MId:
+    """Point the facet of a drawn multicell that drops a drawn color to the
+    cell index drawn from `index(n)`, n the size of the facet's color set,
+    by editing the faces column.  Returns the old facet."""
+    colors, i = data.draw(st.sampled_from([m for m in x.mids() if len(m[0]) >= 2]))
+    p = colors.index(data.draw(st.sampled_from(colors)))
+    sub = colors[:p] + colors[p + 1 :]
+    old = (sub, x.cells[colors].faces[i * len(colors) + p])
+    x.cells[colors].faces[i * len(colors) + p] = data.draw(index(len(x.cells[sub])))
+    x.invalidate_caches()
+    return old
+
+
 def test_malformed_gluing_is_reported_not_raised():
-    dangling = single_simplex(Params(2, 2))
-    dangling.cells[(0, 1, 2)][0].faces[2] = ((0, 1), 5)
-    miskeyed = single_simplex(Params(2, 2))
-    faces = miskeyed.cells[(0, 1, 2)][0].faces
-    faces[5] = faces.pop(2)
-    wrong_colors = single_simplex(Params(2, 2))
-    wrong_colors.cells[(0, 1, 2)][0].faces[2] = ((0, 2), 0)
-    expected = [
-        (dangling, "dangling gluing reference ((0, 1), 5) from ((0, 1, 2), 0)"),
-        (miskeyed, "((0, 1, 2), 0): facet keys != colors"),
-        (wrong_colors, "((0, 1, 2), 0): facet ((0, 2), 0) has wrong colors"),
-    ]
-    for x, message in expected:
-        x.invalidate_caches()
-        for report in (check_consistency(x), validate_structure(x)):
-            assert not report.ok and message in report.messages
+    """A facet index with no cell behind it.  The columns give every facet
+    the other colors, so a miskeyed facet or one of the wrong colors cannot
+    be held; the reader refuses both in mcomplex/1 files."""
+    x = single_simplex(Params(2, 2))
+    x.cells[(0, 1, 2)].faces[2] = 5  # the facet that drops color 2
+    x.invalidate_caches()
+    message = "dangling gluing reference ((0, 1), 5) from ((0, 1, 2), 0)"
+    for report in (check_consistency(x), validate_structure(x)):
+        assert not report.ok and message in report.messages
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 3), m=st.integers(1, 4),
+       seed=st.integers(0, 10**6), edit=st.sampled_from(["none", "repoint", "dangle"]),
+       data=st.data())
+def test_coface_index_matches_columns(d, k, m, seed, edit, data):
+    """On a small quotient, as built or with one facet re-pointed or left
+    dangling: `delta(b)` lists each (mid, l) with `facet(mid, l) == b`
+    exactly once, by (size, colors), then index, then color; a dangling
+    facet index is left out, not raised; and `cell(mid)` is a read-only
+    view that agrees with the columns."""
+    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    if edit == "repoint":
+        repoint_facet(x, data, lambda n: st.integers(0, n - 1))
+    if edit == "dangle":
+        sub, _ = repoint_facet(x, data, lambda n: st.sampled_from([-1, n, n + 3]))
+        assert x.delta((sub, len(x.cells[sub]))) == []
+    expected: dict[MId, list] = {}
+    for mid in x.mids():
+        for l in mid[0] if len(mid[0]) >= 2 else ():
+            if x.has_cell(x.facet(mid, l)):
+                expected.setdefault(x.facet(mid, l), []).append((mid, l))
+    for mid in x.mids():
+        assert x.delta(mid) == expected.get(mid, [])
+        (colors, i), size = mid, len(mid[0])
+        column = x.cells[colors]
+        cell = x.cell(mid)
+        assert cell.mid == mid
+        assert cell.vertices == tuple(column.vertices[i * size : (i + 1) * size])
+        assert dict(cell.faces) == {
+            l: (colors[:p] + colors[p + 1 :], column.faces[i * size + p])
+            for p, l in enumerate(colors if size >= 2 else ())
+        }
+    pairs = sum(len(c.faces) for c in x.cells.values())
+    assert sum(map(x.degree, x.mids())) == pairs - (edit == "dangle")
+    view = x.cell(x.root)
+    with pytest.raises(TypeError):
+        view.faces[0] = view.faces[1]
+    with pytest.raises(FrozenInstanceError):
+        view.index = 1

@@ -214,8 +214,8 @@ def test_universality_coset_coarsening():
             if len(colors) >= 2:
                 to_q[(colors, orbit_id)] = (colors, image_orbit)
             else:
-                src = z.complex.vertex_cell(z.complex.cells[colors][orbit_id].vertices[0])
-                dst = q.complex.vertex_cell(q.complex.cells[colors][image_orbit].vertices[0])
+                src = z.complex.vertex_cell(z.complex.cells[colors].vertices[orbit_id])
+                dst = q.complex.vertex_cell(q.complex.cells[colors].vertices[image_orbit])
                 to_q[src] = dst
     assert check_morphism(to_q, z.complex, q.complex).ok
     merge_map = vertex_merge_map(q.complex, merged, v1, v2)
