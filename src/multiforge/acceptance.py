@@ -198,7 +198,7 @@ def crit_4_line_graph_is_schreier() -> str:
 def crit_5_classification_round_trip() -> str:
     for rep in seeded_reps(20):
         q = build_quotient(rep)
-        back = associated_subgroup_rep(q.complex, q.point_cell)
+        back = associated_subgroup_rep(q.complex)
         assert same_up_to_relabeling(back, rep), rep.params
     return "20 reps: associated subgroup reproduces the rep up to relabeling"
 
@@ -364,10 +364,10 @@ def crit_14_common_cover() -> str:
         r1, _ = random_rep_retry(Params(d, k), n, seed=4000 + t)
         r2, _ = random_rep_retry(Params(d, k), n, seed=5000 + t)
         r3, pairs = intersect_reps(r1, r2)
-        q3 = build_quotient(r3)
+        q3, full = build_quotient(r3), tuple(range(d + 1))
         for side, r in ((0, r1), (1, r2)):
             q = build_quotient(r)
-            f = {q3.point_cell[p]: q.point_cell[pair[side]] for p, pair in enumerate(pairs)}
+            f = {(full, p): (full, pair[side]) for p, pair in enumerate(pairs)}
             assert extend_down(f, q3.complex, q.complex, list(f)) is None, (d, k, n, side)
             assert check_morphism(f, q3.complex, q.complex), (d, k, n, side)
             assert is_surjective(f, q.complex), (d, k, n, side)

@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import acceptance
-from .complexes import check_consistency, from_json, to_json, to_json_dict, validate_structure
+from .complexes import MComplex, from_json, to_json, to_json_dict, validate_structure
 from .gallery import NotAnInvolution, coxeter_complex, flag_complex, m_subgroup_rep
 from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
 from .lcc import link_connected_cover
@@ -50,6 +50,16 @@ def _seed(args) -> int:
     return int(os.environ.get("FORGE_SEED", "0"))
 
 
+def _valid_complex(path: str) -> MComplex:
+    """The complex in the file, or ValueError with the first message of
+    `validate_structure`."""
+    x = from_json(_read(path))
+    diag = validate_structure(x)
+    if not diag:
+        raise ValueError(diag.messages[0])
+    return x
+
+
 def _fmt(x: float, raw: bool) -> str:
     return repr(x) if raw else f"{x:.6g}"
 
@@ -77,7 +87,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_lcc(args) -> int:
-    x = from_json(_read(args.complex))
+    x = _valid_complex(args.complex)
     cover, proj = link_connected_cover(x)
     _write(args.out, to_json(cover))
     if args.map:
@@ -90,10 +100,7 @@ def cmd_lcc(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    x = from_json(_read(args.complex))
-    for diag in (check_consistency(x), validate_structure(x)):
-        if not diag:
-            raise ValueError(diag.messages[0])
+    x = _valid_complex(args.complex)
     eigs = spectrum(x)
     rank = coboundary_rank(x, tol=args.tol)
     lines = [f"forms: {len(eigs)}", f"coboundary-rank: {rank}"]

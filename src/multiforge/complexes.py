@@ -28,7 +28,7 @@ is the file layout.
 - `ordering` is null or holds one record per color set J of size d:
   {"colors": J, "cycles": [...]}, one entry per (d-1)-cell of J in index
   order, the indices of its top cofaces in cycle order (null where a cell
-  has no cycle).
+  has no cycle).  `MComplex.ordering` holds these lists, keyed by J.
 - `root` is null or a multicell id [colors, index]; `boundary` lists ids.
 
 The reader also takes mcomplex/1, which had one record per cell
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, combinations
@@ -120,9 +120,10 @@ class MComplex:
     mcomplex/2 file; nothing else stores the multicells.  The vertex color
     sets are made from `vertex_colors` (index = rank among same-color
     vertices).  `cell` and `multicells` give read-only views, made on
-    demand.  `ordering` maps each (d-1)-multicell to the cycle its
-    top-dimensional cofaces form under the chosen generator; `boundary`
-    flags (d-1)-multicells with incomplete cycles (radius cutoffs).
+    demand.  `ordering` maps each color set J of size d to its `cycles`
+    list in the file: for (d-1)-cell i of J, its top cofaces' indices in
+    the order the generator missing from J steps through them, or None.
+    `boundary` flags (d-1)-cells with incomplete cycles (radius cutoffs).
     """
 
     def __init__(
@@ -130,7 +131,7 @@ class MComplex:
         params: Params,
         vertex_colors: list[int],
         cells: dict[tuple[int, ...], Cells],
-        ordering: dict[MId, tuple[MId, ...]] | None = None,
+        ordering: dict[tuple[int, ...], list[list[int] | None]] | None = None,
         root: MId | None = None,
         boundary: frozenset[MId] = frozenset(),
     ):
@@ -194,6 +195,11 @@ class MComplex:
 
     def top_cells(self) -> list[Multicell]:
         return list(self.multicells(self.d))
+
+    def cycle(self, mid: MId) -> list[int] | None:
+        """The ordering cycle of a (d-1)-multicell as top indices, or None."""
+        cycles = self.ordering.get(mid[0]) if self.ordering else None
+        return cycles[mid[1]] if cycles and mid[1] < len(cycles) else None
 
     # -- incidence structure ---------------------------------------------------
 
@@ -262,60 +268,92 @@ def check_consistency(x: MComplex) -> Diagnostics:
                 messages.append(f"dangling gluing reference {fid} from {mid}")
     if messages:
         return Diagnostics(False, messages)
-    for mid in x.mids():
-        below = [x.facets(b) for b in x.facets(mid)] if len(mid[0]) >= 3 else []
-        for pa, pb in combinations(range(len(below)), 2):
-            via_a, via_b = below[pa][pb - 1], below[pb][pa]  # each drops the colors at pa and pb
-            if via_a != via_b:
-                messages.append(
-                    f"inconsistent gluing under {mid}: face of colors {via_a[0]} "
-                    f"reached as both {via_a} and {via_b}"
-                )
+    for J in sorted(x.cells, key=_by_size):
+        size, subs, faces, faults = len(J), _drops(J), x.cells[J].faces, []
+        for pa, pb in combinations(range(size) if size >= 3 and faces else (), 2):
+            sub = _drops(subs[pa])[pb - 1]  # the face dropping J[pa] and J[pb], read both ways
+            via_a = map(x.cells[subs[pa]].faces[pb - 1 :: size - 1].__getitem__, faces[pa::size])
+            via_b = map(x.cells[subs[pb]].faces[pa :: size - 1].__getitem__, faces[pb::size])
+            faults += [(i, pa, pb, (sub, u), (sub, w))
+                       for i, (u, w) in enumerate(zip(via_a, via_b)) if u != w]
+        messages += [
+            f"inconsistent gluing under {(J, i)}: face of colors {a[0]} reached as both {a} and {b}"
+            for i, _, _, a, b in sorted(faults)
+        ]
     return Diagnostics(not messages, messages)
 
 
 def validate_structure(x: MComplex) -> Diagnostics:
-    """Well-formedness: vertex colors, consistent gluing, facet vertices,
-    purity, ordering validity, degree bound, and boundary flags that name
-    (d-1)-multicells.  Color order, dense indices and arity are the
-    columns' own shape, which the reader checks."""
+    """Well-formedness: `check_consistency`'s messages first, then vertex
+    colors, facet vertices, purity, degree bound, the `ordering_faults`
+    audit and cycle lengths, boundary flags that name (d-1)-multicells, and
+    the root.  Color order, dense indices and arity are the columns' own
+    shape, which the reader checks."""
     d, k, n, vertex_colors = x.params.d, x.params.k, x.n_vertices, x.vertex_colors
-    msgs = [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
-            if not 0 <= c <= d]
+    msgs = check_consistency(x).messages
+    msgs += [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
+             if not 0 <= c <= d]
+    cofaces = {J: Counter() for J in x.cells}  # cell index -> faces entries naming it
+    for J, cells in x.cells.items():
+        for p, sub in enumerate(_drops(J)):
+            cofaces.get(sub, Counter()).update(cells.faces[p :: len(J)])
     for colors, cells in x.cells.items():
-        size, subs = len(colors), _drops(colors)
-        below = [list(x.cells[sub].rows()) if sub in x.cells else [] for sub in subs]
-        for i, row in enumerate(cells.rows()):
-            mid = (colors, i)
+        size, subs, count = len(colors), _drops(colors), cofaces[colors]
+        below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
+        for i in range(len(cells)):
+            mid, row = (colors, i), cells.vertices[i * size : (i + 1) * size]
             for c, v in zip(colors, row):
                 if not (0 <= v < n and vertex_colors[v] == c):
                     msgs.append(f"{mid}: vertex {v} does not carry color {c}")
             for p, f in enumerate(cells.faces[i * size : (i + 1) * size]):
-                if 0 <= f < len(below[p]) and below[p][f] != row[:p] + row[p + 1 :]:
+                facet = below[p][f * (size - 1) : (f + 1) * (size - 1)]
+                if f >= 0 and facet and facet != row[:p] + row[p + 1 :]:
                     msgs.append(f"{mid}: facet {(subs[p], f)} has wrong vertices")
-            if size <= d and not x.delta(mid):
+            if size <= d and not count[i]:
                 msgs.append(f"{mid}: not contained in any top multicell (impure)")
-    msgs.extend(check_consistency(x).messages)
-    for mid in x.mids(d - 1):
-        if x.degree(mid) > k:
-            msgs.append(f"{mid}: degree {x.degree(mid)} exceeds k={k}")
+    msgs += [f"{mid}: degree {deg} exceeds k={k}"
+             for mid in x.mids(d - 1) if (deg := cofaces[mid[0]][mid[1]]) > k]
     if x.ordering is not None:
-        for mid in x.mids(d - 1):
-            cyc = x.ordering.get(mid)
-            if cyc is None:
-                msgs.append(f"{mid}: no ordering cycle")
-                continue
-            cofaces = {m for m, _ in x.delta(mid)}
-            if sorted(cyc) != sorted(cofaces) or len(cyc) != len(cofaces):
-                msgs.append(f"{mid}: cycle does not visit each coface once")
-            if mid not in x.boundary and (len(cyc) == 0 or k % len(cyc) != 0):
-                msgs.append(f"{mid}: cycle length {len(cyc)} does not divide k")
+        msgs += ordering_faults(x)
+        for J, cycles in sorted(x.ordering.items()):
+            for i, cyc in enumerate(cycles):
+                if cyc is not None and (not cyc or k % len(cyc)) and (J, i) not in x.boundary:
+                    msgs.append(f"{(J, i)}: cycle length {len(cyc)} does not divide k")
     for mid in sorted(x.boundary):
         if len(mid[0]) != d or not x.has_cell(mid):
             msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
     if x.root is not None and not x.has_cell(x.root):
         msgs.append(f"root {x.root} missing")
     return Diagnostics(not msgs, msgs)
+
+
+def ordering_faults(x: MComplex) -> Iterator[str]:
+    """The one audit of an ordering, by (d-1)-multicell in id order: the
+    cycle of each must list each of its top cofaces once and nothing else.
+    A top whose facet index names no cell comes first in its color set, as
+    a facet with no ordering cycle.  x must be ordered."""
+    full = tuple(x.params.colors)
+    tops = x.cells[full].faces if full in x.cells else []
+    for p in reversed(range(len(full))):  # the color sets of size d, increasing
+        J = full[:p] + full[p + 1 :]
+        cofaces: list[list[int]] = [[] for _ in range(len(x.cells.get(J, ())))]
+        for t, f in enumerate(tops[p :: len(full)]):
+            if 0 <= f < len(cofaces):
+                cofaces[f].append(t)
+            else:
+                yield f"the facet {(J, f)} has no ordering cycle"
+        cycles = (x.ordering.get(J) or []) + [None] * len(cofaces)
+        for i, (mine, cyc) in enumerate(zip(cofaces, cycles)):
+            if cyc is None:
+                yield f"the facet {(J, i)} has no ordering cycle"
+            elif sorted(cyc) != mine:
+                extra = [t for t in cyc if t not in mine]
+                missing = [t for t in mine if t not in cyc]
+                yield f"the ordering cycle of the facet {(J, i)} " + (
+                    f"lists {(full, extra[0])}, not a coface" if extra
+                    else f"leaves out its coface {(full, missing[0])}" if missing
+                    else "lists a coface twice"
+                )
 
 
 def is_lower_path_connected(x: MComplex, j: int) -> bool:
@@ -411,16 +449,16 @@ def _class_complex(
     colors: Sequence[int],
     vertex_colors: list[int] | None,
 ) -> tuple[MComplex, dict[MId, MId]]:
-    """`complex_from_classes` of the top cells `tops` of x, its color t
-    standing for x's color colors[t], with x's ordering cycles, boundary
-    flags and root (of any dimension) carried over verbatim through the
-    class map.  Returns the complex and the class map, which takes each
-    face of a top in `tops` that keeps the colors outside `colors` to its
-    class, found by walking down both complexes side by side."""
-    y, top_mid = complex_from_classes(
-        Params(len(colors) - 1, x.params.k), tops, key, tops[0], vertex_colors=vertex_colors
-    )
-    f = dict(zip(tops, top_mid))
+    """`complex_from_classes` of the top cells `tops` of x, each its own
+    class, its color t standing for x's color colors[t], with x's ordering
+    cycles, boundary flags and root (of any dimension) carried over verbatim
+    through the class map.  Returns the complex and the class map, which
+    takes each face of a top in `tops` that keeps the colors outside
+    `colors` to its class, found by walking down both complexes side by
+    side; top t of `tops` is y's top t."""
+    p = Params(len(colors) - 1, x.params.k)
+    y = complex_from_classes(p, tops, key, tops[0], vertex_colors=vertex_colors)
+    f = {top: (tuple(p.colors), t) for t, top in enumerate(tops)}
     frontier = tops
     while frontier:
         below = []
@@ -432,7 +470,11 @@ def _class_complex(
                     below.append(facet)
         frontier = below
     if x.ordering is not None:
-        y.ordering = {f[m]: tuple(f[t] for t in cyc) for m, cyc in x.ordering.items() if m in f}
+        full = tuple(x.params.colors)
+        y.ordering = {J: [None] * len(y.cells[J]) for J in y.cells if len(J) == p.d}
+        for m, (J, i) in f.items():
+            if J in y.ordering and (cyc := x.cycle(m)) is not None:
+                y.ordering[J][i] = [f[(full, t)][1] for t in cyc]
     y.boundary = frozenset(f[m] for m in x.boundary if m in f)
     y.root = f.get(x.root)
     return y, f
@@ -506,22 +548,22 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
+        full = tuple(x.params.colors)
         for mid in x.mids(x.d - 1):
             if mid in x.boundary:
                 continue
-            cyc = x.ordering.get(mid)
+            cyc = x.cycle(mid)
             if cyc is None:
                 msgs.append(f"{mid}: domain has no ordering cycle")
                 continue
-            img_cyc = y.ordering.get(f[mid])
+            img_cyc = y.cycle(f[mid])
             if img_cyc is None:
                 msgs.append(f"{mid}: image has no ordering cycle")
                 continue
-            step = {img_cyc[t]: img_cyc[(t + 1) % len(img_cyc)] for t in range(len(img_cyc))}
-            for t in range(len(cyc)):
-                a, nxt = cyc[t], cyc[(t + 1) % len(cyc)]
-                if step.get(f[a]) != f[nxt]:
-                    msgs.append(f"{mid}: ordering not equivariant at {a}")
+            step = {(full, a): (full, b) for a, b in zip(img_cyc, img_cyc[1:] + img_cyc[:1])}
+            for a, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                if step.get(f[(full, a)]) != f[(full, nxt)]:
+                    msgs.append(f"{mid}: ordering not equivariant at {(full, a)}")
                     break
     return Diagnostics(not msgs, msgs)
 
@@ -555,7 +597,7 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
     if x.ordering is None or y.ordering is None:
         return None, "both complexes must be ordered"
     f: dict[MId, MId] = {x.root: y.root}
-    queue = deque([x.root])
+    queue, full = deque([x.root]), tuple(x.params.colors)
     while queue:
         a = queue.popleft()
         a_img = f[a]
@@ -564,13 +606,13 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
                 return None, f"gluing conflict at {b}"
             if b in x.boundary:
                 continue  # truncated cycle carries no propagation data
-            cyc, img_cyc = x.ordering[b], y.ordering[b_img]
-            if len(cyc) % len(img_cyc) != 0:
+            cyc, img_cyc = x.cycle(b), y.cycle(b_img)
+            if not cyc or not img_cyc or len(cyc) % len(img_cyc) != 0:
                 return None, f"cycle length mismatch at {b}"
-            ta, ti = cyc.index(a), img_cyc.index(a_img)
+            ta, ti = cyc.index(a[1]), img_cyc.index(a_img[1])
             for off in range(1, len(cyc)):
-                nxt = cyc[(ta + off) % len(cyc)]
-                nxt_img = img_cyc[(ti + off) % len(img_cyc)]
+                nxt = (full, cyc[(ta + off) % len(cyc)])
+                nxt_img = (full, img_cyc[(ti + off) % len(img_cyc)])
                 prev = f.get(nxt)
                 if prev is None:
                     f[nxt] = nxt_img
@@ -636,21 +678,23 @@ def complex_from_classes(
     root: object,
     step: Callable[[object, int], object | None] | None = None,
     vertex_colors: list[int] | None = None,
-) -> tuple[MComplex, list[MId]]:
+) -> MComplex:
     """The complex whose multicells of color set J are the classes of the
     top objects under `key(top, J)`: the one construction behind quotients,
     coset balls, Coxeter complexes, simplicial input, links and vertex
     merges.
 
     Classes are indexed per color set in order of first appearance among
-    `tops`, and a cell's vertices and faces are read off its first top.
-    Vertices are numbered color by color in that order, unless
-    `vertex_colors` is given, in which case the key of a top under a single
-    color is its vertex id.  The root is the class of `root`.  `step(top, i)`
-    is the generator move along the coface cycle of the facet missing color
-    i; a cycle that steps outside (None) marks its facet as boundary.
-    Without `step` the complex is left unordered, for the caller to order.
-    Returns the complex and each top's multicell.
+    `tops`, and a cell's vertices and faces are read off its first top; so
+    top t is the multicell (all colors, t) where the tops are keyed apart
+    under all colors, as by every caller here.  Vertices are numbered color
+    by color in that order, unless `vertex_colors` is given, in which case
+    the key of a top under a single color is its vertex id.  The root is the
+    class of `root`.  `step(top, i)` is the generator move along the coface
+    cycle of the facet missing color i: a (d-1)-cell's cycle lists the top
+    classes met stepping from its first top, and one that steps outside
+    (None) marks the cell as boundary.  Without `step` the complex is left
+    unordered, for the caller to order.
     """
     full = tuple(params.colors)
     color_sets = [cs for size in range(1, len(full) + 1) for cs in combinations(full, size)]
@@ -687,27 +731,25 @@ def complex_from_classes(
             cells.vertices += [vertex[ids[q]] for vertex, q in corners]
             cells.faces += [ids[q] if rank is None else rank[ids[q]] for rank, q in facets]
 
-    # one id tuple per top cell, shared by every reference to it
-    top_cells = [(full, i) for i in range(len(first[full]))]
-    top_mid = [top_cells[ids[-1]] for ids in top_ids]
-    x.root = top_cells[index[full][key(root, full)]]
+    x.root = (full, index[full][key(root, full)])
     if step is None:
-        return x, top_mid
+        return x
     x.ordering, boundary = {}, set()
     for cs in color_sets[-len(full) - 1 : -1]:
         i = next(c for c in full if c not in cs)
+        cycles = x.ordering[cs] = [None] * len(first[cs])
         for t in first[cs]:
             cls = top_ids[t][pos[cs]]
-            mid = (cs, at[cs][cls] if cs in at else cls)
-            cyc, nxt = [top_mid[t]], step(tops[t], i)
-            while nxt is not None and (m := top_cells[index[full][key(nxt, full)]]) != cyc[0]:
+            cell = at[cs][cls] if cs in at else cls
+            cyc, nxt = [top_ids[t][-1]], step(tops[t], i)
+            while nxt is not None and (m := index[full][key(nxt, full)]) != cyc[0]:
                 cyc.append(m)
                 nxt = step(nxt, i)
             if nxt is None:
-                boundary.add(mid)
-            x.ordering[mid] = tuple(cyc)
+                boundary.add((cs, cell))
+            cycles[cell] = cyc
     x.boundary = frozenset(boundary)
-    return x, top_mid
+    return x
 
 
 def from_simplicial(
@@ -717,7 +759,8 @@ def from_simplicial(
     root_top: int = 0,
 ) -> MComplex:
     """Pure multicomplex with multiplicity one from the vertex sets of its
-    top cells.  The ordering is derived arbitrarily (cofaces in id order)
+    top cells (top t is the multicell (all colors, t) when the sets are
+    distinct).  The ordering is derived arbitrarily (cofaces in id order)
     and only valid when each (d-1)-cell degree divides k."""
     tops = []
     for t in map(set, top_vertex_sets):
@@ -729,8 +772,9 @@ def from_simplicial(
     def key(by_color: dict[int, int], cs: tuple[int, ...]):
         return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
 
-    x = complex_from_classes(params, tops, key, tops[root_top], vertex_colors=vertex_colors)[0]
-    x.ordering = {mid: tuple(sorted(m for m, _ in x.delta(mid))) for mid in x.mids(x.d - 1)}
+    x = complex_from_classes(params, tops, key, tops[root_top], vertex_colors=vertex_colors)
+    x.ordering = {J: [[t for (_, t), _ in x.delta((J, i))] for i in range(len(x.cells[J]))]
+                  for J in x.cells if len(J) == params.d}
     return x
 
 
@@ -822,7 +866,7 @@ def _params(doc: dict) -> Params:
 
 def to_json_dict(x: MComplex) -> dict:
     """The mcomplex/2 document of x (layout in the module docstring).  The
-    `cells` records hold x's own columns, not copies."""
+    `cells` and `ordering` records hold x's own lists, not copies."""
     by_size = sorted(x.cells, key=_by_size)
     cells = [
         {"colors": list(J), "vertices": x.cells[J].vertices, "faces": x.cells[J].faces}
@@ -831,17 +875,7 @@ def to_json_dict(x: MComplex) -> dict:
     ]
     ordering = None
     if x.ordering is not None:
-        ordering = [
-            {
-                "colors": list(colors),
-                "cycles": [
-                    None if (cyc := x.ordering.get((colors, i))) is None else [m[1] for m in cyc]
-                    for i in range(len(x.cells[colors]))
-                ],
-            }
-            for colors in by_size
-            if len(colors) == x.d
-        ]
+        ordering = [{"colors": list(J), "cycles": x.ordering[J]} for J in sorted(x.ordering)]
     return {
         "format": FORMAT,
         "params": {"d": x.params.d, "k": x.params.k},
@@ -950,26 +984,23 @@ def from_json_dict(doc: dict) -> MComplex:
     boundary = frozenset(_mid_from_json(m, d, "boundary") for m in boundary)
     x = MComplex(params, vertex_colors, cells, None, root, boundary)
     if doc.get("ordering") is not None:
-        full = tuple(params.colors)
         x.ordering = {}
-        seen = set()
         for rec, where in _records(doc, "ordering", "ordering"):
             colors = _colors(_field(rec, "colors", list, where), d, where)
             cycles = _field(rec, "cycles", list, where)
             n = len(x.cells.get(colors, ()))
             if len(colors) != d:
                 raise ValueError(f"{where}: ordered cells have {d} colors, got {list(colors)}")
-            if colors in seen:
+            if colors in x.ordering:
                 raise ValueError(f"{where}: a second record for colors {list(colors)}")
             if len(cycles) != n:
                 raise ValueError(
                     f"{where}: {len(cycles)} cycles for the {n} cells of colors {list(colors)}"
                 )
-            seen.add(colors)
             for i, cyc in enumerate(cycles):
                 if cyc is not None:
-                    members = _ints(cyc, f"{where}: cycle {i}")
-                    x.ordering[(colors, i)] = tuple((full, t) for t in members)
+                    _ints(cyc, f"{where}: cycle {i}")
+            x.ordering[colors] = cycles
     return x
 
 

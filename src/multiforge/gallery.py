@@ -121,7 +121,7 @@ def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex
     def coset_key(w: Permutation, colors: tuple[int, ...]) -> Permutation:
         return min(_compose(u, w) for u in subgroup(colors))
 
-    x, _ = complex_from_classes(
+    x = complex_from_classes(
         rep.params,
         elems,
         coset_key,

@@ -29,15 +29,15 @@ def link_connected_cover(x: MComplex) -> tuple[MComplex, dict[MId, MId]]:
     plus the projection onto the input (a surjective morphism).
 
     The cover is `orbit_quotient` of the action of the generators on x's
-    top cells in id order.  The projection sends each cover top to its top
-    of x and extends to the faces; a facet of the cover is on the boundary
-    when its image is.  Raises ValueError on an unordered or unrooted
-    input, on a root that is not a top cell, and when the projection is
-    ill-defined on a lower cell."""
-    tops = list(x.mids(x.d))
-    cover, cover_tops, _ = orbit_quotient(associated_subgroup_rep(x, tops))
-    proj = dict(zip(cover_tops, tops))
-    bad = extend_down(proj, cover, x, cover_tops)
+    top cells in id order, so cover top t lies over top t of x.  The
+    projection sends each cover top to that top and extends to the faces;
+    a facet of the cover is on the boundary when its image is.  Raises
+    ValueError on an unordered or unrooted input, on a root that is not a
+    top cell, with the first fault of x's ordering, and when the projection
+    is ill-defined on a lower cell."""
+    proj = {top: top for top in x.mids(x.d)}
+    cover, _ = orbit_quotient(associated_subgroup_rep(x))
+    bad = extend_down(proj, cover, x, list(proj))
     if bad is not None:
         raise ValueError(f"cover projection ill-defined at {bad}")
     cover.boundary = frozenset(m for m in cover.mids(x.d - 1) if proj[m] in x.boundary)

@@ -23,6 +23,7 @@ from .complexes import (
     is_link_connected,
     is_lower_path_connected,
     nerve,
+    ordering_faults,
     validate_structure,
 )
 from .graphs import Multigraph, cycle_edges
@@ -36,8 +37,6 @@ class QuotientObject:
     complex: MComplex
     rep: PermRep
     partitions: dict[tuple[int, ...], OrbitPartition]  # color set -> orbits
-    point_cell: list[MId]  # point -> top multicell id
-    cell_point: dict[MId, int]
 
 
 def build_quotient(rep: PermRep) -> QuotientObject:
@@ -46,9 +45,8 @@ def build_quotient(rep: PermRep) -> QuotientObject:
     diag = validate(rep)
     if not diag.ok:
         raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    x, point_cell, partitions = orbit_quotient(rep)
-    cell_point = {mid: pt for pt, mid in enumerate(point_cell)}
-    return QuotientObject(x, rep, partitions, point_cell, cell_point)
+    x, partitions = orbit_quotient(rep)
+    return QuotientObject(x, rep, partitions)
 
 
 def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
@@ -62,27 +60,25 @@ def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
     return partitions
 
 
-def orbit_quotient(
-    rep: PermRep,
-) -> tuple[MComplex, list[MId], dict[tuple[int, ...], OrbitPartition]]:
+def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitPartition]]:
     """The complex of the orbits of any action, transitive or not.
 
     Vertices are the orbits for singleton color sets (colored by that color),
     j-multicells the orbits for (j+1)-color sets, gluing drops one color,
     the coface cycle of a codimension-one multicell follows ascending powers
     of the missing generator from the orbit minimum, and the root is the
-    class of the root point.  Returns the complex, each point's top
-    multicell and the partitions.
+    class of the root point.  Point p is the top multicell (all colors, p).
+    Returns the complex and the partitions.
     """
     partitions = orbit_partitions(rep)
-    x, point_cell = complex_from_classes(
+    x = complex_from_classes(
         rep.params,
         range(rep.n),
         lambda pt, colors: partitions[colors].class_ids[pt],
         rep.root,
         step=lambda pt, i: rep.betas[i][pt],
     )
-    return x, point_cell, partitions
+    return x, partitions
 
 
 def complex_line_graph(x: MComplex) -> Multigraph:
@@ -91,13 +87,10 @@ def complex_line_graph(x: MComplex) -> Multigraph:
     Schreier multigraph edge rules for its color."""
     if x.ordering is None:
         raise ValueError("need an ordered complex")
-    d, k = x.params.d, x.params.k
-    pos = {m: t for t, m in enumerate(x.mids(d))}
-    g = Multigraph(len(pos))
-    for i in range(d + 1):
-        colors = tuple(c for c in range(d + 1) if c != i)
-        for j in range(len(x.cells[colors]) if colors in x.cells else 0):
-            cyc = [pos[m] for m in x.ordering[(colors, j)]]
+    full, k = tuple(x.params.colors), x.params.k
+    g = Multigraph(len(x.cells.get(full, ())))
+    for i in full:
+        for cyc in x.ordering.get(full[:i] + full[i + 1 :], []):
             cycle_edges(g, cyc, i, k)
     g.sort_edges()
     return g
@@ -162,67 +155,44 @@ def quotient_map(ball: Ball, q: QuotientObject) -> dict[MId, MId]:
     coset of g maps to the orbit class of the point reached by g."""
     if ball.complex.params != q.rep.params:
         raise ValueError("ball and quotient must share (d, k)")
-    f = {
-        top: q.point_cell[rep_evaluate(w, q.rep.root, q.rep)]
-        for top, w in ball.cell_words.items()
-    }
+    full = tuple(q.rep.params.colors)
+    f = {top: (full, rep_evaluate(w, q.rep.root, q.rep)) for top, w in ball.cell_words.items()}
     bad = extend_down(f, ball.complex, q.complex, list(f))
     if bad is not None:
         raise ValueError(f"quotient map ill-defined at {bad}")
     return f
 
 
-def _misordered_facet(x: MComplex, tops: list[MId], i: int) -> str:
-    """Why generator i repeats an image although every facet missing color
-    i has a cycle listing all of its cofaces: one such cycle repeats an
-    entry or lists a cell that is not its coface."""
-    top_set = set(tops)
-    for b in dict.fromkeys(x.facet(m, i) for m in tops):
-        cyc = x.ordering[b]
-        if len(set(cyc)) != len(cyc):
-            return f"the ordering cycle of the facet {b} lists a coface twice"
-        for c in cyc:
-            if c not in top_set or x.facet(c, i) != b:
-                return f"the ordering cycle of the facet {b} lists {c}, not a coface"
-    raise AssertionError("generator images repeat, yet every ordering cycle is well formed")
+def associated_subgroup_rep(x: MComplex) -> PermRep:
+    """The left action of the generators on the top multicells, in id
+    order, rooted at the complex root: generator i advances each top cell
+    one step along the ordering cycle of its facet missing color i, so it is
+    the successor map of the cycles of that color set.  For quotient objects
+    this recovers the source rep up to a root-fixing relabeling.
 
-
-def associated_subgroup_rep(x: MComplex, point_order: list[MId] | None = None) -> PermRep:
-    """The left action of the generators on the top multicells, rooted at
-    the complex root: generator i advances one step along the coface cycle
-    of a top cell's facet missing color i.  For quotient objects this
-    recovers the source rep up to a root-fixing relabeling.
-
-    Raises ValueError naming the facet when a facet it follows has no
-    ordering cycle, or when that cycle leaves out a coface, lists a cell
-    outside `tops` or a top cell that is not a coface, or repeats an entry
-    so that the generator does not permute the top cells."""
+    Raises ValueError on an unordered or unrooted complex, on a root that
+    is not a top cell, and with the first fault that `ordering_faults`
+    reports.  Without one, the cycles of each color set list every top
+    cell exactly once, so each successor map permutes the top cells."""
     if x.ordering is None:
         raise ValueError("the complex has no ordering")
     if x.root is None:
         raise ValueError("the complex has no root")
-    tops = point_order if point_order is not None else list(x.mids(x.d))
-    pos = {m: t for t, m in enumerate(tops)}
-    if x.root not in pos:
+    full = tuple(x.params.colors)
+    n = len(x.cells.get(full, ()))
+    if x.root[0] != full or not 0 <= x.root[1] < n:
         raise ValueError(f"the root {x.root} is not a top cell")
+    fault = next(ordering_faults(x), None)
+    if fault is not None:
+        raise ValueError(fault)
     betas = []
-    for i in range(x.d + 1):
-        images = []
-        for m in tops:
-            b = x.facet(m, i)
-            cyc = x.ordering.get(b)
-            if cyc is None:
-                raise ValueError(f"the facet {b} has no ordering cycle")
-            if m not in cyc:
-                raise ValueError(f"the ordering cycle of the facet {b} leaves out its coface {m}")
-            nxt = cyc[(cyc.index(m) + 1) % len(cyc)]
-            if nxt not in pos:
-                raise ValueError(f"the ordering cycle of the facet {b} lists {nxt}, not a top cell")
-            images.append(pos[nxt])
-        if len(set(images)) != len(images):
-            raise ValueError(_misordered_facet(x, tops, i))
-        betas.append(tuple(images))
-    return PermRep(x.params, len(tops), tuple(betas), pos[x.root])
+    for i in full:
+        beta = [0] * n
+        for cyc in x.ordering[full[:i] + full[i + 1 :]]:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                beta[a] = b
+        betas.append(tuple(beta))
+    return PermRep(x.params, n, tuple(betas), x.root[1])
 
 
 def nerve_matches_base(q: QuotientObject) -> bool:

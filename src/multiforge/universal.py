@@ -79,16 +79,16 @@ def build_ball(p: Params, n: int) -> Ball:
                     cycles[new_facet] = [t_idx]
         frontier = new_frontier
 
-    x = from_simplicial(p, vertex_colors, tops, root_top=0)
-    cell_id = {  # the ball is simplicial: a cell is fixed by its vertex set
-        frozenset(row): (colors, i) for colors, cells in x.cells.items()
+    x = from_simplicial(p, vertex_colors, tops, root_top=0)  # tops[t] is x's top t
+    cell_id = {  # the ball is simplicial: a (d-1)-cell is fixed by its vertex set
+        frozenset(row): (colors, i) for colors, cells in x.cells.items() if len(colors) == d
         for i, row in enumerate(cells.rows())
     }
-    tid = [cell_id[frozenset(t)] for t in tops]
-    x.ordering = {cell_id[frozenset(f)]: tuple(tid[t] for t in cyc) for f, cyc in cycles.items()}
+    for f, cyc in cycles.items():
+        colors, i = cell_id[frozenset(f)]
+        x.ordering[colors][i] = cyc
     x.boundary = frozenset(cell_id[frozenset(f)] for f, cyc in cycles.items() if len(cyc) < k)
-    cell_words = {tid[t]: words[t] for t in range(len(tops))}
-    return Ball(x, n, cell_words)
+    return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(words)})
 
 
 def ball_from_cosets(p: Params, n: int) -> Ball:
@@ -108,8 +108,8 @@ def ball_from_cosets(p: Params, n: int) -> Ball:
         nxt = multiply(generator(i), w, p)
         return nxt if nxt.letters in inside else None
 
-    x, top_mid = complex_from_classes(p, top_words, coset_key, EMPTY_WORD, step)
-    return Ball(x, n, dict(zip(top_mid, top_words)))
+    x = complex_from_classes(p, top_words, coset_key, EMPTY_WORD, step)
+    return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(top_words)})
 
 
 def unique_non_backtracking(b: Ball, t1: MId, t2: MId) -> list[MId]:

@@ -196,6 +196,15 @@ LCC_INPUT_ERRORS = {
         _repeat_in_first_cycle,
         "the ordering cycle of the facet ((0, 1), 0) lists a coface twice",
     ),
+    # faults that only `validate_structure` sees: `lcc` checks its input with it first
+    "vertex-of-wrong-color": (
+        lambda doc: doc["cells"][0]["vertices"].__setitem__(0, doc["vertex_colors"].index(1)),
+        "((0, 1), 0): vertex 2 does not carry color 0",
+    ),
+    "vertex-in-no-top-cell": (
+        lambda doc: doc["vertex_colors"].append(0),
+        "((0,), 2): not contained in any top multicell (impure)",
+    ),
 }
 
 

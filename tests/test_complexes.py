@@ -22,6 +22,7 @@ from multiforge.complexes import (
     check_morphism,
     find_isomorphism,
     from_json,
+    from_json_dict,
     from_simplicial,
     is_link_connected,
     is_lower_path_connected,
@@ -29,12 +30,13 @@ from multiforge.complexes import (
     link_with_map,
     merge_vertices,
     nerve,
+    ordering_faults,
     single_simplex,
     to_json,
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
-from multiforge.quotient import build_quotient
+from multiforge.quotient import associated_subgroup_rep, build_quotient
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
 
@@ -241,19 +243,19 @@ def test_rotated_boundary_cycle_survives_link_and_merge():
     flagged as boundary, is carried over as it stands."""
     x = build_quotient(m_subgroup_rep(Params(2, 3))).complex
     facet = x.cell(((0, 1), 0))
-    cycle = x.ordering[facet.mid]
+    cycle = x.ordering[(0, 1)][0]
     rotated = cycle[1:] + cycle[:1]
-    assert rotated != tuple(sorted(rotated))
-    x.ordering[facet.mid] = rotated
+    assert rotated != sorted(rotated)
+    x.ordering[(0, 1)][0] = rotated
     x.boundary = frozenset({facet.mid})
 
     merged = merge_vertices(x, 6, 7)  # two vertices of color 2
-    assert merged.ordering[facet.mid] == rotated
+    assert merged.cycle(facet.mid) == rotated
     assert merged.boundary == {facet.mid}
 
     lk, back = link_with_map(x, x.vertex_cell(facet.vertices[0]))
     (lid,) = [m for m, orig in back.items() if orig == facet.mid]
-    assert [back[m] for m in lk.ordering[lid]] == list(rotated)
+    assert [back[((0, 1), t)] for t in lk.cycle(lid)] == [((0, 1, 2), t) for t in rotated]
     assert lk.boundary == {lid}
 
 
@@ -541,3 +543,56 @@ def test_coface_index_matches_columns(d, k, m, seed, edit, data):
         view.faces[0] = view.faces[1]
     with pytest.raises(FrozenInstanceError):
         view.index = 1
+
+
+CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "no-cycle", "dangle"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4),
+       seed=st.integers(0, 10**6), edit=st.sampled_from(CYCLE_EDITS), data=st.data())
+def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
+    """One edit to one ordering cycle of a small quotient, or one top's
+    facet left dangling: `associated_subgroup_rep` raises iff
+    `ordering_faults` reports a fault, with that fault's text, and then
+    `validate_structure` fails too; a rotated cycle gives the same rep; and
+    the reader keeps the document's own `cycles` lists."""
+    assume((d, k) != (1, 2) or m == 1)  # the sampler seldom draws larger transitive ones
+    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    before = associated_subgroup_rep(x)
+    full = tuple(range(d + 1))
+    J = data.draw(st.sampled_from(sorted(x.ordering)))
+    i = data.draw(st.integers(0, len(x.ordering[J]) - 1))
+    cyc, n = x.ordering[J][i], len(x.cells[full])
+    if edit == "rotate":
+        x.ordering[J][i] = cyc[1:] + cyc[:1]
+    elif edit == "drop":
+        del cyc[data.draw(st.integers(0, len(cyc) - 1))]
+    elif edit == "stranger":
+        strangers = [t for t in range(n) if t not in cyc] or [n]
+        cyc.insert(data.draw(st.integers(0, len(cyc))), data.draw(st.sampled_from(strangers)))
+    elif edit == "repeat":
+        cyc.insert(data.draw(st.integers(0, len(cyc))), data.draw(st.sampled_from(cyc)))
+    elif edit == "no-cycle":
+        x.ordering[J][i] = None
+    elif edit == "dangle":
+        (missing,) = set(full) - set(J)
+        top = data.draw(st.integers(0, n - 1))
+        f = data.draw(st.sampled_from([-1, len(x.cells[J]), len(x.cells[J]) + 3]))
+        x.cells[full].faces[top * (d + 1) + missing] = f
+        x.invalidate_caches()
+    faults = list(ordering_faults(x))
+    assert bool(faults) == (edit not in ("none", "rotate"))
+    if edit == "dangle":
+        assert faults[0] == f"the facet {(J, f)} has no ordering cycle"
+    if faults:
+        with pytest.raises(ValueError) as raised:
+            associated_subgroup_rep(x)
+        assert str(raised.value) == faults[0]
+        assert not validate_structure(x)
+    else:
+        assert associated_subgroup_rep(x) == before
+    doc = json.loads(to_json(x))
+    y = from_json_dict(doc)
+    assert all(y.ordering[tuple(rec["colors"])] is rec["cycles"] for rec in doc["ordering"])
+    assert sorted(y.ordering) == sorted(x.ordering)

@@ -144,7 +144,7 @@ def test_left_action_realizes_cosets():
 
     for _ in range(100):
         w = random_word(rep.params, rng)
-        assert q.point_cell[evaluate(w, rep.root, rep)] in q.cell_point
+        assert q.complex.has_cell(((0, 1, 2), evaluate(w, rep.root, rep)))
 
 
 def test_upper_regular_examples():
@@ -216,7 +216,7 @@ def test_quotient_map_requires_matching_params():
 def test_round_trip_small_and_merged():
     rep = m_subgroup_rep(Params(2, 2))
     q = build_quotient(rep)
-    assert same_up_to_relabeling(associated_subgroup_rep(q.complex, q.point_cell), rep)
+    assert same_up_to_relabeling(associated_subgroup_rep(q.complex), rep)
     again = build_quotient(associated_subgroup_rep(q.complex))
     from multiforge.complexes import find_isomorphism
 
