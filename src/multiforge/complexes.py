@@ -45,7 +45,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -283,6 +283,25 @@ def check_consistency(x: MComplex) -> Diagnostics:
     return Diagnostics(not messages, messages)
 
 
+def _columns_hold(x: MComplex, cells: Cells, below: list[list[int]], count: Counter | None) -> bool:
+    """True if `validate_structure`'s per-cell checks pass on one color set, read
+    a column at a time (`below`: the facets' vertices; `count`: cofaces)."""
+    size, vertices, m = len(cells.colors), cells.vertices, len(cells)
+    if (vertices and not 0 <= min(vertices) <= max(vertices) < x.n_vertices) or any(
+        list(map(x.vertex_colors.__getitem__, vertices[q::size])).count(c) != m
+        for q, c in enumerate(cells.colors)
+    ):
+        return False
+    for p, lower in enumerate(below):
+        column = cells.faces[p::size]
+        if (column and not 0 <= min(column) <= max(column) < len(lower) // (size - 1)) or any(
+            list(map(lower[q :: size - 1].__getitem__, column)) != vertices[q + (q >= p) :: size]
+            for q in range(size - 1)
+        ):
+            return False
+    return count is None or all(map(count.__contains__, range(m)))
+
+
 def validate_structure(x: MComplex) -> Diagnostics:
     """Well-formedness: `check_consistency`'s messages first, then vertex
     colors, facet vertices, purity, degree bound, the `ordering_faults`
@@ -300,6 +319,8 @@ def validate_structure(x: MComplex) -> Diagnostics:
     for colors, cells in x.cells.items():
         size, subs, count = len(colors), _drops(colors), cofaces[colors]
         below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
+        if _columns_hold(x, cells, below, count if size <= d else None):
+            continue  # whole columns agree: no message from this color set
         for i in range(len(cells)):
             mid, row = (colors, i), cells.vertices[i * size : (i + 1) * size]
             for c, v in zip(colors, row):
@@ -311,8 +332,10 @@ def validate_structure(x: MComplex) -> Diagnostics:
                     msgs.append(f"{mid}: facet {(subs[p], f)} has wrong vertices")
             if size <= d and not count[i]:
                 msgs.append(f"{mid}: not contained in any top multicell (impure)")
-    msgs += [f"{mid}: degree {deg} exceeds k={k}"
-             for mid in x.mids(d - 1) if (deg := cofaces[mid[0]][mid[1]]) > k]
+    msgs += [f"{(J, i)}: degree {deg} exceeds k={k}"
+             for J in sorted(J for J in x.cells if len(J) == d)
+             if max(cofaces[J].values(), default=0) > k
+             for i in range(len(x.cells[J])) if (deg := cofaces[J][i]) > k]
     if x.ordering is not None:
         msgs += ordering_faults(x)
         for J, cycles in sorted(x.ordering.items()):
@@ -449,15 +472,15 @@ def _class_complex(
     colors: Sequence[int],
     vertex_colors: list[int] | None,
 ) -> tuple[MComplex, dict[MId, MId]]:
-    """`complex_from_classes` of the top cells `tops` of x, each its own
-    class, its color t standing for x's color colors[t], with x's ordering
-    cycles, boundary flags and root (of any dimension) carried over verbatim
-    through the class map.  Returns the complex and the class map, which
-    takes each face of a top in `tops` that keeps the colors outside
-    `colors` to its class, found by walking down both complexes side by
-    side; top t of `tops` is y's top t."""
+    """The class complex y of the top cells `tops` of x under `key`, built
+    from `class_columns` (a single color's key is a vertex id when
+    `vertex_colors` is given), y's color t standing for x's color colors[t]
+    and top t of `tops` being y's top t.  x's cycles (entries mapped top by
+    top), boundary flags and root carry over through the class map, found
+    by walking down both complexes side by side.  Returns y and the map."""
     p = Params(len(colors) - 1, x.params.k)
-    y = complex_from_classes(p, tops, key, tops[0], vertex_colors=vertex_colors)
+    classes = class_columns(p, tops, key, vertex_colors is not None)
+    y = complex_from_classes(p, classes, 0, vertex_colors=vertex_colors)
     f = {top: (tuple(p.colors), t) for t, top in enumerate(tops)}
     frontier = tops
     while frontier:
@@ -573,37 +596,27 @@ def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
     return all(mid in image for mid in y.mids())
 
 
-def _glued(x: MComplex, y: MComplex, a: MId, b: MId) -> Iterator[tuple[MId, MId]]:
-    """The facets of a in x beside those of b in y, by the color they drop,
-    read off the faces columns.  b must be a multicell of y of a's colors."""
-    (colors, i), (other, j), size = a, b, len(a[0])
-    mine, theirs = x.cells[colors].faces, y.cells.get(other)
-    if other != colors or theirs is None or not 0 <= j * size < len(theirs.vertices):
-        raise KeyError(f"no multicell {b}")
-    for p, sub in enumerate(_drops(colors)):
-        yield (sub, mine[i * size + p]), (sub, theirs.faces[j * size + p])
-
-
 def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, str]:
     """The root-to-root label propagation behind isomorphism and
     universality: a top cell's image fixes the images of its facets, and the
     ordering cycle through each facet fixes the images of the other cofaces.
     Cycles on the domain's boundary carry no data and are skipped.  Lower
-    cells follow from the top cells through `extend_down`.
+    cells follow from the top cells through `extend_down`, which also finds
+    a facet that two tops glue to different images.
 
     Returns the map on every multicell reached, or None and the reason."""
     if x.root is None or y.root is None:
         return None, "both complexes must be rooted"
     if x.ordering is None or y.ordering is None:
         return None, "both complexes must be ordered"
+    if y.root[0] != x.root[0]:
+        raise KeyError(f"no multicell {y.root}")
     f: dict[MId, MId] = {x.root: y.root}
     queue, full = deque([x.root]), tuple(x.params.colors)
     while queue:
         a = queue.popleft()
         a_img = f[a]
-        for b, b_img in _glued(x, y, a, a_img):
-            if f.setdefault(b, b_img) != b_img:
-                return None, f"gluing conflict at {b}"
+        for b, b_img in zip(x.facets(a), y.facets(a_img)):
             if b in x.boundary:
                 continue  # truncated cycle carries no propagation data
             cyc, img_cyc = x.cycle(b), y.cycle(b_img)
@@ -629,23 +642,43 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
 
 
 def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]) -> MId | None:
-    """Extend `f` from the given top cells to all their faces, one dimension
-    down at a time: the facet of a cell that drops color l maps to the facet
-    of its image that drops l.  Every (cell, dropped color) pair is checked,
-    also where `f` is already defined.  Returns the first multicell that
-    receives two images, else None."""
-    frontier = list(tops)
-    seen = set(frontier)
-    while frontier:
-        below = []
-        for a in frontier:
-            for b, b_img in _glued(x, y, a, f[a]):
-                if f.setdefault(b, b_img) != b_img:
-                    return b
-                if b not in seen:
-                    seen.add(b)
-                    below.append(b)
-        frontier = below
+    """Extend `f` in place from the given top cells to all their faces: the
+    facet of a cell that drops color l maps to the facet of its image that
+    drops l.  Color set by color set from the top down, the (x, y) index
+    pairs reached become one image column, and each dropped color pairs the
+    faces columns of x and y.  Every (cell, dropped color) pair is checked,
+    also where `f` is defined, and `f` is written once at the end.  Returns
+    a multicell that gets two images, else None; an image that is not a
+    multicell of y of the same colors raises KeyError."""
+    pairs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}  # J -> (x, y) indices
+    for a in tops:
+        if (b := f[a])[0] != a[0]:
+            raise KeyError(f"no multicell {b}")
+        us, ws = pairs.setdefault(a[0], ([], []))
+        us.append(a[1])
+        ws.append(b[1])
+    given = {J: len(us) for J, (us, _) in pairs.items()}
+    images: dict[tuple[int, ...], dict[int, int]] = {}  # J -> image column
+    for size in range(x.d + 1, 0, -1):
+        for J in sorted(J for J in pairs if len(J) == size):
+            us, ws = pairs[J]
+            col, theirs = dict(zip(us, ws)), y.cells.get(J)
+            if list(map(col.__getitem__, us)) != ws:
+                return next((J, u) for u, w in zip(us, ws) if col[u] != w)
+            images[J], mine, img = col, list(col), list(col.values())
+            if theirs is None or not 0 <= min(img) <= max(img) < len(theirs):
+                raise KeyError(f"no multicell {next((J, j) for j in img if not y.has_cell((J, j)))}")
+            for p, sub in enumerate(_drops(J)):
+                below = pairs.setdefault(sub, ([], []))
+                below[0].extend(map(x.cells[J].faces[p::size].__getitem__, mine))
+                below[1].extend(map(theirs.faces[p::size].__getitem__, img))
+    for J, col in images.items():
+        if len(pairs[J][0]) == given.get(J):
+            continue  # the given cells alone, which f holds
+        keys, img = list(zip(repeat(J), col)), list(zip(repeat(J), col.values()))
+        if list(map(f.get, keys, img)) != img:
+            return next(a for a, b in zip(keys, img) if f.get(a, b) != b)
+        f.update(zip(keys, img))
     return None
 
 
@@ -671,82 +704,77 @@ def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
 
 # -- constructions -----------------------------------------------------------------
 
+def class_columns(params: Params, tops: Sequence, key: Callable, vertex_ids: bool = False) -> dict:
+    """`complex_from_classes`'s columns for tops classed by `key(top, J)`,
+    one dict pass per color set J; with `vertex_ids`, a single color's key
+    is the vertex id itself."""
+    full, classes = tuple(params.colors), {}
+    for J in (J for size in range(1, len(full)) for J in combinations(full, size)):
+        if vertex_ids and len(J) == 1:
+            classes[J] = [key(top, J) for top in tops]
+        else:
+            index: dict = {}
+            classes[J] = [index.setdefault(key(top, J), len(index)) for top in tops]
+    return classes
+
+
 def complex_from_classes(
     params: Params,
-    tops: Sequence,
-    key: Callable[[object, tuple[int, ...]], Hashable],
-    root: object,
-    step: Callable[[object, int], object | None] | None = None,
+    classes: Mapping[tuple[int, ...], Sequence[int]],
+    root: int,
+    successors: Sequence[Sequence[int | None]] | None = None,
     vertex_colors: list[int] | None = None,
 ) -> MComplex:
-    """The complex whose multicells of color set J are the classes of the
-    top objects under `key(top, J)`: the one construction behind quotients,
-    coset balls, Coxeter complexes, simplicial input, links and vertex
-    merges.
+    """The complex whose multicells of color set J are the classes of its
+    top cells under J: the one construction behind quotients, coset balls,
+    Coxeter complexes, simplicial input, links and vertex merges.
 
-    Classes are indexed per color set in order of first appearance among
-    `tops`, and a cell's vertices and faces are read off its first top; so
-    top t is the multicell (all colors, t) where the tops are keyed apart
-    under all colors, as by every caller here.  Vertices are numbered color
-    by color in that order, unless `vertex_colors` is given, in which case
-    the key of a top under a single color is its vertex id.  The root is the
-    class of `root`.  `step(top, i)` is the generator move along the coface
-    cycle of the facet missing color i: a (d-1)-cell's cycle lists the top
-    classes met stepping from its first top, and one that steps outside
-    (None) marks the cell as boundary.  Without `step` the complex is left
-    unordered, for the caller to order.
-    """
+    `classes[J][t]` is top t's class under each proper color set J, numbered
+    by first appearance; a cell is read off its first top.  Top t is the
+    multicell (all colors, t), and top `root` the root.  Vertices are
+    numbered by color, then class, unless `vertex_colors` is given: then a
+    single color's column holds vertex ids.  `successors[i][t]` is the top
+    generator i moves top t to, or None (outside a ball): a (d-1)-cell's
+    cycle walks these steps from its first top, and a None step marks it as
+    boundary.  Without `successors` the complex is left unordered."""
     full = tuple(params.colors)
-    color_sets = [cs for size in range(1, len(full) + 1) for cs in combinations(full, size)]
-    pos = {cs: p for p, cs in enumerate(color_sets)}
-    index: dict[tuple[int, ...], dict] = {cs: {} for cs in color_sets}  # key -> class
-    first: dict[tuple[int, ...], list[int]] = {cs: [] for cs in color_sets}  # class -> top
-    top_ids: list[list[int]] = []  # per top: its class under each color set
-    for t, top in enumerate(tops):
-        ids = []
-        for cs in color_sets:
-            classes, k = index[cs], key(top, cs)
-            idx = classes.get(k)
-            if idx is None:
-                idx = classes[k] = len(classes)
-                first[cs].append(t)
-            ids.append(idx)
-        top_ids.append(ids)
-
+    n = len(classes[full[:1]])
+    first = {J: dict(zip(reversed(col), range(n - 1, -1, -1)))  # class -> its first top
+             for J, col in classes.items() if len(J) >= 2 or len(full) == 2}
+    vert, at = {}, {}  # class -> vertex id, unless the columns hold ids: id -> vertex cell
     if vertex_colors is None:
-        vertex_colors, vert = [], {}
-        for c in full:
-            vert[c] = range(len(vertex_colors), len(vertex_colors) + len(index[(c,)]))
-            vertex_colors += [c] * len(index[(c,)])
-    else:
-        vert = {c: list(index[(c,)]) for c in full}
+        counts = [max(classes[(c,)], default=-1) + 1 for c in full]
+        vertex_colors = [c for c, m in zip(full, counts) for _ in range(m)]
+        vert = {c: list(range(o, o + m)) for c, o, m in zip(full, accumulate([0] + counts), counts)}
     x = MComplex(params, vertex_colors, {})
-    # a cell's index is its class, except for a vertex: its rank in its color
-    at = {(c,): [x.vertex_cell(v)[1] for v in vert[c]] for c in full}
-    for cs in color_sets[len(full) :]:
-        x.cells[cs] = cells = Cells(cs, [], [])
-        corners = [(vert[c], pos[(c,)]) for c in cs]
-        facets = [(at.get(sub), pos[sub]) for sub in _drops(cs)]
-        for ids in map(top_ids.__getitem__, first[cs]):
-            cells.vertices += [vertex[ids[q]] for vertex, q in corners]
-            cells.faces += [ids[q] if rank is None else rank[ids[q]] for rank, q in facets]
-
-    x.root = (full, index[full][key(root, full)])
-    if step is None:
+    if not vert:
+        at = dict.fromkeys([(c,) for c in full], [x.vertex_cell(v)[1] for v in range(x.n_vertices)])
+    for J in sorted((J for J in classes if len(J) >= 2), key=_by_size) + [full]:
+        tops = range(n) if J == full else list(map(first[J].__getitem__, range(len(first[J]))))
+        size = len(J)
+        vertices, faces = [0] * (len(tops) * size), [0] * (len(tops) * size)
+        for q, c in enumerate(J):
+            column = map(classes[(c,)].__getitem__, tops)
+            vertices[q::size] = map(vert[c].__getitem__, column) if vert else column
+        for p, sub in enumerate(_drops(J)):
+            column = map(classes[sub].__getitem__, tops)
+            faces[p::size] = map(at[sub].__getitem__, column) if sub in at else column
+        x.cells[J] = Cells(J, vertices, faces)
+    x.root = (full, root)
+    if successors is None:
         return x
     x.ordering, boundary = {}, set()
-    for cs in color_sets[-len(full) - 1 : -1]:
-        i = next(c for c in full if c not in cs)
-        cycles = x.ordering[cs] = [None] * len(first[cs])
-        for t in first[cs]:
-            cls = top_ids[t][pos[cs]]
-            cell = at[cs][cls] if cs in at else cls
-            cyc, nxt = [top_ids[t][-1]], step(tops[t], i)
-            while nxt is not None and (m := index[full][key(nxt, full)]) != cyc[0]:
-                cyc.append(m)
-                nxt = step(nxt, i)
+    for i in reversed(range(len(full))):
+        J, step = full[:i] + full[i + 1 :], successors[i]
+        cycles = x.ordering[J] = [None] * len(x.cells[J])
+        for cls, t in first[J].items():
+            cyc, nxt = [t], step[t]
+            while nxt is not None and nxt != t:
+                cyc.append(nxt)
+                nxt = step[nxt]
+            cell = at[J][cls] if J in at else cls
             if nxt is None:
-                boundary.add((cs, cell))
+                boundary.add((J, cell))
             cycles[cell] = cyc
     x.boundary = frozenset(boundary)
     return x
@@ -758,10 +786,10 @@ def from_simplicial(
     top_vertex_sets: list[Iterable[int]],
     root_top: int = 0,
 ) -> MComplex:
-    """Pure multicomplex with multiplicity one from the vertex sets of its
-    top cells (top t is the multicell (all colors, t) when the sets are
-    distinct).  The ordering is derived arbitrarily (cofaces in id order)
-    and only valid when each (d-1)-cell degree divides k."""
+    """Pure multicomplex with multiplicity one from the distinct vertex sets
+    of its top cells, top t being the multicell (all colors, t).  The
+    ordering is derived arbitrarily (cofaces in id order) and only valid
+    when each (d-1)-cell degree divides k."""
     tops = []
     for t in map(set, top_vertex_sets):
         by_color = {vertex_colors[v]: v for v in t}
@@ -772,7 +800,8 @@ def from_simplicial(
     def key(by_color: dict[int, int], cs: tuple[int, ...]):
         return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
 
-    x = complex_from_classes(params, tops, key, tops[root_top], vertex_colors=vertex_colors)
+    classes = class_columns(params, tops, key, vertex_ids=True)
+    x = complex_from_classes(params, classes, root_top, vertex_colors=vertex_colors)
     x.ordering = {J: [[t for (_, t), _ in x.delta((J, i))] for i in range(len(x.cells[J]))]
                   for J in x.cells if len(J) == params.d}
     return x

@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 
-from .complexes import MComplex, complex_from_classes, from_simplicial
+from .complexes import MComplex, class_columns, complex_from_classes, from_simplicial
 from .permrep import PermRep
 from .quotient import complex_is_simplicial
 from .words import Params
@@ -121,13 +121,8 @@ def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex
     def coset_key(w: Permutation, colors: tuple[int, ...]) -> Permutation:
         return min(_compose(u, w) for u in subgroup(colors))
 
-    x = complex_from_classes(
-        rep.params,
-        elems,
-        coset_key,
-        identity,
-        step=lambda w, i: _compose(gens[i], w),
-    )
+    classes = class_columns(rep.params, elems, coset_key)
+    x = complex_from_classes(rep.params, classes, rep.root, rep.betas)  # betas: w -> s_i·w
     if not complex_is_simplicial(x):
         raise ValueError("the chamber complex of these involutions is not simplicial")
     return x, rep

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import prod
 
 from .complexes import (
@@ -27,7 +28,7 @@ from .complexes import (
     validate_structure,
 )
 from .graphs import Multigraph, cycle_edges
-from .permrep import OrbitPartition, PermRep, orbits, validate
+from .permrep import OrbitPartition, PermRep, orbits, perm_cycles, validate
 from .permrep import evaluate as rep_evaluate
 from .universal import Ball
 
@@ -68,17 +69,14 @@ def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitP
     the coface cycle of a codimension-one multicell follows ascending powers
     of the missing generator from the orbit minimum, and the root is the
     class of the root point.  Point p is the top multicell (all colors, p).
-    Returns the complex and the partitions.
+    The orbit class ids, numbered by minimal point, are the columns of
+    `complex_from_classes` and the generators its successor maps.  Returns
+    the complex and the partitions.
     """
     partitions = orbit_partitions(rep)
-    x = complex_from_classes(
-        rep.params,
-        range(rep.n),
-        lambda pt, colors: partitions[colors].class_ids[pt],
-        rep.root,
-        step=lambda pt, i: rep.betas[i][pt],
-    )
-    return x, partitions
+    full = tuple(rep.params.colors)
+    classes = {J: part.class_ids for J, part in partitions.items() if J != full}
+    return complex_from_classes(rep.params, classes, rep.root, rep.betas), partitions
 
 
 def complex_line_graph(x: MComplex) -> Multigraph:
@@ -125,12 +123,7 @@ def intersection_property(rep: PermRep) -> bool:
 def is_upper_regular(rep: PermRep) -> bool:
     """Degree-k regularity: every cycle of every generator image has length
     exactly k (no generator power stabilizes a point conjugate-wise)."""
-    from .permrep import perm_cycles
-
-    k = rep.params.k
-    return all(
-        all(len(c) == k for c in perm_cycles(beta)) for beta in rep.betas
-    )
+    return all(len(c) == rep.params.k for beta in rep.betas for c in perm_cycles(beta))
 
 
 def complex_is_upper_regular(x: MComplex) -> bool:
@@ -171,9 +164,9 @@ def associated_subgroup_rep(x: MComplex) -> PermRep:
     this recovers the source rep up to a root-fixing relabeling.
 
     Raises ValueError on an unordered or unrooted complex, on a root that
-    is not a top cell, and with the first fault that `ordering_faults`
-    reports.  Without one, the cycles of each color set list every top
-    cell exactly once, so each successor map permutes the top cells."""
+    is not a top cell, and with `ordering_faults`' first fault, which it
+    seeks only when an owner column finds one: each top cell must be listed
+    once, in the cycle of its own facet."""
     if x.ordering is None:
         raise ValueError("the complex has no ordering")
     if x.root is None:
@@ -182,16 +175,19 @@ def associated_subgroup_rep(x: MComplex) -> PermRep:
     n = len(x.cells.get(full, ()))
     if x.root[0] != full or not 0 <= x.root[1] < n:
         raise ValueError(f"the root {x.root} is not a top cell")
-    fault = next(ordering_faults(x), None)
-    if fault is not None:
-        raise ValueError(fault)
-    betas = []
+    faces, betas = x.cells[full].faces, []
     for i in full:
-        beta = [0] * n
-        for cyc in x.ordering[full[:i] + full[i + 1 :]]:
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                beta[a] = b
-        betas.append(tuple(beta))
+        m = len(x.cells.get(full[:i] + full[i + 1 :], ()))
+        cycles = (x.ordering.get(full[:i] + full[i + 1 :]) or [])[:m]
+        flat = list(chain.from_iterable(cycles)) if len(cycles) == m and None not in cycles else []
+        after = dict(zip(flat, flat[1:] + flat[:1]))  # right but at the end of each cycle
+        for cyc in filter(None, cycles):
+            after[cyc[-1]] = cyc[0]
+        betas.append(tuple(map(after.get, range(n))))
+        facets = map(faces[i :: len(full)].__getitem__, flat)  # each entry's own facet
+        owner = chain.from_iterable(map(repeat, range(m), map(len, cycles)))  # its cycle
+        if len(flat) != n or None in betas[-1] or list(facets) != list(owner):
+            raise ValueError(next(ordering_faults(x)))
     return PermRep(x.params, n, tuple(betas), x.root[1])
 
 

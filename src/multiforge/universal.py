@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import MComplex, MId, complex_from_classes, from_simplicial
+from .complexes import MComplex, MId, class_columns, complex_from_classes, from_simplicial
 from .words import (
     EMPTY_WORD,
     Params,
@@ -92,23 +92,22 @@ def build_ball(p: Params, n: int) -> Ball:
 
 
 def ball_from_cosets(p: Params, n: int) -> Ball:
-    """Coset construction: top cells are the reduced words of length <= n; a
-    cell of color set J is the class of words agreeing after the letters
-    outside J are stripped from the left."""
+    """Coset construction: top cells are the reduced words of length <= n,
+    shortest first, so the root is the empty word; a cell of color set J is
+    the class of words agreeing after the letters outside J are stripped
+    from the left.  Generator i moves word w to the reduced word i·w, and a
+    step out of the ball marks a boundary cell."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     top_words = list(enumerate_reduced_words(p, n))
-    inside = {w.letters for w in top_words}
+    index = {w.letters: t for t, w in enumerate(top_words)}
     all_colors = frozenset(p.colors)
 
     def coset_key(w: Word, colors: tuple[int, ...]) -> tuple:
         return strip_left(w, all_colors.difference(colors), p).letters
 
-    def step(w: Word, i: int) -> Word | None:
-        nxt = multiply(generator(i), w, p)
-        return nxt if nxt.letters in inside else None
-
-    x = complex_from_classes(p, top_words, coset_key, EMPTY_WORD, step)
+    steps = [[index.get(multiply(generator(i), w, p).letters) for w in top_words] for i in p.colors]
+    x = complex_from_classes(p, class_columns(p, top_words, coset_key), 0, steps)
     return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(top_words)})
 
 

@@ -4,6 +4,7 @@ import json
 from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from multiforge.complexes import (
     base_complex,
     check_consistency,
     check_morphism,
+    extend_down,
     find_isomorphism,
     from_json,
     from_json_dict,
@@ -36,6 +38,8 @@ from multiforge.complexes import (
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
+from multiforge.lcc import link_connected_cover
+from multiforge.permrep import evaluate
 from multiforge.quotient import associated_subgroup_rep, build_quotient
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
@@ -492,6 +496,71 @@ def repoint_facet(x: MComplex, data, index) -> MId:
     return old
 
 
+def extension_oracle(f: dict, x: MComplex, y: MComplex, tops: list) -> dict:
+    """Every face reached from a top of `tops` by dropping colors in some
+    order, mapped to the set of its images: the face of f[top] reached by
+    dropping the same colors in the same order.  On a consistent complex
+    this is the face of each color subset S, x.face(top, S) -> y.face(f[top], S)."""
+    images: dict = {}
+    for top in tops:
+        for order in permutations(top[0]):
+            a, b = top, f[top]
+            for l in order[:-1]:
+                a, b = x.facet(a, l), y.facet(b, l)
+                images.setdefault(a, set()).add(b)
+    return images
+
+
+EXTENSIONS = ["quotient-map", "cover", "merged-cover", "ball-isomorphism"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 3), seed=st.integers(0, 10**6),
+       case=st.sampled_from(EXTENSIONS), repoint=st.sampled_from([None, "domain", "codomain"]),
+       preset=st.sampled_from([None, "agrees", "differs"]), data=st.data())
+def test_extend_down_matches_brute_force(d, k, m, seed, case, repoint, preset, data):
+    """A map fixed on the top cells of a radius-2 ball into a quotient, of a
+    cover (of a quotient, or of one with two vertices merged) onto its base,
+    or of the coset ball onto the inductive one, maybe with one facet
+    re-pointed in either complex and one lower cell mapped beforehand.
+    `extend_down` returns None iff no face gets two images by
+    `extension_oracle`, and then extends f to the oracle's map; otherwise
+    the cell it names gets two."""
+    assume((d, k) != (1, 2) or m == 1)  # the sampler seldom draws larger transitive ones
+    p, full = Params(d, k), tuple(range(d + 1))
+    if case == "quotient-map":
+        rep, ball = seeded_rep(d, k, m * k, seed), build_ball(p, 2)
+        x, y = ball.complex, build_quotient(rep).complex
+        f = {top: (full, evaluate(w, rep.root, rep)) for top, w in ball.cell_words.items()}
+    elif case == "ball-isomorphism":
+        x, y = ball_from_cosets(p, 2).complex, build_ball(p, 2).complex
+        f = {top: img for top, img in find_isomorphism(x, y).items() if len(top[0]) == d + 1}
+    else:
+        y = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+        if case == "merged-cover":
+            assume(d >= 2 and len(y.cells[(0,)]) >= 2)
+            y = merge_vertices(y, *y.cells[(0,)].vertices[:2])
+        x, f = link_connected_cover(y)[0], {top: top for top in y.mids(d)}
+    if repoint is not None:
+        repoint_facet(x if repoint == "domain" else y, data, lambda n: st.integers(0, n - 1))
+    tops = list(f)
+    oracle = extension_oracle(f, x, y, tops)
+    if preset is not None:
+        cell = data.draw(st.sampled_from(sorted(oracle)))
+        others = sorted({(cell[0], j) for j in range(len(y.cells[cell[0]]))} - oracle[cell])
+        assume(preset == "agrees" or others)
+        f[cell] = min(oracle[cell]) if preset == "agrees" else data.draw(st.sampled_from(others))
+        oracle[cell].add(f[cell])
+    g = dict(f)
+    bad = extend_down(g, x, y, tops)
+    doubled = {a for a, images in oracle.items() if len(images) > 1}
+    if doubled:
+        assert bad in doubled
+    else:
+        assert bad is None
+        assert g == {**f, **{a: min(images) for a, images in oracle.items()}}
+
+
 def test_malformed_gluing_is_reported_not_raised():
     """A facet index with no cell behind it.  The columns give every facet
     the other colors, so a miskeyed facet or one of the wrong colors cannot
@@ -545,7 +614,7 @@ def test_coface_index_matches_columns(d, k, m, seed, edit, data):
         view.index = 1
 
 
-CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "no-cycle", "dangle"]
+CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "replace", "swap", "no-cycle", "dangle"]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -553,10 +622,14 @@ CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "no-cycle", "dang
        seed=st.integers(0, 10**6), edit=st.sampled_from(CYCLE_EDITS), data=st.data())
 def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
     """One edit to one ordering cycle of a small quotient, or one top's
-    facet left dangling: `associated_subgroup_rep` raises iff
-    `ordering_faults` reports a fault, with that fault's text, and then
-    `validate_structure` fails too; a rotated cycle gives the same rep; and
-    the reader keeps the document's own `cycles` lists."""
+    facet left dangling.  A replace trades one entry for a stranger or
+    another entry of the cycle, keeping the count; a swap trades an entry
+    with another cycle of its color set, so every top is still listed once
+    but one is not in its own facet's cycle.  `associated_subgroup_rep`
+    raises iff `ordering_faults` reports a fault, with that fault's text,
+    and then `validate_structure` fails too; without a fault it builds the
+    rep without running the audit, and a rotated cycle gives the same rep;
+    and the reader keeps the document's own `cycles` lists."""
     assume((d, k) != (1, 2) or m == 1)  # the sampler seldom draws larger transitive ones
     x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
     before = associated_subgroup_rep(x)
@@ -573,6 +646,13 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
         cyc.insert(data.draw(st.integers(0, len(cyc))), data.draw(st.sampled_from(strangers)))
     elif edit == "repeat":
         cyc.insert(data.draw(st.integers(0, len(cyc))), data.draw(st.sampled_from(cyc)))
+    elif edit == "replace":
+        t = data.draw(st.integers(0, len(cyc) - 1))
+        cyc[t] = data.draw(st.sampled_from([s for s in cyc if s != cyc[t]] + [n]))
+    elif edit == "swap":
+        j = data.draw(st.sampled_from([j for j in range(len(x.ordering[J])) if j != i] or [i]))
+        assume(j != i and cyc and x.ordering[J][j])
+        cyc[0], x.ordering[J][j][0] = x.ordering[J][j][0], cyc[0]
     elif edit == "no-cycle":
         x.ordering[J][i] = None
     elif edit == "dangle":
@@ -591,7 +671,8 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
         assert str(raised.value) == faults[0]
         assert not validate_structure(x)
     else:
-        assert associated_subgroup_rep(x) == before
+        with patch("multiforge.quotient.ordering_faults", side_effect=AssertionError("audit ran")):
+            assert associated_subgroup_rep(x) == before
     doc = json.loads(to_json(x))
     y = from_json_dict(doc)
     assert all(y.ordering[tuple(rec["colors"])] is rec["cycles"] for rec in doc["ordering"])

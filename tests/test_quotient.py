@@ -1,10 +1,10 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import seeded_rep
@@ -15,7 +15,7 @@ from multiforge.complexes import (
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, coxeter_kernel_rep, m_subgroup_rep
-from multiforge.permrep import PermRep, evaluate, same_up_to_relabeling, validate
+from multiforge.permrep import PermRep, evaluate, orbits, same_up_to_relabeling, validate
 from multiforge.quotient import (
     analyze,
     associated_subgroup_rep,
@@ -26,6 +26,7 @@ from multiforge.quotient import (
     intersection_property,
     is_upper_regular,
     nerve_matches_base,
+    orbit_quotient,
     quotient_map,
 )
 from multiforge.universal import build_ball
@@ -260,3 +261,34 @@ def test_coxeter_chambers_are_the_kernel_quotient():
             with pytest.raises(ValueError, match="not simplicial"):
                 coxeter_complex(list(gens))
     assert 0 < simplicial < 20
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_orbit_quotient_matches_an_assembly_from_orbits(d, k, m, seed):
+    """`orbit_quotient` against an assembly read straight off `orbits`:
+    vertices numbered by color, then orbit; cell i of J has the vertices
+    and facets of its orbit's least point reps[i]; the cycle of each
+    (d-1)-cell is the orbit of that point under the missing generator,
+    walked from it; the root is the class of the root point."""
+    assume((d, k) != (1, 2) or m == 1)  # the sampler seldom draws larger transitive ones
+    rep = seeded_rep(d, k, m * k, seed)
+    x, _ = orbit_quotient(rep)
+    full = tuple(range(d + 1))
+    parts = {J: orbits(rep, frozenset(J)) for size in range(1, d + 2) for J in combinations(full, size)}
+    first = dict(zip(full, accumulate((parts[(c,)].count for c in full), initial=0)))
+    assert x.vertex_colors == [c for c in full for _ in range(parts[(c,)].count)]
+    for J in (J for J in parts if len(J) >= 2):
+        reps, drops = parts[J].reps, [J[:p] + J[p + 1 :] for p in range(len(J))]
+        assert x.cells[J].vertices == [first[c] + parts[(c,)].class_ids[t] for t in reps for c in J]
+        assert x.cells[J].faces == [parts[sub].class_ids[t] for t in reps for sub in drops]
+    for i in full:
+        cycles = []
+        for t in parts[full[:i] + full[i + 1 :]].reps:
+            cycles.append([t])
+            while rep.betas[i][cycles[-1][-1]] != t:
+                cycles[-1].append(rep.betas[i][cycles[-1][-1]])
+        assert x.ordering[full[:i] + full[i + 1 :]] == cycles
+    assert sorted(x.ordering) == sorted(J for J in parts if len(J) == d)
+    assert x.root == (full, parts[full].class_ids[rep.root])
+    assert x.boundary == frozenset()
