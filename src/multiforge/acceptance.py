@@ -112,21 +112,19 @@ def up_laplacian_formula(x: MComplex) -> tuple[list[frozenset], np.ndarray]:
 
 
 def line_graph_distances(x: MComplex, source) -> dict:
-    """BFS distance in the line graph (tops adjacent when they share a
-    codimension-one multicell)."""
-    adj: dict = {}
-    for cell in x.multicells(x.d - 1):
-        inc = [m for m, _ in x.delta(cell.mid)]
-        for a in inc:
-            for b in inc:
-                if a != b:
-                    adj.setdefault(a, set()).add(b)
+    """BFS distance in the line graph: tops are adjacent when their faces
+    column names the same codimension-one multicell."""
+    full = tuple(x.params.colors)
+    faces, size = x.cells[full].faces, len(full)
+    above: dict = {}  # (dropped position, facet index) -> the tops naming it
+    for e, f in enumerate(faces):
+        above.setdefault((e % size, f), []).append((full, e // size))
     dist = {source: 0}
     frontier = [source]
     while frontier:
         nxt = []
         for a in frontier:
-            for b in adj.get(a, ()):
+            for b in (b for p in range(size) for b in above[(p, faces[a[1] * size + p])]):
                 if b not in dist:
                     dist[b] = dist[a] + 1
                     nxt.append(b)

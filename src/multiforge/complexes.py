@@ -16,8 +16,8 @@ Complex files are mcomplex/2 JSON, one object with the keys `format`,
 `params` ({d, k}), `vertex_colors`, `cells`, `ordering`, `root` and
 `boundary`.  The facet of a cell that drops one of its colors J[p] has
 the other colors, so a cell is fixed by its vertices and the indices of
-its facets.  `MComplex` stores exactly these columns: the in-memory layout
-is the file layout.
+its facets.  `MComplex` stores exactly these columns and no coface index:
+the in-memory layout is the file layout.
 
 - `cells` holds one record per color set J with |J| >= 2, in (size,
   colors) order: {"colors": J, "vertices": [...], "faces": [...]}, two
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, combinations, repeat
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .permrep import partition
 from .words import Params
@@ -117,14 +117,14 @@ class MComplex:
     """A d-multicomplex with vertex coloring, optional k-ordering and root.
 
     `cells` maps each color set to its `Cells` columns, the layout of the
-    mcomplex/2 file; nothing else stores the multicells.  The vertex color
-    sets are made from `vertex_colors` (index = rank among same-color
-    vertices).  `cell` and `multicells` give read-only views, made on
-    demand.  `ordering` maps each color set J of size d to its `cycles`
-    list in the file: for (d-1)-cell i of J, its top cofaces' indices in
-    the order the generator missing from J steps through them, or None.
-    `boundary` flags (d-1)-cells with incomplete cycles (radius cutoffs).
-    """
+    mcomplex/2 file; nothing else stores the multicells or their cofaces
+    (`delta`, `coface_counts` and `top_faces` read the faces columns on
+    each call).  The vertex color sets come from `vertex_colors` (index =
+    rank among same-color vertices); `cell` and `multicells` are views.
+    `ordering` maps each color set J of size d to its file `cycles` list:
+    for (d-1)-cell i of J, its top cofaces' indices in the order the
+    generator missing from J steps through them, or None.  `boundary`
+    flags (d-1)-cells with incomplete cycles (radius cutoffs)."""
 
     def __init__(
         self,
@@ -143,7 +143,6 @@ class MComplex:
         self.ordering = dict(ordering) if ordering is not None else None
         self.root = root
         self.boundary = frozenset(boundary)
-        self._cofaces: dict[tuple[int, ...], list[list[tuple[MId, int]]]] | None = None
 
     # -- basic access --------------------------------------------------------
 
@@ -199,50 +198,50 @@ class MComplex:
     def cycle(self, mid: MId) -> list[int] | None:
         """The ordering cycle of a (d-1)-multicell as top indices, or None."""
         cycles = self.ordering.get(mid[0]) if self.ordering else None
-        return cycles[mid[1]] if cycles and mid[1] < len(cycles) else None
+        return cycles[mid[1]] if cycles and 0 <= mid[1] < len(cycles) else None
 
     # -- incidence structure ---------------------------------------------------
 
     def delta(self, mid: MId) -> list[tuple[MId, int]]:
         """Cofaces one dimension up: pairs (coface id, dropped color), by
-        (size, colors), then index, then color.  Built once from the faces
-        columns; a facet index with no cell behind it is left out."""
-        if self._cofaces is None:
-            self._cofaces = {J: [[] for _ in range(len(c))] for J, c in self.cells.items()}
-            for J in sorted(self.cells, key=_by_size):
-                size, ids = len(J), [(J, i) for i in range(len(self.cells[J]))]
-                for p, sub in enumerate(_drops(J)):
-                    lists = self._cofaces.get(sub, [])
-                    for coface, f in zip(ids, self.cells[J].faces[p::size]):
-                        if 0 <= f < len(lists):
-                            lists[f].append((coface, J[p]))
-        colors, index = mid
-        lists = self._cofaces.get(tuple(colors), [])
-        return lists[index] if 0 <= index < len(lists) else []
+        (size, colors), then index, then color, scanned off the faces columns
+        one dimension up; a facet index with no cell behind it names none."""
+        colors, index = tuple(mid[0]), mid[1]
+        return [((J, i), J[p]) for J in sorted(self.cells) if len(J) == len(colors) + 1
+                for p, sub in enumerate(_drops(J)) if sub == colors and self.has_cell(mid)
+                for i, f in enumerate(self.cells[J].faces[p :: len(J)]) if f == index]
 
     def degree(self, mid: MId) -> int:
         return len(self.delta(mid))
 
-    def face(self, mid: MId, colors: Iterable[int]) -> MId:
-        """The face of `mid` with the given colors, reached by dropping the
-        other colors in ascending order (on a consistent complex every order
-        reaches it)."""
-        cur, keep = mid, set(colors)
-        for l in (l for l in mid[0] if l not in keep):
-            cur = self.facet(cur, l)
-        return cur
 
-    def up_set(self, mid: MId) -> list[MId]:
-        """All multicells strictly containing `mid`, one dimension at a time."""
-        found, level = [], {mid}
-        while level:
-            level = {cof for cur in level for cof, _ in self.delta(cur)}
-            found += level
-        return sorted(found, key=lambda m: (len(m[0]), m[0], m[1]))
+# -- cofaces, read off the faces columns ------------------------------------------
 
-    def invalidate_caches(self) -> None:
-        """Forget the coface index; call after editing a column."""
-        self._cofaces = None
+def coface_counts(x: MComplex) -> dict[tuple[int, ...], list[int]]:
+    """|δ| of every multicell, one count column per color set: how many
+    faces entries one dimension up name the cell.  An entry that names no
+    cell is left out, as `delta` leaves it out."""
+    named = {J: Counter() for J in x.cells}
+    for J, cells in x.cells.items():
+        for p, sub in enumerate(_drops(J)):
+            named.get(sub, Counter()).update(cells.faces[p :: len(J)])
+    return {J: list(map(c.__getitem__, range(len(x.cells[J])))) for J, c in named.items()}
+
+
+def top_faces(x: MComplex, colors: Iterable[int]) -> list[int]:
+    """The index of each top cell's face of the given colors, dropping the
+    other colors in ascending order by composing faces columns with `map`
+    (on a consistent complex every order reaches it).  A facet index that
+    names no cell raises KeyError where the walk would go through it."""
+    cur, keep = tuple(x.params.colors), set(colors)
+    column = list(range(len(x.cells.get(cur, ()))))
+    for l in (l for l in x.params.colors if l not in keep):
+        if column and not 0 <= min(column) <= max(column) < len(x.cells[cur]):
+            raise KeyError(f"no multicell {(cur, min(column) if min(column) < 0 else max(column))}")
+        p = cur.index(l)
+        column = list(map(x.cells[cur].faces[p :: len(cur)].__getitem__, column))
+        cur = cur[:p] + cur[p + 1 :]
+    return column
 
 
 # -- structural audits --------------------------------------------------------
@@ -283,7 +282,7 @@ def check_consistency(x: MComplex) -> Diagnostics:
     return Diagnostics(not messages, messages)
 
 
-def _columns_hold(x: MComplex, cells: Cells, below: list[list[int]], count: Counter | None) -> bool:
+def _columns_hold(x: MComplex, cells: Cells, below: list[list[int]], count: list | None) -> bool:
     """True if `validate_structure`'s per-cell checks pass on one color set, read
     a column at a time (`below`: the facets' vertices; `count`: cofaces)."""
     size, vertices, m = len(cells.colors), cells.vertices, len(cells)
@@ -299,7 +298,7 @@ def _columns_hold(x: MComplex, cells: Cells, below: list[list[int]], count: Coun
             for q in range(size - 1)
         ):
             return False
-    return count is None or all(map(count.__contains__, range(m)))
+    return count is None or 0 not in count
 
 
 def validate_structure(x: MComplex) -> Diagnostics:
@@ -312,10 +311,7 @@ def validate_structure(x: MComplex) -> Diagnostics:
     msgs = check_consistency(x).messages
     msgs += [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
              if not 0 <= c <= d]
-    cofaces = {J: Counter() for J in x.cells}  # cell index -> faces entries naming it
-    for J, cells in x.cells.items():
-        for p, sub in enumerate(_drops(J)):
-            cofaces.get(sub, Counter()).update(cells.faces[p :: len(J)])
+    cofaces = coface_counts(x)
     for colors, cells in x.cells.items():
         size, subs, count = len(colors), _drops(colors), cofaces[colors]
         below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
@@ -333,9 +329,8 @@ def validate_structure(x: MComplex) -> Diagnostics:
             if size <= d and not count[i]:
                 msgs.append(f"{mid}: not contained in any top multicell (impure)")
     msgs += [f"{(J, i)}: degree {deg} exceeds k={k}"
-             for J in sorted(J for J in x.cells if len(J) == d)
-             if max(cofaces[J].values(), default=0) > k
-             for i in range(len(x.cells[J])) if (deg := cofaces[J][i]) > k]
+             for J in sorted(J for J in x.cells if len(J) == d) if max(cofaces[J], default=0) > k
+             for i, deg in enumerate(cofaces[J]) if deg > k]
     if x.ordering is not None:
         msgs += ordering_faults(x)
         for J, cycles in sorted(x.ordering.items()):
@@ -381,25 +376,36 @@ def ordering_faults(x: MComplex) -> Iterator[str]:
 
 def is_lower_path_connected(x: MComplex, j: int) -> bool:
     """True iff any two j-multicells are joined by a chain of j-multicells
-    with consecutive ones sharing a (j-1)-multicell via their gluing."""
+    with consecutive ones sharing a (j-1)-multicell via their gluing: one
+    partition of the j-cells and then the (j-1)-cells, each j-cell joined
+    to its facets."""
     if not 1 <= j <= x.d:
         raise ValueError(f"j must be in 1..{x.d}")
-    pos = {m: t for t, m in enumerate(x.mids(j))}
+    sets = sorted((J for J in x.cells if len(J) in (j, j + 1)), key=lambda J: -len(J))
+    *offsets, total = accumulate((len(x.cells[J]) for J in sets), initial=0)
+    start = dict(zip(sets, offsets))
     pairs = (
-        (pos[cofaces[0][0]], pos[m]) for cofaces in map(x.delta, x.mids(j - 1)) for m, _ in cofaces
+        (start[J] + i, start[sub] + f)
+        for J in sets if len(J) == j + 1
+        for p, sub in enumerate(_drops(J)) if sub in start
+        for i, f in enumerate(x.cells[J].faces[p :: j + 1]) if 0 <= f < len(x.cells[sub])
     )
-    return partition(len(pos), pairs).count <= 1
+    ids = partition(total, pairs).class_ids
+    return not any(ids[: sum(len(x.cells[J]) for J in sets if len(J) == j + 1)])
 
 
 def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
     """Connected components of the link's 1-skeleton, each given as the list
     of cofaces of `mid` one dimension up (the link's vertices).  Assumes a
-    consistent complex: a coface s two dimensions up joins its two facets
-    over `mid`, the one `t` it was reached from and the one that drops the
-    color `t` adds to `mid`."""
-    verts = sorted(m for m, _ in x.delta(mid))
+    consistent complex: a cell s two dimensions up joins its two facets
+    over `mid`, each facet `t` of s that is a vertex of the link and the
+    one that drops the color `t` adds to `mid`."""
+    verts = [m for m, _ in x.delta(mid)]
     pos = {m: t for t, m in enumerate(verts)}
-    pairs = ((pos[t], pos[x.facet(s, l)]) for t, l in x.delta(mid) for s, _ in x.delta(t))
+    pairs = (
+        (pos[t], pos[x.facet(s, next(c for c in t[0] if c not in mid[0]))])
+        for s in x.mids(len(mid[0]) + 1) for t in x.facets(s) if t in pos
+    )
     return [[verts[t] for t in group] for group in partition(len(verts), pairs).members()]
 
 
@@ -414,6 +420,7 @@ def is_link_connected(x: MComplex) -> bool:
     dropping both.  On a consistent complex the links are connected iff
     these classes are as many as the j-cells with cofaces.
     """
+    counts = coface_counts(x)
     for j in range(x.d - 1):
         sets = [colors for colors in x.cells if len(colors) == j + 2]
         *offsets, total = accumulate((len(x.cells[c].faces) for c in sets), initial=0)
@@ -425,7 +432,8 @@ def is_link_connected(x: MComplex) -> bool:
             for pa, pb in combinations(range(size), 2)
             for u, w in zip(cells.faces[pa::size], cells.faces[pb::size])
         )
-        if partition(total, pairs).count != sum(1 for mid in x.mids(j) if x.delta(mid)):
+        if partition(total, pairs).count != sum(len(c) - c.count(0) for J, c in counts.items()
+                                                if len(J) == j + 1):
             return False
     return True
 
@@ -456,44 +464,42 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
             "links are built for multicells of dimension <= d-2; "
             "the cofaces of a (d-1)-multicell are available via delta()"
         )
-    tops = [m for m in x.up_set(mid) if len(m[0]) == x.d + 1]
+    tops = [t for t, f in enumerate(top_faces(x, own)) if f == mid[1]]
     if not tops:
         raise ValueError(f"{mid} lies in no top cell")
-    lk, to_link = _class_complex(
-        x, tops, lambda top, cs: x.face(top, own + tuple(rest[j] for j in cs)), rest, None
-    )
+    lk, to_link = _class_complex(x, tops, own, rest)
     return lk, {m: orig for orig, m in to_link.items()}
 
 
 def _class_complex(
     x: MComplex,
-    tops: list[MId],
-    key: Callable[[MId, tuple[int, ...]], Hashable],
+    tops: list[int],
+    own: tuple[int, ...],
     colors: Sequence[int],
-    vertex_colors: list[int] | None,
+    relabel: list[int] | None = None,
+    vertex_colors: list[int] | None = None,
 ) -> tuple[MComplex, dict[MId, MId]]:
-    """The class complex y of the top cells `tops` of x under `key`, built
-    from `class_columns` (a single color's key is a vertex id when
-    `vertex_colors` is given), y's color t standing for x's color colors[t]
-    and top t of `tops` being y's top t.  x's cycles (entries mapped top by
-    top), boundary flags and root carry over through the class map, found
-    by walking down both complexes side by side.  Returns y and the map."""
-    p = Params(len(colors) - 1, x.params.k)
-    classes = class_columns(p, tops, key, vertex_colors is not None)
+    """The class complex y of x's tops `tops` (tops[i] is y's top i): a
+    top's class under J is its face of colors `own` and colors[J], numbered
+    by first appearance, or, for one color with `relabel`, y's vertex id
+    relabel[v] of its vertex v (y's vertex colors are `vertex_colors`).
+    Returns y and the class map, which zips face and class columns and
+    carries x's cycles, boundary flags and root over to y."""
+    p, full = Params(len(colors) - 1, x.params.k), tuple(x.params.colors)
+    f, classes = {(full, t): (tuple(p.colors), i) for i, t in enumerate(tops)}, {}
+    for J in (J for size in range(1, len(colors)) for J in combinations(p.colors, size)):
+        face = tuple(sorted(own + tuple(colors[t] for t in J)))
+        column = list(map(top_faces(x, face).__getitem__, tops))
+        if relabel is not None and len(J) == 1:
+            classes[J] = [relabel[x.cells[face].vertices[i]] for i in column]
+        else:
+            index: dict[int, int] = {}
+            classes[J] = [index.setdefault(i, len(index)) for i in column]
+            f.update(zip(zip(repeat(face), column), zip(repeat(J), classes[J])))
     y = complex_from_classes(p, classes, 0, vertex_colors=vertex_colors)
-    f = {top: (tuple(p.colors), t) for t, top in enumerate(tops)}
-    frontier = tops
-    while frontier:
-        below = []
-        for a in frontier:
-            for l, b in zip(f[a][0], y.facets(f[a])):
-                facet = x.facet(a, colors[l])
-                if facet not in f:
-                    f[facet] = b
-                    below.append(facet)
-        frontier = below
+    if relabel is not None:
+        f.update((x.vertex_cell(v), y.vertex_cell(w)) for v, w in enumerate(relabel))
     if x.ordering is not None:
-        full = tuple(x.params.colors)
         y.ordering = {J: [None] * len(y.cells[J]) for J in y.cells if len(J) == p.d}
         for m, (J, i) in f.items():
             if J in y.ordering and (cyc := x.cycle(m)) is not None:
@@ -704,17 +710,13 @@ def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
 
 # -- constructions -----------------------------------------------------------------
 
-def class_columns(params: Params, tops: Sequence, key: Callable, vertex_ids: bool = False) -> dict:
+def class_columns(params: Params, tops: Sequence, key: Callable) -> dict:
     """`complex_from_classes`'s columns for tops classed by `key(top, J)`,
-    one dict pass per color set J; with `vertex_ids`, a single color's key
-    is the vertex id itself."""
+    numbered by first appearance, one dict pass per proper color set J."""
     full, classes = tuple(params.colors), {}
     for J in (J for size in range(1, len(full)) for J in combinations(full, size)):
-        if vertex_ids and len(J) == 1:
-            classes[J] = [key(top, J) for top in tops]
-        else:
-            index: dict = {}
-            classes[J] = [index.setdefault(key(top, J), len(index)) for top in tops]
+        index: dict = {}
+        classes[J] = [index.setdefault(key(top, J), len(index)) for top in tops]
     return classes
 
 
@@ -796,14 +798,13 @@ def from_simplicial(
         if len(t) != params.d + 1 or sorted(by_color) != list(params.colors):
             raise ValueError(f"top cell {sorted(t)} needs one vertex of each color 0..{params.d}")
         tops.append(by_color)
-
-    def key(by_color: dict[int, int], cs: tuple[int, ...]):
-        return by_color[cs[0]] if len(cs) == 1 else tuple(by_color[c] for c in cs)
-
-    classes = class_columns(params, tops, key, vertex_ids=True)
+    classes = class_columns(params, tops, lambda by_color, cs: tuple(map(by_color.__getitem__, cs)))
+    classes.update({(c,): [by_color[c] for by_color in tops] for c in params.colors})  # vertex ids
     x = complex_from_classes(params, classes, root_top, vertex_colors=vertex_colors)
-    x.ordering = {J: [[t for (_, t), _ in x.delta((J, i))] for i in range(len(x.cells[J]))]
-                  for J in x.cells if len(J) == params.d}
+    full = tuple(params.colors)
+    x.ordering = {J: [[] for _ in range(len(x.cells[J]))] for J in _drops(full)}
+    for e, f in enumerate(x.cells[full].faces):  # top e // |full| joins its facets' cycles
+        x.ordering[_drops(full)[e % len(full)]][f].append(e // len(full))
     return x
 
 
@@ -827,12 +828,9 @@ def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
         raise ValueError("need two distinct vertices of the same color")
     relabel = [v - (v > v_gone) for v in range(x.n_vertices)]
     relabel[v_gone] = relabel[v_keep]
-
-    def key(top: MId, cs: tuple[int, ...]) -> Hashable:
-        return relabel[x.cell(top).vertices[cs[0]]] if len(cs) == 1 else x.face(top, cs)
-
     colors = x.vertex_colors[:v_gone] + x.vertex_colors[v_gone + 1 :]
-    return _class_complex(x, list(x.mids(x.d)), key, x.params.colors, colors)[0]
+    tops = list(range(len(x.cells[tuple(x.params.colors)])))
+    return _class_complex(x, tops, (), x.params.colors, relabel, colors)[0]
 
 
 # -- serialization --------------------------------------------------------------

@@ -19,6 +19,7 @@ from .complexes import (
     MId,
     base_complex,
     check_consistency,
+    coface_counts,
     complex_from_classes,
     extend_down,
     is_link_connected,
@@ -129,7 +130,7 @@ def is_upper_regular(rep: PermRep) -> bool:
 def complex_is_upper_regular(x: MComplex) -> bool:
     """Degree-k regularity read off the complex: every codimension-one
     multicell has exactly k cofaces."""
-    return all(x.degree(mid) == x.params.k for mid in x.mids(x.d - 1))
+    return all(c == x.params.k for J, col in coface_counts(x).items() if len(J) == x.d for c in col)
 
 
 def complex_has_complete_skeleton(x: MComplex) -> bool:
@@ -217,7 +218,7 @@ def analyze(x: MComplex) -> str:
         by_dim[len(colors) - 1] += len(cells)
         base_by_dim[len(colors) - 1] += len(set(cells.rows()))
     per_color = [x.vertex_colors.count(c) for c in x.params.colors]
-    hist = Counter(map(x.degree, x.mids(x.d - 1)))
+    hist = Counter(chain.from_iterable(c for J, c in coface_counts(x).items() if len(J) == x.d))
     flags = [
         ("structure-valid", valid.ok),
         ("simplicial", complex_is_simplicial(x)),

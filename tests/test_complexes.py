@@ -21,6 +21,7 @@ from multiforge.complexes import (
     base_complex,
     check_consistency,
     check_morphism,
+    coface_counts,
     extend_down,
     find_isomorphism,
     from_json,
@@ -33,14 +34,16 @@ from multiforge.complexes import (
     merge_vertices,
     nerve,
     ordering_faults,
+    propagate_from_root,
     single_simplex,
     to_json,
+    top_faces,
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from multiforge.lcc import link_connected_cover
 from multiforge.permrep import evaluate
-from multiforge.quotient import associated_subgroup_rep, build_quotient
+from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
 
@@ -326,7 +329,6 @@ def impure_simplex(params: Params = Params(2, 2)) -> MComplex:
     x = single_simplex(params)
     x.cells[(0, 1)].vertices.extend([0, 1])
     x.cells[(0, 1)].faces.extend([0, 0])
-    x.invalidate_caches()
     return x
 
 
@@ -377,6 +379,14 @@ def faces_by_every_order(x: MComplex, mid) -> dict[tuple[int, ...], set]:
             face = x.cell(face).faces[l]
             reached.setdefault(tuple(sorted(order[t + 1 :])), set()).add(face)
     return reached
+
+
+def face(x: MComplex, mid, colors):
+    """The face of `mid` with the given colors, reached facet by facet by
+    dropping the other colors in ascending order."""
+    for l in (l for l in mid[0] if l not in colors):
+        mid = x.facet(mid, l)
+    return mid
 
 
 def gluing_oracle(x: MComplex):
@@ -431,13 +441,38 @@ ORACLE_CORPUS = {
 }
 
 
+def lower_path_oracle(x: MComplex, j: int) -> bool:
+    """Breadth-first search over the j-multicells from the first, stepping
+    between two that name the same existing facet."""
+    cells = list(x.mids(j))
+    sharing: dict = {}
+    for m in cells:
+        for b in filter(x.has_cell, x.facets(m)):
+            sharing.setdefault(b, []).append(m)
+    seen, queue = set(cells[:1]), cells[:1]
+    while queue:
+        for b in x.facets(queue.pop()):
+            for m in sharing.get(b, ()):
+                if m not in seen:
+                    seen.add(m)
+                    queue.append(m)
+    return len(seen) == len(cells)
+
+
 def assert_gluing_matches_oracle(x: MComplex) -> bool:
+    for j in range(1, x.d + 1):
+        assert is_lower_path_connected(x, j) == lower_path_oracle(x, j), j
     consistent, up, links = gluing_oracle(x)
     assert check_consistency(x).ok == consistent
     if not consistent:
         return False
+    full = tuple(x.params.colors)
     for cell in x.multicells():
-        assert x.up_set(cell.mid) == sorted(up[cell.mid], key=lambda m: (len(m[0]), m))
+        above = sorted(m for m in up[cell.mid] if len(m[0]) == len(cell.colors) + 1)
+        assert [m for m, _ in x.delta(cell.mid)] == above
+        tops = [t for t, f in enumerate(top_faces(x, cell.colors)) if f == cell.index]
+        assert [(full, t) for t in tops] == sorted(m for m in [cell.mid, *up[cell.mid]]
+                                                   if m[0] == full)
     for mid, comps in links.items():
         assert sorted(map(tuple, link_components(x, mid))) == comps, mid
     assert is_link_connected(x) == all(len(c) <= 1 for c in links.values())
@@ -455,12 +490,13 @@ def test_link_cells_match_brute_force(name):
     """Every link multicell maps back to a cell over the base, and its
     vertices and facets map to that cell's faces by every dropping order."""
     x = ORACLE_CORPUS[name]()
+    _, up, _ = gluing_oracle(x)
     for base in x.multicells():
         if base.dim > x.d - 2:
             continue
         own = base.colors
         lk, back = link_with_map(x, base.mid)
-        assert sorted(back.values()) == sorted(x.up_set(base.mid))
+        assert sorted(back.values()) == sorted(up[base.mid])
         for cell in lk.multicells():
             orig = back[cell.mid]
             extra = [c for c in orig[0] if c not in own]
@@ -492,7 +528,6 @@ def repoint_facet(x: MComplex, data, index) -> MId:
     sub = colors[:p] + colors[p + 1 :]
     old = (sub, x.cells[colors].faces[i * len(colors) + p])
     x.cells[colors].faces[i * len(colors) + p] = data.draw(index(len(x.cells[sub])))
-    x.invalidate_caches()
     return old
 
 
@@ -500,7 +535,7 @@ def extension_oracle(f: dict, x: MComplex, y: MComplex, tops: list) -> dict:
     """Every face reached from a top of `tops` by dropping colors in some
     order, mapped to the set of its images: the face of f[top] reached by
     dropping the same colors in the same order.  On a consistent complex
-    this is the face of each color subset S, x.face(top, S) -> y.face(f[top], S)."""
+    this is the face of each color subset S, face(x, top, S) -> face(y, f[top], S)."""
     images: dict = {}
     for top in tops:
         for order in permutations(top[0]):
@@ -567,7 +602,6 @@ def test_malformed_gluing_is_reported_not_raised():
     be held; the reader refuses both in mcomplex/1 files."""
     x = single_simplex(Params(2, 2))
     x.cells[(0, 1, 2)].faces[2] = 5  # the facet that drops color 2
-    x.invalidate_caches()
     message = "dangling gluing reference ((0, 1), 5) from ((0, 1, 2), 0)"
     for report in (check_consistency(x), validate_structure(x)):
         assert not report.ok and message in report.messages
@@ -581,7 +615,9 @@ def test_coface_index_matches_columns(d, k, m, seed, edit, data):
     """On a small quotient, as built or with one facet re-pointed or left
     dangling: `delta(b)` lists each (mid, l) with `facet(mid, l) == b`
     exactly once, by (size, colors), then index, then color; a dangling
-    facet index is left out, not raised; and `cell(mid)` is a read-only
+    facet index is left out, not raised; `coface_counts` agrees with
+    `delta`; `top_faces` agrees with the facet-by-facet walk `face`, and
+    raises KeyError where that walk does; and `cell(mid)` is a read-only
     view that agrees with the columns."""
     x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
     if edit == "repoint":
@@ -607,11 +643,56 @@ def test_coface_index_matches_columns(d, k, m, seed, edit, data):
         }
     pairs = sum(len(c.faces) for c in x.cells.values())
     assert sum(map(x.degree, x.mids())) == pairs - (edit == "dangle")
+    counts = coface_counts(x)
+    assert {J: len(c) for J, c in counts.items()} == {J: len(c) for J, c in x.cells.items()}
+    assert all(counts[J][i] == len(x.delta((J, i))) for J, i in x.mids())
+    full = tuple(range(d + 1))
+    for J in (J for size in range(1, d + 2) for J in combinations(full, size)):
+        try:
+            expected = [face(x, (full, t), J)[1] for t in range(len(x.cells[full]))]
+        except KeyError:  # the walk goes through the dangling facet
+            with pytest.raises(KeyError, match="no multicell"):
+                top_faces(x, J)
+        else:
+            assert top_faces(x, J) == expected
     view = x.cell(x.root)
     with pytest.raises(TypeError):
         view.faces[0] = view.faces[1]
     with pytest.raises(FrozenInstanceError):
         view.index = 1
+
+
+def test_queries_see_a_column_edit_at_once():
+    """Cofaces are read off the columns at each query, with nothing cached:
+    after `degree`, `delta` and `analyze` have run, re-pointing one top's
+    facet to another edge on the same vertices (the gluing stays
+    consistent) shows in the next answer of each."""
+    x = build_quotient(seeded_rep(2, 3, 12, 1)).complex
+    full, J = (0, 1, 2), (0, 1)
+    rows = list(x.cells[J].rows())
+    t, a = 0, x.cells[full].faces[2]  # top 0 drops color 2 to edge a
+    b = next(b for b, row in enumerate(rows) if row == rows[a] and b != a)
+    degrees, report = (x.degree((J, a)), x.degree((J, b))), analyze(x)
+    assert ((full, t), 2) in x.delta((J, a))
+    x.cells[full].faces[t * 3 + 2] = b
+    assert (x.degree((J, a)), x.degree((J, b))) == (degrees[0] - 1, degrees[1] + 1)
+    assert ((full, t), 2) in x.delta((J, b)) and ((full, t), 2) not in x.delta((J, a))
+    assert analyze(x) == analyze(from_json(to_json(x))) != report
+
+
+def test_cycle_is_none_off_the_cells():
+    """`cycle` answers None for an index outside 0..n-1, as `has_cell` says
+    no such cell exists; a -1 facet then stops root propagation with a
+    reason instead of borrowing the last cell's cycle."""
+    x = build_quotient(seeded_rep(2, 3, 12, 1)).complex
+    J = (0, 1)
+    n = len(x.cells[J])
+    assert [x.cycle((J, i)) for i in range(n)] == x.ordering[J]
+    for i in (-1, -n, n, n + 3):
+        assert not x.has_cell((J, i)) and x.cycle((J, i)) is None
+    y = from_json(to_json(x))
+    x.cells[(0, 1, 2)].faces[x.root[1] * 3 + 2] = -1
+    assert propagate_from_root(x, y) == (None, f"cycle length mismatch at {(J, -1)}")
 
 
 CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "replace", "swap", "no-cycle", "dangle"]
@@ -660,7 +741,6 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
         top = data.draw(st.integers(0, n - 1))
         f = data.draw(st.sampled_from([-1, len(x.cells[J]), len(x.cells[J]) + 3]))
         x.cells[full].faces[top * (d + 1) + missing] = f
-        x.invalidate_caches()
     faults = list(ordering_faults(x))
     assert bool(faults) == (edit not in ("none", "rotate"))
     if edit == "dangle":
