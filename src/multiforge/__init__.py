@@ -5,40 +5,31 @@ orbits of the standard color subgroups assemble into colored, ordered,
 rooted multicomplexes.  The package builds these quotients and the finite
 balls of the universal arboreal complex, analyzes them (links, covers,
 regularity, Schreier line graphs, upper-Laplacian spectra), and ships the
-classical example families.
+classical example families.  Each name below loads its module on first use.
 """
 
-from .words import Params, Word, multiply, reduce_word, theta, word_length
-from .permrep import PermRep, evaluate, intersect_reps, orbits, random_rep, validate
-from .complexes import MComplex, is_link_connected, is_lower_path_connected, link_with_map, nerve
-from .universal import Ball, ball_from_cosets, build_ball, unique_non_backtracking
-from .quotient import (
-    QuotientObject,
-    associated_subgroup_rep,
-    build_quotient,
-    complex_has_complete_skeleton,
-    complex_is_simplicial,
-    complex_line_graph,
-    intersection_property,
-    is_upper_regular,
-    quotient_map,
-)
-from .lcc import link_connected_cover, verify_universality
-from .spectral import boundary_matrix, lambda_arboreal, lambda_building, spectral_gap, up_laplacian
-from .gallery import coxeter_complex, flag_complex, m_subgroup_rep
-from .graphs import Multigraph, counterexample_graph, decompose_regular, is_schreier, schreier_multigraph
+from importlib import import_module
 
-__all__ = [
-    "Params", "Word", "multiply", "reduce_word", "theta", "word_length",
-    "PermRep", "evaluate", "intersect_reps", "orbits", "random_rep", "validate",
-    "MComplex", "is_link_connected", "is_lower_path_connected", "link_with_map", "nerve",
-    "Ball", "ball_from_cosets", "build_ball", "unique_non_backtracking",
-    "QuotientObject", "associated_subgroup_rep", "build_quotient",
-    "complex_has_complete_skeleton", "complex_is_simplicial", "complex_line_graph",
-    "intersection_property", "is_upper_regular", "quotient_map",
-    "link_connected_cover", "verify_universality",
-    "boundary_matrix", "lambda_arboreal", "lambda_building", "spectral_gap", "up_laplacian",
-    "coxeter_complex", "flag_complex", "m_subgroup_rep",
-    "Multigraph", "counterexample_graph", "decompose_regular", "is_schreier",
-    "schreier_multigraph",
-]
+_MODULE = {name: module for module, names in {
+    "words": "Params Word multiply reduce_word theta word_length",
+    "permrep": "PermRep evaluate intersect_reps orbits random_rep validate",
+    "complexes": "MComplex is_link_connected is_lower_path_connected link_with_map nerve",
+    "universal": "Ball ball_from_cosets build_ball unique_non_backtracking",
+    "quotient": "QuotientObject associated_subgroup_rep build_quotient"
+    " complex_has_complete_skeleton complex_is_simplicial complex_line_graph"
+    " intersection_property is_upper_regular quotient_map",
+    "lcc": "link_connected_cover verify_universality",
+    "spectral": "boundary_matrix lambda_arboreal lambda_building spectral_gap up_laplacian",
+    "gallery": "coxeter_complex flag_complex m_subgroup_rep",
+    "graphs": "Multigraph counterexample_graph decompose_regular is_schreier schreier_multigraph",
+}.items() for name in names.split()}
+
+__all__ = list(_MODULE)
+
+
+def __getattr__(name: str):
+    """PEP 562: import the module that defines `name` and keep the value."""
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE[name]}", __name__), name)
+    return value

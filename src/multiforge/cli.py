@@ -1,6 +1,7 @@
 """Command-line surface: build and analyze quotients, covers, balls, spectra,
 the example gallery, Schreier line graphs, decompositions, and the
 acceptance suite.  Exit codes: 0 success, 1 domain error, 2 usage error.
+Each command imports the modules it runs when it runs.
 """
 
 from __future__ import annotations
@@ -9,24 +10,11 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import acceptance
-from .complexes import MComplex, from_json, to_json, to_json_dict, validate_structure
-from .gallery import NotAnInvolution, coxeter_complex, flag_complex, m_subgroup_rep
-from .graphs import decompose_regular, format_multigraph, parse_multigraph, to_dot
-from .lcc import link_connected_cover
-from .permrep import (
-    format_rep,
-    intersect_reps,
-    numbered_lines,
-    parse_permutation,
-    parse_rep,
-    random_rep_retry,
-)
-from .quotient import analyze, build_quotient, complex_line_graph
-from .spectral import SpectralGapUndefined, coboundary_rank, gap_from_spectrum, spectrum
-from .universal import Ball, ball_from_cosets, build_ball
-from .words import Params, format_word, parse_word
+if TYPE_CHECKING:
+    from .complexes import MComplex
+    from .universal import Ball
 
 
 def _read(path: str) -> str:
@@ -53,6 +41,7 @@ def _seed(args) -> int:
 def _valid_complex(path: str) -> MComplex:
     """The complex in the file, or ValueError with the first message of
     `validate_structure`."""
+    from .complexes import from_json, validate_structure
     x = from_json(_read(path))
     diag = validate_structure(x)
     if not diag:
@@ -65,6 +54,8 @@ def _fmt(x: float, raw: bool) -> str:
 
 
 def _ball_json(ball: Ball) -> str:
+    from .complexes import to_json_dict
+    from .words import format_word
     doc = to_json_dict(ball.complex)
     doc["radius"] = ball.radius
     doc["cell_words"] = [
@@ -75,6 +66,9 @@ def _ball_json(ball: Ball) -> str:
 
 
 def cmd_build(args) -> int:
+    from .complexes import to_json
+    from .permrep import parse_rep
+    from .quotient import build_quotient
     rep = parse_rep(_read(args.rep))
     q = build_quotient(rep)
     _write(args.out, to_json(q.complex))
@@ -82,11 +76,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .complexes import from_json
+    from .quotient import analyze
     _write(args.out, analyze(from_json(_read(args.complex))))
     return 0
 
 
 def cmd_lcc(args) -> int:
+    from .complexes import to_json
+    from .lcc import link_connected_cover
     x = _valid_complex(args.complex)
     cover, proj = link_connected_cover(x)
     _write(args.out, to_json(cover))
@@ -100,6 +98,7 @@ def cmd_lcc(args) -> int:
 
 
 def cmd_spectra(args) -> int:
+    from .spectral import SpectralGapUndefined, coboundary_rank, gap_from_spectrum, spectrum
     x = _valid_complex(args.complex)
     eigs = spectrum(x)
     rank = coboundary_rank(x, tol=args.tol)
@@ -125,6 +124,8 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from .universal import ball_from_cosets, build_ball
+    from .words import Params
     p = Params(args.d, args.k)
     ball = ball_from_cosets(p, args.radius) if args.via_cosets else build_ball(p, args.radius)
     _write(args.out, _ball_json(ball))
@@ -132,6 +133,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from .permrep import format_rep, random_rep_retry
+    from .words import Params
     p = Params(args.d, args.k)
     rep, tries = random_rep_retry(p, args.n, seed=_seed(args))
     if tries > 1:
@@ -141,6 +144,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_common_cover(args) -> int:
+    from .permrep import format_rep, intersect_reps, parse_rep
     r1 = parse_rep(_read(args.rep1))
     r2 = parse_rep(_read(args.rep2))
     rep, _ = intersect_reps(r1, r2)
@@ -149,6 +153,9 @@ def cmd_common_cover(args) -> int:
 
 
 def cmd_line_graph(args) -> int:
+    from .graphs import format_multigraph, to_dot
+    from .permrep import parse_rep
+    from .quotient import build_quotient, complex_line_graph
     rep = parse_rep(_read(args.rep))
     g = complex_line_graph(build_quotient(rep).complex)
     _write(args.out, to_dot(g) if args.dot else format_multigraph(g))
@@ -156,6 +163,7 @@ def cmd_line_graph(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .graphs import decompose_regular, parse_multigraph
     g = parse_multigraph(_read(args.graph))
     result = decompose_regular(g, args.k)
     if result is None:
@@ -176,6 +184,7 @@ def _parse_generators(text: str) -> tuple[list[tuple[int, ...]], list[int]]:
     or more permutations of [m], one a line.  Blank lines and `#` comments
     are skipped; each error names its line.  Returns the generators and the
     line of each."""
+    from .permrep import numbered_lines, parse_permutation
     lines = numbered_lines(text)
     if not lines:
         raise ValueError("the generator file is empty: expected the degree line")
@@ -197,6 +206,10 @@ def _parse_generators(text: str) -> tuple[list[tuple[int, ...]], list[int]]:
 
 
 def cmd_gallery(args) -> int:
+    from .complexes import to_json
+    from .gallery import NotAnInvolution, coxeter_complex, flag_complex, m_subgroup_rep
+    from .permrep import format_rep
+    from .words import Params
     if args.family == "m":
         rep = m_subgroup_rep(Params(args.d, args.k))
         _write(args.out, format_rep(rep))
@@ -219,14 +232,14 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    failures = acceptance.run_all(verbose=True)
+    from .acceptance import run_all
+    failures = run_all(verbose=True)
     return 1 if failures else 0
 
 
 def cmd_reduce(args) -> int:
+    from .words import Params, format_word, parse_word, reduce_word
     p = Params(args.d, args.k)
-    from .words import reduce_word
-
     w = parse_word(args.word)
     _write(args.out, format_word(reduce_word(w, p)) + "\n")
     return 0

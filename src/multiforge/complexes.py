@@ -307,11 +307,14 @@ def validate_structure(x: MComplex) -> Diagnostics:
     audit and cycle lengths, boundary flags that name (d-1)-multicells, and
     the root.  Color order, dense indices and arity are the columns' own
     shape, which the reader checks."""
+    return _validate_structure(x, coface_counts(x))
+
+
+def _validate_structure(x: MComplex, cofaces: dict[tuple[int, ...], list[int]]) -> Diagnostics:
     d, k, n, vertex_colors = x.params.d, x.params.k, x.n_vertices, x.vertex_colors
     msgs = check_consistency(x).messages
     msgs += [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
              if not 0 <= c <= d]
-    cofaces = coface_counts(x)
     for colors, cells in x.cells.items():
         size, subs, count = len(colors), _drops(colors), cofaces[colors]
         below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
@@ -420,7 +423,10 @@ def is_link_connected(x: MComplex) -> bool:
     dropping both.  On a consistent complex the links are connected iff
     these classes are as many as the j-cells with cofaces.
     """
-    counts = coface_counts(x)
+    return _links_connected(x, coface_counts(x))
+
+
+def _links_connected(x: MComplex, counts: dict[tuple[int, ...], list[int]]) -> bool:
     for j in range(x.d - 1):
         sets = [colors for colors in x.cells if len(colors) == j + 2]
         *offsets, total = accumulate((len(x.cells[c].faces) for c in sets), initial=0)

@@ -13,25 +13,28 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
+from typing import TYPE_CHECKING
 
 from .complexes import (
     MComplex,
     MId,
+    _links_connected,
+    _validate_structure,
     base_complex,
     check_consistency,
     coface_counts,
     complex_from_classes,
     extend_down,
-    is_link_connected,
     is_lower_path_connected,
     nerve,
     ordering_faults,
-    validate_structure,
 )
-from .graphs import Multigraph, cycle_edges
 from .permrep import OrbitPartition, PermRep, orbits, perm_cycles, validate
 from .permrep import evaluate as rep_evaluate
-from .universal import Ball
+
+if TYPE_CHECKING:
+    from .graphs import Multigraph
+    from .universal import Ball
 
 
 @dataclass
@@ -84,6 +87,7 @@ def complex_line_graph(x: MComplex) -> Multigraph:
     """Dual graph on the top multicells (in id order), one edge class per
     generator power pair: each codimension-one coface cycle contributes the
     Schreier multigraph edge rules for its color."""
+    from .graphs import Multigraph, cycle_edges
     if x.ordering is None:
         raise ValueError("need an ordered complex")
     full, k = tuple(x.params.colors), x.params.k
@@ -209,7 +213,8 @@ def analyze(x: MComplex) -> str:
     predicates, and the histogram of codimension-one degrees.  Raises
     ValueError with the first gluing fault, since the link and path
     predicates read faces through the gluing."""
-    valid = validate_structure(x)
+    counts = coface_counts(x)  # read by three of the checks below
+    valid = _validate_structure(x, counts)
     if not valid and not (glued := check_consistency(x)):
         raise ValueError(glued.messages[0])
     by_dim: Counter = Counter()
@@ -218,12 +223,12 @@ def analyze(x: MComplex) -> str:
         by_dim[len(colors) - 1] += len(cells)
         base_by_dim[len(colors) - 1] += len(set(cells.rows()))
     per_color = [x.vertex_colors.count(c) for c in x.params.colors]
-    hist = Counter(chain.from_iterable(c for J, c in coface_counts(x).items() if len(J) == x.d))
+    hist = Counter(chain.from_iterable(c for J, c in counts.items() if len(J) == x.d))
     flags = [
         ("structure-valid", valid.ok),
         ("simplicial", complex_is_simplicial(x)),
-        ("upper-regular", complex_is_upper_regular(x)),
-        ("link-connected", is_link_connected(x)),
+        ("upper-regular", set(hist) <= {x.params.k}),  # `complex_is_upper_regular`
+        ("link-connected", _links_connected(x, counts)),
         ("lower-path-connected", is_lower_path_connected(x, x.d)),
         ("skeleton-complete", complex_has_complete_skeleton(x)),
     ]

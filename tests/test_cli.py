@@ -307,7 +307,7 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "spectrum", no_memory)
+    monkeypatch.setattr("multiforge.spectral.spectrum", no_memory)
     assert run(["spectra", x_path]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
@@ -319,6 +319,52 @@ def test_cli_import_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60, check=True).stdout
     assert out.split() == ["False"]
+
+
+def loaded_modules(*argv) -> tuple[int | None, set[str]]:
+    """The exit code of `cli.main(argv)` in a fresh interpreter (None when
+    argv is empty: only `import multiforge.cli`) and the multiforge modules
+    it then holds, by short name ("" for the package)."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, multiforge.cli\n"
+            "rc = multiforge.cli.main(sys.argv[1:]) if sys.argv[1:] else None\n"
+            "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'multiforge'))")
+    out = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    rc, *names = out.split()
+    return None if rc == "None" else int(rc), {name.partition(".")[2] for name in names}
+
+
+def test_cli_import_loads_only_the_cli():
+    assert loaded_modules() == (None, {"", "cli"})
+
+
+OFF_THE_CHAIN = {"graphs", "universal", "gallery", "spectral", "acceptance"}
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("random", {"complexes", "quotient", "lcc"} | OFF_THE_CHAIN),  # all but words, permrep
+    ("build", OFF_THE_CHAIN),
+    ("analyze", OFF_THE_CHAIN),
+    ("lcc", OFF_THE_CHAIN),
+    ("spectra", OFF_THE_CHAIN - {"spectral"} | {"lcc"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command, absent):
+    rep, x_path = tmp_path / "rep.txt", tmp_path / "x.json"
+    assert run(["random", "--d", 2, "--k", 3, "--n", 30, "--seed", 12, "--out", rep]) == 0
+    assert run(["build", "--rep", rep, "--out", x_path]) == 0
+    argv = {
+        "random": ["random", "--d", 2, "--k", 3, "--n", 30, "--seed", 12],
+        "build": ["build", "--rep", rep],
+        "analyze": ["analyze", x_path],
+        "lcc": ["lcc", x_path],
+        "spectra": ["spectra", x_path],
+    }[command]
+    rc, loaded = loaded_modules(*argv, "--out", tmp_path / "out")
+    package = {p.stem for p in Path(cli.__file__).parent.glob("*.py")} - {"__init__"}
+    assert rc == 0 and absent <= package, (rc, absent - package)
+    assert not loaded & absent, loaded & absent
 
 
 def test_full_spectra_decomposes_once(tmp_path, capsys, monkeypatch):

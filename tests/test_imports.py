@@ -1,9 +1,10 @@
-"""Every module-level import in the package is read somewhere in its module.
-`__init__.py` is exempt: it only re-exports."""
+"""Every module-level import in the package is read somewhere in its module
+(`__init__.py` is exempt), and the package's own names load on first use."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,24 @@ def test_no_unused_module_imports(path):
 def test_the_scan_sees_an_unused_import():
     source = "import os\nfrom json import dumps, loads\nif True:\n    import re\nprint(dumps)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: loads", "line 4: re"]
+
+
+def test_package_names_load_on_first_use():
+    """Each name of `multiforge.__all__` is its defining module's object,
+    `from multiforge import *` binds every one, and an unknown name is an
+    AttributeError."""
+    import multiforge
+
+    assert len(set(multiforge.__all__)) == len(multiforge.__all__) == 45
+    for name in multiforge.__all__:
+        value = getattr(multiforge, name)
+        assert value.__module__.startswith("multiforge."), name
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+    namespace: dict = {}
+    exec("from multiforge import *", namespace)
+    assert {n: namespace[n] for n in multiforge.__all__} == {
+        n: getattr(multiforge, n) for n in multiforge.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        multiforge.no_such_name
+    with pytest.raises(ImportError):
+        exec("from multiforge import no_such_name", {})

@@ -11,7 +11,11 @@ from conftest import seeded_rep
 from multiforge.complexes import (
     check_morphism,
     find_isomorphism,
+    from_json_dict,
+    is_link_connected,
     is_surjective,
+    merge_vertices,
+    to_json_dict,
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, coxeter_kernel_rep, m_subgroup_rep
@@ -22,6 +26,7 @@ from multiforge.quotient import (
     build_quotient,
     complex_has_complete_skeleton,
     complex_is_simplicial,
+    complex_is_upper_regular,
     complex_line_graph,
     intersection_property,
     is_upper_regular,
@@ -231,6 +236,31 @@ def test_analyze_report_shape():
     assert [report[f"multicells[{dim}]"] for dim in range(3)] == ["9", "27", "27"]
     assert report["degree-histogram[1]"] == "3:27"
     assert report["link-connected"] == report["skeleton-complete"] == "true"
+
+
+def test_analyze_flags_are_the_public_predicates():
+    """`analyze` counts cofaces once for all its checks; its flags equal the
+    public predicates, which count them on their own.  The cases cover each
+    flag both ways: balls are not upper regular, the M quotient is, a vertex
+    merge is not link connected, and a k = 2 quotient relabeled k = 3 or
+    given a vertex in no top cell fails validation."""
+    q = build_quotient(seeded_rep(2, 2, 40, 3)).complex
+    relabeled = to_json_dict(q)
+    relabeled["params"]["k"] = 3
+    impure = to_json_dict(q)
+    impure["vertex_colors"] = impure["vertex_colors"] + [0]
+    same_color = [v for v, c in enumerate(q.vertex_colors) if c == 0][:2]
+    xs = [build_ball(Params(2, 3), 2).complex, build_ball(Params(3, 2), 2).complex, q,
+          build_quotient(m_subgroup_rep(Params(2, 3))).complex,
+          merge_vertices(q, *same_color), from_json_dict(relabeled), from_json_dict(impure)]
+    seen = set()
+    for x in xs:
+        report = dict(line.split(": ", 1) for line in analyze(x).splitlines())
+        flags = (validate_structure(x).ok, complex_is_upper_regular(x), is_link_connected(x))
+        assert (report["structure-valid"], report["upper-regular"], report["link-connected"]) == (
+            tuple(str(f).lower() for f in flags))
+        seen.update(enumerate(flags))
+    assert seen == {(i, b) for i in range(3) for b in (False, True)}
 
 
 def test_every_quotient_validates():
