@@ -30,12 +30,6 @@ the in-memory layout is the file layout.
   order, the indices of its top cofaces in cycle order (null where a cell
   has no cycle).  `MComplex.ordering` holds these lists, keyed by J.
 - `root` is null or a multicell id [colors, index]; `boundary` lists ids.
-
-The reader also takes mcomplex/1, which had one record per cell
-({colors, index, vertices, faces: {color: id}}) and per ordering cycle
-({cell: id, cycle: [id, ...]}): it regroups them into the columns above
-and reads those, refusing what the columns cannot hold.  Nothing writes
-mcomplex/1.
 """
 
 from __future__ import annotations
@@ -118,8 +112,8 @@ class MComplex:
 
     `cells` maps each color set to its `Cells` columns, the layout of the
     mcomplex/2 file; nothing else stores the multicells or their cofaces
-    (`delta`, `coface_counts` and `top_faces` read the faces columns on
-    each call).  The vertex color sets come from `vertex_colors` (index =
+    (`coface_counts` and `top_faces` read the faces columns on each
+    call).  The vertex color sets come from `vertex_colors` (index =
     rank among same-color vertices); `cell` and `multicells` are views.
     `ordering` maps each color set J of size d to its file `cycles` list:
     for (d-1)-cell i of J, its top cofaces' indices in the order the
@@ -200,27 +194,13 @@ class MComplex:
         cycles = self.ordering.get(mid[0]) if self.ordering else None
         return cycles[mid[1]] if cycles and 0 <= mid[1] < len(cycles) else None
 
-    # -- incidence structure ---------------------------------------------------
-
-    def delta(self, mid: MId) -> list[tuple[MId, int]]:
-        """Cofaces one dimension up: pairs (coface id, dropped color), by
-        (size, colors), then index, then color, scanned off the faces columns
-        one dimension up; a facet index with no cell behind it names none."""
-        colors, index = tuple(mid[0]), mid[1]
-        return [((J, i), J[p]) for J in sorted(self.cells) if len(J) == len(colors) + 1
-                for p, sub in enumerate(_drops(J)) if sub == colors and self.has_cell(mid)
-                for i, f in enumerate(self.cells[J].faces[p :: len(J)]) if f == index]
-
-    def degree(self, mid: MId) -> int:
-        return len(self.delta(mid))
-
 
 # -- cofaces, read off the faces columns ------------------------------------------
 
 def coface_counts(x: MComplex) -> dict[tuple[int, ...], list[int]]:
     """|δ| of every multicell, one count column per color set: how many
     faces entries one dimension up name the cell.  An entry that names no
-    cell is left out, as `delta` leaves it out."""
+    cell is left out."""
     named = {J: Counter() for J in x.cells}
     for J, cells in x.cells.items():
         for p, sub in enumerate(_drops(J)):
@@ -397,21 +377,6 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
     return not any(ids[: sum(len(x.cells[J]) for J in sets if len(J) == j + 1)])
 
 
-def link_components(x: MComplex, mid: MId) -> list[list[MId]]:
-    """Connected components of the link's 1-skeleton, each given as the list
-    of cofaces of `mid` one dimension up (the link's vertices).  Assumes a
-    consistent complex: a cell s two dimensions up joins its two facets
-    over `mid`, each facet `t` of s that is a vertex of the link and the
-    one that drops the color `t` adds to `mid`."""
-    verts = [m for m, _ in x.delta(mid)]
-    pos = {m: t for t, m in enumerate(verts)}
-    pairs = (
-        (pos[t], pos[x.facet(s, next(c for c in t[0] if c not in mid[0]))])
-        for s in x.mids(len(mid[0]) + 1) for t in x.facets(s) if t in pos
-    )
-    return [[verts[t] for t in group] for group in partition(len(verts), pairs).members()]
-
-
 def is_link_connected(x: MComplex) -> bool:
     """True iff every multicell of dimension 0..d-2 has a connected link.
 
@@ -468,7 +433,7 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     if len(rest) < 2:
         raise ValueError(
             "links are built for multicells of dimension <= d-2; "
-            "the cofaces of a (d-1)-multicell are available via delta()"
+            "the cofaces of a (d-1)-multicell are available via top_faces()"
         )
     tops = [t for t, f in enumerate(top_faces(x, own)) if f == mid[1]]
     if not tops:
@@ -927,72 +892,15 @@ def to_json(x: MComplex) -> str:
     return json.dumps(to_json_dict(x), separators=(",", ":")) + "\n"
 
 
-def _columns_from_v1(doc: dict) -> dict:
-    """The mcomplex/2 document holding the same complex as an mcomplex/1
-    one, whose cells are records {colors, index, vertices, faces: {l: id}}
-    and whose ordering lists {cell: id, cycle: [id, ...]}.  A v1 document
-    that the columns cannot hold (indices not dense per color set, a facet
-    of the wrong colors, a cycle through a lower cell) raises ValueError."""
-    d = _params(doc).d
-    full = tuple(range(d + 1))
-    rows: dict[tuple[int, ...], list] = {}
-    for rec, where in _records(doc, "cells", "cell"):
-        colors = _colors(_field(rec, "colors", list, where), d, where)
-        vertices = _ints(_field(rec, "vertices", list, where), where)
-        faces = _field(rec, "faces", dict, where)
-        if len(vertices) != len(colors):
-            raise ValueError(f"{where}: {len(vertices)} vertices for {len(colors)} colors")
-        if set(faces) != set(map(str, colors)):
-            raise ValueError(f"{where}: facet keys {sorted(faces)} != colors {list(colors)}")
-        column = []
-        for l in colors:
-            sub, index = _mid_from_json(faces[str(l)], d, where)
-            if sub != tuple(c for c in colors if c != l):
-                raise ValueError(f"{where}: the facet dropping {l} has colors {list(sub)}")
-            column.append(index)
-        rows.setdefault(colors, []).append((_field(rec, "index", int, where), vertices, column))
-    cells = []
-    for colors in sorted(rows, key=lambda c: (len(c), c)):
-        group = sorted(rows[colors], key=lambda row: row[0])
-        if [row[0] for row in group] != list(range(len(group))):
-            raise ValueError(f"cell indices of colors {list(colors)} are not 0..{len(group) - 1}")
-        cells.append(
-            {
-                "colors": list(colors),
-                "vertices": [v for row in group for v in row[1]],
-                "faces": [f for row in group for f in row[2]],
-            }
-        )
-    ordering = None
-    if doc.get("ordering") is not None:
-        vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")
-        cycles: dict[tuple[int, ...], list] = {}
-        for rec, where in _records(doc, "ordering", "ordering"):
-            colors, index = _mid_from_json(_field(rec, "cell", list, where), d, where)
-            members = [_mid_from_json(m, d, where) for m in _field(rec, "cycle", list, where)]
-            if any(c != full for c, _ in members):
-                raise ValueError(f"{where}: the cycle lists a cell that is not a top cell")
-            if colors not in cycles:
-                n = len(rows.get(colors, ())) if len(colors) != 1 else vertex_colors.count(colors[0])
-                cycles[colors] = [None] * n
-            if not 0 <= index < len(cycles[colors]):
-                raise ValueError(f"{where}: no multicell {(colors, index)} to order")
-            cycles[colors][index] = [t for _, t in members]
-        ordering = [{"colors": list(c), "cycles": cycles[c]} for c in sorted(cycles)]
-    return {**doc, "format": FORMAT, "cells": cells, "ordering": ordering}
-
-
 def from_json_dict(doc: dict) -> MComplex:
-    """Read an mcomplex/2 document, keeping its columns, or an mcomplex/1
-    one through `_columns_from_v1`.  A document of the wrong shape raises a
-    one-line ValueError naming the first missing or wrongly typed field;
-    every vertex, color, index and facet must be an int."""
+    """Read an mcomplex/2 document, keeping its columns.  A document of
+    another format or of the wrong shape raises a one-line ValueError naming
+    the format found or the first missing or wrongly typed field; every
+    vertex, color, index and facet must be an int."""
     if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
-    if doc.get("format") == "mcomplex/1":
-        doc = _columns_from_v1(doc)
-    elif doc.get("format") != FORMAT:
-        raise ValueError(f"not an {FORMAT} or mcomplex/1 document")
+    if doc.get("format") != FORMAT:
+        raise ValueError(f"format {doc.get('format')!r} is not {FORMAT}")
     params = _params(doc)
     d = params.d
     vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")

@@ -152,8 +152,11 @@ def parse_word(text: str) -> Word:
         return EMPTY_WORD
     letters = []
     for tok in text.split():
-        if not tok.startswith("a") or "^" not in tok:
-            raise ValueError(f"bad word token {tok!r}, expected a<i>^<l>")
-        head, _, exp = tok.partition("^")
-        letters.append((int(head[1:]), int(exp)))
+        head, caret, exp = tok.partition("^")
+        try:
+            if head[:1] != "a" or not caret:
+                raise ValueError
+            letters.append((int(head[1:]), int(exp)))
+        except ValueError:
+            raise ValueError(f"bad word token {tok!r}, expected a<i>^<l>") from None
     return Word(tuple(letters))

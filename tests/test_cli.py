@@ -11,6 +11,7 @@ import pytest
 
 from multiforge import cli
 from multiforge.complexes import from_json, single_simplex, to_json_dict, validate_structure
+from multiforge.permrep import parse_rep, validate
 from multiforge.spectral import boundary_matrix, up_laplacian
 from multiforge.words import Params
 from test_complexes import figure_two_complex
@@ -75,6 +76,8 @@ def _drop_from_cell(key):
 
 MALFORMED = {
     "not-an-object": lambda doc: [1],
+    "format-mcomplex-1": _set("format", "mcomplex/1"),
+    "no-format": _drop("format"),
     "no-params": _drop("params"),
     "params-list": _set("params", [2, 2]),
     "params-d-string": _set("params", {"d": "2", "k": 2}),
@@ -119,6 +122,28 @@ def test_malformed_complex_json_is_one_error_line(tmp_path, capsys, case):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["analyze", "{dir}"], "Is a directory"),
+    (["random", "--d", 2, "--k", 3, "--n", 6, "--seed", 1, "--out", "{dir}"], "Is a directory"),
+    (["reduce", "--d", 1, "--k", 3, "a^1"], "bad word token 'a^1', expected a<i>^<l>"),
+    (["reduce", "--d", 1, "--k", 3, "a1^x"], "bad word token 'a1^x', expected a<i>^<l>"),
+], ids=["analyze-directory", "random-out-directory", "word-no-index", "word-bad-exponent"])
+def test_bad_path_or_word_is_one_error_line(tmp_path, capsys, argv, problem):
+    assert run([str(a).format(dir=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if not line.startswith("note: ")]
+    assert captured.out == "" and len(errors) == 1, captured.err
+    assert errors[0].startswith("error: ") and problem in errors[0]
+
+
+def test_random_draws_large_transitive_1_2_reps(tmp_path):
+    """Two random involutions are seldom transitive; the (1, 2) sampler
+    draws a transitive pair directly, so 10^5 points take one draw."""
+    rep = tmp_path / "rep.txt"
+    assert run(["random", "--d", 1, "--k", 2, "--n", 100_000, "--seed", 1, "--out", rep]) == 0
+    assert validate(parse_rep(rep.read_text())).ok
 
 
 def _dangling_simplex():
@@ -216,83 +241,6 @@ def test_lcc_input_error_is_one_line(tmp_path, capsys, case):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run(["lcc", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and problem in lines[0], lines
-
-
-# An mcomplex/1 file of the (2,2) M-subgroup quotient, one record per cell,
-# and the edits that the cases above made to that shape before the columns.
-V1_FILE = Path(__file__).parent / "data" / "quotient-m22.mcomplex1.json"
-
-
-def _set_face_0(value):
-    return lambda doc: doc["cells"][0]["faces"].__setitem__("0", value)
-
-
-V1_MALFORMED = {
-    "cell-no-index": _drop_from_cell("index"),
-    "cell-bad-face-id": _set_face_0([[1]]),
-    "cell-face-id-nested-list": _set_face_0([[[1]], 0]),
-    "cell-face-wrong-colors": _set_face_0([[0], 0]),
-    "cell-face-keys": lambda doc: doc["cells"][0]["faces"].__setitem__(
-        "5", doc["cells"][0]["faces"].pop("0")
-    ),
-    "cell-vertex-nested-list": lambda doc: doc["cells"][0]["vertices"].__setitem__(0, [0]),
-    "vertex-color-nested-list": lambda doc: doc["vertex_colors"].__setitem__(2, [1]),
-    "ordering-record-no-cycle": lambda doc: doc["ordering"][0].pop("cycle"),
-    "ordering-cycle-int": lambda doc: doc["ordering"][0].__setitem__("cycle", 5),
-    "ordering-bad-cell-id": lambda doc: doc["ordering"][0].__setitem__("cell", [0]),
-    "ordering-cell-no-colors": lambda doc: doc["ordering"][0].__setitem__("cell", [[], 0]),
-}
-
-
-@pytest.mark.parametrize("case", sorted(V1_MALFORMED))
-def test_malformed_v1_json_is_one_error_line(tmp_path, capsys, case):
-    doc = json.loads(V1_FILE.read_text())
-    assert doc["format"] == "mcomplex/1"
-    V1_MALFORMED[case](doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    for command in ("analyze", "lcc", "spectra"):
-        assert run([command, path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-
-
-V1_LCC_INPUT_ERRORS = {
-    "ordering-record-removed": (
-        lambda doc: doc["ordering"].pop(0),
-        "the facet ((0, 1), 0) has no ordering cycle",
-    ),
-    "cycle-lists-one-coface": (
-        lambda doc: doc["ordering"][0].__setitem__("cycle", doc["ordering"][0]["cycle"][:1]),
-        "the ordering cycle of the facet ((0, 1), 0) leaves out its coface ((0, 1, 2), 1)",
-    ),
-    "cycle-lists-a-stranger": (
-        lambda doc: doc["ordering"][0]["cycle"].__setitem__(
-            slice(1, None), [[[0, 1, 2], 5], [[0, 1, 2], 1]]
-        ),
-        "the ordering cycle of the facet ((0, 1), 0) lists ((0, 1, 2), 5), not a coface",
-    ),
-    "cycle-repeats-a-coface": (
-        lambda doc: doc["ordering"][0]["cycle"].insert(0, [[0, 1, 2], 0]),
-        "the ordering cycle of the facet ((0, 1), 0) lists a coface twice",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(V1_LCC_INPUT_ERRORS))
-def test_v1_lcc_input_error_is_one_line(tmp_path, capsys, case):
-    edit, problem = V1_LCC_INPUT_ERRORS[case]
-    doc = json.loads(V1_FILE.read_text())
-    edit(doc)
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
     assert run(["lcc", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from multiforge.complexes import find_isomorphism, validate_structure
+from multiforge.complexes import coface_counts, find_isomorphism, top_faces, validate_structure
 from multiforge.quotient import complex_line_graph
 from multiforge.universal import (
     PathExitsBall,
@@ -69,12 +69,10 @@ def test_word_dictionary_is_bijective():
 def test_interior_boundary_degrees():
     p = Params(2, 3)
     ball = build_ball(p, 2)
-    for cell in ball.complex.multicells(1):
-        deg = ball.complex.degree(cell.mid)
-        if cell.mid in ball.complex.boundary:
-            assert deg == 1
-        else:
-            assert deg == 3
+    counts = coface_counts(ball.complex)
+    for J in [(0, 1), (0, 2), (1, 2)]:
+        for i, deg in enumerate(counts[J]):
+            assert deg == (1 if (J, i) in ball.complex.boundary else 3)
 
 
 def test_low_dimensional_degrees_grow_with_radius():
@@ -82,8 +80,8 @@ def test_low_dimensional_degrees_grow_with_radius():
     deg_of_root_vertex = []
     for n in range(4):
         ball = build_ball(p, n)
-        v = ball.complex.vertex_cell(0)
-        deg_of_root_vertex.append(len(ball.complex.delta(v)))
+        colors, i = ball.complex.vertex_cell(0)
+        deg_of_root_vertex.append(coface_counts(ball.complex)[colors][i])
     assert deg_of_root_vertex == sorted(deg_of_root_vertex)
     assert deg_of_root_vertex[0] < deg_of_root_vertex[-1]
 
@@ -130,12 +128,15 @@ def test_good_path_is_unique_nonbacktracking():
     ball = build_ball(Params(2, 2), 3)
     x = ball.complex
     adj: dict = {}
-    for cell in x.multicells(1):
-        inc = [m for m, _ in x.delta(cell.mid)]
-        for a in inc:
-            for b in inc:
-                if a != b:
-                    adj.setdefault(a, set()).add((b, cell.mid))
+    for J in [(0, 1), (0, 2), (1, 2)]:
+        incident: dict = {}
+        for t, i in enumerate(top_faces(x, J)):
+            incident.setdefault((J, i), []).append(((0, 1, 2), t))
+        for cell, inc in incident.items():
+            for a in inc:
+                for b in inc:
+                    if a != b:
+                        adj.setdefault(a, set()).add((b, cell))
     target = next(m for m, w in ball.cell_words.items() if len(w.letters) == 3)
     found = []
 
