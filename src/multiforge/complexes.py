@@ -428,7 +428,9 @@ def link_with_map(x: MComplex, mid: MId) -> tuple[MComplex, dict[MId, MId]]:
     if mid == EMPTY_CELL:
         clone = from_json(to_json(x))
         return clone, {m: m for m in clone.mids()}
-    own = x.cell(mid).colors
+    if not x.has_cell(mid):
+        raise KeyError(f"no multicell {mid}")
+    own = tuple(mid[0])
     rest = [c for c in x.params.colors if c not in own]
     if len(rest) < 2:
         raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .permrep import PermRep, numbered_lines, partition, perm_cycles, validate
+from .permrep import PermRep, numbered_lines, partition, perm_cycles, require_valid
 
 Edge = tuple[int, int, object]  # (u, v, label) with u <= v; u == v is a loop
 
@@ -59,9 +59,7 @@ def schreier_multigraph(rep: PermRep) -> Multigraph:
     """Quotient of the Cayley graph by the subgroup: one vertex per point,
     and per generator-power class the matching/2-factor edge rules applied
     along each cycle of the generator image."""
-    diag = validate(rep)
-    if not diag.ok:
-        raise ValueError("invalid rep: " + "; ".join(diag.messages))
+    require_valid(rep)
     k = rep.params.k
     g = Multigraph(rep.n)
     for i, beta in enumerate(rep.betas):

@@ -41,6 +41,16 @@ time and memory per permutation:
   when n is even, and a random color goes to the first edge.  Each graph
   arises from 2 (path) or 2n (cycle) of the (shuffle, color) pairs, so the
   draw is uniform on the transitive pairs, the law that rejection has.
+
+Orbits.  `orbit_partitions` finds the orbits of <beta_i : i not in J> for
+every color set J, from all colors (the points) down to the empty set (the
+orbits of the group), each as one `partition` of the classes of J + {a},
+a the least color missing from J, joined along beta_a.  Class ids are
+ordered by minimal point at every J, so a set's ids are the ids of the
+direct union-find, and `complex_from_classes` and the fixture digests
+read them as cell indices.  `validate` reads the order and transitivity
+checks off these partitions; `random_rep`, whose draws have orders
+dividing k by construction, checks only transitivity.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, islice
@@ -74,13 +84,13 @@ class RepDiagnostics:
     order_divides_k: list[bool]
     transitive: bool
     messages: list[str] = field(default_factory=list)
+    partitions: dict[tuple[int, ...], OrbitPartition] = field(default_factory=dict)
 
 
 @dataclass
 class OrbitPartition:
-    """Classes of the points 0..n-1 under an equivalence, such as the
-    orbits of the generators outside a color set J (`orbits`).  Class ids
-    are dense and ordered by minimal point."""
+    """Classes of the points 0..n-1, dense and ordered by minimal point,
+    such as the orbits of a color set (module docstring, Orbits)."""
 
     class_ids: list[int]  # point -> class id
     reps: list[int]  # class id -> minimal point
@@ -137,34 +147,55 @@ def perm_cycles(perm: Perm) -> list[list[int]]:
     return cycles
 
 
+def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
+    """The orbits of the generators outside each color set, the empty set
+    included, keyed by the sorted color set (module docstring, Orbits)."""
+    m, n = len(rep.betas), rep.n
+    parts = {(1 << m) - 1: OrbitPartition(list(range(n)), list(range(n)))}  # by color mask
+    for mask in reversed(range((1 << m) - 1)):
+        a = (~mask & (mask + 1)).bit_length() - 1  # the least color missing from the mask
+        fine = parts[mask | 1 << a]
+        ids = fine.class_ids
+        coarse = partition(fine.count, zip(ids, map(ids.__getitem__, rep.betas[a])))
+        parts[mask] = OrbitPartition(list(map(coarse.class_ids.__getitem__, ids)),
+                                     list(map(fine.reps.__getitem__, coarse.reps)))
+    return {tuple(c for c in range(m) if mask >> c & 1): parts[mask] for mask in range(1 << m)}
+
+
 def validate(rep: PermRep) -> RepDiagnostics:
     """Check each generator image is a permutation of order dividing k and
-    that the generated group acts transitively."""
-    n, k = rep.n, rep.params.k
-    is_perm, order_ok, messages = [], [], []
+    that the generated group acts transitively, reading both off the
+    `orbit_partitions` it returns when every image is a permutation."""
+    n, k, full = rep.n, rep.params.k, tuple(range(len(rep.betas)))
+    messages, order_ok = [], []
     if len(rep.betas) != rep.params.d + 1:
         messages.append(f"expected {rep.params.d + 1} permutations, got {len(rep.betas)}")
+    is_perm = [len(beta) == n and sorted(beta) == list(range(n)) for beta in rep.betas]
+    parts = orbit_partitions(rep) if all(is_perm) else {}
     for i, beta in enumerate(rep.betas):
-        good = len(beta) == n and sorted(beta) == list(range(n))
-        is_perm.append(good)
-        if not good:
+        if not is_perm[i]:
             messages.append(f"generator {i} is not a permutation of [{n}]")
             order_ok.append(False)
             continue
-        bad = [len(c) for c in perm_cycles(beta) if k % len(c) != 0]
+        cycles = parts[full[:i] + full[i + 1 :]] if parts else partition(n, enumerate(beta))
+        bad = sorted({size for size in Counter(cycles.class_ids).values() if k % size})
         order_ok.append(not bad)
         if bad:
-            messages.append(f"generator {i} has cycle lengths {sorted(set(bad))} not dividing k={k}")
-    transitive = False
-    if all(is_perm):
-        pairs = chain.from_iterable(map(enumerate, rep.betas))  # p ~ beta_i(p)
-        transitive = partition(n, pairs).count == 1
-        if not transitive:
-            messages.append("action is not transitive")
+            messages.append(f"generator {i} has cycle lengths {bad} not dividing k={k}")
+    transitive = bool(parts) and parts[()].count == 1
+    if parts and not transitive:
+        messages.append("action is not transitive")
     if not 0 <= rep.root < n:
         messages.append(f"root {rep.root} out of range")
-    ok = all(is_perm) and all(order_ok) and transitive and 0 <= rep.root < n
-    return RepDiagnostics(ok, is_perm, order_ok, transitive, messages)
+    return RepDiagnostics(not messages, is_perm, order_ok, transitive, messages, parts)
+
+
+def require_valid(rep: PermRep) -> RepDiagnostics:
+    """`validate(rep)`, or ValueError("invalid rep: ...") with its messages."""
+    diag = validate(rep)
+    if not diag.ok:
+        raise ValueError("invalid rep: " + "; ".join(diag.messages))
+    return diag
 
 
 def evaluate(w: Word, point: int, rep: PermRep) -> int:
@@ -183,14 +214,9 @@ def evaluate(w: Word, point: int, rep: PermRep) -> int:
 
 
 def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition:
-    """Partition of the points into orbits of the subgroup generated by the
-    permutations whose index is NOT in `color_set`, the classes of the
-    pairs p ~ beta_i(p) for each such i.
-
-    With |J| = j+1 these orbits are exactly the j-multicells of the quotient;
-    J = all colors gives the discrete partition (points = top cells)."""
-    outside = [rep.betas[i] for i in range(rep.params.d + 1) if i not in color_set]
-    return partition(rep.n, chain.from_iterable(map(enumerate, outside)))
+    """The orbits of the generators outside `color_set`: the j-multicells
+    of the quotient for |J| = j+1 (module docstring, Orbits)."""
+    return orbit_partitions(rep)[tuple(c for c in range(len(rep.betas)) if c in color_set)]
 
 
 def stabilizer_contains(w: Word, rep: PermRep) -> bool:
@@ -393,8 +419,8 @@ def random_rep(p: Params, n: int, seed: int) -> PermRep | None:
         return _transitive_involutions(p, n, rng)
     law = _CycleLengthLaw(n, p.k)
     betas = tuple(law.draw(rng) for _ in range(p.d + 1))
-    rep = PermRep(p, n, betas, 0)
-    return rep if validate(rep).ok else None
+    transitive = partition(n, chain.from_iterable(map(enumerate, betas))).count == 1
+    return PermRep(p, n, betas, 0) if transitive else None
 
 
 def _transitive_involutions(p: Params, n: int, rng: Random) -> PermRep:
@@ -430,9 +456,12 @@ def intersect_reps(r1: PermRep, r2: PermRep) -> tuple[PermRep, list[tuple[int, i
     the intersection of the two subgroups.
 
     Returns the rep together with the pair carried by each point, which
-    projects the result onto either factor."""
+    projects the result onto either factor.  Raises ValueError unless both
+    reps pass `require_valid` and share (d, k)."""
     if r1.params != r2.params:
         raise ValueError("reps must share (d, k)")
+    require_valid(r1)
+    require_valid(r2)
     d = r1.params.d
     pairs = [(r1.root, r2.root)]
     index = {pairs[0]: 0}

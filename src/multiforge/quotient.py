@@ -29,7 +29,7 @@ from .complexes import (
     nerve,
     ordering_faults,
 )
-from .permrep import OrbitPartition, PermRep, orbits, perm_cycles, validate
+from .permrep import OrbitPartition, PermRep, orbit_partitions, perm_cycles, require_valid
 from .permrep import evaluate as rep_evaluate
 
 if TYPE_CHECKING:
@@ -46,23 +46,9 @@ class QuotientObject:
 
 def build_quotient(rep: PermRep) -> QuotientObject:
     """The quotient object of the subgroup presented by `rep`: `orbit_quotient`
-    of a rep that passes `validate`."""
-    diag = validate(rep)
-    if not diag.ok:
-        raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    x, partitions = orbit_quotient(rep)
+    of a rep that passes `validate`, built from the partitions it read."""
+    x, partitions = _orbit_complex(rep, require_valid(rep).partitions)
     return QuotientObject(x, rep, partitions)
-
-
-def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
-    """The orbits of the points under the generators outside each nonempty
-    color set, keyed by the sorted color set."""
-    d = rep.params.d
-    partitions: dict[tuple[int, ...], OrbitPartition] = {}
-    for mask in range(1, 1 << (d + 1)):
-        colors = tuple(c for c in range(d + 1) if mask >> c & 1)
-        partitions[colors] = orbits(rep, frozenset(colors))
-    return partitions
 
 
 def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitPartition]]:
@@ -73,14 +59,17 @@ def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitP
     the coface cycle of a codimension-one multicell follows ascending powers
     of the missing generator from the orbit minimum, and the root is the
     class of the root point.  Point p is the top multicell (all colors, p).
-    The orbit class ids, numbered by minimal point, are the columns of
-    `complex_from_classes` and the generators its successor maps.  Returns
-    the complex and the partitions.
+    The class ids of `orbit_partitions` (permrep docstring, Orbits) are the
+    columns of `complex_from_classes` and the generators its successor
+    maps.  Returns the complex and the partitions of the nonempty color sets.
     """
-    partitions = orbit_partitions(rep)
-    full = tuple(rep.params.colors)
-    classes = {J: part.class_ids for J, part in partitions.items() if J != full}
-    return complex_from_classes(rep.params, classes, rep.root, rep.betas), partitions
+    return _orbit_complex(rep, orbit_partitions(rep))
+
+
+def _orbit_complex(rep: PermRep, partitions: dict[tuple[int, ...], OrbitPartition]):
+    parts = {J: part for J, part in partitions.items() if J}
+    classes = {J: part.class_ids for J, part in parts.items() if len(J) <= rep.params.d}
+    return complex_from_classes(rep.params, classes, rep.root, rep.betas), parts
 
 
 def complex_line_graph(x: MComplex) -> Multigraph:
@@ -114,10 +103,7 @@ def intersection_property(rep: PermRep) -> bool:
     iff no two J-orbits lie in the same {i}-orbits for every i in J: iff
     the J-orbits are as many as the distinct tuples (class of p under {i},
     i in J) over the points.  Linear in the points per color set."""
-    diag = validate(rep)
-    if not diag.ok:
-        raise ValueError("invalid rep: " + "; ".join(diag.messages))
-    parts = orbit_partitions(rep)
+    parts = require_valid(rep).partitions
     return all(
         len(set(zip(*(parts[(i,)].class_ids for i in colors)))) == part.count
         for colors, part in parts.items()

@@ -13,6 +13,7 @@ it, so importing this module (and the CLI) does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import sqrt
 from typing import TYPE_CHECKING
 
@@ -35,25 +36,27 @@ class SpectralGapUndefined(ValueError):
 
 
 def boundary_matrix(x: MComplex, j: int) -> SignedIncidence:
-    """Signed incidence between j-multicells and their glued facets; the
-    sign of a facet is (-1)^(position of the dropped vertex in the
-    ascending vertex list)."""
+    """Signed incidence between j-multicells and their glued facets, read off
+    the faces columns; the sign of the facet dropping the vertex at position
+    p is (-1)^(rank of that vertex in the cell's vertex row)."""
     import numpy as np
 
     if not 0 <= j <= x.d:
         raise ValueError(f"dimension {j} out of range 0..{x.d}")
-    cols = [c.mid for c in x.multicells(j)]
+    cols = list(x.mids(j))
     if j == 0:
-        rows: list[MId] = [((), 0)]
-        mat = np.ones((1, len(cols)))
-        return SignedIncidence(rows, cols, mat)
-    rows = [c.mid for c in x.multicells(j - 1)]
-    row_pos = {m: t for t, m in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)))
-    for t, mid in enumerate(cols):
-        vertices, facets = x.cell(mid).vertices, x.facets(mid)
-        for position, s in enumerate(sorted(range(j + 1), key=vertices.__getitem__)):
-            mat[row_pos[facets[s]], t] += (-1) ** position
+        return SignedIncidence([((), 0)], cols, np.ones((1, len(cols))))
+    rows = list(x.mids(j - 1))
+    below = sorted(J for J in x.cells if len(J) == j)  # the row color sets, in `mids` order
+    start = dict(zip(below, accumulate((len(x.cells[J]) for J in below), initial=0)))
+    mat, col = np.zeros((len(rows), len(cols))), 0
+    for J in sorted(J for J in x.cells if len(J) == j + 1):
+        cells, m = x.cells[J], len(x.cells[J])
+        ranks = np.argsort(np.argsort(np.reshape(cells.vertices, (m, j + 1)), axis=1), axis=1)
+        for p in range(j + 1):
+            facets = start[J[:p] + J[p + 1 :]] + np.array(cells.faces[p :: j + 1], dtype=int)
+            mat[facets, col + np.arange(m)] = 1 - 2 * (ranks[:, p] % 2)
+        col += m
     return SignedIncidence(rows, cols, mat)
 
 

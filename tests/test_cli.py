@@ -368,6 +368,24 @@ def test_rep_file_error_is_one_line(tmp_path, capsys, case):
     assert captured.err.splitlines() == [expected]
 
 
+BAD_ORDER_REP = "1 2 3 1\n2 3 1\n1 2 3\n"  # generator 0 is a 3-cycle at k = 2
+
+
+@pytest.mark.parametrize("command", ["build", "line-graph", "common-cover"])
+def test_every_rep_command_refuses_a_bad_order(tmp_path, capsys, command):
+    """`common-cover` checks its inputs as `build` and `line-graph` do: one
+    `invalid rep` line, exit 1 and no output."""
+    path, out = tmp_path / "bad.rep", tmp_path / "out.txt"
+    path.write_text(BAD_ORDER_REP)
+    reps = [path, path] if command == "common-cover" else ["--rep", path]
+    capsys.readouterr()
+    assert run([command, *reps, "--out", out]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: invalid rep: generator 0 has cycle lengths [3] not dividing k=2"
+    ]
+
+
 EDGE_LINE = "an edge line holds two endpoints in 1..{n} and an optional multiplicity >= 1"
 
 GRAPH_ERRORS = {

@@ -129,6 +129,13 @@ def test_link_of_cell_in_no_top_is_refused():
         link_with_map(x, ((0, 1), 1))
 
 
+def test_link_of_a_missing_cell_is_refused():
+    x = single_simplex(Params(3, 2))
+    for mid in (((0, 1), 1), ((0, 1), -1), ((0, 5), 0)):
+        with pytest.raises(KeyError, match="no multicell"):
+            link_with_map(x, mid)
+
+
 def test_link_involution_matches_union():
     rep = seeded_rep(3, 2, 8, 33)
     x = build_quotient(rep).complex

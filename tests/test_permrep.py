@@ -3,11 +3,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import factorial, floor, perm, sqrt
+from math import factorial, floor, perm, prod, sqrt
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from multiforge.permrep import (
     perm_cycles,
     random_order_dividing,
     random_rep,
+    require_valid,
     same_up_to_relabeling,
     stabilizer_contains,
     validate,
@@ -56,6 +59,69 @@ def test_validate_rejects_non_permutation_and_bad_order():
     three_cycle = PermRep(p, 3, ((1, 2, 0), (0, 1, 2)), 0)
     diag = validate(three_cycle)
     assert not diag.ok and not diag.order_divides_k[0]
+
+
+P12, P23 = Params(1, 2), Params(2, 3)
+INVALID_REPS = {  # case -> (rep, its messages in order)
+    "non-permutation": (PermRep(P12, 3, ((0, 0, 1), (0, 1, 2)), 0),
+                        ["generator 0 is not a permutation of [3]"]),
+    "wrong-length": (PermRep(P12, 3, ((1, 0), (0, 1, 2)), 0),
+                     ["generator 0 is not a permutation of [3]"]),
+    "order": (PermRep(P12, 3, ((1, 2, 0), (0, 1, 2)), 0),
+              ["generator 0 has cycle lengths [3] not dividing k=2"]),
+    "intransitive": (PermRep(P12, 4, ((1, 0, 2, 3), (0, 1, 3, 2)), 0),
+                     ["action is not transitive"]),
+    "too-few-generators": (PermRep(P23, 3, ((1, 2, 0), (0, 1, 2)), 0),
+                           ["expected 3 permutations, got 2"]),
+    "too-many-generators": (PermRep(P12, 3, ((1, 0, 2), (0, 2, 1), (2, 1, 0)), 0),
+                            ["expected 2 permutations, got 3"]),
+    "root": (PermRep(P12, 2, ((1, 0), (0, 1)), 2), ["root 2 out of range"]),
+    "order-and-intransitive": (PermRep(P12, 4, ((1, 2, 0, 3), (0, 1, 2, 3)), 0),
+                               ["generator 0 has cycle lengths [3] not dividing k=2",
+                                "action is not transitive"]),
+    "non-permutation-order-root": (PermRep(P12, 4, ((0, 0, 1, 2), (1, 2, 0, 3)), -1),
+                                   ["generator 0 is not a permutation of [4]",
+                                    "generator 1 has cycle lengths [3] not dividing k=2",
+                                    "root -1 out of range"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_REPS))
+def test_validate_messages_of_invalid_reps(case):
+    """`validate` gives one message per fault, in a fixed order, and is `ok`
+    only without one: a rep with a wrong generator count is not `ok`, since
+    `build_quotient` would index a generator that is not there."""
+    rep, messages = INVALID_REPS[case]
+    diag = validate(rep)
+    assert (diag.ok, diag.messages) == (False, messages)
+    with pytest.raises(ValueError, match="^invalid rep: " + re.escape("; ".join(messages)) + "$"):
+        require_valid(rep)
+
+
+@st.composite
+def any_actions(draw) -> PermRep:
+    """d+1 arbitrary permutations of n points: often intransitive, often
+    with cycle lengths that do not divide k."""
+    d, k, n = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 9))
+    betas = tuple(tuple(draw(st.permutations(range(n)))) for _ in range(d + 1))
+    return PermRep(Params(d, k), n, betas, draw(st.integers(0, n - 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rep=any_actions())
+def test_orbit_partitions_match_one_union_find_per_color_set(rep):
+    """Each color set's refined partition, the empty set included, is the
+    all-points partition of the pairs p ~ beta_i(p) for i outside it."""
+    colors = range(rep.params.d + 1)
+    parts = permrep.orbit_partitions(rep)
+    assert set(parts) == {J for size in range(len(colors) + 1)
+                          for J in itertools.combinations(colors, size)}
+    for J, part in parts.items():
+        pairs = [(p, rep.betas[i][p]) for i in colors if i not in J for p in range(rep.n)]
+        oracle = partition(rep.n, pairs)
+        assert (part.class_ids, part.reps) == (oracle.class_ids, oracle.reps), J
+    diag = validate(rep)
+    assert diag.partitions == parts and diag.transitive == (parts[()].count == 1)
 
 
 def test_evaluate_examples():
@@ -313,6 +379,16 @@ def test_intersect_projections_commute(rng):
             assert pairs[image] == (r1.betas[i][p1], r2.betas[i][p2])
 
 
+def test_intersect_refuses_an_invalid_rep():
+    """Either input failing `validate` raises its `invalid rep` message."""
+    good = PermRep(Params(1, 2), 1, ((0,), (0,)), 0)
+    bad = PermRep(Params(1, 2), 3, ((1, 2, 0), (0, 1, 2)), 0)
+    for r1, r2 in ((bad, good), (good, bad), (bad, bad)):
+        with pytest.raises(ValueError, match=r"^invalid rep: generator 0 has cycle lengths \[3\] "
+                                             r"not dividing k=2$"):
+            intersect_reps(r1, r2)
+
+
 def test_intersect_requires_same_params():
     with pytest.raises(ValueError):
         intersect_reps(seeded_rep(1, 2, 4, 0), seeded_rep(2, 2, 4, 0))
@@ -410,6 +486,32 @@ def test_cycle_types_follow_exact_law(n, k, seed):
     df = len(bins) - 1
     assert df >= 4
     assert chi2 < _chi2_999(df), (chi2, df)
+
+
+def _expected_cycle_counts(n: int, k: int) -> dict[int, Decimal]:
+    """E[c_l] = (1/l) prod_{i=n-l+1}^{n} q[i] for each l dividing k, with
+    q[m] = m / sum over l | k, l <= m of prod_{i=m-l+1}^{m-1} q[i] (the
+    recurrence of `_ratio_table`) evaluated in 40-digit decimals."""
+    lengths = allowed_cycle_lengths(k)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = [Decimal(0)] * (n + 1)
+        for m in range(1, n + 1):
+            q[m] = m / sum(prod(q[m - l + 1 : m], start=Decimal(1)) for l in lengths if l <= m)
+        return {l: prod(q[n - l + 1 :], start=Decimal(1)) / l for l in lengths}
+
+
+def test_cycle_counts_at_1e5_points_match_their_exact_means():
+    """Over 20 seeded draws of `_CycleLengthLaw(100000, 6)`, the mean number
+    of l-cycles for each l | 6 lies within 4 standard errors of E[c_l]."""
+    n, k, draws = 100_000, 6, 20
+    law = permrep._CycleLengthLaw(n, k)
+    counts = [Counter(map(len, perm_cycles(law.draw(random.Random(seed))))) for seed in range(draws)]
+    for l, expected in _expected_cycle_counts(n, k).items():
+        sample = [c[l] for c in counts]
+        mean = sum(sample) / draws
+        se = sqrt(sum((x - mean) ** 2 for x in sample) / (draws - 1) / draws)
+        assert abs(mean - float(expected)) <= 4 * se, (l, mean, float(expected), se)
 
 
 def test_forced_exact_path_gives_the_same_draws(monkeypatch):

@@ -36,6 +36,34 @@ def test_triangle_boundary_signs():
     assert np.allclose(b1.matrix.sum(axis=0), 0.0)
 
 
+def _boundary_oracle(x, j: int) -> tuple[list, list, np.ndarray]:
+    """The signed incidence read cell by cell off the `multicells` views:
+    each facet's sign is (-1)^(rank of the vertex it drops)."""
+    cols = [c.mid for c in x.multicells(j)]
+    rows = [c.mid for c in x.multicells(j - 1)]
+    pos = {m: t for t, m in enumerate(rows)}
+    mat = np.zeros((len(rows), len(cols)))
+    for t, cell in enumerate(x.multicells(j)):
+        by_vertex = sorted(zip(cell.vertices, cell.colors))
+        for rank, (_, color) in enumerate(by_vertex):
+            mat[pos[cell.faces[color]], t] += (-1) ** rank
+    return rows, cols, mat
+
+
+@pytest.mark.parametrize("d, k, n, seed", [(1, 3, 24, 1), (2, 3, 30, 2), (2, 5, 20, 3), (3, 2, 16, 4)])
+def test_boundary_matrix_matches_the_per_cell_oracle(d, k, n, seed):
+    """Read off the faces columns, every boundary matrix of a quotient and
+    of a ball is the per-cell oracle's, entry for entry."""
+    from multiforge.universal import build_ball
+
+    for x in (build_quotient(seeded_rep(d, k, n, seed)).complex, build_ball(Params(d, k), 2).complex):
+        for j in range(1, x.d + 1):
+            b = boundary_matrix(x, j)
+            rows, cols, mat = _boundary_oracle(x, j)
+            assert (b.rows, b.cols) == (rows, cols)
+            assert np.array_equal(b.matrix, mat)
+
+
 def test_chain_complex_identity():
     for seed in (0, 3):
         x = build_quotient(seeded_rep(3, 2, 8, 900 + seed)).complex
