@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -513,61 +514,162 @@ def base_complex(x: MComplex) -> frozenset:
 def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     """Verify f is a simplicial multimap preserving coloring, gluing, the
     root and the ordering.  Ordering equivariance is skipped at multicells
-    flagged as boundary in the domain (radius-truncated complexes)."""
-    msgs = [f"map not defined on {mid}" for mid in x.mids() if mid not in f]
+    flagged as boundary in the domain (radius-truncated complexes).
+
+    f is read once, as one image column per color set, and each color set
+    is checked by whole columns: the images' colors and indices, the
+    vertex rows through the vertex map, the faces columns of both
+    complexes, and the ordering cycles of both.  Nothing is taken from
+    `propagate_from_root`.  Only a color set whose columns disagree is
+    walked cell by cell, to write its messages; the messages and their
+    order are those of a cell-by-cell check."""
+    order = sorted(x.cells, key=_by_size)
+    images = {J: list(map(f.get, zip(repeat(J), range(len(x.cells[J]))))) for J in order}
+    msgs = [f"map not defined on {(J, i)}"
+            for J in order for i, img in enumerate(images[J]) if img is None]
     if msgs:
         return Diagnostics(False, msgs)
-    vmap: dict[int, int] = {}
-    for v in range(x.n_vertices):
-        img = f[x.vertex_cell(v)]
-        if not y.has_cell(img) or len(img[0]) != 1:
-            msgs.append(f"vertex {v} maps to non-vertex {img}")
-            continue
-        w = y.cells[tuple(img[0])].vertices[img[1]]
-        vmap[v] = w
-        if y.vertex_colors[w] != x.vertex_colors[v]:
-            msgs.append(f"vertex {v}: color {x.vertex_colors[v]} not preserved")
-    if msgs:
-        return Diagnostics(False, msgs)
-    for colors in sorted(x.cells, key=_by_size):
-        size, mine, theirs = len(colors), x.cells[colors], y.cells.get(colors)
-        for i, row in enumerate(mine.rows()):
-            mid, img = (colors, i), f[(colors, i)]
-            if not y.has_cell(img):
-                msgs.append(f"{mid}: image {img} missing in codomain")
+    idx = {}  # J -> image indices, where every image is a multicell of y of colors J
+    for J, col in images.items():
+        ind = list(map(itemgetter(1), col))
+        if list(map(itemgetter(0), col)).count(J) == len(col) and (
+            not ind or 0 <= min(ind) <= max(ind) < len(y.cells.get(J, ()))
+        ):
+            idx[J] = ind
+    vertex_sets = [J for J in order if len(J) == 1]
+    if all(J in idx for J in vertex_sets):  # each vertex maps to one of its color
+        vmap = {v: y.cells[J].vertices[w] for J in vertex_sets
+                for v, w in zip(x.cells[J].vertices, idx[J])}
+    else:
+        vmap = {}
+        for v in range(x.n_vertices):
+            img = f[x.vertex_cell(v)]
+            if not y.has_cell(img) or len(img[0]) != 1:
+                msgs.append(f"vertex {v} maps to non-vertex {img}")
                 continue
-            if tuple(img[0]) != colors:
-                msgs.append(f"{mid}: image colors {tuple(img[0])} != {colors}")
-                continue
-            j = img[1] * size
-            if theirs.vertices[j : j + size] != [vmap[v] for v in row]:
-                msgs.append(f"{mid}: image is not induced by the vertex map")
-            for p, sub in enumerate(_drops(colors)):
-                if f[(sub, mine.faces[i * size + p])] != (sub, theirs.faces[j + p]):
-                    msgs.append(f"{mid}: gluing not preserved at dropped color {colors[p]}")
+            vmap[v] = w = y.cells[tuple(img[0])].vertices[img[1]]
+            if y.vertex_colors[w] != x.vertex_colors[v]:
+                msgs.append(f"vertex {v}: color {x.vertex_colors[v]} not preserved")
+        if msgs:
+            return Diagnostics(False, msgs)
+    for J in order:
+        if len(J) >= 2 and not _images_hold(x, y, J, idx, vmap):
+            msgs += _image_messages(f, x, y, J, vmap)
     if x.root is None or y.root is None:
         msgs.append("root missing on one side")
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
-        full = tuple(x.params.colors)
-        for mid in x.mids(x.d - 1):
-            if mid in x.boundary:
-                continue
-            cyc = x.cycle(mid)
-            if cyc is None:
-                msgs.append(f"{mid}: domain has no ordering cycle")
-                continue
-            img_cyc = y.cycle(f[mid])
-            if img_cyc is None:
-                msgs.append(f"{mid}: image has no ordering cycle")
-                continue
-            step = {(full, a): (full, b) for a, b in zip(img_cyc, img_cyc[1:] + img_cyc[:1])}
-            for a, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-                if step.get(f[(full, a)]) != f[(full, nxt)]:
-                    msgs.append(f"{mid}: ordering not equivariant at {(full, a)}")
-                    break
+        for J in (J for J in order if len(J) == x.d):
+            if not _cycles_hold(x, y, J, idx):
+                msgs += _cycle_messages(f, x, y, J)
     return Diagnostics(not msgs, msgs)
+
+
+def _images_hold(x: MComplex, y: MComplex, J: tuple[int, ...], idx: dict, vmap: dict) -> bool:
+    """True if `check_morphism` has no message for the cells of J, read a
+    column at a time: the images are cells of colors J, their vertex rows
+    are the vertex map of the rows, and the faces column of each dropped
+    color maps to the images' faces column."""
+    mine, ind, size = x.cells[J], idx.get(J), len(J)
+    if ind is None:
+        return False
+    if not ind:
+        return True
+    theirs = y.cells[J]
+    if any(list(map(theirs.vertices[q::size].__getitem__, ind))
+           != list(map(vmap.__getitem__, mine.vertices[q::size])) for q in range(size)):
+        return False
+    for p, sub in enumerate(_drops(J)):
+        below, column = idx.get(sub), mine.faces[p::size]
+        if below is None or not 0 <= min(column) <= max(column) < len(below) or (
+            list(map(below.__getitem__, column))
+            != list(map(theirs.faces[p::size].__getitem__, ind))
+        ):
+            return False
+    return True
+
+
+def _cycles_hold(x: MComplex, y: MComplex, J: tuple[int, ...], idx: dict) -> bool:
+    """True if `check_morphism` has no ordering message for the cells of J:
+    each cell off the domain's boundary and its image have cycles, and the
+    image of each top in a cycle is listed in the image's cycle, followed
+    by the image of the next top.  y's cycles of J are read as one step
+    map and one owner map, where a top's last listing counts, as in the
+    step map of a single cycle."""
+    tops, ind = idx.get(tuple(x.params.colors)), idx.get(J)
+    if tops is None or ind is None:
+        return False
+    mine, theirs = x.ordering.get(J) or [], y.ordering.get(J) or []
+    skip = {i for K, i in x.boundary if K == J}
+    cells = [i for i in range(len(ind)) if i not in skip]
+    images = list(map(ind.__getitem__, cells))
+    cycles = [mine[i] if i < len(mine) else None for i in cells]
+    if None in cycles or any(c >= len(theirs) or theirs[c] is None for c in images):
+        return False
+    flat, after, owner = _listed(cycles)
+    their_flat, their_after, their_owner = _listed(theirs)
+    step, where = dict(zip(their_flat, their_after)), dict(zip(their_flat, their_owner))
+    if flat and not 0 <= min(flat) <= max(flat) < len(tops):
+        return False
+    u = list(map(tops.__getitem__, flat))
+    return (list(map(where.get, u)) == list(map(images.__getitem__, owner))
+            and list(map(step.get, u)) == list(map(tops.__getitem__, after)))
+
+
+def _listed(cycles: list[list[int] | None]) -> tuple[list[int], list[int], list[int]]:
+    """The entries of the cycles that are not None, in order, each with the
+    entry after it in its cycle and the position of its cycle in the list."""
+    kept = [c for c, cyc in enumerate(cycles) if cyc]
+    sizes = list(map(len, map(cycles.__getitem__, kept)))
+    flat = list(chain.from_iterable(map(cycles.__getitem__, kept)))
+    after = flat[1:] + flat[:1]
+    for start, end in zip(accumulate([0] + sizes), accumulate(sizes)):
+        after[end - 1] = flat[start]  # the last entry of a cycle steps to its first
+    return flat, after, list(chain.from_iterable(map(repeat, kept, sizes)))
+
+
+def _image_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, ...],
+                    vmap: dict[int, int]) -> list[str]:
+    """`check_morphism`'s messages for the images of the cells of J, cell by cell."""
+    size, mine, theirs, msgs = len(J), x.cells[J], y.cells.get(J), []
+    for i, row in enumerate(mine.rows()):
+        mid, img = (J, i), f[(J, i)]
+        if not y.has_cell(img):
+            msgs.append(f"{mid}: image {img} missing in codomain")
+            continue
+        if tuple(img[0]) != J:
+            msgs.append(f"{mid}: image colors {tuple(img[0])} != {J}")
+            continue
+        j = img[1] * size
+        if theirs.vertices[j : j + size] != [vmap[v] for v in row]:
+            msgs.append(f"{mid}: image is not induced by the vertex map")
+        for p, sub in enumerate(_drops(J)):
+            if f[(sub, mine.faces[i * size + p])] != (sub, theirs.faces[j + p]):
+                msgs.append(f"{mid}: gluing not preserved at dropped color {J[p]}")
+    return msgs
+
+
+def _cycle_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, ...]) -> list[str]:
+    """`check_morphism`'s ordering messages for the cells of J, cycle by cycle."""
+    full, msgs = tuple(x.params.colors), []
+    for mid in ((J, i) for i in range(len(x.cells[J]))):
+        if mid in x.boundary:
+            continue
+        cyc = x.cycle(mid)
+        if cyc is None:
+            msgs.append(f"{mid}: domain has no ordering cycle")
+            continue
+        img_cyc = y.cycle(f[mid])
+        if img_cyc is None:
+            msgs.append(f"{mid}: image has no ordering cycle")
+            continue
+        step = {(full, a): (full, b) for a, b in zip(img_cyc, img_cyc[1:] + img_cyc[:1])}
+        for a, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+            if step.get(f[(full, a)]) != f[(full, nxt)]:
+                msgs.append(f"{mid}: ordering not equivariant at {(full, a)}")
+                break
+    return msgs
 
 
 def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
@@ -577,47 +679,77 @@ def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
 
 def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, str]:
     """The root-to-root label propagation behind isomorphism and
-    universality: a top cell's image fixes the images of its facets, and the
-    ordering cycle through each facet fixes the images of the other cofaces.
-    Cycles on the domain's boundary carry no data and are skipped.  Lower
-    cells follow from the top cells through `extend_down`, which also finds
-    a facet that two tops glue to different images.
+    universality: generator i moves a top cell to the next top in the
+    ordering cycle of its facet that misses color i, and a morphism
+    commutes with these moves, so the image of the root top fixes the
+    image of every top it reaches.  Facets on the domain's boundary carry
+    no data and are skipped.  Lower cells follow from the top cells through
+    `extend_down`, which also finds a facet that two tops glue to
+    different images.
 
-    Returns the map on every multicell reached, or None and the reason."""
+    Reads, for each generator and each complex, the top cells' faces column
+    and the ordering cycles, as one successor column and one cycle-length
+    column over the tops (`_moves`); the walk then works on top indices
+    alone.  Returns the map on every multicell reached, or None and the
+    reason; on a faulty ordering, the first fault of `ordering_faults`."""
     if x.root is None or y.root is None:
         return None, "both complexes must be rooted"
     if x.ordering is None or y.ordering is None:
         return None, "both complexes must be ordered"
     if y.root[0] != x.root[0]:
         raise KeyError(f"no multicell {y.root}")
-    f: dict[MId, MId] = {x.root: y.root}
-    queue, full = deque([x.root]), tuple(x.params.colors)
-    while queue:
-        a = queue.popleft()
-        a_img = f[a]
-        for b, b_img in zip(x.facets(a), y.facets(a_img)):
-            if b in x.boundary:
+    for z in (x, y):
+        if not z.has_cell(z.root):
+            raise KeyError(f"no multicell {z.root}")
+    full = tuple(x.params.colors)
+    if x.root[0] != full:  # a lower root: its facets have no ordering cycles
+        b = next((b for b in x.facets(x.root) if b not in x.boundary), None)
+        return None, (f"cycle length mismatch at {b}" if b
+                      else "root component does not reach every top cell")
+    moves = [(J, {c for K, c in x.boundary if K == J}, *_moves(x, i), *_moves(y, i)[1:])
+             for i, J in enumerate(_drops(full))]
+    img: list[int | None] = [None] * len(x.cells[full])
+    img[x.root[1]] = y.root[1]
+    queue = [x.root[1]]
+    for a in queue:  # grows as tops are reached
+        b = img[a]
+        for J, skip, facets, lengths, after, their_lengths, their_after in moves:
+            if facets[a] in skip:
                 continue  # truncated cycle carries no propagation data
-            cyc, img_cyc = x.cycle(b), y.cycle(b_img)
-            if not cyc or not img_cyc or len(cyc) % len(img_cyc) != 0:
-                return None, f"cycle length mismatch at {b}"
-            ta, ti = cyc.index(a[1]), img_cyc.index(a_img[1])
-            for off in range(1, len(cyc)):
-                nxt = (full, cyc[(ta + off) % len(cyc)])
-                nxt_img = (full, img_cyc[(ti + off) % len(img_cyc)])
-                prev = f.get(nxt)
-                if prev is None:
-                    f[nxt] = nxt_img
-                    queue.append(nxt)
-                elif prev != nxt_img:
-                    return None, f"ordering conflict at {nxt}"
-    tops = list(x.mids(x.d))
-    if any(m not in f for m in tops):
+            if not lengths[a] or not their_lengths[b] or lengths[a] % their_lengths[b]:
+                return None, f"cycle length mismatch at {(J, facets[a])}"
+            t, u = after[a], their_after[b]
+            if t is None or u is None:
+                return None, next(ordering_faults(x if t is None else y))
+            if img[t] is None:
+                img[t] = u
+                queue.append(t)
+            elif img[t] != u:
+                return None, f"ordering conflict at {(full, t)}"
+    if None in img:
         return None, "root component does not reach every top cell"
-    bad = extend_down(f, x, y, tops)
+    f = dict(zip(zip(repeat(full), range(len(img))), zip(repeat(full), img)))
+    bad = extend_down(f, x, y, list(f))
     if bad is not None:
         return None, f"lower cell {bad} has ambiguous image"
     return f, "ok"
+
+
+def _moves(x: MComplex, i: int) -> tuple[list[int], list[int], list[int | None]]:
+    """Generator i on the top cells of an ordered x, as three columns over
+    the tops: the index of each top's facet that misses color i, the length
+    of that facet's cycle (0 if it has none), and the top after it in that
+    cycle, from its first listing (None if the cycle does not list it, or
+    lists no top after it)."""
+    full = tuple(x.params.colors)
+    n = len(x.cells.get(full, ()))
+    facets = x.cells[full].faces[i :: len(full)] if n else []
+    flat, after, owner = _listed(x.ordering.get(full[:i] + full[i + 1 :]) or [])
+    listed_in_own = map(eq, map(dict(enumerate(facets)).get, flat), owner)
+    steps = dict(reversed(list(compress(zip(flat, after), listed_in_own))))  # first listing wins
+    if steps and not 0 <= min(steps.values()) <= max(steps.values()) < n:
+        steps = {t: s if 0 <= s < n else None for t, s in steps.items()}
+    return facets, list(map(Counter(owner).get, facets, repeat(0))), list(map(steps.get, range(n)))
 
 
 def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]) -> MId | None:

@@ -54,7 +54,7 @@ def verify_universality(
 
     Builds psi: Z -> Y with pi . psi = phi when Z is link-connected and both
     maps are epimorphisms onto the same target; reports the offending
-    multicell otherwise."""
+    multicell otherwise, also where phi or pi is not defined."""
     psi, why = propagate_from_root(z, y)
     if psi is None:
         return False, None, why
@@ -64,6 +64,10 @@ def verify_universality(
     if not is_surjective(psi, y):
         return False, None, "factoring map is not surjective"
     for mid, img in psi.items():
+        if img not in pi:
+            return False, None, f"pi is not defined on {img}"
+        if mid not in phi:
+            return False, None, f"phi is not defined on {mid}"
         if pi[img] != phi[mid]:
             return False, None, f"pi . psi != phi at {mid}"
     return True, psi, "ok"

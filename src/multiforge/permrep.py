@@ -45,7 +45,9 @@ time and memory per permutation:
 Orbits.  `orbit_partitions` finds the orbits of <beta_i : i not in J> for
 every color set J, from all colors (the points) down to the empty set (the
 orbits of the group), each as one `partition` of the classes of J + {a},
-a the least color missing from J, joined along beta_a.  Class ids are
+a the least color missing from J, joined along beta_a.  When J misses one
+color a, those classes are the points, and one walk along the cycles of
+beta_a labels its orbits instead (`_cycle_classes`).  Class ids are
 ordered by minimal point at every J, so a set's ids are the ids of the
 direct union-find, and `complex_from_classes` and the fixture digests
 read them as cell indices.  `validate` reads the order and transitivity
@@ -147,6 +149,22 @@ def perm_cycles(perm: Perm) -> list[list[int]]:
     return cycles
 
 
+def _cycle_classes(perm: Perm, points: list[int]) -> OrbitPartition:
+    """The cycles of a permutation of `points`, which is range(n) as a list,
+    as classes, labeled by one walk along each cycle from its minimal point,
+    in increasing point order.  The reps are items of `points`, not new
+    ints."""
+    class_ids, reps = [-1] * len(perm), []
+    for p in points:
+        if class_ids[p] < 0:
+            q, c = p, len(reps)
+            reps.append(p)
+            while class_ids[q] < 0:
+                class_ids[q] = c
+                q = perm[q]
+    return OrbitPartition(class_ids, reps)
+
+
 def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
     """The orbits of the generators outside each color set, the empty set
     included, keyed by the sorted color set (module docstring, Orbits)."""
@@ -154,6 +172,9 @@ def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:
     parts = {(1 << m) - 1: OrbitPartition(list(range(n)), list(range(n)))}  # by color mask
     for mask in reversed(range((1 << m) - 1)):
         a = (~mask & (mask + 1)).bit_length() - 1  # the least color missing from the mask
+        if mask | 1 << a == (1 << m) - 1:  # the points, joined along beta_a: its cycles
+            parts[mask] = _cycle_classes(rep.betas[a], parts[(1 << m) - 1].reps)
+            continue
         fine = parts[mask | 1 << a]
         ids = fine.class_ids
         coarse = partition(fine.count, zip(ids, map(ids.__getitem__, rep.betas[a])))

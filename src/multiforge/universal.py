@@ -9,8 +9,9 @@ invariant ordering (cofaces cycled by ascending generator exponent).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, count
 
-from .complexes import MComplex, MId, class_columns, complex_from_classes, from_simplicial
+from .complexes import MComplex, MId, complex_from_classes, from_simplicial
 from .words import (
     EMPTY_WORD,
     Params,
@@ -19,7 +20,6 @@ from .words import (
     generator,
     multiply,
     reduce_word,
-    strip_left,
 )
 
 
@@ -96,18 +96,36 @@ def ball_from_cosets(p: Params, n: int) -> Ball:
     shortest first, so the root is the empty word; a cell of color set J is
     the class of words agreeing after the letters outside J are stripped
     from the left.  Generator i moves word w to the reduced word i·w, and a
-    step out of the ball marks a boundary cell."""
+    step out of the ball marks a boundary cell.
+
+    Reads only the letters of the words that `enumerate_reduced_words`
+    builds, already reduced.  i·w changes w's first letter: a new letter
+    (i, 1), a raised exponent, or none when the exponent reaches k.  A word
+    whose first letter lies outside J is in the class of the word without
+    that letter, which comes earlier; any other word opens a new class.
+    So the classes are numbered by first appearance, as `class_columns`
+    numbers them."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     top_words = list(enumerate_reduced_words(p, n))
     index = {w.letters: t for t, w in enumerate(top_words)}
-    all_colors = frozenset(p.colors)
 
-    def coset_key(w: Word, colors: tuple[int, ...]) -> tuple:
-        return strip_left(w, all_colors.difference(colors), p).letters
+    def times(i: int, letters: tuple) -> tuple:
+        if not letters or letters[0][0] != i:
+            return ((i, 1),) + letters
+        l = letters[0][1] + 1
+        return ((i, l),) + letters[1:] if l < p.k else letters[1:]
 
-    steps = [[index.get(multiply(generator(i), w, p).letters) for w in top_words] for i in p.colors]
-    x = complex_from_classes(p, class_columns(p, top_words, coset_key), 0, steps)
+    firsts = [w.letters[0][0] for w in top_words[1:]]
+    shorter = [index[w.letters[1:]] for w in top_words[1:]]
+    classes = {}
+    for J in (J for size in range(1, p.d + 1) for J in combinations(p.colors, size)):
+        column, fresh = [0], count(1)
+        for i, t in zip(firsts, shorter):
+            column.append(next(fresh) if i in J else column[t])
+        classes[J] = column
+    steps = [[index.get(times(i, w.letters)) for w in top_words] for i in p.colors]
+    x = complex_from_classes(p, classes, 0, steps)
     return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(top_words)})
 
 

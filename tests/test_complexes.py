@@ -41,9 +41,10 @@ from multiforge.complexes import (
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from multiforge.lcc import link_connected_cover
 from multiforge.permrep import evaluate
-from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient
+from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient, quotient_map
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
+from rigidity_oracles import check_morphism_oracle, propagate_oracle
 
 WEDGE = from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)])
 
@@ -683,22 +684,11 @@ def test_cycle_is_none_off_the_cells():
 CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "replace", "swap", "no-cycle", "dangle"]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4),
-       seed=st.integers(0, 10**6), edit=st.sampled_from(CYCLE_EDITS), data=st.data())
-def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
-    """One edit to one ordering cycle of a small quotient, or one top's
-    facet left dangling.  A replace trades one entry for a stranger or
-    another entry of the cycle, keeping the count; a swap trades an entry
-    with another cycle of its color set, so every top is still listed once
-    but one is not in its own facet's cycle.  `associated_subgroup_rep`
-    raises iff `ordering_faults` reports a fault, with that fault's text,
-    and then `validate_structure` fails too; without a fault it builds the
-    rep without running the audit, and a rotated cycle gives the same rep;
-    and the reader keeps the document's own `cycles` lists."""
-    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
-    before = associated_subgroup_rep(x)
-    full = tuple(range(d + 1))
+def edit_cycle(x: MComplex, edit: str, data) -> tuple[tuple[int, ...], int | None]:
+    """Apply one of CYCLE_EDITS to a drawn ordering cycle of x, or, for
+    "dangle", point one top's facet of the drawn color set at no cell.
+    Returns the color set and the dangling facet index (None if none)."""
+    full = tuple(range(x.d + 1))
     J = data.draw(st.sampled_from(sorted(x.ordering)))
     i = data.draw(st.integers(0, len(x.ordering[J]) - 1))
     cyc, n = x.ordering[J][i], len(x.cells[full])
@@ -724,7 +714,27 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
         (missing,) = set(full) - set(J)
         top = data.draw(st.integers(0, n - 1))
         f = data.draw(st.sampled_from([-1, len(x.cells[J]), len(x.cells[J]) + 3]))
-        x.cells[full].faces[top * (d + 1) + missing] = f
+        x.cells[full].faces[top * (x.d + 1) + missing] = f
+        return J, f
+    return J, None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4),
+       seed=st.integers(0, 10**6), edit=st.sampled_from(CYCLE_EDITS), data=st.data())
+def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
+    """One edit to one ordering cycle of a small quotient, or one top's
+    facet left dangling.  A replace trades one entry for a stranger or
+    another entry of the cycle, keeping the count; a swap trades an entry
+    with another cycle of its color set, so every top is still listed once
+    but one is not in its own facet's cycle.  `associated_subgroup_rep`
+    raises iff `ordering_faults` reports a fault, with that fault's text,
+    and then `validate_structure` fails too; without a fault it builds the
+    rep without running the audit, and a rotated cycle gives the same rep;
+    and the reader keeps the document's own `cycles` lists."""
+    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    before = associated_subgroup_rep(x)
+    J, f = edit_cycle(x, edit, data)
     faults = list(ordering_faults(x))
     assert bool(faults) == (edit not in ("none", "rotate"))
     if edit == "dangle":
@@ -741,3 +751,109 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
     y = from_json_dict(doc)
     assert all(y.ordering[tuple(rec["colors"])] is rec["cycles"] for rec in doc["ordering"])
     assert sorted(y.ordering) == sorted(x.ordering)
+
+
+def map_or_none(fn, *args):
+    """The map fn(*args) returns, or None if it returns none or raises."""
+    try:
+        return fn(*args)[0]
+    except (KeyError, ValueError):
+        return None
+
+
+PROPAGATION_CASES = ["ball-isomorphism", "ball-to-quotient", "rerooted-quotient", "cover-to-merged",
+                     "merged", "cycle-edit"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
+       case=st.sampled_from(PROPAGATION_CASES), edit=st.sampled_from(CYCLE_EDITS),
+       side=st.sampled_from(["domain", "codomain", "both"]), data=st.data())
+def test_propagation_matches_the_per_cycle_oracle(d, k, m, seed, case, edit, side, data):
+    """Root propagation over successor columns gives the map of the
+    per-cycle walk, or None where the walk gives None or raises: coset
+    balls against inductive ones either way, a ball into a quotient, a
+    quotient into a copy rerooted at a drawn top, a cover onto its quotient
+    with two vertices merged and the merged complex onto itself, and a
+    quotient with one of CYCLE_EDITS in the domain, the codomain or both."""
+    p = Params(d, k)
+    q = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    if case == "ball-isomorphism":
+        x, y = ball_from_cosets(p, data.draw(st.integers(0, 3))).complex, build_ball(p, 3).complex
+        x, y = (x, y) if side == "domain" else (y, x)
+    elif case == "ball-to-quotient":
+        x, y = build_ball(p, data.draw(st.integers(0, 3))).complex, q
+    elif case == "rerooted-quotient":
+        x, y = q, from_json(to_json(q))
+        y.root = (y.root[0], data.draw(st.integers(0, len(y.cells[y.root[0]]) - 1)))
+    elif case in ("cover-to-merged", "merged"):
+        assume(d >= 2 and len(q.cells[(0,)]) >= 2)
+        y = merge_vertices(q, *q.cells[(0,)].vertices[:2])
+        x = link_connected_cover(y)[0] if case == "cover-to-merged" else from_json(to_json(y))
+    else:
+        x, y = q, from_json(to_json(q))
+        for z in ([x] if side == "domain" else [y] if side == "codomain" else [x, y]):
+            edit_cycle(z, edit, data)
+    assert map_or_none(propagate_from_root, x, y) == map_or_none(propagate_oracle, x, y)
+
+
+MAP_EDITS = ["none", "missing-key", "wrong-colors", "out-of-range", "wrong-facet-image",
+             "wrong-root", "rotated-tops"]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except (KeyError, ValueError, IndexError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
+       case=st.sampled_from(["identity", "quotient-map", "ball-isomorphism", "cover"]),
+       edit=st.sampled_from(MAP_EDITS), cycle_edit=st.sampled_from([None, *CYCLE_EDITS]),
+       side=st.sampled_from(["domain", "codomain"]), data=st.data())
+def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, cycle_edit, side,
+                                                    data):
+    """A valid map (the identity of a quotient, a ball's quotient map, the
+    coset ball onto the inductive one, a cover's projection) with one
+    corruption, and maybe one of CYCLE_EDITS in the domain or codomain:
+    `check_morphism` by columns gives the oracle's Diagnostics, the same
+    messages in the same order, or raises where it raises."""
+    p, full = Params(d, k), tuple(range(d + 1))
+    q = build_quotient(seeded_rep(d, k, m * k, seed))
+    if case == "identity":
+        x, y = q.complex, from_json(to_json(q.complex))
+        f = {mid: mid for mid in x.mids()}
+    elif case == "quotient-map":
+        ball = build_ball(p, data.draw(st.integers(0, 2)))
+        x, y, f = ball.complex, q.complex, quotient_map(ball, q)
+    elif case == "ball-isomorphism":
+        radius = data.draw(st.integers(0, 2))
+        x, y = ball_from_cosets(p, radius).complex, build_ball(p, radius).complex
+        f = find_isomorphism(x, y)
+    else:
+        assume(d >= 2 and len(q.complex.cells[(0,)]) >= 2)
+        y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
+        x, f = link_connected_cover(y)
+    mid = data.draw(st.sampled_from(sorted(f)))
+    colors, n = mid[0], len(y.cells[mid[0]])
+    if edit == "missing-key":
+        del f[mid]
+    elif edit == "wrong-colors":
+        f[mid] = (data.draw(st.sampled_from(sorted(J for J in y.cells if J != colors))), mid[1])
+    elif edit == "out-of-range":
+        f[mid] = (colors, data.draw(st.sampled_from([-1, n, n + 2])))
+    elif edit == "wrong-facet-image":
+        f[mid] = (colors, data.draw(st.integers(0, n - 1)))
+    elif edit == "wrong-root":
+        y.root = (full, data.draw(st.integers(0, len(y.cells[full]) - 1)))
+    elif edit == "rotated-tops":
+        tops = [t for t in sorted(f) if t[0] == full]
+        shift = data.draw(st.integers(1, len(tops)))
+        images = [f[t] for t in tops]
+        f.update(zip(tops, images[shift:] + images[:shift]))
+    if cycle_edit is not None:
+        edit_cycle(x if side == "domain" else y, cycle_edit, data)
+    assert outcome(check_morphism, f, x, y) == outcome(check_morphism_oracle, f, x, y)

@@ -25,7 +25,7 @@ from multiforge.quotient import (
     complex_line_graph,
     quotient_map,
 )
-from multiforge.universal import build_ball
+from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
 
 
@@ -249,6 +249,26 @@ def test_universality_detects_wrong_root():
     rerooted.complex.root = other_top
     ok, _, _ = verify_universality(rerooted.complex, ident, q.complex, ident)
     assert not ok
+
+
+def test_universality_reports_a_partial_map():
+    """A factoring whose phi or pi misses a multicell is refused with that
+    multicell, not with a KeyError."""
+    p = Params(2, 3)
+    q = build_quotient(seeded_rep(2, 3, 12, 3))
+    ball = ball_from_cosets(p, 3)
+    phi = quotient_map(ball, q)
+    ident = {mid: mid for mid in q.complex.mids()}
+    assert verify_universality(ball.complex, phi, q.complex, ident)[0]
+    missing = ((0,), 0)
+    partial = {mid: img for mid, img in ident.items() if mid != missing}
+    assert verify_universality(ball.complex, phi, q.complex, partial) == (
+        False, None, f"pi is not defined on {missing}"
+    )
+    partial = {mid: img for mid, img in phi.items() if mid != missing}
+    assert verify_universality(ball.complex, partial, q.complex, ident) == (
+        False, None, f"phi is not defined on {missing}"
+    )
 
 
 def test_universality_reports_unordered_input():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from multiforge.cli import _ball_json
 from multiforge.complexes import coface_counts, find_isomorphism, top_faces, validate_structure
 from multiforge.quotient import complex_line_graph
 from multiforge.universal import (
@@ -18,6 +19,7 @@ from multiforge.words import (
     multiply,
     word_length,
 )
+from rigidity_oracles import coset_ball_oracle
 
 
 def test_radius_zero_is_single_simplex():
@@ -56,6 +58,16 @@ def test_constructions_isomorphic():
             assert find_isomorphism(b1.complex, b2.complex) is not None
             assert validate_structure(b1.complex).ok
             assert validate_structure(b2.complex).ok
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coset_ball_matches_the_re_reducing_oracle(d, k):
+    """Balls built from the letters of reduced words are byte for byte the
+    balls built by multiplying and stripping words with re-reduction."""
+    for radius in range(4):
+        p = Params(d, k)
+        assert _ball_json(ball_from_cosets(p, radius)) == _ball_json(coset_ball_oracle(p, radius))
 
 
 def test_word_dictionary_is_bijective():
