@@ -1,13 +1,27 @@
 """Command-line surface: build and analyze quotients, covers, balls, spectra,
 the example gallery, Schreier line graphs, decompositions, and the
 acceptance suite.  Exit codes: 0 success, 1 domain error, 2 usage error.
-Each command imports the modules it runs when it runs.
+
+Each command imports the modules it runs when it runs, so a fresh process
+pays only for those.  Along the pipeline:
+
+- `random` loads `words` and `permrep`, and not `json`;
+- `build` and `analyze` load `words`, `records`, `permrep`, `complexes`
+  and `quotient`;
+- `lcc` loads these and `lcc`;
+- `spectra` loads `words`, `records`, `complexes`, `spectral` and numpy,
+  but not `permrep`.
+
+No command loads `dataclasses`: records are named tuples or `__slots__`
+classes (`records`).  `json` is imported by `complexes`, and here only by
+the two writers that call `json.dumps` themselves.  `main` builds the
+parser of the named command alone, and that of every command only to
+print a usage error that lists them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -54,6 +68,7 @@ def _fmt(x: float, raw: bool) -> str:
 
 
 def _ball_json(ball: Ball) -> str:
+    import json
     from .complexes import to_json_dict
     from .words import format_word
     doc = to_json_dict(ball.complex)
@@ -89,6 +104,7 @@ def cmd_lcc(args) -> int:
     cover, proj = link_connected_cover(x)
     _write(args.out, to_json(cover))
     if args.map:
+        import json
         entries = [
             {"from": [list(src[0]), src[1]], "to": [list(dst[0]), dst[1]]}
             for src, dst in sorted(proj.items())
@@ -245,109 +261,155 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+COMMANDS = (
+    "build", "analyze", "lcc", "spectra", "ball", "random", "common-cover",
+    "line-graph", "decompose", "gallery", "reduce", "verify-all",
+)
+
+
+class _UsageError(Exception):
+    """A usage error met by a parser built for one command."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """Raises `_UsageError` where `ArgumentParser` prints a usage error, so
+    that the parser of every command can print it instead."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with `command` the parser of that
+    command alone: the same for its arguments and its `--help`, but raising
+    `_UsageError` on a usage error, whose message would name the others."""
+    top = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="multiforge",
         description="regular multicomplexes from permutation actions",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    def wanted(name: str) -> bool:
+        return command is None or command == name
+
     def add_out(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("build", help="quotient complex from a rep file")
-    p.add_argument("--rep", required=True, help="rep file ('-' for stdin)")
-    add_out(p)
-    p.set_defaults(func=cmd_build)
+    if wanted("build"):
+        p = sub.add_parser("build", help="quotient complex from a rep file")
+        p.add_argument("--rep", required=True, help="rep file ('-' for stdin)")
+        add_out(p)
+        p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("analyze", help="structural report for a complex")
-    p.add_argument("complex", help="complex JSON ('-' for stdin)")
-    add_out(p)
-    p.set_defaults(func=cmd_analyze)
+    if wanted("analyze"):
+        p = sub.add_parser("analyze", help="structural report for a complex")
+        p.add_argument("complex", help="complex JSON ('-' for stdin)")
+        add_out(p)
+        p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("lcc", help="link-connected cover")
-    p.add_argument("complex")
-    p.add_argument("--map", default=None, help="write the projection map JSON here")
-    add_out(p)
-    p.set_defaults(func=cmd_lcc)
+    if wanted("lcc"):
+        p = sub.add_parser("lcc", help="link-connected cover")
+        p.add_argument("complex")
+        p.add_argument("--map", default=None, help="write the projection map JSON here")
+        add_out(p)
+        p.set_defaults(func=cmd_lcc)
 
-    p = sub.add_parser("spectra", help="upper-Laplacian spectral gap")
-    p.add_argument("complex")
-    p.add_argument("--full", action="store_true", help="print the full spectrum")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--raw", action="store_true", help="full float precision")
-    add_out(p)
-    p.set_defaults(func=cmd_spectra)
+    if wanted("spectra"):
+        p = sub.add_parser("spectra", help="upper-Laplacian spectral gap")
+        p.add_argument("complex")
+        p.add_argument("--full", action="store_true", help="print the full spectrum")
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--raw", action="store_true", help="full float precision")
+        add_out(p)
+        p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("ball", help="radius-n ball of the universal complex")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--via-cosets", action="store_true", help="use the coset construction")
-    add_out(p)
-    p.set_defaults(func=cmd_ball)
+    if wanted("ball"):
+        p = sub.add_parser("ball", help="radius-n ball of the universal complex")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--radius", type=int, required=True)
+        p.add_argument("--via-cosets", action="store_true", help="use the coset construction")
+        add_out(p)
+        p.set_defaults(func=cmd_ball)
 
-    p = sub.add_parser("random", help="random transitive rep (order-dividing-k generators)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None, help="defaults to $FORGE_SEED or 0")
-    add_out(p)
-    p.set_defaults(func=cmd_random)
+    if wanted("random"):
+        p = sub.add_parser("random", help="random transitive rep (order-dividing-k generators)")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=None, help="defaults to $FORGE_SEED or 0")
+        add_out(p)
+        p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("common-cover", help="intersection rep covering both inputs")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    add_out(p)
-    p.set_defaults(func=cmd_common_cover)
+    if wanted("common-cover"):
+        p = sub.add_parser("common-cover", help="intersection rep covering both inputs")
+        p.add_argument("rep1")
+        p.add_argument("rep2")
+        add_out(p)
+        p.set_defaults(func=cmd_common_cover)
 
-    p = sub.add_parser("line-graph", help="Schreier line graph of a rep's quotient")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--dot", action="store_true", help="emit DOT with color classes")
-    add_out(p)
-    p.set_defaults(func=cmd_line_graph)
+    if wanted("line-graph"):
+        p = sub.add_parser("line-graph", help="Schreier line graph of a rep's quotient")
+        p.add_argument("--rep", required=True)
+        p.add_argument("--dot", action="store_true", help="emit DOT with color classes")
+        add_out(p)
+        p.set_defaults(func=cmd_line_graph)
 
-    p = sub.add_parser("decompose", help="matching/2-factor decomposition of a multigraph")
-    p.add_argument("graph", help="multigraph text file")
-    p.add_argument("--k", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_decompose)
+    if wanted("decompose"):
+        p = sub.add_parser("decompose", help="matching/2-factor decomposition of a multigraph")
+        p.add_argument("graph", help="multigraph text file")
+        p.add_argument("--k", type=int, required=True)
+        add_out(p)
+        p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("gallery", help="example families")
-    gal = p.add_subparsers(dest="family", required=True)
-    g = gal.add_parser("m", help="exponent-sum kernel rep")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    add_out(g)
-    g.set_defaults(func=cmd_gallery, family="m")
-    g = gal.add_parser("coxeter", help="chamber complex from involution generators")
-    g.add_argument("--gens", required=True, help="file: degree line, then permutations")
-    g.add_argument("--out-rep", default=None, help="also write the kernel rep here")
-    add_out(g)
-    g.set_defaults(func=cmd_gallery, family="coxeter")
-    g = gal.add_parser("flag", help="flag complex of F_q^dim")
-    g.add_argument("--dim", type=int, required=True)
-    g.add_argument("--q", type=int, required=True)
-    g.add_argument("--ordered", action="store_true", help="attach an arbitrary ordering")
-    add_out(g)
-    g.set_defaults(func=cmd_gallery, family="flag")
+    if wanted("gallery"):
+        p = sub.add_parser("gallery", help="example families")
+        gal = p.add_subparsers(dest="family", required=True)
+        g = gal.add_parser("m", help="exponent-sum kernel rep")
+        g.add_argument("--d", type=int, required=True)
+        g.add_argument("--k", type=int, required=True)
+        add_out(g)
+        g.set_defaults(func=cmd_gallery, family="m")
+        g = gal.add_parser("coxeter", help="chamber complex from involution generators")
+        g.add_argument("--gens", required=True, help="file: degree line, then permutations")
+        g.add_argument("--out-rep", default=None, help="also write the kernel rep here")
+        add_out(g)
+        g.set_defaults(func=cmd_gallery, family="coxeter")
+        g = gal.add_parser("flag", help="flag complex of F_q^dim")
+        g.add_argument("--dim", type=int, required=True)
+        g.add_argument("--q", type=int, required=True)
+        g.add_argument("--ordered", action="store_true", help="attach an arbitrary ordering")
+        add_out(g)
+        g.set_defaults(func=cmd_gallery, family="flag")
 
-    p = sub.add_parser("reduce", help="reduce a word to normal form")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("word", help="e.g. 'a0^2 a1^-1' (rightmost letter applies first)")
-    add_out(p)
-    p.set_defaults(func=cmd_reduce)
+    if wanted("reduce"):
+        p = sub.add_parser("reduce", help="reduce a word to normal form")
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("word", help="e.g. 'a0^2 a1^-1' (rightmost letter applies first)")
+        add_out(p)
+        p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("verify-all", help="run the acceptance suite")
-    p.set_defaults(func=cmd_verify_all)
+    if wanted("verify-all"):
+        p = sub.add_parser("verify-all", help="run the acceptance suite")
+        p.set_defaults(func=cmd_verify_all)
 
     return top
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone where it takes `argv`,
+    else with every command's, which reports the usage error."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

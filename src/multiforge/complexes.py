@@ -37,14 +37,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, chain, combinations, compress, repeat
 from operator import eq, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .permrep import partition
+from .records import Record
 from .words import Params
 
 MId = tuple[tuple[int, ...], int]  # (sorted color tuple, index dense per color set)
@@ -62,16 +61,16 @@ def _drops(colors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(colors[:p] + colors[p + 1 :] for p in range(len(colors)))
 
 
-@dataclass
-class Cells:
+class Cells(Record):
     """The multicells of one color set J as two flat columns: cell i has
     the vertices vertices[i·|J| : (i+1)·|J|], and its facet that drops J[p]
     is (J minus J[p], faces[i·|J| + p]).  A vertex color set (c,) lists the
     vertex ids of color c in increasing order and has no facets."""
 
-    colors: tuple[int, ...]
-    vertices: list[int]
-    faces: list[int]
+    __slots__ = _fields = ("colors", "vertices", "faces")
+
+    def __init__(self, colors: tuple[int, ...], vertices: list[int], faces: list[int]):
+        self.colors, self.vertices, self.faces = colors, vertices, faces
 
     def __len__(self) -> int:
         return len(self.vertices) // len(self.colors)
@@ -81,8 +80,7 @@ class Cells:
         return zip(*[iter(self.vertices)] * len(self.colors))
 
 
-@dataclass(frozen=True)
-class Multicell:
+class Multicell(NamedTuple):
     """A read-only view of one multicell, made by `MComplex.cell`."""
 
     colors: tuple[int, ...]  # strictly increasing
@@ -99,10 +97,11 @@ class Multicell:
         return len(self.colors) - 1
 
 
-@dataclass
-class Diagnostics:
-    ok: bool
-    messages: list[str] = field(default_factory=list)
+class Diagnostics(Record):
+    __slots__ = _fields = ("ok", "messages")
+
+    def __init__(self, ok: bool, messages: list[str] | None = None):
+        self.ok, self.messages = ok, [] if messages is None else messages
 
     def __bool__(self) -> bool:
         return self.ok
@@ -363,6 +362,8 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
     with consecutive ones sharing a (j-1)-multicell via their gluing: one
     partition of the j-cells and then the (j-1)-cells, each j-cell joined
     to its facets."""
+    from .permrep import partition
+
     if not 1 <= j <= x.d:
         raise ValueError(f"j must be in 1..{x.d}")
     sets = sorted((J for J in x.cells if len(J) in (j, j + 1)), key=lambda J: -len(J))
@@ -393,6 +394,8 @@ def is_link_connected(x: MComplex) -> bool:
 
 
 def _links_connected(x: MComplex, counts: dict[tuple[int, ...], list[int]]) -> bool:
+    from .permrep import partition
+
     for j in range(x.d - 1):
         sets = [colors for colors in x.cells if len(colors) == j + 2]
         *offsets, total = accumulate((len(x.cells[c].faces) for c in sets), initial=0)
@@ -557,6 +560,8 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
             msgs += _image_messages(f, x, y, J, vmap)
     if x.root is None or y.root is None:
         msgs.append("root missing on one side")
+    elif not x.has_cell(x.root):
+        msgs.append(f"root {x.root} missing in domain")
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
@@ -578,7 +583,7 @@ def _images_hold(x: MComplex, y: MComplex, J: tuple[int, ...], idx: dict, vmap: 
         return True
     theirs = y.cells[J]
     if any(list(map(theirs.vertices[q::size].__getitem__, ind))
-           != list(map(vmap.__getitem__, mine.vertices[q::size])) for q in range(size)):
+           != list(map(vmap.get, mine.vertices[q::size])) for q in range(size)):
         return False
     for p, sub in enumerate(_drops(J)):
         below, column = idx.get(sub), mine.faces[p::size]
@@ -642,10 +647,13 @@ def _image_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, .
             msgs.append(f"{mid}: image colors {tuple(img[0])} != {J}")
             continue
         j = img[1] * size
-        if theirs.vertices[j : j + size] != [vmap[v] for v in row]:
+        if theirs.vertices[j : j + size] != [vmap.get(v) for v in row]:
             msgs.append(f"{mid}: image is not induced by the vertex map")
         for p, sub in enumerate(_drops(J)):
-            if f[(sub, mine.faces[i * size + p])] != (sub, theirs.faces[j + p]):
+            facet = (sub, mine.faces[i * size + p])
+            if not x.has_cell(facet):
+                msgs.append(f"{mid}: facet {facet} missing in domain")
+            elif f[facet] != (sub, theirs.faces[j + p]):
                 msgs.append(f"{mid}: gluing not preserved at dropped color {J[p]}")
     return msgs
 
@@ -653,12 +661,16 @@ def _image_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, .
 def _cycle_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, ...]) -> list[str]:
     """`check_morphism`'s ordering messages for the cells of J, cycle by cycle."""
     full, msgs = tuple(x.params.colors), []
+    n = len(x.cells.get(full, ()))
     for mid in ((J, i) for i in range(len(x.cells[J]))):
         if mid in x.boundary:
             continue
         cyc = x.cycle(mid)
         if cyc is None:
             msgs.append(f"{mid}: domain has no ordering cycle")
+            continue
+        if (stray := next((t for t in cyc if not 0 <= t < n), None)) is not None:
+            msgs.append(f"{mid}: ordering cycle lists {(full, stray)}, missing in domain")
             continue
         img_cyc = y.cycle(f[mid])
         if img_cyc is None:

@@ -8,18 +8,19 @@ ends.  A vertex covered by a loop meets no other edge of that factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .permrep import PermRep, numbered_lines, partition, perm_cycles, require_valid
+from .records import Record
 
 Edge = tuple[int, int, object]  # (u, v, label) with u <= v; u == v is a loop
 
 
-@dataclass
-class Multigraph:
-    n: int
-    edges: list[Edge] = field(default_factory=list)
+class Multigraph(Record):
+    __slots__ = _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: list[Edge] | None = None):
+        self.n, self.edges = n, [] if edges is None else edges
 
     def add_edge(self, u: int, v: int, label: object = None) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -325,6 +326,10 @@ def _bipartite_perfect_matching(n: int, arcs: list[tuple[int, int]]) -> list[int
 
 Factor = tuple[str, set[int]]  # ("matching" | "two_factor", edge indices)
 
+# The most vertices on which `decompose_regular` backtracks, and on which
+# `is_schreier` decides at all: the search's cost grows exponentially with them.
+EXACT_BOUND = 30
+
 
 def check_decomposition(g: Multigraph, factors: list[Factor], k: int) -> bool:
     used: list[int] = []
@@ -350,7 +355,9 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
 
     Strategy: edge labels (generator classes) when present, k perfect
     matchings for loopless bipartite graphs, Euler 2-factorization for even
-    uniform degree, and exact backtracking otherwise.
+    uniform degree, and exact backtracking otherwise.  On more than
+    `EXACT_BOUND` vertices the search takes the first candidate factor at
+    each step and raises a one-line ValueError where it would try a second.
     """
     if g.edges and all(e[2] is not None for e in g.edges):
         by_label: dict[object, set[int]] = {}
@@ -370,6 +377,13 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
 
     all_edges = set(range(len(g.edges)))
     memo: set[tuple[frozenset[int], int]] = set()
+
+    def refuse_backtracking() -> None:
+        if g.n > EXACT_BOUND:
+            raise ValueError(
+                f"the graph has {g.n} vertices: its first candidate factor leaves no "
+                f"decomposition, and the exact search backtracks on at most {EXACT_BOUND}"
+            )
 
     def solve(avail: set[int], k_left: int) -> list[Factor] | None:
         if k_left == 0:
@@ -403,11 +417,13 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
                 rest = solve(avail - match, k_left - 1)
                 if rest is not None:
                     return [("matching", match)] + rest
+                refuse_backtracking()
         if k_left >= 2:
             for tf in two_factors(g, set(avail)):
                 rest = solve(avail - tf, k_left - 2)
                 if rest is not None:
                     return [("two_factor", tf)] + rest
+                refuse_backtracking()
         memo.add(key)
         return None
 
@@ -417,12 +433,12 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
     return result
 
 
-def is_schreier(g: Multigraph, k: int, exact_bound: int = 30) -> bool | None:
+def is_schreier(g: Multigraph, k: int) -> bool | None:
     """Exact Schreier-graph test for connected k-regular multigraphs: True or
     False within the search bound, None (unknown) beyond it."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if g.n > exact_bound:
+    if g.n > EXACT_BOUND:
         return None
     return decompose_regular(g, k) is not None
 

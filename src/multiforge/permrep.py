@@ -62,35 +62,32 @@ import re
 from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, islice
 from random import Random
+from typing import NamedTuple
 
 from .words import Params, Word
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PermRep:
+class PermRep(NamedTuple):
     params: Params
     n: int
     betas: tuple[Perm, ...]  # betas[i][p] = image of point p, 0-based
     root: int = 0
 
 
-@dataclass
-class RepDiagnostics:
+class RepDiagnostics(NamedTuple):
     ok: bool
     is_permutation: list[bool]
     order_divides_k: list[bool]
     transitive: bool
-    messages: list[str] = field(default_factory=list)
-    partitions: dict[tuple[int, ...], OrbitPartition] = field(default_factory=dict)
+    messages: list[str]
+    partitions: dict[tuple[int, ...], OrbitPartition]
 
 
-@dataclass
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Classes of the points 0..n-1, dense and ordered by minimal point,
     such as the orbits of a color set (module docstring, Orbits)."""
 

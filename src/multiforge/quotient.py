@@ -10,10 +10,9 @@ line-graph / Schreier identification, and the classification round trip.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import (
     MComplex,
@@ -37,8 +36,7 @@ if TYPE_CHECKING:
     from .universal import Ball
 
 
-@dataclass
-class QuotientObject:
+class QuotientObject(NamedTuple):
     complex: MComplex
     rep: PermRep
     partitions: dict[tuple[int, ...], OrbitPartition]  # color set -> orbits

@@ -12,10 +12,9 @@ it, so importing this module (and the CLI) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import MComplex, MId
 from .words import Params
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass
-class SignedIncidence:
+class SignedIncidence(NamedTuple):
     rows: list[MId]  # (j-1)-multicells; [EMPTY] for j = 0
     cols: list[MId]  # j-multicells
     matrix: np.ndarray  # entries in {-1, 0, +1}
@@ -130,8 +128,7 @@ def lambda_building(q: int) -> float:
     return q + 1 - 2.0 * sqrt(q + 1)
 
 
-@dataclass
-class GapComparison:
+class GapComparison(NamedTuple):
     q: int
     building: float
     arboreal: float

@@ -8,10 +8,10 @@ invariant ordering (cofaces cycled by ascending generator exponent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, count
 
 from .complexes import MComplex, MId, complex_from_classes, from_simplicial
+from .records import Record
 from .words import (
     EMPTY_WORD,
     Params,
@@ -23,18 +23,20 @@ from .words import (
 )
 
 
-@dataclass
-class Ball:
-    complex: MComplex
-    radius: int
-    cell_words: dict[MId, Word]  # top multicell -> reduced word
+class Ball(Record):
+    """A finite ball of the arboreal complex, with the reduced word of each
+    top multicell in `cell_words`."""
+
+    __slots__ = ("complex", "radius", "cell_words", "_by_letters")
+    _fields = __slots__[:3]
+
+    def __init__(self, complex: MComplex, radius: int, cell_words: dict[MId, Word]):
+        self.complex, self.radius, self.cell_words = complex, radius, cell_words
+        self._by_letters = {w.letters: mid for mid, w in cell_words.items()}
 
     def word_cell(self, w: Word) -> MId:
         key = reduce_word(w, self.complex.params).letters
         return self._by_letters[key]
-
-    def __post_init__(self):
-        self._by_letters = {w.letters: mid for mid, w in self.cell_words.items()}
 
     def has_word(self, w: Word) -> bool:
         return reduce_word(w, self.complex.params).letters in self._by_letters
@@ -71,7 +73,9 @@ def build_ball(p: Params, n: int) -> Ball:
                 top = tuple(sorted(facet + (u,)))
                 t_idx = len(tops)
                 tops.append(top)
-                words.append(multiply(generator(missing, l), words[creator], p))
+                # reduced as it stands: the creator's first letter has the color
+                # of its newest vertex, which the facet holds, so not `missing`
+                words.append(Word(((missing, l),) + words[creator].letters))
                 cycles[facet].append(t_idx)
                 for gone in facet:
                     new_facet = tuple(sorted((set(top) - {gone})))

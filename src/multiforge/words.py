@@ -7,49 +7,69 @@ form: all exponents in 1..k-1 and adjacent generator indices distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 Letter = tuple[int, int]  # (generator index, exponent)
 
 
-@dataclass(frozen=True)
-class Params:
-    """Ambient parameters: dimension d >= 1 and cyclic order k >= 2."""
-
+class _ParamFields(NamedTuple):
     d: int
     k: int
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+
+class Params(_ParamFields):
+    """Ambient parameters: dimension d >= 1 and cyclic order k >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, k: int) -> Params:
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        return super().__new__(cls, d, k)
 
     @property
     def colors(self) -> range:
         return range(self.d + 1)
 
 
-@dataclass(frozen=True)
 class Word:
     """A formal product of generator powers.
 
     Letters are stored left-to-right as written, so ``letters[-1]`` is the
     factor applied first.  Exponents may be arbitrary integers; `reduce_word`
-    normalizes them into 1..k-1.
+    normalizes them into 1..k-1.  Read-only, and equal only to a `Word`.
     """
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("_letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        self._letters = letters
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return self._letters
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Word:
+            return NotImplemented
+        return self._letters == other._letters
+
+    def __hash__(self) -> int:
+        return hash((self._letters,))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self._letters!r})"
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word(self._letters + other._letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple((i, -l) for i, l in reversed(self.letters)))
+        return Word(tuple((i, -l) for i, l in reversed(self._letters)))
 
 
 EMPTY_WORD = Word()

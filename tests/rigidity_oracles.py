@@ -28,6 +28,7 @@ def check_morphism_oracle(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagno
     """`check_morphism`, cell by cell: every multicell's image, its vertex
     row through the vertex map and each of its facets, then the root, then
     each (d-1)-cell's ordering cycle against its image's."""
+    cells = set(x.mids())
     msgs = [f"map not defined on {mid}" for mid in x.mids() if mid not in f]
     if msgs:
         return Diagnostics(False, msgs)
@@ -54,13 +55,18 @@ def check_morphism_oracle(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagno
                 msgs.append(f"{mid}: image colors {tuple(img[0])} != {colors}")
                 continue
             j = img[1] * size
-            if theirs.vertices[j : j + size] != [vmap[v] for v in row]:
+            if theirs.vertices[j : j + size] != [vmap.get(v) for v in row]:
                 msgs.append(f"{mid}: image is not induced by the vertex map")
             for p, sub in enumerate(_drops(colors)):
-                if f[(sub, mine.faces[i * size + p])] != (sub, theirs.faces[j + p]):
+                facet = (sub, mine.faces[i * size + p])
+                if facet not in cells:
+                    msgs.append(f"{mid}: facet {facet} missing in domain")
+                elif f[facet] != (sub, theirs.faces[j + p]):
                     msgs.append(f"{mid}: gluing not preserved at dropped color {colors[p]}")
     if x.root is None or y.root is None:
         msgs.append("root missing on one side")
+    elif x.root not in cells:
+        msgs.append(f"root {x.root} missing in domain")
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
@@ -71,6 +77,10 @@ def check_morphism_oracle(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagno
             cyc = x.cycle(mid)
             if cyc is None:
                 msgs.append(f"{mid}: domain has no ordering cycle")
+                continue
+            strays = [(full, t) for t in cyc if (full, t) not in cells]
+            if strays:
+                msgs.append(f"{mid}: ordering cycle lists {strays[0]}, missing in domain")
                 continue
             img_cyc = y.cycle(f[mid])
             if img_cyc is None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from multiforge import cli
 from multiforge.complexes import from_json, single_simplex, to_json_dict, validate_structure
+from multiforge.graphs import EXACT_BOUND
 from multiforge.permrep import parse_rep, validate
 from multiforge.spectral import boundary_matrix, up_laplacian
 from multiforge.words import Params
@@ -412,6 +414,82 @@ def test_graph_file_error_is_one_line(tmp_path, capsys, case):
     assert captured.err.splitlines() == [expected]
 
 
+def _graph_text(n: int, edges) -> str:
+    return f"{n}\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in edges)
+
+
+def _k4s_then_block(n: int) -> str:
+    """K4s on all but the last two of n vertices, then a block of a loop, an
+    edge and a loop.  At k = 3 the first perfect matching takes the two
+    loops, which leaves no decomposition, so the search must try a second."""
+    edges = [(u, v) for base in range(0, n - 2, 4)
+             for u in range(base, base + 4) for v in range(u + 1, base + 4)]
+    return _graph_text(n, edges + [(n - 2, n - 2), (n - 2, n - 1), (n - 1, n - 1)])
+
+
+@pytest.mark.parametrize("n", [EXACT_BOUND, EXACT_BOUND + 4])
+def test_decompose_backtracks_up_to_the_bound(tmp_path, capsys, n):
+    """Up to the bound the exact search backtracks and decomposes the graph;
+    beyond it `decompose` refuses the graph with one line where it would
+    backtrack."""
+    path = tmp_path / "block.txt"
+    path.write_text(_k4s_then_block(n))
+    rc = run(["decompose", path, "--k", 3])
+    captured = capsys.readouterr()
+    if n <= EXACT_BOUND:
+        assert rc == 0 and captured.err == ""
+        assert captured.out.splitlines()[:2] == ["k: 3", "factors: 2"]
+        assert f"{n - 1}-{n}" in captured.out.splitlines()[2]
+    else:
+        assert rc == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: the graph has {n} vertices: its first candidate factor leaves no "
+            f"decomposition, and the exact search backtracks on at most {EXACT_BOUND}"
+        ]
+
+
+def test_decompose_takes_a_first_candidate_beyond_the_bound(tmp_path, capsys):
+    """n loops at k = 1 fit no labelled, bipartite or even-degree strategy,
+    but the first perfect matching the search finds is all of them."""
+    n = EXACT_BOUND + 1
+    path = tmp_path / "loops.txt"
+    path.write_text(_graph_text(n, [(v, v) for v in range(n)]))
+    assert run(["decompose", path, "--k", 1]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["k: 1", "factors: 1"] and len(lines[2].split()) == 3 + n
+
+
+def test_decompose_takes_an_odd_degree_line_graph_beyond_the_bound(tmp_path, capsys):
+    """The line graph of a (2,2) quotient has no labels in its file and
+    degree 3, so only the exact search applies: on 40 vertices its first
+    perfect matching leaves a rest that splits into two more."""
+    rep, graph = tmp_path / "rep.txt", tmp_path / "lg.txt"
+    assert run(["random", "--d", 2, "--k", 2, "--n", 40, "--seed", 2, "--out", rep]) == 0
+    assert run(["line-graph", "--rep", rep, "--out", graph]) == 0
+    assert int(graph.read_text().split()[0]) == 40 > EXACT_BOUND
+    assert run(["decompose", graph, "--k", 3]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["k: 3", "factors: 3"]
+    assert all(ln.startswith(f"factor {t}: matching: ") for t, ln in enumerate(lines[2:], 1))
+
+
+@pytest.mark.parametrize("name, n, edges, k, kind", [
+    ("odd-cycle", 41, [(v, (v + 1) % 41) for v in range(41)], 2, "two_factor"),
+    ("even-prism", 40, [(v, (v + 1) % 20) for v in range(20)]
+     + [(20 + v, 20 + (v + 1) % 20) for v in range(20)] + [(v, v + 20) for v in range(20)],
+     3, "matching"),
+])
+def test_decompose_strategies_take_graphs_beyond_the_exact_bound(tmp_path, capsys, name, n,
+                                                                  edges, k, kind):
+    """Even degree and loopless bipartite regular graphs need no exact
+    search, so `decompose` takes them at any size."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(_graph_text(n, edges))
+    assert n > EXACT_BOUND and run(["decompose", path, "--k", k]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"k: {k}" and all(f": {kind}: " in ln for ln in lines[2:])
+
+
 def test_empty_generator_file_is_one_line(tmp_path, capsys):
     gens = tmp_path / "gens.txt"
     gens.write_text("# no generators\n")
@@ -498,3 +576,27 @@ def test_verify_all_takes_no_suite_option(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify-all", "--suite", "desk"])
     assert exc.value.code == 2
+
+
+def test_commands_name_every_sub_parser():
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli.COMMANDS
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--", "build"], ["build"], ["build", "-h"], ["build", "--rep"],
+    ["build", "--rep", "r.txt", "extra"], ["random", "--d", "x", "--k", "2", "--n", "3"],
+    ["spectra", "--help"], ["spectra", "x.json", "--tol", "small"], ["gallery"],
+    ["gallery", "-h"], ["gallery", "nope"], ["gallery", "m", "--d", "1"], ["verify-all", "x"],
+    ["decompose", "g.txt", "--k"], ["reduce", "--help"],
+])
+def test_one_command_parser_prints_what_the_full_parser_prints(capsys, argv):
+    """`main` parses with the named command's parser alone; its help and
+    its usage errors, exit codes included, are those of the full parser."""
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as one:
+        run(argv)
+    assert one.value.code == full.value.code and capsys.readouterr() == expected

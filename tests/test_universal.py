@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from multiforge.cli import _ball_json
@@ -16,6 +18,7 @@ from multiforge.words import (
     EMPTY_WORD,
     Params,
     enumerate_reduced_words,
+    is_reduced,
     multiply,
     word_length,
 )
@@ -68,6 +71,19 @@ def test_coset_ball_matches_the_re_reducing_oracle(d, k):
     for radius in range(4):
         p = Params(d, k)
         assert _ball_json(ball_from_cosets(p, radius)) == _ball_json(coset_ball_oracle(p, radius))
+
+
+def test_inductive_ball_words_need_no_re_reduction():
+    """`build_ball` writes each new top's word as one letter before its
+    creator's word, without reducing it: every word is reduced as written,
+    and the (2,3) radius-4 ball keeps its bytes."""
+    for d, k in [(1, 2), (1, 4), (2, 3), (3, 2), (3, 3)]:
+        p = Params(d, k)
+        ball = build_ball(p, 3)
+        assert all(is_reduced(w, p) for w in ball.cell_words.values()), (d, k)
+    text = _ball_json(build_ball(Params(2, 3), 4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d5f194c83bb18d51be01872ce619ccf440eeeab288412f8f7bce8386354faf70")
 
 
 def test_word_dictionary_is_bijective():
