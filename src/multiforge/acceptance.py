@@ -409,7 +409,7 @@ CRITERIA: list[Criterion] = [
 ]
 
 
-def run_all(verbose: bool = True) -> int:
+def run_all() -> int:
     failures = 0
     for crit in CRITERIA:
         try:
@@ -423,6 +423,5 @@ def run_all(verbose: bool = True) -> int:
             detail = f"{type(exc).__name__}: {exc}"
             status = "FAIL"
             failures += 1
-        if verbose:
-            print(f"{status} {crit.name}: {detail}")
+        print(f"{status} {crit.name}: {detail}")
     return failures

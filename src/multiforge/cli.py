@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import reprlib
 import sys
 from typing import TYPE_CHECKING
 
@@ -206,7 +207,7 @@ def _parse_generators(text: str) -> tuple[list[tuple[int, ...]], list[int]]:
         raise ValueError("the generator file is empty: expected the degree line")
     t, head = lines[0]
     if not head.isdecimal() or int(head) < 1:
-        raise ValueError(f"line {t}: the degree must be an integer >= 1, got {head!r}")
+        raise ValueError(f"line {t}: the degree must be an integer >= 1, got {reprlib.repr(head)}")
     if len(lines) < 3:
         raise ValueError(
             f"line {t}: the degree line must be followed by two generator lines or more, "
@@ -249,7 +250,7 @@ def cmd_gallery(args) -> int:
 
 def cmd_verify_all(args) -> int:
     from .acceptance import run_all
-    failures = run_all(verbose=True)
+    failures = run_all()
     return 1 if failures else 0
 
 

@@ -35,6 +35,7 @@ the in-memory layout is the file layout.
 from __future__ import annotations
 
 import json
+import reprlib
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
@@ -903,12 +904,11 @@ def from_simplicial(
     params: Params,
     vertex_colors: list[int],
     top_vertex_sets: list[Iterable[int]],
-    root_top: int = 0,
 ) -> MComplex:
     """Pure multicomplex with multiplicity one from the distinct vertex sets
-    of its top cells, top t being the multicell (all colors, t).  The
-    ordering is derived arbitrarily (cofaces in id order) and only valid
-    when each (d-1)-cell degree divides k."""
+    of its top cells, top t being the multicell (all colors, t), rooted at
+    top 0.  The ordering is derived arbitrarily (cofaces in id order) and
+    only valid when each (d-1)-cell degree divides k."""
     tops = []
     for t in map(set, top_vertex_sets):
         by_color = {vertex_colors[v]: v for v in t}
@@ -917,7 +917,7 @@ def from_simplicial(
         tops.append(by_color)
     classes = class_columns(params, tops, lambda by_color, cs: tuple(map(by_color.__getitem__, cs)))
     classes.update({(c,): [by_color[c] for by_color in tops] for c in params.colors})  # vertex ids
-    x = complex_from_classes(params, classes, root_top, vertex_colors=vertex_colors)
+    x = complex_from_classes(params, classes, 0, vertex_colors=vertex_colors)
     full = tuple(params.colors)
     x.ordering = {J: [[] for _ in range(len(x.cells[J]))] for J in _drops(full)}
     for e, f in enumerate(x.cells[full].faces):  # top e // |full| joins its facets' cycles
@@ -977,20 +977,22 @@ def _ints(obj, where: str) -> list[int]:
         raise ValueError(f"{where}: must be a list of integers, got {type(obj).__name__}")
     if not set(map(type, obj)) <= {int}:
         bad = next(v for v in obj if type(v) is not int)
-        raise ValueError(f"{where}: {bad!r} is not an integer")
+        raise ValueError(f"{where}: {reprlib.repr(bad)} is not an integer")
     return obj
 
 
 def _colors(obj, d: int, where: str) -> tuple[int, ...]:
     colors = tuple(_ints(obj, where))
     if list(colors) != sorted(set(colors)) or not all(0 <= c <= d for c in colors):
-        raise ValueError(f"{where}: colors {list(colors)} must increase strictly within 0..{d}")
+        raise ValueError(
+            f"{where}: colors {reprlib.repr(list(colors))} must increase strictly within 0..{d}"
+        )
     return colors
 
 
 def _mid_from_json(obj, d: int, where: str) -> MId:
     if not (type(obj) is list and len(obj) == 2 and type(obj[1]) is int):
-        raise ValueError(f"{where}: multicell id must be [colors, index], got {obj!r}")
+        raise ValueError(f"{where}: multicell id must be [colors, index], got {reprlib.repr(obj)}")
     return (_colors(obj[0], d, where), obj[1])
 
 
@@ -1046,7 +1048,7 @@ def from_json_dict(doc: dict) -> MComplex:
     if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT:
-        raise ValueError(f"format {doc.get('format')!r} is not {FORMAT}")
+        raise ValueError(f"format {reprlib.repr(doc.get('format'))} is not {FORMAT}")
     params = _params(doc)
     d = params.d
     vertex_colors = _ints(_field(doc, "vertex_colors", list, "complex"), "vertex_colors")

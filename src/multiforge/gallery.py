@@ -44,6 +44,10 @@ def m_subgroup_rep(p: Params) -> PermRep:
 # -- Coxeter complexes -------------------------------------------------------------
 
 
+# The most elements a Coxeter group may have before its closure stops.
+GROUP_CAP = 20000
+
+
 class GroupSizeCapExceeded(ValueError):
     pass
 
@@ -60,7 +64,7 @@ def _compose(a: Permutation, b: Permutation) -> Permutation:
     return tuple(a[b[t]] for t in range(len(a)))
 
 
-def _closure(gens: list[Permutation], cap: int) -> list[Permutation]:
+def _closure(gens: list[Permutation]) -> list[Permutation]:
     identity = tuple(range(len(gens[0])))
     seen = {identity}
     order = [identity]
@@ -74,13 +78,13 @@ def _closure(gens: list[Permutation], cap: int) -> list[Permutation]:
                     seen.add(sw)
                     order.append(sw)
                     nxt.append(sw)
-                    if len(seen) > cap:
-                        raise GroupSizeCapExceeded(f"group exceeds cap {cap}")
+                    if len(seen) > GROUP_CAP:
+                        raise GroupSizeCapExceeded(f"group exceeds cap {GROUP_CAP}")
         frontier = nxt
     return sorted(order)
 
 
-def coxeter_kernel_rep(gens: list[Permutation], cap: int = 20000) -> tuple[PermRep, list[Permutation]]:
+def coxeter_kernel_rep(gens: list[Permutation]) -> tuple[PermRep, list[Permutation]]:
     """Regular action of the group generated by the involutions on itself by
     left multiplication; the root stabilizer is the kernel of the map from
     the rank-|S| free product of order-2 factors."""
@@ -93,7 +97,7 @@ def coxeter_kernel_rep(gens: list[Permutation], cap: int = 20000) -> tuple[PermR
             raise ValueError(f"generator {t} is not a permutation")
         if s == identity or _compose(s, s) != identity:
             raise NotAnInvolution(t)
-    elems = _closure(gens, cap)
+    elems = _closure(gens)
     index = {w: t for t, w in enumerate(elems)}
     betas = tuple(
         tuple(index[_compose(s, w)] for w in elems) for s in gens
@@ -102,21 +106,21 @@ def coxeter_kernel_rep(gens: list[Permutation], cap: int = 20000) -> tuple[PermR
     return PermRep(p, len(elems), betas, index[identity]), elems
 
 
-def coxeter_complex(gens: list[Permutation], cap: int = 20000) -> tuple[MComplex, PermRep]:
+def coxeter_complex(gens: list[Permutation]) -> tuple[MComplex, PermRep]:
     """The chamber complex of the involutions, built straight from coset
     enumeration, and the kernel rep of its group: vertices are cosets of
     the maximal standard subgroups, a chamber per group element, and cells
     collect one coset per color.  Raises ValueError when the complex is not
     simplicial; the chamber complex of a Coxeter system always is.  The
     quotient of the kernel rep is the same complex (criterion 12)."""
-    rep, elems = coxeter_kernel_rep(gens, cap)
+    rep, elems = coxeter_kernel_rep(gens)
     n_colors = len(gens)
     identity = tuple(range(len(gens[0])))
 
     @cache
     def subgroup(colors: tuple[int, ...]) -> list[Permutation]:
         hat = [gens[i] for i in range(n_colors) if i not in colors]
-        return _closure(hat, cap) if hat else [identity]
+        return _closure(hat) if hat else [identity]
 
     def coset_key(w: Permutation, colors: tuple[int, ...]) -> Permutation:
         return min(_compose(u, w) for u in subgroup(colors))

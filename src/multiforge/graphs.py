@@ -8,6 +8,7 @@ ends.  A vertex covered by a loop meets no other edge of that factor.
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterator
 
 from .permrep import PermRep, numbered_lines, partition, perm_cycles, require_valid
@@ -164,67 +165,6 @@ def perfect_matchings(g: Multigraph, avail: set[int] | None = None) -> Iterator[
     yield from rec(0)
 
 
-def two_factors(g: Multigraph, avail: set[int] | None = None) -> Iterator[set[int]]:
-    """All 2-factors within the available edge set, by binary include/exclude
-    recursion over edges with remaining-capacity pruning.  `slots[v]` counts
-    covered ends (a loop fills both at once and excludes anything else)."""
-    order = sorted(set(range(len(g.edges))) if avail is None else set(avail))
-    slots = [0] * g.n
-    by_loop = [False] * g.n
-    # potential[v]: upper bound on ends still obtainable from undecided edges
-    potential = [0] * g.n
-    for e in order:
-        u, v, _ = g.edges[e]
-        potential[u] += 2 if u == v else 1
-        potential[v] += 0 if u == v else 1
-    chosen: set[int] = set()
-
-    def rec(idx: int) -> Iterator[set[int]]:
-        if idx == len(order):
-            if all(s == 2 for s in slots):
-                yield set(chosen)
-            return
-        e = order[idx]
-        u, v, _ = g.edges[e]
-        weight_u = 2 if u == v else 1
-        weight_v = 0 if u == v else 1
-        # branch 1: include e
-        ok = (
-            (u == v and slots[u] == 0)
-            if u == v
-            else (slots[u] < 2 and slots[v] < 2 and not by_loop[u] and not by_loop[v])
-        )
-        if ok:
-            if u == v:
-                slots[u] = 2
-                by_loop[u] = True
-            else:
-                slots[u] += 1
-                slots[v] += 1
-            potential[u] -= weight_u
-            potential[v] -= weight_v
-            chosen.add(e)
-            yield from rec(idx + 1)
-            chosen.discard(e)
-            potential[u] += weight_u
-            potential[v] += weight_v
-            if u == v:
-                slots[u] = 0
-                by_loop[u] = False
-            else:
-                slots[u] -= 1
-                slots[v] -= 1
-        # branch 2: exclude e
-        potential[u] -= weight_u
-        potential[v] -= weight_v
-        if slots[u] + potential[u] >= 2 and slots[v] + potential[v] >= 2:
-            yield from rec(idx + 1)
-        potential[u] += weight_u
-        potential[v] += weight_v
-
-    yield from rec(0)
-
-
 def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]] | None:
     """Split an even-regular edge set (loops weighing two) into 2-factors via
     an Euler orientation and bipartite edge coloring."""
@@ -355,9 +295,14 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
 
     Strategy: edge labels (generator classes) when present, k perfect
     matchings for loopless bipartite graphs, Euler 2-factorization for even
-    uniform degree, and exact backtracking otherwise.  On more than
-    `EXACT_BOUND` vertices the search takes the first candidate factor at
-    each step and raises a one-line ValueError where it would try a second.
+    uniform degree, and exact backtracking over perfect matchings otherwise.
+    No 2-factor needs searching: a split meets each vertex v once per
+    matching and twice per 2-factor, so deg(v) = k + L_v (a loop counting
+    two), where L_v counts the matchings with a loop at v.  Once every
+    perfect matching has failed, no split holds one, so each degree is the
+    even k and the Euler step (Petersen) would already have found a split.
+    On more than `EXACT_BOUND` vertices the search takes the first matching
+    at each step and raises a one-line ValueError where it would try a second.
     """
     if g.edges and all(e[2] is not None for e in g.edges):
         by_label: dict[object, set[int]] = {}
@@ -377,13 +322,6 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
 
     all_edges = set(range(len(g.edges)))
     memo: set[tuple[frozenset[int], int]] = set()
-
-    def refuse_backtracking() -> None:
-        if g.n > EXACT_BOUND:
-            raise ValueError(
-                f"the graph has {g.n} vertices: its first candidate factor leaves no "
-                f"decomposition, and the exact search backtracks on at most {EXACT_BOUND}"
-            )
 
     def solve(avail: set[int], k_left: int) -> list[Factor] | None:
         if k_left == 0:
@@ -412,18 +350,15 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
             two = euler_two_factorization(g, avail)
             if two is not None and len(two) == k_left // 2:
                 return [("two_factor", f) for f in two]
-        if k_left >= 1:
-            for match in perfect_matchings(g, set(avail)):
-                rest = solve(avail - match, k_left - 1)
-                if rest is not None:
-                    return [("matching", match)] + rest
-                refuse_backtracking()
-        if k_left >= 2:
-            for tf in two_factors(g, set(avail)):
-                rest = solve(avail - tf, k_left - 2)
-                if rest is not None:
-                    return [("two_factor", tf)] + rest
-                refuse_backtracking()
+        for match in perfect_matchings(g, avail):
+            rest = solve(avail - match, k_left - 1)
+            if rest is not None:
+                return [("matching", match)] + rest
+            if g.n > EXACT_BOUND:
+                raise ValueError(
+                    f"the graph has {g.n} vertices: its first candidate factor leaves no "
+                    f"decomposition, and the exact search backtracks on at most {EXACT_BOUND}"
+                )
         memo.add(key)
         return None
 
@@ -502,7 +437,9 @@ def parse_multigraph(text: str) -> Multigraph:
         raise ValueError("the graph file is empty: expected the vertex count")
     t, head = lines[0]
     if not head.isdecimal():
-        raise ValueError(f"line {t}: the vertex count must be an integer >= 0, got {head!r}")
+        raise ValueError(
+            f"line {t}: the vertex count must be an integer >= 0, got {reprlib.repr(head)}"
+        )
     g = Multigraph(int(head))
     for t, ln in lines[1:]:
         parts = ln.split()
@@ -513,7 +450,7 @@ def parse_multigraph(text: str) -> Multigraph:
         if not (1 <= u <= g.n and 1 <= v <= g.n and mult >= 1):
             raise ValueError(
                 f"line {t}: an edge line holds two endpoints in 1..{g.n} "
-                f"and an optional multiplicity >= 1, got {ln!r}"
+                f"and an optional multiplicity >= 1, got {reprlib.repr(ln)}"
             )
         for _ in range(mult):
             g.add_edge(u - 1, v - 1)
@@ -521,9 +458,9 @@ def parse_multigraph(text: str) -> Multigraph:
     return g
 
 
-def to_dot(g: Multigraph, name: str = "G") -> str:
+def to_dot(g: Multigraph) -> str:
     palette = ["black", "red", "blue", "green", "orange", "purple", "brown", "cyan"]
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f'  {v} [label="{v + 1}"];')
     for u, v, label in g.edges:

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from bisect import bisect_right
 from collections import Counter, deque
 from collections.abc import Iterable, Iterator
@@ -457,14 +458,18 @@ def _transitive_involutions(p: Params, n: int, rng: Random) -> PermRep:
     return PermRep(p, n, tuple(map(tuple, betas)), 0)
 
 
-def random_rep_retry(p: Params, n: int, seed: int, max_tries: int = 64) -> tuple[PermRep, int]:
+_TRIES = 64  # draws `random_rep_retry` makes before it gives up
+
+
+def random_rep_retry(p: Params, n: int, seed: int) -> tuple[PermRep, int]:
     """Call `random_rep` with seed `_try_seed(seed, t)` for t = 0, 1, ...
-    until the action is transitive; returns (rep, tries used)."""
-    for t in range(max_tries):
+    until the action is transitive, at most `_TRIES` times; returns (rep,
+    tries used)."""
+    for t in range(_TRIES):
         rep = random_rep(p, n, _try_seed(seed, t))
         if rep is not None:
             return rep, t + 1
-    raise ValueError(f"no transitive sample in {max_tries} tries (d={p.d}, k={p.k}, n={n})")
+    raise ValueError(f"no transitive sample in {_TRIES} tries (d={p.d}, k={p.k}, n={n})")
 
 
 # -- intersections and canonical form ---------------------------------------
@@ -548,7 +553,7 @@ def _integers(tokens: list[str], what: str) -> list[int]:
     try:
         return [int(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"{what} must be integers, got {' '.join(tokens)!r}") from None
+        raise ValueError(f"{what} must be integers, got {reprlib.repr(' '.join(tokens))}") from None
 
 
 def parse_permutation(text: str, n: int) -> Perm:
@@ -556,12 +561,16 @@ def parse_permutation(text: str, n: int) -> Perm:
     text = text.strip()
     if text.startswith("("):
         perm = list(range(n))
+        seen: set[int] = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):
             pts = [p - 1 for p in _integers(cyc.replace(",", " ").split(), "cycle entries")]
             if any(not 0 <= p < n for p in pts):
-                raise ValueError(f"cycle entry out of range in {text!r}")
-            for t in range(len(pts)):
-                perm[pts[t]] = pts[(t + 1) % len(pts)]
+                raise ValueError(f"cycle entry out of range in {reprlib.repr(text)}")
+            for t, p in enumerate(pts):
+                if p in seen:
+                    raise ValueError(f"the cycles repeat point {p + 1}")
+                seen.add(p)
+                perm[p] = pts[(t + 1) % len(pts)]
         return tuple(perm)
     images = [p - 1 for p in _integers(text.split(), "images")]
     if len(images) != n:
@@ -585,7 +594,8 @@ def parse_rep(text: str) -> PermRep:
     try:
         d, k, n, root = (int(x) for x in lines[0].split())
     except ValueError:
-        raise ValueError(f"the header {lines[0]!r} must be four integers: d k n root") from None
+        header = reprlib.repr(lines[0])
+        raise ValueError(f"the header {header} must be four integers: d k n root") from None
     p = Params(d, k)
     if n < 1:
         raise ValueError(f"the point count n must be at least 1, got {n}")

@@ -83,7 +83,7 @@ def build_ball(p: Params, n: int) -> Ball:
                     cycles[new_facet] = [t_idx]
         frontier = new_frontier
 
-    x = from_simplicial(p, vertex_colors, tops, root_top=0)  # tops[t] is x's top t
+    x = from_simplicial(p, vertex_colors, tops)  # tops[t] is x's top t, rooted at 0
     cell_id = {  # the ball is simplicial: a (d-1)-cell is fixed by its vertex set
         frozenset(row): (colors, i) for colors, cells in x.cells.items() if len(colors) == d
         for i, row in enumerate(cells.rows())

@@ -353,6 +353,10 @@ REP_ERRORS = {
         lambda text: "2 3 27 99\n" + text.split("\n", 1)[1],
         "error: root 99 out of range 1..27",
     ),
+    "repeated-point": (
+        lambda text: "1 2 3 1\n(1 2)(2 3)\n(1 2)\n",
+        "error: permutation of generator 0: the cycles repeat point 2",
+    ),
 }
 
 
@@ -448,6 +452,19 @@ def test_decompose_backtracks_up_to_the_bound(tmp_path, capsys, n):
         ]
 
 
+def test_decompose_answers_beyond_the_bound_when_no_matching_exists(tmp_path, capsys):
+    """11 triangles joined by one edge: 33 vertices, no perfect matching and
+    two vertices of degree 3, so no split at k = 2 exists, and the search
+    says so without a second candidate to refuse."""
+    triangles = [(3 * t + a, 3 * t + b) for t in range(11) for a, b in ((0, 1), (1, 2), (0, 2))]
+    path = tmp_path / "triangles.txt"
+    path.write_text(_graph_text(33, triangles + [(0, 3)]))
+    assert 33 > EXACT_BOUND and run(["decompose", path, "--k", 2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["no decomposition with m + 2f = 2 exists"]
+
+
 def test_decompose_takes_a_first_candidate_beyond_the_bound(tmp_path, capsys):
     """n loops at k = 1 fit no labelled, bipartite or even-degree strategy,
     but the first perfect matching the search finds is all of them."""
@@ -488,6 +505,22 @@ def test_decompose_strategies_take_graphs_beyond_the_exact_bound(tmp_path, capsy
     assert n > EXACT_BOUND and run(["decompose", path, "--k", k]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"k: {k}" and all(f": {kind}: " in ln for ln in lines[2:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--rep"], ["decompose", "--k", 3], ["gallery", "coxeter", "--gens"],
+])
+def test_a_complex_file_in_the_wrong_place_is_one_short_line(tmp_path, capsys, argv):
+    """The first line of a complex file is all of its JSON; the error that
+    quotes it quotes a short excerpt."""
+    x_path = build_m_quotient(tmp_path, 2, 3)
+    assert len(x_path.read_text()) > 1000
+    capsys.readouterr()
+    assert run([*argv, x_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "..." in captured.err
+    assert len(captured.err.encode()) < 200
 
 
 def test_empty_generator_file_is_one_line(tmp_path, capsys):
@@ -558,6 +591,11 @@ GENERATOR_ERRORS = {
     ),
     "identity-after-a-comment": ("3\n2 1 3\n# identity\n1 2 3\n", "error: line 4: not an involution"),
     "three-cycle": ("3\n2 3 1\n1 3 2\n", "error: line 2: not an involution"),
+    "repeated-point": ("3\n(1 2)\n(1 2)(2 3)\n", "error: line 3: the cycles repeat point 2"),
+    "group-over-the-cap": (  # the adjacent transpositions of S_8, of order 40,320
+        "8\n" + "".join(f"({i} {i + 1})\n" for i in range(1, 8)),
+        "error: group exceeds cap 20000",
+    ),
 }
 
 

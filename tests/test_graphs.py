@@ -22,7 +22,6 @@ from multiforge.graphs import (
     parse_multigraph,
     perfect_matchings,
     schreier_multigraph,
-    two_factors,
 )
 
 GRAPH_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -38,6 +37,34 @@ def tiny_multigraphs(draw, max_n: int = 4, max_edges: int = 7) -> Multigraph:
     for u, v in draw(st.lists(ends, max_size=max_edges)):
         g.add_edge(u, v)
     return g
+
+
+@st.composite
+def planted_multigraphs(draw, max_n: int = 4, max_k: int = 5) -> tuple[Multigraph, int]:
+    """A union of random perfect matchings and 2-factors with m + 2f = k,
+    loops and parallel edges included, then perhaps one edge dropped or
+    added, so that both answers occur often."""
+    n, k = draw(st.integers(1, max_n)), draw(st.integers(1, max_k))
+    g, left = Multigraph(n), k
+    while left:
+        order = draw(st.permutations(range(n)))
+        if left >= 2 and draw(st.booleans()):  # a 2-factor: the cycles of a permutation
+            for u, v in zip(range(n), order):
+                g.add_edge(u, v)
+            left -= 2
+        else:  # a matching: pair neighbours in `order`, a loop where none is left
+            loops, t = draw(st.lists(st.booleans(), min_size=n, max_size=n)), 0
+            while t < n:
+                pair = t + 1 < n and not loops[t]
+                g.add_edge(order[t], order[t + 1] if pair else order[t])
+                t += 2 if pair else 1
+            left -= 1
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and g.edges:
+        g.edges.pop(draw(st.integers(0, len(g.edges) - 1)))
+    elif change == "add":
+        g.add_edge(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    return g, k
 
 
 def subsets(items) -> list[frozenset[int]]:
@@ -81,15 +108,6 @@ def test_perfect_matchings_are_exactly_the_accepted_subsets(g):
 
 
 @GRAPH_PROPERTY
-@given(g=tiny_multigraphs())
-def test_two_factors_are_exactly_the_accepted_subsets(g):
-    found = [frozenset(f) for f in two_factors(g)]
-    assert len(found) == len(set(found))
-    all_edges = range(len(g.edges))
-    assert set(found) == {s for s in subsets(all_edges) if is_two_factor(g, set(s))}
-
-
-@GRAPH_PROPERTY
 @given(g=tiny_multigraphs(max_edges=8))
 def test_euler_two_factorization_covers_even_regular_edge_sets(g):
     for avail in subsets(range(len(g.edges))):
@@ -109,10 +127,38 @@ def assert_decomposition_exact(g: Multigraph, k: int) -> None:
         assert check_decomposition(g, result, k)
 
 
-@GRAPH_PROPERTY
-@given(g=tiny_multigraphs(), k=st.integers(1, 4))
-def test_decompose_regular_is_exact(g, k):
+@settings(GRAPH_PROPERTY, max_examples=600)
+@given(g=tiny_multigraphs(), k=st.integers(1, 5), planted=planted_multigraphs())
+def test_decompose_regular_is_exact(g, k, planted):
+    """Brute force splits into matchings and 2-factors alike; the search
+    enumerates matchings only and leaves 2-factors to the Euler step."""
     assert_decomposition_exact(g, k)
+    assert_decomposition_exact(*planted)
+
+
+def test_check_decomposition_refuses_wrong_factors():
+    square = Multigraph(4)
+    for u in range(4):
+        square.add_edge(u, (u + 1) % 4)
+    matchings = [("matching", {0, 2}), ("matching", {1, 3})]
+    assert check_decomposition(square, matchings, 2)
+    assert not check_decomposition(square, [("matching", {0, 1}), ("matching", {2, 3})], 2)
+    assert not check_decomposition(square, [("two_factor", {0, 2}), ("matching", {1, 3})], 3)
+    assert not check_decomposition(square, [("cycle", {0, 1, 2, 3})], 2)
+    assert check_decomposition(square, [("two_factor", {0, 1, 2, 3})], 2)
+    assert not check_decomposition(square, matchings[:1], 1)  # edges 1 and 3 left over
+
+
+def test_labelled_strategy_falls_through_a_class_that_is_neither():
+    """A label class that is neither a perfect matching nor a 2-factor
+    leaves the graph to the other strategies, which still decompose it."""
+    square = Multigraph(4)
+    for u, label in zip(range(4), "aabb"):
+        square.add_edge(u, (u + 1) % 4, label)
+    assert not is_perfect_matching(square, {0, 1}) and not is_two_factor(square, {0, 1})
+    result = decompose_regular(square, 2)
+    assert result is not None and check_decomposition(square, result, 2)
+    assert sorted(kind for kind, _ in result) == ["matching", "matching"]
 
 
 def test_decompose_regular_is_exact_on_labeled_schreier_graphs():
