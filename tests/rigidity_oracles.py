@@ -1,9 +1,9 @@
-"""Cell-by-cell oracles for the rigidity steps of `multiforge`.
+"""Cell-by-cell oracles for the column checks and rigidity steps of `multiforge`.
 
-`check_morphism`, `propagate_from_root` and `ball_from_cosets` read whole
-index columns.  The functions below do the same work one cell, one cycle
-and one word at a time, with `MId` tuples, dict lookups and re-reduced
-words, and the tests compare the two.
+`validate_structure`, `check_morphism`, `propagate_from_root` and
+`ball_from_cosets` read whole index columns.  The functions below do the
+same work one cell, one cycle and one word at a time, with `MId` tuples,
+dict lookups and re-reduced words, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,12 +16,55 @@ from multiforge.complexes import (
     MId,
     _by_size,
     _drops,
+    check_consistency,
     class_columns,
+    coface_counts,
     complex_from_classes,
     extend_down,
+    ordering_faults,
 )
 from multiforge.universal import Ball
 from multiforge.words import Params, Word, enumerate_reduced_words, generator, multiply, strip_left
+
+
+def validate_structure_oracle(x: MComplex) -> Diagnostics:
+    """`validate_structure`, cell by cell: `check_consistency`'s messages,
+    vertex colors out of range, then each multicell's vertex colors, facet
+    vertices and purity, then degrees, the ordering audit, cycle lengths,
+    boundary flags and the root."""
+    d, k, n, vertex_colors = x.params.d, x.params.k, x.n_vertices, x.vertex_colors
+    cofaces = coface_counts(x)
+    msgs = check_consistency(x).messages
+    msgs += [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
+             if not 0 <= c <= d]
+    for colors, cells in x.cells.items():
+        size, subs, count = len(colors), _drops(colors), cofaces[colors]
+        below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
+        for i in range(len(cells)):
+            mid, row = (colors, i), cells.vertices[i * size : (i + 1) * size]
+            for c, v in zip(colors, row):
+                if not (0 <= v < n and vertex_colors[v] == c):
+                    msgs.append(f"{mid}: vertex {v} does not carry color {c}")
+            for p, f in enumerate(cells.faces[i * size : (i + 1) * size]):
+                facet = below[p][f * (size - 1) : (f + 1) * (size - 1)]
+                if f >= 0 and facet and facet != row[:p] + row[p + 1 :]:
+                    msgs.append(f"{mid}: facet {(subs[p], f)} has wrong vertices")
+            if size <= d and not count[i]:
+                msgs.append(f"{mid}: not contained in any top multicell (impure)")
+    for J in sorted(J for J in x.cells if len(J) == d):
+        msgs += [f"{(J, i)}: degree {deg} exceeds k={k}" for i, deg in enumerate(cofaces[J]) if deg > k]
+    if x.ordering is not None:
+        msgs += ordering_faults(x)
+        for J, cycles in sorted(x.ordering.items()):
+            for i, cyc in enumerate(cycles):
+                if cyc is not None and (not cyc or k % len(cyc)) and (J, i) not in x.boundary:
+                    msgs.append(f"{(J, i)}: cycle length {len(cyc)} does not divide k")
+    for mid in sorted(x.boundary):
+        if len(mid[0]) != d or not x.has_cell(mid):
+            msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
+    if x.root is not None and not x.has_cell(x.root):
+        msgs.append(f"root {x.root} missing")
+    return Diagnostics(not msgs, msgs)
 
 
 def check_morphism_oracle(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:

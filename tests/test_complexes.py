@@ -44,7 +44,7 @@ from multiforge.permrep import evaluate
 from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient, quotient_map
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
-from rigidity_oracles import check_morphism_oracle, propagate_oracle
+from rigidity_oracles import check_morphism_oracle, propagate_oracle, validate_structure_oracle
 
 WEDGE = from_simplicial(Params(2, 2), [0, 1, 2, 1, 2], [(0, 1, 2), (0, 3, 4)])
 
@@ -825,36 +825,10 @@ MAP_EDITS = ["none", "missing-key", "wrong-colors", "out-of-range", "wrong-facet
              "wrong-root", "rotated-tops"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
-       case=st.sampled_from(["identity", "quotient-map", "ball-isomorphism", "cover"]),
-       edit=st.sampled_from(MAP_EDITS), cycle_edit=st.sampled_from([None, *CYCLE_EDITS]),
-       side=st.sampled_from(["domain", "codomain"]), data=st.data())
-def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, cycle_edit, side,
-                                                    data):
-    """A valid map (the identity of a quotient, a ball's quotient map, the
-    coset ball onto the inductive one, a cover's projection) with one
-    corruption, and maybe one of CYCLE_EDITS in the domain or codomain:
-    `check_morphism` by columns gives the oracle's Diagnostics, the same
-    messages in the same order; neither raises."""
-    p, full = Params(d, k), tuple(range(d + 1))
-    q = build_quotient(seeded_rep(d, k, m * k, seed))
-    if case == "identity":
-        x, y = q.complex, from_json(to_json(q.complex))
-        f = {mid: mid for mid in x.mids()}
-    elif case == "quotient-map":
-        ball = build_ball(p, data.draw(st.integers(0, 2)))
-        x, y, f = ball.complex, q.complex, quotient_map(ball, q)
-    elif case == "ball-isomorphism":
-        radius = data.draw(st.integers(0, 2))
-        x, y = ball_from_cosets(p, radius).complex, build_ball(p, radius).complex
-        f = find_isomorphism(x, y)
-    else:
-        assume(d >= 2 and len(q.complex.cells[(0,)]) >= 2)
-        y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
-        x, f = link_connected_cover(y)
-    mid = data.draw(st.sampled_from(sorted(f)))
-    colors, n = mid[0], len(y.cells[mid[0]])
+def corrupt_map(f: dict, y: MComplex, edit: str, mid: MId, data) -> None:
+    """Apply one of MAP_EDITS to the map f into y, at the cell `mid` where
+    the edit names a cell."""
+    full, colors, n = tuple(range(y.d + 1)), mid[0], len(y.cells[mid[0]])
     if edit == "missing-key":
         del f[mid]
     elif edit == "wrong-colors":
@@ -870,6 +844,93 @@ def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, c
         shift = data.draw(st.integers(1, len(tops)))
         images = [f[t] for t in tops]
         f.update(zip(tops, images[shift:] + images[:shift]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
+       case=st.sampled_from(["identity", "quotient-map", "ball-isomorphism", "cover"]),
+       edit=st.sampled_from(MAP_EDITS), second=st.sampled_from(MAP_EDITS),
+       cycle_edit=st.sampled_from([None, *CYCLE_EDITS]),
+       side=st.sampled_from(["domain", "codomain"]), data=st.data())
+def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, second, cycle_edit,
+                                                    side, data):
+    """A valid map (the identity of a quotient, a ball's quotient map, the
+    coset ball onto the inductive one, a cover's projection) with two
+    corruptions at two cells, often of one color set, and maybe one of
+    CYCLE_EDITS in the domain or codomain: `check_morphism` by columns
+    gives the oracle's Diagnostics, the same messages in the same order;
+    neither raises."""
+    p = Params(d, k)
+    q = build_quotient(seeded_rep(d, k, m * k, seed))
+    if case == "identity":
+        x, y = q.complex, from_json(to_json(q.complex))
+        f = {mid: mid for mid in x.mids()}
+    elif case == "quotient-map":
+        ball = build_ball(p, data.draw(st.integers(0, 2)))
+        x, y, f = ball.complex, q.complex, quotient_map(ball, q)
+    elif case == "ball-isomorphism":
+        radius = data.draw(st.integers(0, 2))
+        x, y = ball_from_cosets(p, radius).complex, build_ball(p, radius).complex
+        f = find_isomorphism(x, y)
+    else:
+        assume(d >= 2 and len(q.complex.cells[(0,)]) >= 2)
+        y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
+        x, f = link_connected_cover(y)
+    first = data.draw(st.sampled_from(sorted(f)))
+    same = [mid for mid in sorted(f) if mid[0] == first[0] and mid != first]
+    others = same if same and data.draw(st.booleans()) else [mid for mid in sorted(f) if mid != first]
+    corrupt_map(f, y, edit, first, data)
+    if others:
+        corrupt_map(f, y, second, data.draw(st.sampled_from(others)), data)
     if cycle_edit is not None:
         edit_cycle(x if side == "domain" else y, cycle_edit, data)
     assert check_morphism(f, x, y) == check_morphism_oracle(f, x, y)
+
+
+STRUCTURE_EDITS = ["vertex-id", "facet-index", "vertex-color", "drop-last-cell"]
+
+
+def edit_structure(x: MComplex, edit: str, data) -> None:
+    """Apply one of STRUCTURE_EDITS to x at a drawn place: a vertex id of a
+    row set to -1, to n or to another vertex; a facet index set to -1, out
+    of range or to another cell; a vertex's color changed, maybe out of
+    range; or the last cell of a color set deleted."""
+    if edit == "vertex-color":
+        v = data.draw(st.integers(0, x.n_vertices - 1))
+        x.vertex_colors[v] = data.draw(st.sampled_from(
+            [c for c in range(x.d + 2) if c != x.vertex_colors[v]]))
+        return
+    sets = sorted(J for J, cells in x.cells.items()
+                  if cells.vertices and (edit != "facet-index" or len(J) >= 2))
+    assume(sets)
+    J = data.draw(st.sampled_from(sets))
+    cells, size = x.cells[J], len(J)
+    if edit == "drop-last-cell":
+        del cells.vertices[-size:]
+        del cells.faces[len(cells.vertices) :]  # a vertex color set has no faces
+        return
+    e = data.draw(st.integers(0, len(cells.vertices) - 1))
+    if edit == "vertex-id":
+        n = x.n_vertices
+        cells.vertices[e] = data.draw(st.sampled_from([-1, n]) | st.integers(0, n - 1))
+    else:
+        p = e % size
+        m = len(x.cells.get(J[:p] + J[p + 1 :], ()))
+        cells.faces[e] = data.draw(st.sampled_from([-1, m, m + 2]) | st.integers(0, max(m - 1, 0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
+       case=st.sampled_from(["quotient", "ball"]),
+       edits=st.lists(st.sampled_from(STRUCTURE_EDITS), min_size=1, max_size=3), data=st.data())
+def test_validate_structure_matches_the_per_cell_oracle(d, k, m, seed, case, edits, data):
+    """A small quotient or coset ball with one to three STRUCTURE_EDITS:
+    `validate_structure` gives the per-cell oracle's Diagnostics, the same
+    messages in the same order."""
+    if case == "quotient":
+        x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    else:
+        x = ball_from_cosets(Params(d, k), data.draw(st.integers(0, 2))).complex
+    for edit in edits:
+        edit_structure(x, edit, data)
+    assert validate_structure(x) == validate_structure_oracle(x)
