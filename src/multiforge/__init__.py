@@ -17,7 +17,7 @@ _MODULE = {name: module for module, names in {
     "universal": "Ball ball_from_cosets build_ball unique_non_backtracking",
     "quotient": "QuotientObject associated_subgroup_rep build_quotient"
     " complex_has_complete_skeleton complex_is_simplicial complex_line_graph"
-    " intersection_property is_upper_regular quotient_map",
+    " intersection_property quotient_map",
     "lcc": "link_connected_cover verify_universality",
     "spectral": "boundary_matrix lambda_arboreal lambda_building spectral_gap up_laplacian",
     "gallery": "coxeter_complex flag_complex m_subgroup_rep",

@@ -335,9 +335,9 @@ def crit_11_appendix_decompositions() -> str:
 
 def crit_12_coxeter() -> str:
     hexagon, rep3 = coxeter_complex([(1, 0, 2), (0, 2, 1)])
-    assert len(hexagon.top_cells()) == 6 and hexagon.n_vertices == 6
+    assert len(hexagon.cells[(0, 1)]) == 6 and hexagon.n_vertices == 6
     s4, rep4 = coxeter_complex([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)])
-    assert len(s4.top_cells()) == 24 and s4.n_vertices == 14
+    assert len(s4.cells[(0, 1, 2)]) == 24 and s4.n_vertices == 14
     assert rep3.n == 6 and rep4.n == 24
     for direct, rep in ((hexagon, rep3), (s4, rep4)):
         assert find_isomorphism(build_quotient(rep).complex, direct) is not None
@@ -346,9 +346,9 @@ def crit_12_coxeter() -> str:
 
 def crit_13_flag_complexes() -> str:
     f32 = flag_complex(3, 2)
-    assert f32.n_vertices == 14 and len(f32.top_cells()) == 21 == flag_count(3, 2)
+    assert f32.n_vertices == 14 and len(f32.cells[(0, 1)]) == 21 == flag_count(3, 2)
     f42 = flag_complex(4, 2)
-    assert len(f42.top_cells()) == 315 == flag_count(4, 2)
+    assert len(f42.cells[(0, 1, 2)]) == 315 == flag_count(4, 2)
     assert {c for J, col in coface_counts(f42).items() if len(J) == f42.d for c in col} == {3}
     return "S(3,2): 14 vertices / 21 flags; S(4,2): 315 flags, codimension-one degrees 3"
 

@@ -39,8 +39,8 @@ import reprlib
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from itertools import accumulate, chain, combinations, compress, repeat
-from operator import eq, itemgetter
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, repeat
+from operator import eq, is_, itemgetter, ne, not_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -165,10 +165,6 @@ class MComplex:
             raise KeyError(f"no multicell {mid}")
         return list(zip(_drops(colors), cells.faces[index * size : (index + 1) * size]))
 
-    def facet(self, mid: MId, l: int) -> MId:
-        """The facet of `mid` that drops color l."""
-        return self.facets(mid)[mid[0].index(l)]
-
     def has_cell(self, mid: MId) -> bool:
         colors, index = mid
         cells = self.cells.get(tuple(colors))
@@ -186,9 +182,6 @@ class MComplex:
     def vertex_cell(self, v: int) -> MId:
         c = self.vertex_colors[v]
         return ((c,), bisect_left(self.cells[(c,)].vertices, v))
-
-    def top_cells(self) -> list[Multicell]:
-        return list(self.multicells(self.d))
 
     def cycle(self, mid: MId) -> list[int] | None:
         """The ordering cycle of a (d-1)-multicell as top indices, or None."""
@@ -263,55 +256,61 @@ def check_consistency(x: MComplex) -> Diagnostics:
     return Diagnostics(not messages, messages)
 
 
-def _columns_hold(x: MComplex, cells: Cells, below: list[list[int]], count: list | None) -> bool:
-    """True if `validate_structure`'s per-cell checks pass on one color set, read
-    a column at a time (`below`: the facets' vertices; `count`: cofaces)."""
-    size, vertices, m = len(cells.colors), cells.vertices, len(cells)
-    if (vertices and not 0 <= min(vertices) <= max(vertices) < x.n_vertices) or any(
-        list(map(x.vertex_colors.__getitem__, vertices[q::size])).count(c) != m
-        for q, c in enumerate(cells.colors)
-    ):
-        return False
-    for p, lower in enumerate(below):
-        column = cells.faces[p::size]
-        if (column and not 0 <= min(column) <= max(column) < len(lower) // (size - 1)) or any(
-            list(map(lower[q :: size - 1].__getitem__, column)) != vertices[q + (q >= p) :: size]
-            for q in range(size - 1)
-        ):
-            return False
-    return count is None or 0 not in count
+def _differ(a: list, b: list) -> list[int]:
+    """The positions where the lists a and b differ, none if they are equal
+    as wholes, which is tested first."""
+    return [] if a == b else list(compress(count(), map(ne, a, b)))
+
+
+def _take(column: list[int], *tables: list) -> tuple[list[int], list[list]]:
+    """The positions where column holds no index of the tables, and for
+    each table, table[i] for each i of column (None at those positions)."""
+    n = min(map(len, tables))
+    if not column or 0 <= min(column) and max(column) < n:
+        return [], [list(map(table.__getitem__, column)) for table in tables]
+    outside = [e for e, i in enumerate(column) if not 0 <= i < n]
+    return outside, [[table[i] if 0 <= i < n else None for i in column] for table in tables]
 
 
 def validate_structure(x: MComplex) -> Diagnostics:
     """Well-formedness: `check_consistency`'s messages first, then vertex
-    colors, facet vertices, purity, degree bound, the `ordering_faults`
-    audit and cycle lengths, boundary flags that name (d-1)-multicells, and
-    the root.  Color order, dense indices and arity are the columns' own
-    shape, which the reader checks."""
+    colors out of range, then the multicells' faults, then the degree
+    bound, the `ordering_faults` audit and cycle lengths, boundary flags
+    that name (d-1)-multicells, and the root.  Color order, dense indices
+    and arity are the columns' own shape, which the reader checks.
+
+    Each rule on the multicells of a color set is one comparison of whole
+    columns that returns the cells breaking it: the colors of each vertex
+    column, each vertex column of the facets that drop one color against
+    the cells' own (a facet index that names no cell is
+    `check_consistency`'s fault), and the coface counts.  Messages are
+    written for those cells only, by cell and then rule."""
     return _validate_structure(x, coface_counts(x))
 
 
 def _validate_structure(x: MComplex, cofaces: dict[tuple[int, ...], list[int]]) -> Diagnostics:
-    d, k, n, vertex_colors = x.params.d, x.params.k, x.n_vertices, x.vertex_colors
+    d, k, vertex_colors = x.params.d, x.params.k, x.vertex_colors
     msgs = check_consistency(x).messages
     msgs += [f"vertex {v} has color {c} out of range" for v, c in enumerate(vertex_colors)
              if not 0 <= c <= d]
-    for colors, cells in x.cells.items():
-        size, subs, count = len(colors), _drops(colors), cofaces[colors]
-        below = [x.cells[sub].vertices if sub in x.cells else [] for sub in subs]
-        if _columns_hold(x, cells, below, count if size <= d else None):
-            continue  # whole columns agree: no message from this color set
-        for i in range(len(cells)):
-            mid, row = (colors, i), cells.vertices[i * size : (i + 1) * size]
-            for c, v in zip(colors, row):
-                if not (0 <= v < n and vertex_colors[v] == c):
-                    msgs.append(f"{mid}: vertex {v} does not carry color {c}")
-            for p, f in enumerate(cells.faces[i * size : (i + 1) * size]):
-                facet = below[p][f * (size - 1) : (f + 1) * (size - 1)]
-                if f >= 0 and facet and facet != row[:p] + row[p + 1 :]:
-                    msgs.append(f"{mid}: facet {(subs[p], f)} has wrong vertices")
-            if size <= d and not count[i]:
-                msgs.append(f"{mid}: not contained in any top multicell (impure)")
+    for J, cells in x.cells.items():
+        size, vertices, faults = len(J), cells.vertices, []
+        _, (carried,) = _take(vertices, vertex_colors)
+        for q, c in enumerate(J):
+            faults += [(i, q, f"{(J, i)}: vertex {vertices[i * size + q]} does not carry color {c}")
+                       for i in _differ(carried[q::size], [c] * len(cells))]
+        for p, sub in enumerate(_drops(J)):
+            lower = x.cells[sub].vertices if sub in x.cells else []
+            column, wrong = cells.faces[p::size], set()
+            dangling, facets = _take(column, *(lower[q :: size - 1] for q in range(size - 1)))
+            for q, got in enumerate(facets):
+                wrong.update(_differ(got, vertices[q + (q >= p) :: size]))
+            faults += [(i, size + p, f"{(J, i)}: facet {(sub, column[i])} has wrong vertices")
+                       for i in wrong.difference(dangling)]
+        if size <= d:
+            faults += [(i, 2 * size, f"{(J, i)}: not contained in any top multicell (impure)")
+                       for i in compress(count(), map(not_, cofaces[J]))]
+        msgs += [message for *_, message in sorted(faults)]
     msgs += [f"{(J, i)}: degree {deg} exceeds k={k}"
              for J in sorted(J for J in x.cells if len(J) == d) if max(cofaces[J], default=0) > k
              for i, deg in enumerate(cofaces[J]) if deg > k]
@@ -520,45 +519,50 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     root and the ordering.  Ordering equivariance is skipped at multicells
     flagged as boundary in the domain (radius-truncated complexes).
 
-    f is read once, as one image column per color set, and each color set
-    is checked by whole columns: the images' colors and indices, the
-    vertex rows through the vertex map, the faces columns of both
-    complexes, and the ordering cycles of both.  Nothing is taken from
-    `propagate_from_root`.  Only a color set whose columns disagree is
-    walked cell by cell, to write its messages; the messages and their
-    order are those of a cell-by-cell check."""
+    f is read once, as one image column per color set: f's index where the
+    image has the cell's colors, the image itself where it has others.
+    Each rule is one comparison of whole columns that returns the cells
+    breaking it: the images are cells of y, the image of each vertex
+    column is y's vertex column of the images, each faces column maps to
+    the images' faces column, and each ordering cycle steps with its
+    image's.  Messages are written for those cells only, by color set,
+    then cell, then rule, so they are those of a cell-by-cell check.
+    Nothing is taken from `propagate_from_root`."""
     order = sorted(x.cells, key=_by_size)
     images = {J: list(map(f.get, zip(repeat(J), range(len(x.cells[J]))))) for J in order}
     msgs = [f"map not defined on {(J, i)}"
             for J in order for i, img in enumerate(images[J]) if img is None]
     if msgs:
         return Diagnostics(False, msgs)
-    idx = {}  # J -> image indices, where every image is a multicell of y of colors J
-    for J, col in images.items():
-        ind = list(map(itemgetter(1), col))
-        if list(map(itemgetter(0), col)).count(J) == len(col) and (
-            not ind or 0 <= min(ind) <= max(ind) < len(y.cells.get(J, ()))
-        ):
-            idx[J] = ind
-    vertex_sets = [J for J in order if len(J) == 1]
-    if all(J in idx for J in vertex_sets):  # each vertex maps to one of its color
-        vmap = {v: y.cells[J].vertices[w] for J in vertex_sets
-                for v, w in zip(x.cells[J].vertices, idx[J])}
-    else:
-        vmap = {}
-        for v in range(x.n_vertices):
-            img = f[x.vertex_cell(v)]
-            if not y.has_cell(img) or len(img[0]) != 1:
-                msgs.append(f"vertex {v} maps to non-vertex {img}")
-                continue
-            vmap[v] = w = y.cells[tuple(img[0])].vertices[img[1]]
-            if y.vertex_colors[w] != x.vertex_colors[v]:
-                msgs.append(f"vertex {v}: color {x.vertex_colors[v]} not preserved")
-        if msgs:
-            return Diagnostics(False, msgs)
-    for J in order:
-        if len(J) >= 2 and not _images_hold(x, y, J, idx, vmap):
-            msgs += _image_messages(f, x, y, J, vmap)
+    columns = {J: _image_columns(J, col) for J, col in images.items()}
+    vmap, faults = {}, []
+    for J in (J for J in order if len(J) == 1):
+        vertices, col = x.cells[J].vertices, images[J]
+        outside, (ws,) = _take(columns[J][1], y.cells[J].vertices if J in y.cells else [])
+        faults += [(v, f"vertex {v} maps to non-vertex {img}"
+                    if not y.has_cell(img) or len(img[0]) != 1
+                    else f"vertex {v}: color {x.vertex_colors[v]} not preserved")
+                   for i in outside for v, img in [(vertices[i], col[i])]]
+        vmap.update(zip(vertices, ws))
+    if faults:
+        return Diagnostics(False, [message for _, message in sorted(faults)])
+    for J in (J for J in order if len(J) >= 2):
+        size, mine, col = len(J), x.cells[J], images[J]
+        theirs = y.cells.get(J) or Cells(J, [], [])
+        bad, found = _take(columns[J][1], *(theirs.vertices[q::size] for q in range(size)),
+                           *(theirs.faces[p::size] for p in range(size)))
+        faults = [(i, 0, f"{(J, i)}: image {col[i]} missing in codomain" if not y.has_cell(col[i])
+                   else f"{(J, i)}: image colors {tuple(col[i][0])} != {J}") for i in bad]
+        rows = set().union(*(_differ(found[q], list(map(vmap.get, mine.vertices[q::size])))
+                             for q in range(size)))
+        faults += [(i, 1, f"{(J, i)}: image is not induced by the vertex map") for i in rows.difference(bad)]
+        for p, sub in enumerate(_drops(J)):
+            column = mine.faces[p::size]
+            _, (glued,) = _take(column, columns[sub][0] if sub in columns else [])
+            faults += [(i, 2 + p, f"{(J, i)}: " + (f"facet {(sub, column[i])} missing in domain"
+                        if glued[i] is None else f"gluing not preserved at dropped color {J[p]}"))
+                       for i in _differ(glued, found[size + p]) if i not in bad]
+        msgs += [message for *_, message in sorted(faults)]
     if x.root is None or y.root is None:
         msgs.append("root missing on one side")
     elif not x.has_cell(x.root):
@@ -566,61 +570,67 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
+        tops = columns.get(tuple(x.params.colors), ([], []))[0]
         for J in (J for J in order if len(J) == x.d):
-            if not _cycles_hold(x, y, J, idx):
-                msgs += _cycle_messages(f, x, y, J)
+            faults = _cycle_faults(x, y, J, images[J], columns[J], tops)
+            msgs += [message for _, message in sorted(faults)]
     return Diagnostics(not msgs, msgs)
 
 
-def _images_hold(x: MComplex, y: MComplex, J: tuple[int, ...], idx: dict, vmap: dict) -> bool:
-    """True if `check_morphism` has no message for the cells of J, read a
-    column at a time: the images are cells of colors J, their vertex rows
-    are the vertex map of the rows, and the faces column of each dropped
-    color maps to the images' faces column."""
-    mine, ind, size = x.cells[J], idx.get(J), len(J)
-    if ind is None:
-        return False
-    if not ind:
-        return True
-    theirs = y.cells[J]
-    if any(list(map(theirs.vertices[q::size].__getitem__, ind))
-           != list(map(vmap.get, mine.vertices[q::size])) for q in range(size)):
-        return False
-    for p, sub in enumerate(_drops(J)):
-        below, column = idx.get(sub), mine.faces[p::size]
-        if below is None or not 0 <= min(column) <= max(column) < len(below) or (
-            list(map(below.__getitem__, column))
-            != list(map(theirs.faces[p::size].__getitem__, ind))
-        ):
-            return False
-    return True
+def _image_columns(J: tuple[int, ...], images: list[MId]) -> tuple[list, list[int]]:
+    """The image column of the cells of J and its index column: where an
+    image has the colors J, both hold its index; where it has others, the
+    image column holds the image and the index column -1.  Equal entries of
+    image columns are equal images."""
+    index = list(map(itemgetter(1), images))
+    if list(map(itemgetter(0), images)).count(J) == len(images):
+        return index, index
+    right = [img[0] == J for img in images]
+    return ([j if r else img for j, r, img in zip(index, right, images)],
+            [j if r else -1 for j, r in zip(index, right)])
 
 
-def _cycles_hold(x: MComplex, y: MComplex, J: tuple[int, ...], idx: dict) -> bool:
-    """True if `check_morphism` has no ordering message for the cells of J:
-    each cell off the domain's boundary and its image have cycles, and the
-    image of each top in a cycle is listed in the image's cycle, followed
-    by the image of the next top.  y's cycles of J are read as one step
-    map and one owner map, where a top's last listing counts, as in the
-    step map of a single cycle."""
-    tops, ind = idx.get(tuple(x.params.colors)), idx.get(J)
-    if tops is None or ind is None:
-        return False
-    mine, theirs = x.ordering.get(J) or [], y.ordering.get(J) or []
-    skip = {i for K, i in x.boundary if K == J}
-    cells = [i for i in range(len(ind)) if i not in skip]
-    images = list(map(ind.__getitem__, cells))
-    cycles = [mine[i] if i < len(mine) else None for i in cells]
-    if None in cycles or any(c >= len(theirs) or theirs[c] is None for c in images):
-        return False
+def _nones(column: list) -> list[int]:
+    """The positions of None in column."""
+    return list(compress(count(), map(is_, column, repeat(None))))
+
+
+def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], images: list[MId],
+                  columns: tuple[list, list[int]], tops: list) -> list[tuple[int, str]]:
+    """`check_morphism`'s ordering fault of each cell of J off the domain's
+    boundary, with its index: the cell has no cycle, its cycle lists a top
+    missing in the domain, its image has no cycle, or the image column of
+    the tops does not carry a step along its cycle to a step along the
+    image's (named at the first top where it fails; in one cycle a top's
+    last listing sets its step).  `columns` are `_image_columns` of J, and
+    `tops` is the image column of the top cells."""
+    (key, index), full, mine = columns, tuple(x.params.colors), x.ordering.get(J) or []
+    cells = list(map(itemgetter(1), filterfalse(x.boundary.__contains__,
+                                                zip(repeat(J), range(len(images))))))
+    cycles = list(map((mine + [None] * len(images)).__getitem__, cells))
     flat, after, owner = _listed(cycles)
-    their_flat, their_after, their_owner = _listed(theirs)
-    step, where = dict(zip(their_flat, their_after)), dict(zip(their_flat, their_owner))
-    if flat and not 0 <= min(flat) <= max(flat) < len(tops):
-        return False
-    u = list(map(tops.__getitem__, flat))
-    return (list(map(where.get, u)) == list(map(images.__getitem__, owner))
-            and list(map(step.get, u)) == list(map(tops.__getitem__, after)))
+    (outside, (at,)), (_, (then,)) = _take(flat, tops), _take(after, tops)
+    strays: dict[int, int] = {}
+    for e in outside:
+        strays.setdefault(owner[e], flat[e])
+    outside, (theirs,) = _take(list(map(index.__getitem__, cells)), y.ordering.get(J) or [])
+    for o in outside:  # an image of other colors, or none
+        theirs[o] = y.cycle(images[cells[o]])
+    owners = list(map(key.__getitem__, cells))  # the image of each cell in `cells`
+    distinct = dict(zip(owners, theirs))  # one cycle per image
+    their_flat, their_after, their_owner = _listed(list(distinct.values()))
+    step = dict(zip(zip(map(list(distinct).__getitem__, their_owner), their_flat), their_after))
+    first: dict[int, int] = {}
+    for e in _differ(list(map(step.get, zip(map(owners.__getitem__, owner), at))), then):
+        if owner[e] not in strays and theirs[owner[e]] is not None:
+            first.setdefault(owner[e], flat[e])
+    return ([(cells[o], f"{(J, cells[o])}: domain has no ordering cycle") for o in _nones(cycles)]
+            + [(cells[o], f"{(J, cells[o])}: ordering cycle lists {(full, t)}, missing in domain")
+               for o, t in strays.items()]
+            + [(cells[o], f"{(J, cells[o])}: image has no ordering cycle") for o in _nones(theirs)
+               if cycles[o] is not None and o not in strays]
+            + [(cells[o], f"{(J, cells[o])}: ordering not equivariant at {(full, t)}")
+               for o, t in first.items()])
 
 
 def _listed(cycles: list[list[int] | None]) -> tuple[list[int], list[int], list[int]]:
@@ -633,56 +643,6 @@ def _listed(cycles: list[list[int] | None]) -> tuple[list[int], list[int], list[
     for start, end in zip(accumulate([0] + sizes), accumulate(sizes)):
         after[end - 1] = flat[start]  # the last entry of a cycle steps to its first
     return flat, after, list(chain.from_iterable(map(repeat, kept, sizes)))
-
-
-def _image_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, ...],
-                    vmap: dict[int, int]) -> list[str]:
-    """`check_morphism`'s messages for the images of the cells of J, cell by cell."""
-    size, mine, theirs, msgs = len(J), x.cells[J], y.cells.get(J), []
-    for i, row in enumerate(mine.rows()):
-        mid, img = (J, i), f[(J, i)]
-        if not y.has_cell(img):
-            msgs.append(f"{mid}: image {img} missing in codomain")
-            continue
-        if tuple(img[0]) != J:
-            msgs.append(f"{mid}: image colors {tuple(img[0])} != {J}")
-            continue
-        j = img[1] * size
-        if theirs.vertices[j : j + size] != [vmap.get(v) for v in row]:
-            msgs.append(f"{mid}: image is not induced by the vertex map")
-        for p, sub in enumerate(_drops(J)):
-            facet = (sub, mine.faces[i * size + p])
-            if not x.has_cell(facet):
-                msgs.append(f"{mid}: facet {facet} missing in domain")
-            elif f[facet] != (sub, theirs.faces[j + p]):
-                msgs.append(f"{mid}: gluing not preserved at dropped color {J[p]}")
-    return msgs
-
-
-def _cycle_messages(f: dict[MId, MId], x: MComplex, y: MComplex, J: tuple[int, ...]) -> list[str]:
-    """`check_morphism`'s ordering messages for the cells of J, cycle by cycle."""
-    full, msgs = tuple(x.params.colors), []
-    n = len(x.cells.get(full, ()))
-    for mid in ((J, i) for i in range(len(x.cells[J]))):
-        if mid in x.boundary:
-            continue
-        cyc = x.cycle(mid)
-        if cyc is None:
-            msgs.append(f"{mid}: domain has no ordering cycle")
-            continue
-        if (stray := next((t for t in cyc if not 0 <= t < n), None)) is not None:
-            msgs.append(f"{mid}: ordering cycle lists {(full, stray)}, missing in domain")
-            continue
-        img_cyc = y.cycle(f[mid])
-        if img_cyc is None:
-            msgs.append(f"{mid}: image has no ordering cycle")
-            continue
-        step = {(full, a): (full, b) for a, b in zip(img_cyc, img_cyc[1:] + img_cyc[:1])}
-        for a, nxt in zip(cyc, cyc[1:] + cyc[:1]):
-            if step.get(f[(full, a)]) != f[(full, nxt)]:
-                msgs.append(f"{mid}: ordering not equivariant at {(full, a)}")
-                break
-    return msgs
 
 
 def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
@@ -709,11 +669,11 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
         return None, "both complexes must be rooted"
     if x.ordering is None or y.ordering is None:
         return None, "both complexes must be ordered"
-    if y.root[0] != x.root[0]:
-        raise KeyError(f"no multicell {y.root}")
     for z in (x, y):
         if not z.has_cell(z.root):
-            raise KeyError(f"no multicell {z.root}")
+            return None, f"root {z.root} names no multicell"
+    if y.root[0] != x.root[0]:
+        return None, f"roots {x.root} and {y.root} differ in colors"
     full = tuple(x.params.colors)
     if x.root[0] != full:  # a lower root: its facets have no ordering cycles
         b = next((b for b in x.facets(x.root) if b not in x.boundary), None)

@@ -238,10 +238,6 @@ def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition
     return orbit_partitions(rep)[tuple(c for c in range(len(rep.betas)) if c in color_set)]
 
 
-def stabilizer_contains(w: Word, rep: PermRep) -> bool:
-    return evaluate(w, rep.root, rep) == rep.root
-
-
 # -- uniform sampling of permutations with cycle lengths dividing k --------
 
 # A float decision closer than this to a boundary of the cumulative cycle

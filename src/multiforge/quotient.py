@@ -28,7 +28,7 @@ from .complexes import (
     nerve,
     ordering_faults,
 )
-from .permrep import OrbitPartition, PermRep, orbit_partitions, perm_cycles, require_valid
+from .permrep import OrbitPartition, PermRep, orbit_partitions, require_valid
 from .permrep import evaluate as rep_evaluate
 
 if TYPE_CHECKING:
@@ -107,12 +107,6 @@ def intersection_property(rep: PermRep) -> bool:
         for colors, part in parts.items()
         if len(colors) >= 2
     )
-
-
-def is_upper_regular(rep: PermRep) -> bool:
-    """Degree-k regularity: every cycle of every generator image has length
-    exactly k (no generator power stabilizes a point conjugate-wise)."""
-    return all(len(c) == rep.params.k for beta in rep.betas for c in perm_cycles(beta))
 
 
 def complex_is_upper_regular(x: MComplex) -> bool:

@@ -126,19 +126,3 @@ def lambda_building(q: int) -> float:
     if q < 2:
         raise ValueError("q must be >= 2")
     return q + 1 - 2.0 * sqrt(q + 1)
-
-
-class GapComparison(NamedTuple):
-    q: int
-    building: float
-    arboreal: float
-    building_exceeds: bool
-    meaningful: bool  # the building value is positive in this regime
-
-
-def building_vs_arboreal(q: int) -> GapComparison:
-    """Compare the building gap against the arboreal gap at (d, k) = (2, q+1).
-    A strict excess shows a covering can increase the gap."""
-    b = lambda_building(q)
-    t = lambda_arboreal(Params(2, q + 1))
-    return GapComparison(q, b, t, b > t, b > 0)

@@ -151,11 +151,3 @@ def unique_non_backtracking(b: Ball, t1: MId, t2: MId) -> list[MId]:
             )
         path.append(b.word_cell(acc))
     return path
-
-
-def tree_ball_vertex_count(p: Params, n: int) -> int:
-    """Closed-form vertex count of the radius-n ball for d=1 (the k-regular
-    tree around an edge): 2 * sum_{m=0..n} (k-1)^m."""
-    if p.d != 1:
-        raise ValueError("closed form is for d=1")
-    return 2 * sum((p.k - 1) ** m for m in range(n + 1))

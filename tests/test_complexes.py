@@ -39,7 +39,7 @@ from multiforge.complexes import (
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
-from multiforge.lcc import link_connected_cover
+from multiforge.lcc import link_connected_cover, verify_universality
 from multiforge.permrep import evaluate
 from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient, quotient_map
 from multiforge.universal import ball_from_cosets, build_ball
@@ -108,7 +108,7 @@ def test_link_of_vertex_in_simplex():
     lk = link_with_map(x, x.vertex_cell(0))[0]
     assert lk.params.d == 2
     assert lk.n_vertices == 3
-    assert len(lk.top_cells()) == 1
+    assert len(lk.cells[(0, 1, 2)]) == 1
     assert validate_structure(lk).ok
 
 
@@ -403,7 +403,7 @@ def face(x: MComplex, mid, colors):
     """The face of `mid` with the given colors, reached facet by facet by
     dropping the other colors in ascending order."""
     for l in (l for l in mid[0] if l not in colors):
-        mid = x.facet(mid, l)
+        mid = x.cell(mid).faces[l]
     return mid
 
 
@@ -558,7 +558,7 @@ def extension_oracle(f: dict, x: MComplex, y: MComplex, tops: list) -> dict:
         for order in permutations(top[0]):
             a, b = top, f[top]
             for l in order[:-1]:
-                a, b = x.facet(a, l), y.facet(b, l)
+                a, b = x.cell(a).faces[l], y.cell(b).faces[l]
                 images.setdefault(a, set()).add(b)
     return images
 
@@ -703,6 +703,26 @@ def test_cycle_is_none_off_the_cells():
     y = from_json(to_json(x))
     x.cells[(0, 1, 2)].faces[x.root[1] * 3 + 2] = -1
     assert propagate_from_root(x, y) == (None, f"cycle length mismatch at {(J, -1)}")
+
+
+def test_roots_of_other_colors_or_of_no_cell_are_refused_with_a_reason():
+    """Roots of different colors, or a root that names no cell on either
+    side, stop root propagation with a one-line reason: `find_isomorphism`
+    returns None and `verify_universality` refuses with that reason."""
+    q = build_quotient(seeded_rep(2, 3, 12, 1)).complex
+    ident, n = {mid: mid for mid in q.mids()}, len(q.cells[(0, 1, 2)])
+    for root, rerooted_first, reason in [
+        (((0, 1), 0), False, f"roots {q.root} and {((0, 1), 0)} differ in colors"),
+        (((0, 1), 0), True, f"roots {((0, 1), 0)} and {q.root} differ in colors"),
+        (((0, 1, 2), n), False, f"root {((0, 1, 2), n)} names no multicell"),
+        (((0, 1), -1), True, f"root {((0, 1), -1)} names no multicell"),
+    ]:
+        rerooted = from_json(to_json(q))
+        rerooted.root = root
+        x, y = (rerooted, q) if rerooted_first else (q, rerooted)
+        assert propagate_from_root(x, y) == (None, reason)
+        assert find_isomorphism(x, y) is None
+        assert verify_universality(x, ident, y, ident) == (False, None, reason)
 
 
 CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "replace", "swap", "no-cycle", "dangle"]

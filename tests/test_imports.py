@@ -62,7 +62,7 @@ def test_package_names_load_on_first_use():
     AttributeError."""
     import multiforge
 
-    assert len(set(multiforge.__all__)) == len(multiforge.__all__) == 45
+    assert len(set(multiforge.__all__)) == len(multiforge.__all__) == 44
     for name in multiforge.__all__:
         value = getattr(multiforge, name)
         assert value.__module__.startswith("multiforge."), name

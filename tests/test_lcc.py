@@ -88,7 +88,7 @@ def test_wedge_splits_into_disjoint_triangles():
     x = wedge()
     cover, proj = link_connected_cover(x)
     assert cover.n_vertices == 6
-    assert len(cover.top_cells()) == 2
+    assert len(cover.cells[(0, 1, 2)]) == 2
     assert is_link_connected(cover)
     assert validate_structure(cover).ok
     assert check_morphism(proj, cover, x).ok
@@ -245,7 +245,7 @@ def test_universality_detects_wrong_root():
     q = build_quotient(seeded_rep(2, 2, 6, 30))
     ident = {c.mid: c.mid for c in q.complex.multicells()}
     rerooted = build_quotient(seeded_rep(2, 2, 6, 30))
-    other_top = next(m.mid for m in rerooted.complex.top_cells() if m.mid != rerooted.complex.root)
+    other_top = next(m for m in rerooted.complex.mids(2) if m != rerooted.complex.root)
     rerooted.complex.root = other_top
     ok, _, _ = verify_universality(rerooted.complex, ident, q.complex, ident)
     assert not ok

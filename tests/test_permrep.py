@@ -35,7 +35,6 @@ from multiforge.permrep import (
     random_rep,
     require_valid,
     same_up_to_relabeling,
-    stabilizer_contains,
     validate,
 )
 from multiforge.words import EMPTY_WORD, Params, generator, multiply, parse_word, theta
@@ -236,14 +235,14 @@ def test_partition_matches_bfs_labels(case):
 
 
 def test_stabilizer_examples(rng):
-    assert stabilizer_contains(EMPTY_WORD, PATH_REP)
-    assert not stabilizer_contains(generator(0), PATH_REP)
+    assert evaluate(EMPTY_WORD, PATH_REP.root, PATH_REP) == PATH_REP.root
+    assert evaluate(generator(0), PATH_REP.root, PATH_REP) != PATH_REP.root
     rep = m_subgroup_rep(Params(2, 3))
     p = rep.params
     for _ in range(500):
         w = random_word(p, rng)
         expected = all(theta(w, i, p) == 0 for i in range(3))
-        assert stabilizer_contains(w, rep) == expected
+        assert (evaluate(w, rep.root, rep) == rep.root) == expected
 
 
 def test_stabilizer_closed_under_group_ops(rng):
@@ -252,12 +251,12 @@ def test_stabilizer_closed_under_group_ops(rng):
     members = []
     for _ in range(600):
         w = random_word(p, rng)
-        if stabilizer_contains(w, rep):
+        if evaluate(w, rep.root, rep) == rep.root:
             members.append(w)
     assert len(members) >= 2
     for u, v in zip(members, members[1:]):
-        assert stabilizer_contains(multiply(u, v, p), rep)
-        assert stabilizer_contains(u.inverse(), rep)
+        assert evaluate(multiply(u, v, p), rep.root, rep) == rep.root
+        assert evaluate(u.inverse(), rep.root, rep) == rep.root
 
 
 # -- sampler -------------------------------------------------------------------

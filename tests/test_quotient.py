@@ -30,7 +30,6 @@ from multiforge.quotient import (
     complex_is_upper_regular,
     complex_line_graph,
     intersection_property,
-    is_upper_regular,
     nerve_matches_base,
     orbit_quotient,
     quotient_map,
@@ -45,7 +44,7 @@ TRIVIAL = PermRep(Params(2, 2), 1, ((0,), (0,), (0,)), 0)
 def test_index_one_gives_single_simplex():
     q = build_quotient(TRIVIAL)
     assert q.complex.n_vertices == 3
-    assert len(q.complex.top_cells()) == 1
+    assert len(q.complex.cells[(0, 1, 2)]) == 1
     assert all(coface_counts(q.complex)[J] == [1] for J in [(0, 1), (0, 2), (1, 2)])
     assert complex_is_simplicial(q.complex) and complex_has_complete_skeleton(q.complex)
 
@@ -129,7 +128,7 @@ def test_top_cell_count_is_index():
     for seed in range(5):
         rep = seeded_rep(2, 3, 11, 400 + seed)
         q = build_quotient(rep)
-        assert len(q.complex.top_cells()) == rep.n
+        assert len(q.complex.cells[(0, 1, 2)]) == rep.n
 
 
 def test_degrees_divide_k():
@@ -154,11 +153,11 @@ def test_left_action_realizes_cosets():
 
 
 def test_upper_regular_examples():
-    assert is_upper_regular(m_subgroup_rep(Params(2, 3)))
-    assert not is_upper_regular(TRIVIAL)
+    assert complex_is_upper_regular(build_quotient(m_subgroup_rep(Params(2, 3))).complex)
+    assert not complex_is_upper_regular(build_quotient(TRIVIAL).complex)
     mixed = PermRep(Params(1, 4), 4, ((1, 2, 3, 0), (1, 0, 3, 2)), 0)
     assert validate(mixed).ok
-    assert not is_upper_regular(mixed)
+    assert not complex_is_upper_regular(build_quotient(mixed).complex)
 
 
 def test_complete_skeleton_examples():

@@ -11,7 +11,6 @@ from multiforge.universal import (
     PathExitsBall,
     ball_from_cosets,
     build_ball,
-    tree_ball_vertex_count,
     unique_non_backtracking,
 )
 from multiforge.words import (
@@ -29,13 +28,13 @@ def test_radius_zero_is_single_simplex():
     for build in (build_ball, ball_from_cosets):
         ball = build(Params(2, 2), 0)
         assert ball.complex.n_vertices == 3
-        assert len(ball.complex.top_cells()) == 1
+        assert len(ball.complex.cells[(0, 1, 2)]) == 1
         assert ball.cell_words[ball.complex.root] == EMPTY_WORD
 
 
 def test_figure_step_counts():
     ball = build_ball(Params(2, 2), 1)
-    assert len(ball.complex.top_cells()) == 4
+    assert len(ball.complex.cells[(0, 1, 2)]) == 4
     assert ball.complex.n_vertices == 6
 
 
@@ -43,14 +42,14 @@ def test_tree_ball_closed_form():
     p = Params(1, 3)
     for n in range(5):
         ball = build_ball(p, n)
-        assert ball.complex.n_vertices == tree_ball_vertex_count(p, n)
+        assert ball.complex.n_vertices == 2 * sum(2**m for m in range(n + 1))  # 2 sum (k-1)^m
         # tops: 1 + sum 2*(k-1)^m
-        assert len(ball.complex.top_cells()) == 1 + sum(2 * 2**m for m in range(1, n + 1))
+        assert len(ball.complex.cells[(0, 1)]) == 1 + sum(2 * 2**m for m in range(1, n + 1))
 
 
 def test_coset_ball_top_count():
     ball = ball_from_cosets(Params(2, 2), 2)
-    assert len(ball.complex.top_cells()) == 10  # 1 + 3 + 6 reduced words
+    assert len(ball.complex.cells[(0, 1, 2)]) == 10  # 1 + 3 + 6 reduced words
 
 
 def test_constructions_isomorphic():
@@ -91,7 +90,7 @@ def test_word_dictionary_is_bijective():
     ball = ball_from_cosets(p, 3)
     words = {w.letters for w in enumerate_reduced_words(p, 3)}
     assert {w.letters for w in ball.cell_words.values()} == words
-    assert len(ball.cell_words) == len(ball.complex.top_cells())
+    assert len(ball.cell_words) == len(ball.complex.cells[(0, 1, 2)])
 
 
 def test_interior_boundary_degrees():
@@ -116,7 +115,7 @@ def test_low_dimensional_degrees_grow_with_radius():
 
 def test_every_top_cell_sees_all_colors():
     ball = build_ball(Params(3, 2), 2)
-    for cell in ball.complex.top_cells():
+    for cell in ball.complex.multicells(3):
         assert sorted(ball.complex.vertex_colors[v] for v in cell.vertices) == [0, 1, 2, 3]
 
 
