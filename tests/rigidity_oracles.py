@@ -52,7 +52,8 @@ def validate_structure_oracle(x: MComplex) -> Diagnostics:
             if size <= d and not count[i]:
                 msgs.append(f"{mid}: not contained in any top multicell (impure)")
     for J in sorted(J for J in x.cells if len(J) == d):
-        msgs += [f"{(J, i)}: degree {deg} exceeds k={k}" for i, deg in enumerate(cofaces[J]) if deg > k]
+        msgs += [f"{(J, i)}: degree {deg} exceeds k={k}"
+                 for i, deg in enumerate(cofaces[J]) if deg > k]
     if x.ordering is not None:
         msgs += ordering_faults(x)
         for J, cycles in sorted(x.ordering.items()):

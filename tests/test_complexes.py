@@ -897,8 +897,9 @@ def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, s
         y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
         x, f = link_connected_cover(y)
     first = data.draw(st.sampled_from(sorted(f)))
-    same = [mid for mid in sorted(f) if mid[0] == first[0] and mid != first]
-    others = same if same and data.draw(st.booleans()) else [mid for mid in sorted(f) if mid != first]
+    others = [mid for mid in sorted(f) if mid != first]
+    same = [mid for mid in others if mid[0] == first[0]]
+    others = same if same and data.draw(st.booleans()) else others
     corrupt_map(f, y, edit, first, data)
     if others:
         corrupt_map(f, y, second, data.draw(st.sampled_from(others)), data)
