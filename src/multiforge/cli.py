@@ -22,7 +22,6 @@ print a usage error that lists them.
 from __future__ import annotations
 
 import argparse
-import os
 import reprlib
 import sys
 from typing import TYPE_CHECKING
@@ -45,12 +44,6 @@ def _write(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("FORGE_SEED", "0"))
 
 
 def _valid_complex(path: str) -> MComplex:
@@ -153,7 +146,7 @@ def cmd_random(args) -> int:
     from .permrep import format_rep, random_rep_retry
     from .words import Params
     p = Params(args.d, args.k)
-    rep, tries = random_rep_retry(p, args.n, seed=_seed(args))
+    rep, tries = random_rep_retry(p, args.n, seed=args.seed)
     if tries > 1:
         print(f"note: {tries - 1} intransitive draws rejected", file=sys.stderr)
     _write(args.out, format_rep(rep))
@@ -338,7 +331,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=None, help="defaults to $FORGE_SEED or 0")
+        p.add_argument("--seed", type=int, default=0, help="defaults to 0")
         add_out(p)
         p.set_defaults(func=cmd_random)
 

@@ -867,8 +867,9 @@ def from_simplicial(
 ) -> MComplex:
     """Pure multicomplex with multiplicity one from the distinct vertex sets
     of its top cells, top t being the multicell (all colors, t), rooted at
-    top 0.  The ordering is derived arbitrarily (cofaces in id order) and
-    only valid when each (d-1)-cell degree divides k."""
+    top 0.  The ordering cycles the tops around each (d-1)-cell in
+    ascending id order, a guarantee that `build_ball` relies on; it is
+    valid only when each (d-1)-cell degree divides k."""
     tops = []
     for t in map(set, top_vertex_sets):
         by_color = {vertex_colors[v]: v for v in t}

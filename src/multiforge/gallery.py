@@ -18,26 +18,15 @@ def m_subgroup_rep(p: Params) -> PermRep:
     """The index-k^(d+1) normal subgroup of words with all exponent sums
     zero: points are (Z/k)^(d+1), generator i adds one to coordinate i,
     rooted at the zero vector.  Its quotient is the complete (d+1)-partite
-    complex with parts of size k."""
+    complex with parts of size k.  Point q's base-k digits are its
+    coordinates, coordinate i in place s = k^(d-i), so generator i adds s
+    to q, or subtracts (k-1)*s where that digit is k-1 and wraps to 0."""
     d, k = p.d, p.k
     n = k ** (d + 1)
-
-    def encode(coords: tuple[int, ...]) -> int:
-        val = 0
-        for c in coords:
-            val = val * k + c
-        return val
-
-    points = list(product(range(k), repeat=d + 1))
     betas = []
     for i in range(d + 1):
-        images = []
-        for coords in points:
-            bumped = list(coords)
-            bumped[i] = (bumped[i] + 1) % k
-            images.append(encode(tuple(bumped)))
-        betas.append(tuple(images))
-    assert len(points) == n
+        s = k ** (d - i)
+        betas.append(tuple(q - (k - 1) * s if q // s % k == k - 1 else q + s for q in range(n)))
     return PermRep(p, n, tuple(betas), 0)
 
 

@@ -303,7 +303,10 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
     even k and the Euler step (Petersen) would already have found a split.
     On more than `EXACT_BOUND` vertices the search takes the first matching
     at each step and raises a one-line ValueError where it would try a second.
+    A negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if g.edges and all(e[2] is not None for e in g.edges):
         by_label: dict[object, set[int]] = {}
         for t, (_, _, label) in enumerate(g.edges):

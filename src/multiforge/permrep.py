@@ -468,7 +468,7 @@ def random_rep_retry(p: Params, n: int, seed: int) -> tuple[PermRep, int]:
     raise ValueError(f"no transitive sample in {_TRIES} tries (d={p.d}, k={p.k}, n={n})")
 
 
-# -- intersections and canonical form ---------------------------------------
+# -- intersections and isomorphism -----------------------------------------
 
 def intersect_reps(r1: PermRep, r2: PermRep) -> tuple[PermRep, list[tuple[int, int]]]:
     """Action on the diagonal orbit of (root1, root2); its root stabilizer is
@@ -499,38 +499,13 @@ def intersect_reps(r1: PermRep, r2: PermRep) -> tuple[PermRep, list[tuple[int, i
     return PermRep(r1.params, len(pairs), tuple(betas), 0), pairs
 
 
-def canonical_relabel(rep: PermRep) -> PermRep:
-    """Relabel points by BFS discovery order from the root (generators in
-    index order, then ascending power).  Two reps are equal up to a
-    root-fixing relabeling iff their canonical forms are identical."""
-    d, k, n = rep.params.d, rep.params.k, rep.n
-    order = [rep.root]
-    new_id = {rep.root: 0}
-    qi = 0
-    while qi < len(order):
-        p = order[qi]
-        qi += 1
-        for i in range(d + 1):
-            q = p
-            for _ in range(k - 1):
-                q = rep.betas[i][q]
-                if q not in new_id:
-                    new_id[q] = len(order)
-                    order.append(q)
-    if len(order) != n:
-        raise ValueError("rep is not transitive; canonical form undefined")
-    betas = []
-    for i in range(d + 1):
-        betas.append(tuple(new_id[rep.betas[i][order[t]]] for t in range(n)))
-    return PermRep(rep.params, n, tuple(betas), 0)
-
-
 def same_up_to_relabeling(r1: PermRep, r2: PermRep) -> bool:
-    return (
-        r1.params == r2.params
-        and r1.n == r2.n
-        and canonical_relabel(r1) == canonical_relabel(r2)
-    )
+    """Whether a root-fixing relabeling carries one rep onto the other.  The
+    diagonal orbit of the two roots (`intersect_reps`) projects onto each
+    rep, and has as many points as they do exactly when both projections
+    are bijections, which then compose to the relabeling.  Reps of equal
+    (d, k) and size must pass `require_valid`, else ValueError."""
+    return r1.params == r2.params and r1.n == r2.n == len(intersect_reps(r1, r2)[1])
 
 
 # -- text format -------------------------------------------------------------

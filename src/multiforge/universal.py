@@ -9,9 +9,9 @@ invariant ordering (cofaces cycled by ascending generator exponent).
 from __future__ import annotations
 
 from itertools import combinations, count
+from typing import NamedTuple
 
 from .complexes import MComplex, MId, complex_from_classes, from_simplicial
-from .records import Record
 from .words import (
     EMPTY_WORD,
     Params,
@@ -19,27 +19,16 @@ from .words import (
     enumerate_reduced_words,
     generator,
     multiply,
-    reduce_word,
 )
 
 
-class Ball(Record):
+class Ball(NamedTuple):
     """A finite ball of the arboreal complex, with the reduced word of each
     top multicell in `cell_words`."""
 
-    __slots__ = ("complex", "radius", "cell_words", "_by_letters")
-    _fields = __slots__[:3]
-
-    def __init__(self, complex: MComplex, radius: int, cell_words: dict[MId, Word]):
-        self.complex, self.radius, self.cell_words = complex, radius, cell_words
-        self._by_letters = {w.letters: mid for mid, w in cell_words.items()}
-
-    def word_cell(self, w: Word) -> MId:
-        key = reduce_word(w, self.complex.params).letters
-        return self._by_letters[key]
-
-    def has_word(self, w: Word) -> bool:
-        return reduce_word(w, self.complex.params).letters in self._by_letters
+    complex: MComplex
+    radius: int
+    cell_words: dict[MId, Word]
 
 
 class PathExitsBall(ValueError):
@@ -56,13 +45,9 @@ def build_ball(p: Params, n: int) -> Ball:
     vertex_colors = list(range(d + 1))
     tops: list[tuple[int, ...]] = [tuple(range(d + 1))]  # vertex sets
     words: list[Word] = [EMPTY_WORD]
-    # ordering cycles per (d-1) vertex set: list of top-cell indices
-    cycles: dict[tuple[int, ...], list[int]] = {}
-    frontier: list[tuple[tuple[int, ...], int]] = []  # ((d-1) vertex set, creator top)
-    for drop in range(d + 1):
-        facet = tuple(v for t, v in enumerate(tops[0]) if t != drop)
-        frontier.append((facet, 0))
-        cycles[facet] = [0]
+    frontier = [  # ((d-1) vertex set, creator top)
+        (tuple(v for v in tops[0] if v != drop), 0) for drop in range(d + 1)
+    ]
     for _ in range(n):
         new_frontier = []
         for facet, creator in frontier:
@@ -71,27 +56,22 @@ def build_ball(p: Params, n: int) -> Ball:
                 u = len(vertex_colors)
                 vertex_colors.append(missing)
                 top = tuple(sorted(facet + (u,)))
-                t_idx = len(tops)
-                tops.append(top)
                 # reduced as it stands: the creator's first letter has the color
                 # of its newest vertex, which the facet holds, so not `missing`
                 words.append(Word(((missing, l),) + words[creator].letters))
-                cycles[facet].append(t_idx)
-                for gone in facet:
-                    new_facet = tuple(sorted((set(top) - {gone})))
-                    new_frontier.append((new_facet, t_idx))
-                    cycles[new_facet] = [t_idx]
+                new_frontier += [(tuple(v for v in top if v != gone), len(tops)) for gone in facet]
+                tops.append(top)
         frontier = new_frontier
 
-    x = from_simplicial(p, vertex_colors, tops)  # tops[t] is x's top t, rooted at 0
-    cell_id = {  # the ball is simplicial: a (d-1)-cell is fixed by its vertex set
-        frozenset(row): (colors, i) for colors, cells in x.cells.items() if len(colors) == d
-        for i, row in enumerate(cells.rows())
-    }
-    for f, cyc in cycles.items():
-        colors, i = cell_id[frozenset(f)]
-        x.ordering[colors][i] = cyc
-    x.boundary = frozenset(cell_id[frozenset(f)] for f, cyc in cycles.items() if len(cyc) < k)
+    # tops[t] is x's top t, rooted at 0.  `from_simplicial` cycles the tops
+    # around each (d-1)-cell in id order, and ids follow attachment: first
+    # the top that created the cell, then the k-1 tops attached along it,
+    # by exponent.  That is the invariant ordering.  A cell with fewer than
+    # k tops was never attached along: it lies on the boundary.
+    x = from_simplicial(p, vertex_colors, tops)
+    x.boundary = frozenset(
+        (J, i) for J, cycles in x.ordering.items() for i, cyc in enumerate(cycles) if len(cyc) < k
+    )
     return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(words)})
 
 
@@ -141,13 +121,14 @@ def unique_non_backtracking(b: Ball, t1: MId, t2: MId) -> list[MId]:
     p = b.complex.params
     w1, w2 = b.cell_words[t1], b.cell_words[t2]
     u = multiply(w2, w1.inverse(), p)
+    by_letters = {w.letters: mid for mid, w in b.cell_words.items()}
     path = [t1]
     acc = w1
     for i, l in reversed(u.letters):
         acc = multiply(generator(i, l), acc, p)
-        if not b.has_word(acc):
+        if acc.letters not in by_letters:
             raise PathExitsBall(
                 f"good path needs the cell of word {acc.letters}, outside radius {b.radius}"
             )
-        path.append(b.word_cell(acc))
+        path.append(by_letters[acc.letters])
     return path

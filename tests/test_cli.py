@@ -140,6 +140,14 @@ def test_bad_path_or_word_is_one_error_line(tmp_path, capsys, argv, problem):
     assert errors[0].startswith("error: ") and problem in errors[0]
 
 
+def test_random_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("FORGE_SEED", "7")
+    default, zero = tmp_path / "default.txt", tmp_path / "zero.txt"
+    assert run(["random", "--d", 2, "--k", 3, "--n", 30, "--out", default]) == 0
+    assert run(["random", "--d", 2, "--k", 3, "--n", 30, "--seed", 0, "--out", zero]) == 0
+    assert default.read_text() == zero.read_text()
+
+
 def test_random_draws_large_transitive_1_2_reps(tmp_path):
     """Two random involutions are seldom transitive; the (1, 2) sampler
     draws a transitive pair directly, so 10^5 points take one draw."""
@@ -416,6 +424,16 @@ def test_graph_file_error_is_one_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [expected]
+
+
+@pytest.mark.parametrize("text", ["0\n", "2\n1 2\n"], ids=["empty-graph", "one-edge"])
+def test_decompose_refuses_a_negative_k(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert run(["decompose", path, "--k", -1]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: k must be >= 0, got -1"]
 
 
 def _graph_text(n: int, edges) -> str:

@@ -21,7 +21,6 @@ from multiforge.gallery import m_subgroup_rep
 from multiforge.permrep import (
     PermRep,
     allowed_cycle_lengths,
-    canonical_relabel,
     count_order_dividing,
     evaluate,
     format_rep,
@@ -393,24 +392,54 @@ def test_intersect_requires_same_params():
         intersect_reps(seeded_rep(1, 2, 4, 0), seeded_rep(2, 2, 4, 0))
 
 
-# -- canonical form and text -------------------------------------------------------
+# -- isomorphism and text ---------------------------------------------------------
 
-def test_canonical_relabel_fixes_root_and_is_invariant():
-    rep = seeded_rep(2, 2, 8, 30)
-    canon = canonical_relabel(rep)
-    assert canon.root == 0
-    # relabeling the points arbitrarily (fixing nothing) yields the same form
-    rng = random.Random(5)
-    sigma = list(range(rep.n))
-    rng.shuffle(sigma)
+def _relabeled(rep: PermRep, sigma: list[int]) -> PermRep:
+    """The copy of `rep` whose point t is rep's point sigma[t]."""
     inv = [0] * rep.n
     for t, s in enumerate(sigma):
         inv[s] = t
-    betas = tuple(
-        tuple(inv[beta[sigma[t]]] for t in range(rep.n)) for beta in rep.betas
+    betas = tuple(tuple(inv[beta[sigma[t]]] for t in range(rep.n)) for beta in rep.betas)
+    return PermRep(rep.params, rep.n, betas, inv[rep.root])
+
+
+def test_canonical_relabel_fixes_root_and_is_invariant():
+    rep = seeded_rep(2, 2, 8, 30)
+    # relabeling the points arbitrarily (fixing nothing) yields an isomorphic rep
+    rng = random.Random(5)
+    sigma = list(range(rep.n))
+    rng.shuffle(sigma)
+    assert same_up_to_relabeling(rep, _relabeled(rep, sigma))
+
+
+def _is_relabeling(sigma: tuple[int, ...], r1: PermRep, r2: PermRep) -> bool:
+    """Whether the bijection sigma carries r1's root to r2's and commutes
+    with every generator."""
+    return sigma[r1.root] == r2.root and all(
+        sigma[b1[x]] == b2[sigma[x]] for b1, b2 in zip(r1.betas, r2.betas) for x in range(r1.n)
     )
-    shuffled = PermRep(rep.params, rep.n, betas, inv[rep.root])
-    assert same_up_to_relabeling(rep, shuffled)
+
+
+def test_same_up_to_relabeling_matches_brute_force():
+    """On transitive reps of at most 5 points, each taken at every root and
+    as a shuffled copy, `same_up_to_relabeling` holds exactly when one of
+    the n! bijections is a root-fixing isomorphism."""
+    rng = random.Random(3)
+    reps = []
+    for d, k in [(1, 2), (1, 3), (2, 2), (2, 3)]:
+        for n in range(1, 6):
+            for rep in filter(None, (random_rep(Params(d, k), n, seed) for seed in range(3))):
+                for root in range(n):
+                    sigma = list(range(n))
+                    rng.shuffle(sigma)
+                    reps += [rep._replace(root=root), _relabeled(rep._replace(root=root), sigma)]
+    outcomes = Counter()
+    for r1, r2 in itertools.product(reps, repeat=2):
+        if r1.params == r2.params and r1.n == r2.n:
+            expected = any(_is_relabeling(s, r1, r2) for s in itertools.permutations(range(r1.n)))
+            assert same_up_to_relabeling(r1, r2) == expected, (r1, r2)
+            outcomes[expected] += 1
+    assert outcomes[True] > len(reps) and outcomes[False] > len(reps)
 
 
 def test_rep_text_round_trip():
