@@ -134,35 +134,35 @@ def _incident(g: Multigraph, avail: set[int]) -> list[list[int]]:
 
 def perfect_matchings(g: Multigraph, avail: set[int] | None = None) -> Iterator[set[int]]:
     """All perfect matchings within the available edge set, by backtracking
-    on the lowest uncovered vertex.  Exact; intended for desk-scale graphs."""
-    avail = set(range(len(g.edges))) if avail is None else set(avail)
-    inc = _incident(g, avail)
+    on the lowest uncovered vertex with an explicit stack.  Exact; intended
+    for desk-scale graphs."""
+    inc = _incident(g, set(range(len(g.edges))) if avail is None else set(avail))
     covered = [False] * g.n
 
-    def rec(v0: int) -> Iterator[set[int]]:
+    def other_end(v: int, e: int) -> int:
+        a, b, _ = g.edges[e]
+        return b if a == v else a
+
+    stack: list[tuple[int, int]] = []  # (vertex, position in inc[vertex]) of each chosen edge
+    v0, t = 0, 0
+    while True:
         while v0 < g.n and covered[v0]:
             v0 += 1
         if v0 == g.n:
-            yield set()
+            yield {inc[v][s] for v, s in reversed(stack)}
+        else:  # an edge at v0 is free when its other end is uncovered
+            t = next((s for s in range(t, len(inc[v0])) if not covered[other_end(v0, inc[v0][s])]),
+                     None)
+            if t is not None:
+                covered[v0] = covered[other_end(v0, inc[v0][t])] = True
+                stack.append((v0, t))
+                v0, t = v0 + 1, 0
+                continue
+        if not stack:
             return
-        for e in inc[v0]:
-            if e not in avail:
-                continue
-            u, v, _ = g.edges[e]
-            other = v if u == v0 else u
-            if other != v0 and covered[other]:
-                continue
-            covered[v0] = True
-            covered[other] = True
-            avail.discard(e)
-            for rest in rec(v0 + 1):
-                rest.add(e)
-                yield rest
-            avail.add(e)
-            covered[v0] = False
-            covered[other] = False
-
-    yield from rec(0)
+        v0, t = stack.pop()
+        covered[v0] = covered[other_end(v0, inc[v0][t])] = False
+        t += 1
 
 
 def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]] | None:
@@ -244,20 +244,32 @@ def _bipartite_perfect_matching(n: int, arcs: list[tuple[int, int]]) -> list[int
     match_in: dict[int, int] = {}  # in-vertex -> arc position
     match_out: dict[int, int] = {}
 
-    def augment(v: int, seen: set[int]) -> bool:
-        for t in outs.get(v, []):
-            b = arcs[t][1]
-            if b in seen:
+    def augment(root: int) -> bool:
+        """Match `root` along an augmenting path, searched depth first with
+        an explicit stack: each level takes the arcs out of its vertex in
+        order, skipping in-vertices already reached."""
+        seen: set[int] = set()
+        stack = [iter(outs.get(root, []))]
+        taken: list[int] = []  # the arc each level but the last went down by
+        while stack:
+            t = next((t for t in stack[-1] if arcs[t][1] not in seen), None)
+            if t is None:
+                stack.pop()
+                del taken[-1:]
                 continue
+            b = arcs[t][1]
             seen.add(b)
-            if b not in match_in or augment(arcs[match_in[b]][0], seen):
-                match_in[b] = t
-                match_out[v] = t
+            if b not in match_in:
+                for s in taken + [t]:
+                    match_in[arcs[s][1]] = s
+                    match_out[arcs[s][0]] = s
                 return True
+            taken.append(t)
+            stack.append(iter(outs.get(arcs[match_in[b]][0], [])))
         return False
 
     for v in active:
-        if v not in match_out and not augment(v, set()):
+        if v not in match_out and not augment(v):
             return None
     return sorted(match_out.values())
 
@@ -325,6 +337,7 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
 
     all_edges = set(range(len(g.edges)))
     memo: set[tuple[frozenset[int], int]] = set()
+    bipartite = g.is_bipartite()  # of the whole graph, so the same at every step
 
     def solve(avail: set[int], k_left: int) -> list[Factor] | None:
         if k_left == 0:
@@ -338,7 +351,7 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
             u, v, _ = g.edges[e]
             degs[u] += 2 if u == v else 1
             degs[v] += 0 if u == v else 1
-        if loopless and g.is_bipartite() and all(d == k_left for d in degs):
+        if loopless and bipartite and all(d == k_left for d in degs):
             out: list[Factor] = []
             rest = set(avail)
             for _ in range(k_left):

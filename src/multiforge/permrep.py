@@ -20,12 +20,11 @@ time and memory per permutation:
   uniform U, and picks the bucket of the cumulative law that holds u.
   When u is less than _MARGIN = 2^-36 from an end of its bucket, far more
   than the float error, the step is decided again in integers: the weights
-  (m-1)!/(m-l)! a[m-l] come from a window of k+1 terms of the recurrence
-  for a, and further bits of U are drawn until the interval known to hold
-  U lies inside one bucket.  Every step therefore follows the exact law.
-  The integer path moves the window from where the law's previous exact
-  step left it (`_CountWindow`), so all the exact steps of one draw move it
-  O(n) terms in all; it runs with probability about 2 * _MARGIN per step.
+  (m-1)!/(m-l)! a[m-l] come from the terms a[m-k..m], built from a[0] by
+  `_order_dividing_counts` in about m^2 log m bit operations, and further
+  bits of U are drawn until the interval known to hold U lies inside one
+  bucket.  Every step therefore follows the exact law.  The integer path
+  runs with probability about 2 * _MARGIN per step and boundary.
 - Placement.  One `rng.shuffle` of range(n) is cut into consecutive
   cycles of the drawn lengths.  Given the lengths, every permutation of
   that cycle type arises from prod l^c_l c_l! shuffles, the same number
@@ -263,15 +262,9 @@ def _order_dividing_counts(k: int) -> Iterator[int]:
         yield a_m
 
 
-def _order_dividing_table(n: int, k: int) -> list[int]:
-    """a[0..n] in full, the exact oracle for the sampler's tests.  a[n] has
-    about n log n bits, so the table is quadratic in n."""
-    return list(islice(_order_dividing_counts(k), n + 1))
-
-
 def count_order_dividing(n: int, k: int) -> int:
     """Number of permutations of [n] all of whose cycle lengths divide k."""
-    return _order_dividing_table(n, k)[n]
+    return next(islice(_order_dividing_counts(k), n, None))
 
 
 def _tail_products(q: list[float], lengths: list[int], m: int) -> list[float]:
@@ -300,42 +293,15 @@ def _ratio_table(n: int, k: int) -> list[float]:
     return q
 
 
-class _CountWindow:
-    """The window a[m-k..m] of `_order_dividing_counts` (a[0..m] when m < k),
-    moved one term at a time: up by the recurrence, down by solving the
-    recurrence of a[m-1] for its term in a[m-1-k], which is there because k
-    always divides k."""
-
-    def __init__(self, k: int):
-        self.k, self.lengths = k, allowed_cycle_lengths(k)
-        self.m, self.a = 0, deque([1], maxlen=k + 1)
-
-    def at(self, m: int) -> deque[int]:
-        k = self.k
-        if m < self.m - m:  # nearer a[0] than the window: start again there
-            self.m, self.a = 0, deque([1], maxlen=k + 1)
-        a = self.a
-        for t in range(self.m + 1, m + 1):  # the full deque drops a[t-k-1]
-            a.append(sum(math.perm(t - 1, l - 1) * a[-l] for l in self.lengths if l <= t))
-        for t in range(self.m - 1, m - 1, -1):  # a[t+1-k..t+1] -> a[t-k..t]
-            if t < k:
-                a.pop()
-            else:  # the full deque drops a[t+1]
-                rest = sum(math.perm(t - 1, l - 1) * a[-2 - l] for l in self.lengths[:-1])
-                a.appendleft((a[-2] - rest) // math.perm(t - 1, k - 1))
-        self.m = m
-        return a
-
-
-def _exact_length(m: int, counts: _CountWindow, lengths: list[int], u: float, rng: Random) -> int:
+def _exact_length(m: int, k: int, lengths: list[int], u: float, rng: Random) -> int:
     """The cycle length chosen by the real uniform U whose first 53 bits
     give `u`, decided in integers: bucket l takes U * a[m] in
     [S_{l-1}, S_l), S_l the partial sums of the weights
-    (m-1)!/(m-l)! * a[m-l] read off the window a[m-k..m] of the recurrence,
-    which `counts` moves from its last place.
+    (m-1)!/(m-l)! * a[m-l] read off the last terms a[m-k..m] of the
+    recurrence.
     While the dyadic interval [x, x+1) / 2^e known to hold U straddles a
     boundary, 32 more bits of U are drawn."""
-    window = counts.at(m)
+    window = deque(islice(_order_dividing_counts(k), m + 1), maxlen=k + 1)
     total = window[-1]
     weights = [math.perm(m - 1, l - 1) * window[-1 - l] for l in lengths]
     x, e = int(u * 2**53), 53
@@ -356,10 +322,9 @@ class _CycleLengthLaw:
     every draw."""
 
     def __init__(self, n: int, k: int):
-        self.n = n
+        self.n, self.k = n, k
         self.lengths = allowed_cycle_lengths(k)
         self.q = _ratio_table(n, k)
-        self.counts = _CountWindow(k)
 
     def probabilities(self, m: int) -> list[tuple[int, float]]:
         """(l, pi_l(m)) in floats for each allowed l <= m."""
@@ -376,7 +341,7 @@ class _CycleLengthLaw:
         u = rng.random()
         bounds = list(accumulate(p for _, p in probs[:-1]))  # inner boundaries
         if any(abs(u - b) < _MARGIN for b in bounds):
-            return _exact_length(m, self.counts, [l for l, _ in probs], u, rng)
+            return _exact_length(m, self.k, [l for l, _ in probs], u, rng)
         return probs[bisect_right(bounds, u)][0]
 
     def draw(self, rng: Random) -> Perm:

@@ -10,7 +10,7 @@ line-graph / Schreier identification, and the classification round trip.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -18,6 +18,7 @@ from .complexes import (
     MComplex,
     MId,
     _links_connected,
+    _listed,
     _validate_structure,
     base_complex,
     check_consistency,
@@ -162,14 +163,11 @@ def associated_subgroup_rep(x: MComplex) -> PermRep:
     for i in full:
         m = len(x.cells.get(full[:i] + full[i + 1 :], ()))
         cycles = (x.ordering.get(full[:i] + full[i + 1 :]) or [])[:m]
-        flat = list(chain.from_iterable(cycles)) if len(cycles) == m and None not in cycles else []
-        after = dict(zip(flat, flat[1:] + flat[:1]))  # right but at the end of each cycle
-        for cyc in filter(None, cycles):
-            after[cyc[-1]] = cyc[0]
-        betas.append(tuple(map(after.get, range(n))))
-        facets = map(faces[i :: len(full)].__getitem__, flat)  # each entry's own facet
-        owner = chain.from_iterable(map(repeat, range(m), map(len, cycles)))  # its cycle
-        if len(flat) != n or None in betas[-1] or list(facets) != list(owner):
+        flat, after, owner = _listed(cycles)
+        betas.append(tuple(map(dict(zip(flat, after)).get, range(n))))
+        facets = faces[i :: len(full)]  # each top's own facet
+        if (len(cycles) != m or None in cycles or len(flat) != n or None in betas[-1]
+                or list(map(facets.__getitem__, flat)) != owner):
             raise ValueError(next(ordering_faults(x)))
     return PermRep(x.params, n, tuple(betas), x.root[1])
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +12,22 @@ import numpy as np
 import pytest
 
 from multiforge import cli
-from multiforge.complexes import from_json, single_simplex, to_json_dict, validate_structure
-from multiforge.graphs import EXACT_BOUND
-from multiforge.permrep import parse_rep, validate
+from multiforge.complexes import (
+    from_json,
+    merge_vertices,
+    single_simplex,
+    to_json,
+    to_json_dict,
+    validate_structure,
+)
+from multiforge.gallery import coxeter_kernel_rep
+from multiforge.graphs import EXACT_BOUND, check_decomposition, parse_multigraph
+from multiforge.lcc import link_connected_cover
+from multiforge.permrep import format_rep, parse_rep, validate
+from multiforge.quotient import build_quotient
 from multiforge.spectral import boundary_matrix, up_laplacian
 from multiforge.words import Params
+from conftest import seeded_rep
 from test_complexes import figure_two_complex
 
 
@@ -523,6 +535,106 @@ def test_decompose_strategies_take_graphs_beyond_the_exact_bound(tmp_path, capsy
     assert n > EXACT_BOUND and run(["decompose", path, "--k", k]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"k: {k}" and all(f": {kind}: " in ln for ln in lines[2:])
+
+
+def _factors(g, out: str) -> list:
+    """The factors that `decompose` printed, as (kind, edge indices of g),
+    parallel edges taken in turn."""
+    free: dict[tuple[int, int], list[int]] = {}
+    for e, (u, v, _) in enumerate(g.edges):
+        free.setdefault((u, v), []).append(e)
+    factors = []
+    for ln in out.splitlines()[2:]:
+        _, kind, edges = ln.split(": ")
+        ends = (map(int, tok.split("-")) for tok in edges.split())
+        factors.append((kind, {free[(u - 1, v - 1)].pop() for u, v in ends}))
+    return factors
+
+
+def _shuffle_pairs(n: int) -> list[tuple[int, int]]:
+    """The edges v-sigma(v) and v-tau(v) of two shuffles of range(n): a
+    4-regular multigraph, loops counting two."""
+    rng, sigma, tau = random.Random(3), list(range(n)), list(range(n))
+    rng.shuffle(sigma)
+    rng.shuffle(tau)
+    return [(v, sigma[v]) for v in range(n)] + [(v, tau[v]) for v in range(n)]
+
+
+@pytest.mark.parametrize("name, n, edges, k", [
+    ("k33-copies", 2100, [(6 * t + a, 6 * t + 3 + b)
+                          for t in range(350) for a in range(3) for b in range(3)], 3),
+    ("two-shuffles", 6000, _shuffle_pairs(6000), 4),
+])
+def test_decompose_searches_deeper_than_the_recursion_limit(tmp_path, capsys, name, n, edges, k):
+    """The matching search on 350 disjoint K3,3 goes n/2 vertices deep, and
+    the Euler step's augmenting paths on the 4-regular graph run longer than
+    the interpreter's recursion limit: both search with explicit stacks."""
+    path = tmp_path / f"{name}.txt"
+    path.write_text(_graph_text(n, edges))
+    assert run(["decompose", path, "--k", k]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    g = parse_multigraph(path.read_text())
+    assert check_decomposition(g, _factors(g, captured.out), k)
+
+
+def _merged_22_quotient(tmp_path) -> Path:
+    """A (2,2) quotient with two vertices of color 0 merged, which is not
+    link-connected, as a complex file."""
+    x = build_quotient(seeded_rep(2, 2, 8, 1)).complex
+    v, w = [v for v in range(x.n_vertices) if x.vertex_colors[v] == 0][:2]
+    path = tmp_path / "merged.json"
+    path.write_text(to_json(merge_vertices(x, v, w)))
+    return path
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["quotient", "merged"])
+def test_lcc_map_writes_the_projection_sorted(tmp_path, merged):
+    x_path = _merged_22_quotient(tmp_path) if merged else build_m_quotient(tmp_path, 2, 3)
+    cover, map_path = tmp_path / "cover.json", tmp_path / "map.json"
+    assert run(["lcc", x_path, "--out", cover, "--map", map_path]) == 0
+    pairs = [((tuple(a[0]), a[1]), (tuple(b[0]), b[1]))
+             for a, b in ((e["from"], e["to"]) for e in json.loads(map_path.read_text()))]
+    assert pairs == sorted(link_connected_cover(from_json(x_path.read_text()))[1].items())
+    assert merged == any(a != b for a, b in pairs)
+    assert merged == (cover.read_text() != x_path.read_text())
+
+
+def test_coxeter_out_rep_writes_the_kernel_rep(tmp_path):
+    gens, rep = tmp_path / "gens.txt", tmp_path / "rep.txt"
+    gens.write_text("4\n2 1 3 4\n1 3 2 4\n1 2 4 3\n")  # S4 by its adjacent transpositions
+    assert run(["gallery", "coxeter", "--gens", gens, "--out", tmp_path / "x.json",
+                "--out-rep", rep]) == 0
+    perms = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]
+    assert rep.read_text() == format_rep(coxeter_kernel_rep(perms)[0])
+    assert parse_rep(rep.read_text()).n == 24
+
+
+def test_ordered_flag_complex_is_rooted_and_valid(tmp_path):
+    out = tmp_path / "flag.json"
+    assert run(["gallery", "flag", "--dim", 3, "--q", 2, "--ordered", "--out", out]) == 0
+    x = from_json(out.read_text())
+    assert x.root is not None and x.ordering is not None
+    assert validate_structure(x)
+
+
+def test_line_graph_dot_colors_each_edge_by_generator(tmp_path):
+    rep, plain, dot = tmp_path / "rep.txt", tmp_path / "lg.txt", tmp_path / "lg.dot"
+    assert run(["random", "--d", 2, "--k", 3, "--n", 30, "--seed", 4, "--out", rep]) == 0
+    assert run(["line-graph", "--rep", rep, "--out", plain]) == 0
+    assert run(["line-graph", "--rep", rep, "--dot", "--out", dot]) == 0
+    g = parse_multigraph(plain.read_text())
+    lines = dot.read_text().splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    nodes = [ln for ln in lines if "[label=" in ln and " -- " not in ln]
+    assert nodes == [f'  {v} [label="{v + 1}"];' for v in range(g.n)]
+    edges = [ln.split(" [")[0].split(" -- ") + [ln.split("color=")[1].split(",")[0]]
+             for ln in lines if " -- " in ln]
+    assert sorted((int(u), int(v)) for u, v, _ in edges) == [(u, v) for u, v, _ in g.edges]
+    betas = dict(zip(["black", "red", "blue"], parse_rep(rep.read_text()).betas))
+    assert {c for _, _, c in edges} == set(betas)
+    assert all(v in (betas[c][u], betas[c].index(u)) for u, v, c in
+               ((int(u), int(v), c) for u, v, c in edges))  # top t is point t of the rep
 
 
 @pytest.mark.parametrize("argv", [

@@ -560,9 +560,9 @@ def test_forced_exact_path_gives_the_same_draws(monkeypatch):
                for n, k, rng in ((n, k, random.Random(s)) for n, k, s in cases)]
     assert len(calls) > 1000
     assert widened == default
-    # n = 2000: one law serves three draws, so its count window moves down
-    # within a draw and up to the next; the sparser margin also makes it jump
-    # far down, where it starts again from a[0].
+    # n = 2000: one law serves three draws, and each exact step builds its
+    # terms a[m-k..m] from a[0], at any m from near 2000 down to the last
+    # steps of a draw; the sparser margin spaces those steps far apart.
     def three_draws():
         laws = ((permrep._CycleLengthLaw(2000, k), random.Random(s)) for k, s in ((3, 8), (6, 9)))
         return [[law.draw(rng) for _ in range(3)] for law, rng in laws]
@@ -576,18 +576,6 @@ def test_forced_exact_path_gives_the_same_draws(monkeypatch):
         assert three_draws() == default
         assert max(calls) > 1900 and len(calls) > (1000 if margin == 0.5 else 20), len(calls)
         calls.clear()
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 12])
-def test_count_window_moves_to_any_m(k):
-    """The window a[m-k..m] reached by any walk of steps and jumps is the
-    slice of the full table."""
-    table = permrep._order_dividing_table(300, k)
-    window, rng = permrep._CountWindow(k), random.Random(k)
-    for _ in range(300):
-        m = rng.choice([rng.randrange(301), max(0, window.m - rng.randrange(4)),
-                        min(300, window.m + rng.randrange(4))])
-        assert list(window.at(m)) == table[max(0, m - k) : m + 1], m
 
 
 class _RecordingRandom(random.Random):
@@ -612,7 +600,7 @@ def test_exact_step_refines_a_straddling_uniform(m, k):
     j = floor(first * 2**53)
     assert j < first * 2**53 < j + 1
     rng = _RecordingRandom(m)
-    l = permrep._exact_length(m, permrep._CountWindow(k), lengths, j / 2**53, rng)
+    l = permrep._exact_length(m, k, lengths, j / 2**53, rng)
     assert rng.words, "the 53-bit prefix alone cannot decide"
     x, e = j, 53
     for word in rng.words:
@@ -626,7 +614,7 @@ def test_exact_step_refines_a_straddling_uniform(m, k):
 def test_ratio_table_matches_exact_probabilities():
     worst = 0.0
     for k in (1, 2, 3, 4, 6):
-        a = permrep._order_dividing_table(2000, k)
+        a = list(itertools.islice(permrep._order_dividing_counts(k), 2001))
         law = permrep._CycleLengthLaw(2000, k)
         for m in range(1, 2001):
             for l, p in law.probabilities(m):
