@@ -10,6 +10,7 @@ from math import sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .complexes import (
+    CellMap,
     MComplex,
     check_morphism,
     coface_counts,
@@ -359,11 +360,11 @@ def crit_14_common_cover() -> str:
         r1, _ = random_rep_retry(Params(d, k), n, seed=4000 + t)
         r2, _ = random_rep_retry(Params(d, k), n, seed=5000 + t)
         r3, pairs = intersect_reps(r1, r2)
-        q3, full = build_quotient(r3), tuple(range(d + 1))
+        q3 = build_quotient(r3)
         for side, r in ((0, r1), (1, r2)):
             q = build_quotient(r)
-            f = {(full, p): (full, pair[side]) for p, pair in enumerate(pairs)}
-            assert extend_down(f, q3.complex, q.complex, list(f)) is None, (d, k, n, side)
+            f = extend_down([pair[side] for pair in pairs], q3.complex, q.complex)
+            assert isinstance(f, CellMap), (d, k, n, side)
             assert check_morphism(f, q3.complex, q.complex), (d, k, n, side)
             assert is_surjective(f, q.complex), (d, k, n, side)
     return "5 pairs: diagonal intersection covers both factors via checked epimorphisms"

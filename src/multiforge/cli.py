@@ -97,13 +97,11 @@ def cmd_lcc(args) -> int:
     x = _valid_complex(args.complex)
     cover, proj = link_connected_cover(x)
     _write(args.out, to_json(cover))
-    if args.map:
-        import json
-        entries = [
-            {"from": [list(src[0]), src[1]], "to": [list(dst[0]), dst[1]]}
-            for src, dst in sorted(proj.items())
-        ]
-        _write(args.map, json.dumps(entries, separators=(",", ":")) + "\n")
+    if args.map:  # the JSON list of sorted(proj.items()), one color set at a time
+        parts = (",".join(f'{{"from":[[{c}],{i}],"to":[[{c}],{j}]}}'
+                          for i, j in enumerate(proj.columns[J]) if j is not None)
+                 for J in sorted(proj.columns) for c in [",".join(map(str, J))])
+        _write(args.map, "[" + ",".join(filter(None, parts)) + "]\n")
     return 0
 
 

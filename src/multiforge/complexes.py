@@ -30,6 +30,10 @@ the in-memory layout is the file layout.
   order, the indices of its top cofaces in cycle order (null where a cell
   has no cycle).  `MComplex.ordering` holds these lists, keyed by J.
 - `root` is null or a multicell id [colors, index]; `boundary` lists ids.
+
+A morphism is a `CellMap`, read-only behind `Mapping`: one image column of
+indices per color set.  The morphism code returns it, and reads any other
+Mapping into such columns.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ from __future__ import annotations
 import json
 import reprlib
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Mapping
 from functools import cache
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, repeat
-from operator import eq, is_, itemgetter, ne, not_
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, repeat
+from operator import eq, is_, is_not, itemgetter, ne, not_
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .records import Record
 from .words import Params
@@ -514,51 +519,94 @@ def base_complex(x: MComplex) -> frozenset:
 
 # -- morphisms -------------------------------------------------------------------
 
-def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
+class CellMap(Mapping):
+    """A map of multicells that keeps their colors, as one image column per
+    color set: (J, i) maps to (J, columns[J][i]), and a None entry leaves
+    it undefined.  Read-only; iterates in `mids()` order."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict[tuple[int, ...], list[int | None]]):
+        self.columns = columns
+
+    def __getitem__(self, mid: MId) -> MId:
+        colors, i = mid if type(mid) is tuple and len(mid) == 2 else ((), None)
+        column = self.columns.get(colors, ())
+        if not (isinstance(i, int) and 0 <= i < len(column)) or column[i] is None:
+            raise KeyError(mid)
+        return colors, column[i]
+
+    def __iter__(self) -> Iterator[MId]:
+        for J in sorted(self.columns, key=_by_size):
+            yield from zip(repeat(J), compress(count(), map(is_not, self.columns[J], repeat(None))))
+
+    def __len__(self) -> int:
+        return sum(len(column) - column.count(None) for column in self.columns.values())
+
+    def __repr__(self) -> str:
+        return f"CellMap({self.columns!r})"
+
+
+def _image_columns(f: Mapping[MId, MId], x: MComplex) -> dict[tuple[int, ...], list]:
+    """f over the multicells of x, one column per color set: the image's
+    index where it has the cell's colors, the image itself where it has
+    others, None where f is undefined; a `CellMap` holds these columns."""
+    columns = {}
+    for J, n in ((J, len(cells)) for J, cells in x.cells.items()):
+        if isinstance(f, CellMap):
+            column = f.columns.get(J, [])
+            columns[J] = column if len(column) == n else (column + [None] * n)[:n]
+        else:
+            columns[J] = [img if img is None or img[0] != J else img[1]
+                          for img in map(f.get, zip(repeat(J), range(n)))]
+    return columns
+
+
+def check_morphism(f: Mapping[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     """Verify f is a simplicial multimap preserving coloring, gluing, the
     root and the ordering.  Ordering equivariance is skipped at multicells
     flagged as boundary in the domain (radius-truncated complexes).
 
-    f is read once, as one image column per color set: f's index where the
-    image has the cell's colors, the image itself where it has others.
-    Each rule is one comparison of whole columns that returns the cells
-    breaking it: the images are cells of y, the image of each vertex
-    column is y's vertex column of the images, each faces column maps to
-    the images' faces column, and each ordering cycle steps with its
-    image's.  Messages are written for those cells only, by color set,
-    then cell, then rule, so they are those of a cell-by-cell check.
-    Nothing is taken from `propagate_from_root`."""
+    f is read once, as `_image_columns`; the index columns hold -1 where an
+    image has other colors.  Each rule is one comparison of whole columns
+    that returns the cells breaking it: the images are cells of y, vertex
+    columns map to y's vertex columns of the images, faces columns to the
+    images' faces columns, and each ordering cycle steps with its image's.
+    Messages are written for those cells only, by color set, then cell,
+    then rule, so they are those of a cell-by-cell check, which takes
+    nothing from `propagate_from_root`."""
     order = sorted(x.cells, key=_by_size)
-    images = {J: list(map(f.get, zip(repeat(J), range(len(x.cells[J]))))) for J in order}
-    msgs = [f"map not defined on {(J, i)}"
-            for J in order for i, img in enumerate(images[J]) if img is None]
+    keys = _image_columns(f, x)
+    msgs = [f"map not defined on {(J, i)}" for J in order for i in _nones(keys[J])]
     if msgs:
         return Diagnostics(False, msgs)
-    columns = {J: _image_columns(J, col) for J, col in images.items()}
+    index = {J: [-1 if type(j) is tuple else j for j in col] if tuple in set(map(type, col)) else col
+             for J, col in keys.items()}
     vmap, faults = {}, []
     for J in (J for J in order if len(J) == 1):
-        vertices, col = x.cells[J].vertices, images[J]
-        outside, (ws,) = _take(columns[J][1], y.cells[J].vertices if J in y.cells else [])
+        vertices = x.cells[J].vertices
+        outside, (ws,) = _take(index[J], y.cells[J].vertices if J in y.cells else [])
         faults += [(v, f"vertex {v} maps to non-vertex {img}"
                     if not y.has_cell(img) or len(img[0]) != 1
                     else f"vertex {v}: color {x.vertex_colors[v]} not preserved")
-                   for i in outside for v, img in [(vertices[i], col[i])]]
+                   for i in outside for v, img in [(vertices[i], f[(J, i)])]]
         vmap.update(zip(vertices, ws))
     if faults:
         return Diagnostics(False, [message for _, message in sorted(faults)])
     for J in (J for J in order if len(J) >= 2):
-        size, mine, col = len(J), x.cells[J], images[J]
+        size, mine = len(J), x.cells[J]
         theirs = y.cells.get(J) or Cells(J, [], [])
-        bad, found = _take(columns[J][1], *(theirs.vertices[q::size] for q in range(size)),
+        bad, found = _take(index[J], *(theirs.vertices[q::size] for q in range(size)),
                            *(theirs.faces[p::size] for p in range(size)))
-        faults = [(i, 0, f"{(J, i)}: image {col[i]} missing in codomain" if not y.has_cell(col[i])
-                   else f"{(J, i)}: image colors {tuple(col[i][0])} != {J}") for i in bad]
+        faults = [(i, 0, f"{(J, i)}: image {img} missing in codomain" if not y.has_cell(img)
+                   else f"{(J, i)}: image colors {tuple(img[0])} != {J}")
+                  for i in bad for img in [f[(J, i)]]]
         rows = set().union(*(_differ(found[q], list(map(vmap.get, mine.vertices[q::size])))
                              for q in range(size)))
         faults += [(i, 1, f"{(J, i)}: image is not induced by the vertex map") for i in rows.difference(bad)]
         for p, sub in enumerate(_drops(J)):
             column = mine.faces[p::size]
-            _, (glued,) = _take(column, columns[sub][0] if sub in columns else [])
+            _, (glued,) = _take(column, keys[sub] if sub in keys else [])
             faults += [(i, 2 + p, f"{(J, i)}: " + (f"facet {(sub, column[i])} missing in domain"
                         if glued[i] is None else f"gluing not preserved at dropped color {J[p]}"))
                        for i in _differ(glued, found[size + p]) if i not in bad]
@@ -570,24 +618,10 @@ def check_morphism(f: dict[MId, MId], x: MComplex, y: MComplex) -> Diagnostics:
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
-        tops = columns.get(tuple(x.params.colors), ([], []))[0]
+        tops = keys.get(tuple(x.params.colors), [])
         for J in (J for J in order if len(J) == x.d):
-            faults = _cycle_faults(x, y, J, images[J], columns[J], tops)
-            msgs += [message for _, message in sorted(faults)]
+            msgs += [message for _, message in sorted(_cycle_faults(x, y, J, keys[J], index[J], tops))]
     return Diagnostics(not msgs, msgs)
-
-
-def _image_columns(J: tuple[int, ...], images: list[MId]) -> tuple[list, list[int]]:
-    """The image column of the cells of J and its index column: where an
-    image has the colors J, both hold its index; where it has others, the
-    image column holds the image and the index column -1.  Equal entries of
-    image columns are equal images."""
-    index = list(map(itemgetter(1), images))
-    if list(map(itemgetter(0), images)).count(J) == len(images):
-        return index, index
-    right = [img[0] == J for img in images]
-    return ([j if r else img for j, r, img in zip(index, right, images)],
-            [j if r else -1 for j, r in zip(index, right)])
 
 
 def _nones(column: list) -> list[int]:
@@ -595,19 +629,19 @@ def _nones(column: list) -> list[int]:
     return list(compress(count(), map(is_, column, repeat(None))))
 
 
-def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], images: list[MId],
-                  columns: tuple[list, list[int]], tops: list) -> list[tuple[int, str]]:
+def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], key: list, index: list[int],
+                  tops: list) -> list[tuple[int, str]]:
     """`check_morphism`'s ordering fault of each cell of J off the domain's
     boundary, with its index: the cell has no cycle, its cycle lists a top
     missing in the domain, its image has no cycle, or the image column of
     the tops does not carry a step along its cycle to a step along the
     image's (named at the first top where it fails; in one cycle a top's
-    last listing sets its step).  `columns` are `_image_columns` of J, and
-    `tops` is the image column of the top cells."""
-    (key, index), full, mine = columns, tuple(x.params.colors), x.ordering.get(J) or []
+    last listing sets its step).  `key` and `index` are J's image and index
+    columns, and `tops` is the image column of the top cells."""
+    full, mine = tuple(x.params.colors), x.ordering.get(J) or []
     cells = list(map(itemgetter(1), filterfalse(x.boundary.__contains__,
-                                                zip(repeat(J), range(len(images))))))
-    cycles = list(map((mine + [None] * len(images)).__getitem__, cells))
+                                                zip(repeat(J), range(len(key))))))
+    cycles = list(map((mine + [None] * len(key)).__getitem__, cells))
     flat, after, owner = _listed(cycles)
     (outside, (at,)), (_, (then,)) = _take(flat, tops), _take(after, tops)
     strays: dict[int, int] = {}
@@ -615,7 +649,7 @@ def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], images: list[MId
         strays.setdefault(owner[e], flat[e])
     outside, (theirs,) = _take(list(map(index.__getitem__, cells)), y.ordering.get(J) or [])
     for o in outside:  # an image of other colors, or none
-        theirs[o] = y.cycle(images[cells[o]])
+        theirs[o] = y.cycle(img if type(img := key[cells[o]]) is tuple else (J, img))
     owners = list(map(key.__getitem__, cells))  # the image of each cell in `cells`
     distinct = dict(zip(owners, theirs))  # one cycle per image
     their_flat, their_after, their_owner = _listed(list(distinct.values()))
@@ -645,12 +679,14 @@ def _listed(cycles: list[list[int] | None]) -> tuple[list[int], list[int], list[
     return flat, after, list(chain.from_iterable(map(repeat, kept, sizes)))
 
 
-def is_surjective(f: dict[MId, MId], y: MComplex) -> bool:
-    image = set(f.values())
-    return all(mid in image for mid in y.mids())
+def is_surjective(f: Mapping[MId, MId], y: MComplex) -> bool:
+    """Whether every multicell of y is an image, read one color set at a time."""
+    images = ({J: set(column) for J, column in f.columns.items()} if isinstance(f, CellMap) else
+              {J: {j for _, j in group} for J, group in groupby(sorted(f.values()), itemgetter(0))})
+    return all(images.get(J, set()).issuperset(range(len(cells))) for J, cells in y.cells.items())
 
 
-def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, str]:
+def propagate_from_root(x: MComplex, y: MComplex) -> tuple[CellMap | None, str]:
     """The root-to-root label propagation behind isomorphism and
     universality: generator i moves a top cell to the next top in the
     ordering cycle of its facet that misses color i, and a morphism
@@ -701,10 +737,9 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None
                 return None, f"ordering conflict at {(full, t)}"
     if None in img:
         return None, "root component does not reach every top cell"
-    f = dict(zip(zip(repeat(full), range(len(img))), zip(repeat(full), img)))
-    bad = extend_down(f, x, y, list(f))
-    if bad is not None:
-        return None, f"lower cell {bad} has ambiguous image"
+    f = extend_down(img, x, y)
+    if not isinstance(f, CellMap):
+        return None, f"lower cell {f} has ambiguous image"
     return f, "ok"
 
 
@@ -725,48 +760,39 @@ def _moves(x: MComplex, i: int) -> tuple[list[int], list[int], list[int | None]]
     return facets, list(map(Counter(owner).get, facets, repeat(0))), list(map(steps.get, range(n)))
 
 
-def extend_down(f: dict[MId, MId], x: MComplex, y: MComplex, tops: Iterable[MId]) -> MId | None:
-    """Extend `f` in place from the given top cells to all their faces: the
-    facet of a cell that drops color l maps to the facet of its image that
-    drops l.  Color set by color set from the top down, the (x, y) index
-    pairs reached become one image column, and each dropped color pairs the
-    faces columns of x and y.  Every (cell, dropped color) pair is checked,
-    also where `f` is defined, and `f` is written once at the end.  Returns
-    a multicell that gets two images, else None; an image that is not a
-    multicell of y of the same colors raises KeyError."""
-    pairs: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}  # J -> (x, y) indices
-    for a in tops:
-        if (b := f[a])[0] != a[0]:
-            raise KeyError(f"no multicell {b}")
-        us, ws = pairs.setdefault(a[0], ([], []))
-        us.append(a[1])
-        ws.append(b[1])
-    given = {J: len(us) for J, (us, _) in pairs.items()}
-    images: dict[tuple[int, ...], dict[int, int]] = {}  # J -> image column
-    for size in range(x.d + 1, 0, -1):
-        for J in sorted(J for J in pairs if len(J) == size):
-            us, ws = pairs[J]
-            col, theirs = dict(zip(us, ws)), y.cells.get(J)
-            if list(map(col.__getitem__, us)) != ws:
-                return next((J, u) for u, w in zip(us, ws) if col[u] != w)
-            images[J], mine, img = col, list(col), list(col.values())
-            if theirs is None or not 0 <= min(img) <= max(img) < len(theirs):
-                raise KeyError(f"no multicell {next((J, j) for j in img if not y.has_cell((J, j)))}")
-            for p, sub in enumerate(_drops(J)):
-                below = pairs.setdefault(sub, ([], []))
-                below[0].extend(map(x.cells[J].faces[p::size].__getitem__, mine))
-                below[1].extend(map(theirs.faces[p::size].__getitem__, img))
-    for J, col in images.items():
-        if len(pairs[J][0]) == given.get(J):
-            continue  # the given cells alone, which f holds
-        keys, img = list(zip(repeat(J), col)), list(zip(repeat(J), col.values()))
-        if list(map(f.get, keys, img)) != img:
-            return next(a for a, b in zip(keys, img) if f.get(a, b) != b)
-        f.update(zip(keys, img))
-    return None
+def extend_down(tops: Sequence[int], x: MComplex, y: MComplex) -> CellMap | MId:
+    """The map that sends top t of x to top tops[t] of y, extended to all
+    the tops' faces: the facet of a cell that drops color l maps to the
+    facet of its image that drops l.  From the top down, each dropped color
+    pairs x's faces column at the cells reached with y's at their images;
+    these pairs fill the facets' image column, and then each is checked
+    against it.  Returns the map, or the first multicell that gets two
+    images; a facet index of x or an image that names no cell raises
+    KeyError."""
+    full, columns = tuple(x.params.colors), {}
+    pairs = {full: [(range(len(tops)), list(tops))]}  # J -> its (x, y) index pairs
+    for J in (J for size in range(len(full), 0, -1) for J in combinations(full, size) if J in pairs):
+        column = columns[J] = [None] * len(x.cells.get(J, ()))
+        for us, ws in pairs[J]:
+            if us and not 0 <= min(us) <= max(us) < len(column):
+                raise KeyError(f"no multicell {next((J, u) for u in us if not x.has_cell((J, u)))}")
+            deque(map(column.__setitem__, us, ws), 0)  # the last pair of a cell is kept
+        for us, ws in pairs.pop(J):
+            if list(map(column.__getitem__, us)) != ws:
+                return next((J, u) for u, w in zip(us, ws) if column[u] != w)
+        theirs, size = y.cells.get(J), len(J)
+        keep = None if None not in column else list(map(is_not, column, repeat(None)))
+        images = column if keep is None else list(compress(column, keep))
+        if images and (theirs is None or not 0 <= min(images) <= max(images) < len(theirs)):
+            raise KeyError(f"no multicell {next((J, j) for j in images if not y.has_cell((J, j)))}")
+        for p, sub in enumerate(_drops(J) if images else ()):
+            us = x.cells[J].faces[p::size]
+            pairs.setdefault(sub, []).append((us if keep is None else list(compress(us, keep)),
+                                              list(map(theirs.faces[p::size].__getitem__, images))))
+    return CellMap(columns)
 
 
-def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
+def find_isomorphism(x: MComplex, y: MComplex) -> CellMap | None:
     """Root-to-root label propagation.
 
     Objects of the category are rigid: a morphism is forced by the root
@@ -780,10 +806,9 @@ def find_isomorphism(x: MComplex, y: MComplex) -> dict[MId, MId] | None:
         return None
     counts_x = {k: len(v) for k, v in x.cells.items()}
     counts_y = {k: len(v) for k, v in y.cells.items()}
-    if counts_x != counts_y or len(set(f.values())) != len(f):
-        return None
-    ok = check_morphism(f, x, y)
-    return f if ok else None
+    if counts_x != counts_y or any(len(set(col)) < len(col) for col in f.columns.values()):
+        return None  # not a bijection, read one image column at a time
+    return f if check_morphism(f, x, y) else None
 
 
 # -- constructions -----------------------------------------------------------------

@@ -13,9 +13,17 @@ twice gives the same complex.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import compress, count, repeat
+
 from .complexes import (
+    CellMap,
     MComplex,
     MId,
+    _by_size,
+    _differ,
+    _image_columns,
+    _nones,
     check_morphism,
     extend_down,
     is_surjective,
@@ -24,7 +32,7 @@ from .complexes import (
 from .quotient import associated_subgroup_rep, orbit_quotient
 
 
-def link_connected_cover(x: MComplex) -> tuple[MComplex, dict[MId, MId]]:
+def link_connected_cover(x: MComplex) -> tuple[MComplex, CellMap]:
     """The link-connected cover of an ordered complex rooted at a top cell,
     plus the projection onto the input (a surjective morphism).
 
@@ -35,26 +43,24 @@ def link_connected_cover(x: MComplex) -> tuple[MComplex, dict[MId, MId]]:
     ValueError on an unordered or unrooted input, on a root that is not a
     top cell, with the first fault of x's ordering, and when the projection
     is ill-defined on a lower cell."""
-    proj = {top: top for top in x.mids(x.d)}
     cover, _ = orbit_quotient(associated_subgroup_rep(x))
-    bad = extend_down(proj, cover, x, list(proj))
-    if bad is not None:
-        raise ValueError(f"cover projection ill-defined at {bad}")
-    cover.boundary = frozenset(m for m in cover.mids(x.d - 1) if proj[m] in x.boundary)
+    proj = extend_down(range(len(x.cells[tuple(x.params.colors)])), cover, x)
+    if not isinstance(proj, CellMap):
+        raise ValueError(f"cover projection ill-defined at {proj}")
+    cover.boundary = frozenset(
+        (J, i) for J, column in proj.columns.items() if len(J) == x.d
+        for i in compress(count(), map(x.boundary.__contains__, zip(repeat(J), column))))
     return cover, proj
 
 
-def verify_universality(
-    z: MComplex,
-    phi: dict[MId, MId],
-    y: MComplex,
-    pi: dict[MId, MId],
-) -> tuple[bool, dict[MId, MId] | None, str]:
+def verify_universality(z: MComplex, phi: Mapping[MId, MId], y: MComplex,
+                        pi: Mapping[MId, MId]) -> tuple[bool, CellMap | None, str]:
     """Factor phi: Z -> X through pi: Y -> X by root propagation.
 
     Builds psi: Z -> Y with pi . psi = phi when Z is link-connected and both
     maps are epimorphisms onto the same target; reports the offending
-    multicell otherwise, also where phi or pi is not defined."""
+    multicell otherwise, the first in `mids()` order, also where phi or pi
+    is not defined.  pi . psi and phi are compared as image columns."""
     psi, why = propagate_from_root(z, y)
     if psi is None:
         return False, None, why
@@ -63,11 +69,11 @@ def verify_universality(
         return False, None, "; ".join(ok.messages[:3])
     if not is_surjective(psi, y):
         return False, None, "factoring map is not surjective"
-    for mid, img in psi.items():
-        if img not in pi:
-            return False, None, f"pi is not defined on {img}"
-        if mid not in phi:
-            return False, None, f"phi is not defined on {mid}"
-        if pi[img] != phi[mid]:
-            return False, None, f"pi . psi != phi at {mid}"
+    over, under, mine = _image_columns(pi, y), _image_columns(phi, z), _image_columns(psi, z)
+    for J in sorted(z.cells, key=_by_size):
+        composed = list(map(over.get(J, []).__getitem__, mine[J]))
+        if (i := min(_differ(composed, under[J]) + _nones(composed), default=None)) is not None:
+            return False, None, (f"pi is not defined on {(J, mine[J][i])}" if composed[i] is None
+                                 else f"phi is not defined on {(J, i)}" if under[J][i] is None
+                                 else f"pi . psi != phi at {(J, i)}")
     return True, psi, "ok"

@@ -425,7 +425,11 @@ _TRIES = 64  # draws `random_rep_retry` makes before it gives up
 def random_rep_retry(p: Params, n: int, seed: int) -> tuple[PermRep, int]:
     """Call `random_rep` with seed `_try_seed(seed, t)` for t = 0, 1, ...
     until the action is transitive, at most `_TRIES` times; returns (rep,
-    tries used)."""
+    tries used).  With n >= 2 and no divisor of k in 2..n, the identity is
+    the only permutation with cycle lengths dividing k: refused undrawn."""
+    if n >= 2 and all(p.k % l for l in range(2, min(p.k, n) + 1)):
+        raise ValueError(f"no transitive action on {n} points: only the identity has cycle "
+                         f"lengths dividing k={p.k} (d={p.d}, k={p.k}, n={n})")
     for t in range(_TRIES):
         rep = random_rep(p, n, _try_seed(seed, t))
         if rep is not None:

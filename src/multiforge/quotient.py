@@ -15,8 +15,8 @@ from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import (
+    CellMap,
     MComplex,
-    MId,
     _links_connected,
     _listed,
     _validate_structure,
@@ -127,16 +127,15 @@ def complex_has_complete_skeleton(x: MComplex) -> bool:
     )
 
 
-def quotient_map(ball: Ball, q: QuotientObject) -> dict[MId, MId]:
+def quotient_map(ball: Ball, q: QuotientObject) -> CellMap:
     """The unique morphism from the ball into the quotient: the cell of the
     coset of g maps to the orbit class of the point reached by g."""
     if ball.complex.params != q.rep.params:
         raise ValueError("ball and quotient must share (d, k)")
-    full = tuple(q.rep.params.colors)
-    f = {top: (full, rep_evaluate(w, q.rep.root, q.rep)) for top, w in ball.cell_words.items()}
-    bad = extend_down(f, ball.complex, q.complex, list(f))
-    if bad is not None:
-        raise ValueError(f"quotient map ill-defined at {bad}")
+    tops = [rep_evaluate(w, q.rep.root, q.rep) for w in ball.cell_words.values()]
+    f = extend_down(tops, ball.complex, q.complex)
+    if not isinstance(f, CellMap):
+        raise ValueError(f"quotient map ill-defined at {f}")
     return f
 
 

@@ -24,7 +24,7 @@ from .words import (
 
 class Ball(NamedTuple):
     """A finite ball of the arboreal complex, with the reduced word of each
-    top multicell in `cell_words`."""
+    top multicell in `cell_words`, in top order."""
 
     complex: MComplex
     radius: int

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from multiforge.complexes import (
+    CellMap,
     Diagnostics,
     MComplex,
     MId,
@@ -173,10 +174,10 @@ def propagate_oracle(x: MComplex, y: MComplex) -> tuple[dict[MId, MId] | None, s
     tops = list(x.mids(x.d))
     if any(m not in f for m in tops):
         return None, "root component does not reach every top cell"
-    bad = extend_down(f, x, y, tops)
-    if bad is not None:
-        return None, f"lower cell {bad} has ambiguous image"
-    return f, "ok"
+    g = extend_down([f[top][1] for top in tops], x, y)
+    if not isinstance(g, CellMap):
+        return None, f"lower cell {g} has ambiguous image"
+    return g, "ok"
 
 
 def coset_ball_oracle(p: Params, n: int) -> Ball:

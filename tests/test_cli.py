@@ -168,6 +168,31 @@ def test_random_draws_large_transitive_1_2_reps(tmp_path):
     assert validate(parse_rep(rep.read_text())).ok
 
 
+@pytest.mark.parametrize("d, k, n", [(2, 3, 2), (1, 5, 4), (1, 7, 6), (3, 9, 2)])
+def test_random_refuses_a_size_with_no_transitive_action(tmp_path, capsys, monkeypatch, d, k, n):
+    """No divisor of k lies in 2..n, so every generator is the identity:
+    one error line, and no draw is made."""
+    monkeypatch.setattr("multiforge.permrep.random_rep", None)
+    assert run(["random", "--d", d, "--k", k, "--n", n, "--seed", 1, "--out", tmp_path / "r"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: no transitive action on {n} points: only the identity has cycle lengths "
+        f"dividing k={k} (d={d}, k={k}, n={n})\n")
+
+
+@pytest.mark.parametrize("d, k, n, text", [
+    (1, 5, 5, "1 5 5 1\n3 5 4 2 1\n4 5 2 3 1\n"),
+    (2, 3, 3, "2 3 3 1\n1 2 3\n2 3 1\n2 3 1\n"),
+])
+def test_random_still_draws_the_smallest_sizes_that_have_one(tmp_path, d, k, n, text):
+    """A divisor l of k in 2..n gives generators of l-cycles on staggered
+    blocks that act transitively; these sizes draw the reps they drew
+    before the refusal."""
+    rep = tmp_path / "rep.txt"
+    assert run(["random", "--d", d, "--k", k, "--n", n, "--seed", 1, "--out", rep]) == 0
+    assert rep.read_text() == text
+
+
 def _dangling_simplex():
     doc = to_json_dict(single_simplex(Params(2, 2)))
     triangle = next(cell for cell in doc["cells"] if cell["colors"] == [0, 1, 2])

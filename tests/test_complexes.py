@@ -12,6 +12,7 @@ from conftest import seeded_rep
 from multiforge.acceptance import _merge_fixture
 from multiforge.complexes import (
     EMPTY_CELL,
+    CellMap,
     Cells,
     Diagnostics,
     MComplex,
@@ -28,6 +29,7 @@ from multiforge.complexes import (
     from_simplicial,
     is_link_connected,
     is_lower_path_connected,
+    is_surjective,
     link_with_map,
     merge_vertices,
     nerve,
@@ -569,15 +571,15 @@ EXTENSIONS = ["quotient-map", "cover", "merged-cover", "ball-isomorphism"]
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 3), seed=st.integers(0, 10**6),
        case=st.sampled_from(EXTENSIONS), repoint=st.sampled_from([None, "domain", "codomain"]),
-       preset=st.sampled_from([None, "agrees", "differs"]), data=st.data())
-def test_extend_down_matches_brute_force(d, k, m, seed, case, repoint, preset, data):
+       data=st.data())
+def test_extend_down_matches_brute_force(d, k, m, seed, case, repoint, data):
     """A map fixed on the top cells of a radius-2 ball into a quotient, of a
     cover (of a quotient, or of one with two vertices merged) onto its base,
     or of the coset ball onto the inductive one, maybe with one facet
-    re-pointed in either complex and one lower cell mapped beforehand.
-    `extend_down` returns None iff no face gets two images by
-    `extension_oracle`, and then extends f to the oracle's map; otherwise
-    the cell it names gets two."""
+    re-pointed in either complex.  `extend_down` of the tops' image column
+    returns a CellMap iff no face gets two images by `extension_oracle`,
+    and then it is f on the tops and the oracle's map below; otherwise the
+    cell it names gets two."""
     p, full = Params(d, k), tuple(range(d + 1))
     if case == "quotient-map":
         rep, ball = seeded_rep(d, k, m * k, seed), build_ball(p, 2)
@@ -594,21 +596,15 @@ def test_extend_down_matches_brute_force(d, k, m, seed, case, repoint, preset, d
         x, f = link_connected_cover(y)[0], {top: top for top in y.mids(d)}
     if repoint is not None:
         repoint_facet(x if repoint == "domain" else y, data, lambda n: st.integers(0, n - 1))
-    tops = list(f)
+    tops = sorted(f)
+    assert tops == list(x.mids(d))
     oracle = extension_oracle(f, x, y, tops)
-    if preset is not None:
-        cell = data.draw(st.sampled_from(sorted(oracle)))
-        others = sorted({(cell[0], j) for j in range(len(y.cells[cell[0]]))} - oracle[cell])
-        assume(preset == "agrees" or others)
-        f[cell] = min(oracle[cell]) if preset == "agrees" else data.draw(st.sampled_from(others))
-        oracle[cell].add(f[cell])
-    g = dict(f)
-    bad = extend_down(g, x, y, tops)
+    g = extend_down([f[top][1] for top in tops], x, y)
     doubled = {a for a, images in oracle.items() if len(images) > 1}
     if doubled:
-        assert bad in doubled
+        assert g in doubled
     else:
-        assert bad is None
+        assert isinstance(g, CellMap)
         assert g == {**f, **{a: min(images) for a, images in oracle.items()}}
 
 
@@ -866,6 +862,38 @@ def corrupt_map(f: dict, y: MComplex, edit: str, mid: MId, data) -> None:
         f.update(zip(tops, images[shift:] + images[:shift]))
 
 
+def library_map(d: int, k: int, m: int, seed: int, case: str,
+                data) -> tuple[MComplex, MComplex, CellMap]:
+    """A complex x, a complex y and the library's map from x to y: the
+    identity of a quotient (`find_isomorphism` of it and its copy), a ball's
+    quotient map, the coset ball onto the inductive one, a cover's
+    projection onto a quotient with two vertices merged, or, for "impure",
+    the propagation from a quotient with one vertex added into the quotient,
+    undefined at that vertex."""
+    p = Params(d, k)
+    q = build_quotient(seeded_rep(d, k, m * k, seed))
+    if case in ("identity", "impure"):
+        x, y = from_json(to_json(q.complex)), q.complex
+        if case == "impure":
+            x.cells[(0,)].vertices.append(x.n_vertices)
+            x.vertex_colors.append(0)
+            f, _ = propagate_from_root(x, y)
+            assert f.columns[(0,)][-1] is None
+            return x, y, f
+        return x, y, find_isomorphism(x, y)
+    if case == "quotient-map":
+        ball = build_ball(p, data.draw(st.integers(0, 2)))
+        return ball.complex, q.complex, quotient_map(ball, q)
+    if case == "ball-isomorphism":
+        radius = data.draw(st.integers(0, 2))
+        x, y = ball_from_cosets(p, radius).complex, build_ball(p, radius).complex
+        return x, y, find_isomorphism(x, y)
+    assume(d >= 2 and len(q.complex.cells[(0,)]) >= 2)
+    y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
+    cover, proj = link_connected_cover(y)
+    return cover, y, proj
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
        case=st.sampled_from(["identity", "quotient-map", "ball-isomorphism", "cover"]),
@@ -880,22 +908,8 @@ def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, s
     CYCLE_EDITS in the domain or codomain: `check_morphism` by columns
     gives the oracle's Diagnostics, the same messages in the same order;
     neither raises."""
-    p = Params(d, k)
-    q = build_quotient(seeded_rep(d, k, m * k, seed))
-    if case == "identity":
-        x, y = q.complex, from_json(to_json(q.complex))
-        f = {mid: mid for mid in x.mids()}
-    elif case == "quotient-map":
-        ball = build_ball(p, data.draw(st.integers(0, 2)))
-        x, y, f = ball.complex, q.complex, quotient_map(ball, q)
-    elif case == "ball-isomorphism":
-        radius = data.draw(st.integers(0, 2))
-        x, y = ball_from_cosets(p, radius).complex, build_ball(p, radius).complex
-        f = find_isomorphism(x, y)
-    else:
-        assume(d >= 2 and len(q.complex.cells[(0,)]) >= 2)
-        y = merge_vertices(q.complex, *q.complex.cells[(0,)].vertices[:2])
-        x, f = link_connected_cover(y)
+    x, y, f = library_map(d, k, m, seed, case, data)
+    f = dict(f)  # a copy that corrupt_map can edit
     first = data.draw(st.sampled_from(sorted(f)))
     others = [mid for mid in sorted(f) if mid != first]
     same = [mid for mid in others if mid[0] == first[0]]
@@ -906,6 +920,38 @@ def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, s
     if cycle_edit is not None:
         edit_cycle(x if side == "domain" else y, cycle_edit, data)
     assert check_morphism(f, x, y) == check_morphism_oracle(f, x, y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6),
+       case=st.sampled_from(["identity", "quotient-map", "ball-isomorphism", "cover", "impure"]),
+       cycle_edit=st.sampled_from(CYCLE_EDITS), side=st.sampled_from(["domain", "codomain"]),
+       data=st.data())
+def test_cell_map_reads_as_its_dict_copy(d, k, m, seed, case, cycle_edit, side, data):
+    """Each map the library returns is a CellMap equal to its dict copy,
+    iterated in `mids()` order, and it answers `get`, `in` and `len` as the
+    copy does; a cell where it is undefined, an index out of range and a
+    color set it has no column for raise KeyError.  `check_morphism` and
+    `is_surjective` read it as they read the copy, before and after one of
+    CYCLE_EDITS in the domain or codomain."""
+    x, y, f = library_map(d, k, m, seed, case, data)
+    copy = dict(f)
+    assert isinstance(f, CellMap) and f == copy and copy == f and len(f) == len(copy)
+    assert list(f) == list(copy) == [mid for mid in x.mids() if mid in copy]
+    missing = [mid for mid in x.mids() if mid not in copy]
+    assert (case == "impure") == bool(missing)
+    wrong = [(J, i) for J, cells in x.cells.items() for i in (-1, len(cells), len(cells) + 2)]
+    wrong += [(tuple(range(d + 2)), 0), ((), 0), ((0,), "0"), "not a cell"]
+    for mid in [*x.mids(), *wrong]:
+        assert f.get(mid) == copy.get(mid) and (mid in f) == (mid in copy)
+    for mid in missing + wrong:
+        with pytest.raises(KeyError):
+            f[mid]
+    for edit in (None, cycle_edit):
+        if edit is not None:
+            edit_cycle(x if side == "domain" else y, edit, data)
+        assert check_morphism(f, x, y) == check_morphism(copy, x, y)
+        assert is_surjective(f, y) == is_surjective(copy, y)
 
 
 STRUCTURE_EDITS = ["vertex-id", "facet-index", "vertex-color", "drop-last-cell"]
