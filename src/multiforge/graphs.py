@@ -94,21 +94,9 @@ def cycle_edges(g: Multigraph, cyc: list[int], color: int, k: int) -> None:
 
 # -- matchings and 2-factors ------------------------------------------------------
 
-def is_perfect_matching(g: Multigraph, chosen: set[int]) -> bool:
-    cover = [0] * g.n
-    for e in chosen:
-        u, v, _ = g.edges[e]
-        if u == v:
-            cover[u] += 1
-        else:
-            cover[u] += 1
-            cover[v] += 1
-    return all(c == 1 for c in cover)
-
-
-def is_two_factor(g: Multigraph, chosen: set[int]) -> bool:
-    loops = [0] * g.n
-    ends = [0] * g.n
+def _cover_counts(g: Multigraph, chosen: set[int]) -> tuple[list[int], list[int]]:
+    """Per vertex, the loops at it and the ends of other edges at it."""
+    loops, ends = [0] * g.n, [0] * g.n
     for e in chosen:
         u, v, _ = g.edges[e]
         if u == v:
@@ -116,10 +104,15 @@ def is_two_factor(g: Multigraph, chosen: set[int]) -> bool:
         else:
             ends[u] += 1
             ends[v] += 1
-    return all(
-        (loops[v] == 1 and ends[v] == 0) or (loops[v] == 0 and ends[v] == 2)
-        for v in range(g.n)
-    )
+    return loops, ends
+
+
+def is_perfect_matching(g: Multigraph, chosen: set[int]) -> bool:
+    return all(l + e == 1 for l, e in zip(*_cover_counts(g, chosen)))
+
+
+def is_two_factor(g: Multigraph, chosen: set[int]) -> bool:
+    return all((l, e) in ((1, 0), (0, 2)) for l, e in zip(*_cover_counts(g, chosen)))
 
 
 def _incident(g: Multigraph, avail: set[int]) -> list[list[int]]:
@@ -165,25 +158,12 @@ def perfect_matchings(g: Multigraph, avail: set[int] | None = None) -> Iterator[
         t += 1
 
 
-def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]] | None:
-    """Split an even-regular edge set (loops weighing two) into 2-factors via
-    an Euler orientation and bipartite edge coloring."""
-    deg = [0] * g.n
-    for e in avail:
-        u, v, _ = g.edges[e]
-        deg[u] += 2 if u == v else 1
-        deg[v] += 0 if u == v else 1
-    if any(d % 2 for d in deg):
-        return None
-    half = None
-    for v in range(g.n):
-        if deg[v]:
-            half = deg[v] // 2
-            break
-    if half is None:
-        return []
-    if any(d not in (0, 2 * half) for d in deg):
-        return None
+def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]]:
+    """Split an edge set into 2-factors via an Euler orientation and
+    bipartite edge coloring.  Precondition: every vertex has the same even
+    degree 2·half in `avail`, a loop counting two, so the edges number
+    n·half; no edges give no factors."""
+    half = len(avail) // max(g.n, 1)
 
     # orient each component along an Euler circuit (Hierholzer): every
     # vertex then has out-degree = in-degree = half
@@ -225,8 +205,6 @@ def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]] | 
         match = _bipartite_perfect_matching(
             g.n, [(arcs[t][0], arcs[t][1]) for t in remaining]
         )
-        if match is None:
-            return None
         factors.append({arcs[remaining[t]][2] for t in match})
         chosen_set = set(match)
         remaining = [r for t, r in enumerate(remaining) if t not in chosen_set]
@@ -305,14 +283,19 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
     """Partition the edges into m perfect matchings and f 2-factors with
     m + 2f = k, or report that none exists.
 
-    Strategy: edge labels (generator classes) when present, k perfect
-    matchings for loopless bipartite graphs, Euler 2-factorization for even
-    uniform degree, and exact backtracking over perfect matchings otherwise.
+    Strategies, in the order they run: (1) edge labels (generator
+    classes) when present; (2) Euler 2-factorization when every degree is
+    the even k_left and the graph is not bipartite (a bipartite graph has
+    no loop, which is an odd cycle); (3) exact backtracking over perfect
+    matchings, which by König never backtracks on a bipartite graph with
+    every degree k_left: it has a perfect matching, and removing one leaves
+    such a graph of degree k_left - 1.
     No 2-factor needs searching: a split meets each vertex v once per
     matching and twice per 2-factor, so deg(v) = k + L_v (a loop counting
     two), where L_v counts the matchings with a loop at v.  Once every
     perfect matching has failed, no split holds one, so each degree is the
-    even k and the Euler step (Petersen) would already have found a split.
+    even k; by König the graph is then not bipartite, and the Euler step
+    (Petersen) would already have found a split.
     On more than `EXACT_BOUND` vertices the search takes the first matching
     at each step and raises a one-line ValueError where it would try a second.
     A negative k raises ValueError.
@@ -345,27 +328,9 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
         key = (frozenset(avail), k_left)
         if key in memo:
             return None
-        loopless = all(g.edges[e][0] != g.edges[e][1] for e in avail)
-        degs = [0] * g.n
-        for e in avail:
-            u, v, _ = g.edges[e]
-            degs[u] += 2 if u == v else 1
-            degs[v] += 0 if u == v else 1
-        if loopless and bipartite and all(d == k_left for d in degs):
-            out: list[Factor] = []
-            rest = set(avail)
-            for _ in range(k_left):
-                match = next(perfect_matchings(g, rest), None)
-                if match is None:
-                    break
-                out.append(("matching", match))
-                rest -= match
-            if len(out) == k_left and not rest:
-                return out
-        if k_left % 2 == 0 and all(d == k_left for d in degs):
-            two = euler_two_factorization(g, avail)
-            if two is not None and len(two) == k_left // 2:
-                return [("two_factor", f) for f in two]
+        if (k_left % 2 == 0 and not bipartite
+                and all(2 * l + e == k_left for l, e in zip(*_cover_counts(g, avail)))):
+            return [("two_factor", f) for f in euler_two_factorization(g, avail)]
         for match in perfect_matchings(g, avail):
             rest = solve(avail - match, k_left - 1)
             if rest is not None:

@@ -550,11 +550,15 @@ def test_decompose_takes_an_odd_degree_line_graph_beyond_the_bound(tmp_path, cap
     ("even-prism", 40, [(v, (v + 1) % 20) for v in range(20)]
      + [(20 + v, 20 + (v + 1) % 20) for v in range(20)] + [(v, v + 20) for v in range(20)],
      3, "matching"),
+    ("bipartite-4", 40, [(a, 20 + (a + s) % 20) for a in range(20) for s in (0, 1, 3, 7)],
+     4, "matching"),
 ])
 def test_decompose_strategies_take_graphs_beyond_the_exact_bound(tmp_path, capsys, name, n,
                                                                   edges, k, kind):
-    """Even degree and loopless bipartite regular graphs need no exact
-    search, so `decompose` takes them at any size."""
+    """Even degree graphs need no exact search, and on loopless bipartite
+    regular graphs it never backtracks (König), so `decompose` takes them
+    at any size; a bipartite graph of even degree still splits into
+    matchings."""
     path = tmp_path / f"{name}.txt"
     path.write_text(_graph_text(n, edges))
     assert n > EXACT_BOUND and run(["decompose", path, "--k", k]) == 0

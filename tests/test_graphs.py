@@ -112,12 +112,16 @@ def test_perfect_matchings_are_exactly_the_accepted_subsets(g):
 def test_euler_two_factorization_covers_even_regular_edge_sets(g):
     for avail in subsets(range(len(g.edges))):
         deg = degrees(g, avail)
-        if not avail or deg[0] % 2 or any(d != deg[0] for d in deg):
+        if deg[0] % 2 or any(d != deg[0] for d in deg):
             continue
         factors = euler_two_factorization(g, set(avail))
-        assert factors is not None and len(factors) == deg[0] // 2
+        assert len(factors) == deg[0] // 2 and (avail or factors == [])
         assert all(is_two_factor(g, f) for f in factors)
         assert sorted(e for f in factors for e in f) == sorted(avail)
+
+
+def test_euler_two_factorization_of_no_vertices_is_empty():
+    assert euler_two_factorization(Multigraph(0), set()) == []
 
 
 def assert_decomposition_exact(g: Multigraph, k: int) -> None:
