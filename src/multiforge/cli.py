@@ -12,6 +12,9 @@ pays only for those.  Along the pipeline:
 - `spectra` loads `words`, `records`, `complexes`, `spectral` and numpy,
   but not `permrep`.
 
+Beside it, `line-graph` loads `words`, `records`, `permrep` and `graphs`:
+it reads the Schreier graph off the rep, without building the quotient.
+
 No command loads `dataclasses`: records are named tuples or `__slots__`
 classes (`records`).  `json` is imported by `complexes`, and here only by
 the two writers that call `json.dumps` themselves.  `main` builds the
@@ -109,10 +112,10 @@ def cmd_spectra(args) -> int:
     from .spectral import SpectralGapUndefined, coboundary_rank, gap_from_spectrum, spectrum
     x = _valid_complex(args.complex)
     eigs = spectrum(x)
-    rank = coboundary_rank(x, tol=args.tol)
+    rank = coboundary_rank(x)
     lines = [f"forms: {len(eigs)}", f"coboundary-rank: {rank}"]
     try:
-        lam = gap_from_spectrum(eigs, rank, args.tol, x.d)
+        lam = gap_from_spectrum(eigs, rank, x.d)
         lines.append(f"lambda: {_fmt(lam, args.raw)}")
     except SpectralGapUndefined as exc:
         lines.append(f"lambda: undefined ({exc})")
@@ -161,11 +164,9 @@ def cmd_common_cover(args) -> int:
 
 
 def cmd_line_graph(args) -> int:
-    from .graphs import format_multigraph, to_dot
+    from .graphs import format_multigraph, schreier_multigraph, to_dot
     from .permrep import parse_rep
-    from .quotient import build_quotient, complex_line_graph
-    rep = parse_rep(_read(args.rep))
-    g = complex_line_graph(build_quotient(rep).complex)
+    g = schreier_multigraph(parse_rep(_read(args.rep)))
     _write(args.out, to_dot(g) if args.dot else format_multigraph(g))
     return 0
 
@@ -310,7 +311,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser("spectra", help="upper-Laplacian spectral gap")
         p.add_argument("complex")
         p.add_argument("--full", action="store_true", help="print the full spectrum")
-        p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--raw", action="store_true", help="full float precision")
         add_out(p)
         p.set_defaults(func=cmd_spectra)

@@ -927,6 +927,8 @@ def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
     the root carry over verbatim through the class map."""
     if x.d < 2:
         raise ValueError("vertex identification requires d >= 2")
+    if not (0 <= v_keep < x.n_vertices and 0 <= v_gone < x.n_vertices):
+        raise ValueError(f"vertex ids must lie in 0..{x.n_vertices - 1}, got {v_keep} and {v_gone}")
     if x.vertex_colors[v_keep] != x.vertex_colors[v_gone] or v_keep == v_gone:
         raise ValueError("need two distinct vertices of the same color")
     relabel = [v - (v > v_gone) for v in range(x.n_vertices)]

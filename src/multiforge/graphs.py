@@ -125,17 +125,17 @@ def _incident(g: Multigraph, avail: set[int]) -> list[list[int]]:
     return inc
 
 
+def _other_end(g: Multigraph, v: int, e: int) -> int:
+    a, b, _ = g.edges[e]
+    return b if a == v else a
+
+
 def perfect_matchings(g: Multigraph, avail: set[int] | None = None) -> Iterator[set[int]]:
     """All perfect matchings within the available edge set, by backtracking
     on the lowest uncovered vertex with an explicit stack.  Exact; intended
     for desk-scale graphs."""
     inc = _incident(g, set(range(len(g.edges))) if avail is None else set(avail))
     covered = [False] * g.n
-
-    def other_end(v: int, e: int) -> int:
-        a, b, _ = g.edges[e]
-        return b if a == v else a
-
     stack: list[tuple[int, int]] = []  # (vertex, position in inc[vertex]) of each chosen edge
     v0, t = 0, 0
     while True:
@@ -144,17 +144,17 @@ def perfect_matchings(g: Multigraph, avail: set[int] | None = None) -> Iterator[
         if v0 == g.n:
             yield {inc[v][s] for v, s in reversed(stack)}
         else:  # an edge at v0 is free when its other end is uncovered
-            t = next((s for s in range(t, len(inc[v0])) if not covered[other_end(v0, inc[v0][s])]),
-                     None)
+            t = next((s for s in range(t, len(inc[v0]))
+                      if not covered[_other_end(g, v0, inc[v0][s])]), None)
             if t is not None:
-                covered[v0] = covered[other_end(v0, inc[v0][t])] = True
+                covered[v0] = covered[_other_end(g, v0, inc[v0][t])] = True
                 stack.append((v0, t))
                 v0, t = v0 + 1, 0
                 continue
         if not stack:
             return
         v0, t = stack.pop()
-        covered[v0] = covered[other_end(v0, inc[v0][t])] = False
+        covered[v0] = covered[_other_end(g, v0, inc[v0][t])] = False
         t += 1
 
 
@@ -167,12 +167,7 @@ def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]]:
 
     # orient each component along an Euler circuit (Hierholzer): every
     # vertex then has out-degree = in-degree = half
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e in avail:
-        u, v, _ = g.edges[e]
-        adj[u].append((v, e))
-        if v != u:
-            adj[v].append((u, e))
+    adj = _incident(g, avail)
     ptr = [0] * g.n
     used: set[int] = set()
     arcs: list[tuple[int, int, int]] = []  # (from, to, edge)
@@ -184,11 +179,12 @@ def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]]:
             v, arrival = stack[-1]
             advanced = False
             while ptr[v] < len(adj[v]):
-                w, e = adj[v][ptr[v]]
+                e = adj[v][ptr[v]]
                 ptr[v] += 1
                 if e in used:
                     continue
                 used.add(e)
+                w = _other_end(g, v, e)
                 stack.append((w, (v, w, e)))
                 advanced = True
                 break
@@ -202,27 +198,25 @@ def euler_two_factorization(g: Multigraph, avail: set[int]) -> list[set[int]]:
     factors: list[set[int]] = []
     remaining = list(range(len(arcs)))
     for _ in range(half):
-        match = _bipartite_perfect_matching(
-            g.n, [(arcs[t][0], arcs[t][1]) for t in remaining]
-        )
+        match = _bipartite_perfect_matching([(arcs[t][0], arcs[t][1]) for t in remaining])
         factors.append({arcs[remaining[t]][2] for t in match})
         chosen_set = set(match)
         remaining = [r for t, r in enumerate(remaining) if t not in chosen_set]
     return factors
 
 
-def _bipartite_perfect_matching(n: int, arcs: list[tuple[int, int]]) -> list[int] | None:
+def _bipartite_perfect_matching(arcs: list[tuple[int, int]]) -> list[int]:
     """Perfect matching in the bipartite graph on out/in copies induced by
-    arcs; returns chosen arc positions (one out per vertex, one in per
-    vertex), or None.  Hungarian augmenting paths."""
+    arcs, which must be regular, so that one exists (König); returns the
+    chosen arc positions (one out per vertex, one in per vertex).
+    Hungarian augmenting paths."""
     outs: dict[int, list[int]] = {}
-    active = sorted({a for a, _ in arcs})
     for t, (a, _) in enumerate(arcs):
         outs.setdefault(a, []).append(t)
     match_in: dict[int, int] = {}  # in-vertex -> arc position
     match_out: dict[int, int] = {}
 
-    def augment(root: int) -> bool:
+    def augment(root: int) -> None:
         """Match `root` along an augmenting path, searched depth first with
         an explicit stack: each level takes the arcs out of its vertex in
         order, skipping in-vertices already reached."""
@@ -241,14 +235,12 @@ def _bipartite_perfect_matching(n: int, arcs: list[tuple[int, int]]) -> list[int
                 for s in taken + [t]:
                     match_in[arcs[s][1]] = s
                     match_out[arcs[s][0]] = s
-                return True
+                return
             taken.append(t)
             stack.append(iter(outs.get(arcs[match_in[b]][0], [])))
-        return False
 
-    for v in active:
-        if v not in match_out and not augment(v):
-            return None
+    for v in sorted(outs):
+        augment(v)
     return sorted(match_out.values())
 
 
@@ -284,12 +276,14 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
     m + 2f = k, or report that none exists.
 
     Strategies, in the order they run: (1) edge labels (generator
-    classes) when present; (2) Euler 2-factorization when every degree is
-    the even k_left and the graph is not bipartite (a bipartite graph has
-    no loop, which is an odd cycle); (3) exact backtracking over perfect
-    matchings, which by König never backtracks on a bipartite graph with
-    every degree k_left: it has a perfect matching, and removing one leaves
-    such a graph of degree k_left - 1.
+    classes) when present, each class a matching if it is one, else a
+    2-factor, kept if `check_decomposition` accepts them; (2) Euler
+    2-factorization when every degree is the even k_left and the graph is
+    not bipartite (a bipartite graph has no loop, which is an odd cycle);
+    (3) exact backtracking over perfect matchings, which by König never
+    backtracks on a bipartite graph with every degree k_left: it has a
+    perfect matching, and removing one leaves such a graph of degree
+    k_left - 1.
     No 2-factor needs searching: a split meets each vertex v once per
     matching and twice per 2-factor, so deg(v) = k + L_v (a loop counting
     two), where L_v counts the matchings with a loop at v.  Once every
@@ -306,16 +300,9 @@ def decompose_regular(g: Multigraph, k: int) -> list[Factor] | None:
         by_label: dict[object, set[int]] = {}
         for t, (_, _, label) in enumerate(g.edges):
             by_label.setdefault(repr(label), set()).add(t)
-        factors: list[Factor] = []
-        for _, chosen in sorted(by_label.items()):
-            if is_perfect_matching(g, chosen):
-                factors.append(("matching", chosen))
-            elif is_two_factor(g, chosen):
-                factors.append(("two_factor", chosen))
-            else:
-                factors = []
-                break
-        if factors and check_decomposition(g, factors, k):
+        factors = [("matching" if is_perfect_matching(g, chosen) else "two_factor", chosen)
+                   for _, chosen in sorted(by_label.items())]
+        if check_decomposition(g, factors, k):
             return factors
 
     all_edges = set(range(len(g.edges)))

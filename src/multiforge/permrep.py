@@ -497,9 +497,13 @@ def _integers(tokens: list[str], what: str) -> list[int]:
 
 
 def parse_permutation(text: str, n: int) -> Perm:
-    """One-line image notation (1-based) or cycle notation like (1 2)(3 4)."""
+    """One-line image notation (1-based) or cycle notation like (1 2)(3 4):
+    parenthesized groups, each of points split by spaces or commas, with
+    nothing but whitespace between the groups."""
     text = text.strip()
     if text.startswith("("):
+        if not re.fullmatch(r"(\([^()]*\)\s*)+", text):
+            raise ValueError(f"cycle notation needs parenthesized groups, got {reprlib.repr(text)}")
         perm = list(range(n))
         seen: set[int] = set()
         for cyc in re.findall(r"\(([^()]*)\)", text):

@@ -4,10 +4,10 @@ and spectral gaps.
 The reference orientation of every multicell is the ascending order of its
 vertex ids; the gap is orientation-invariant so any canonical choice works.
 Eigenvalues come from numpy's dense symmetric eigensolver (`eigvalsh`) and
-the coboundary rank from the singular values of B_{d-1} against an explicit
-tolerance; both hold the whole matrix in memory, so the cost grows with the
-cube of the number of forms.  numpy is imported by the functions that use
-it, so importing this module (and the CLI) does not load it.
+the coboundary rank from the singular values of B_{d-1} above the one fixed
+tolerance `TOL`; both hold the whole matrix in memory, so the cost grows
+with the cube of the number of forms.  numpy is imported by the functions
+that use it, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .words import Params
 
 if TYPE_CHECKING:
     import numpy as np
+
+TOL = 1e-9  # singular values above it count toward a rank; eigenvalues below -TOL are errors
 
 
 class SignedIncidence(NamedTuple):
@@ -72,26 +74,26 @@ def spectrum(x: MComplex) -> np.ndarray:
     return np.linalg.eigvalsh(up_laplacian(x))
 
 
-def coboundary_rank(x: MComplex, tol: float = 1e-9) -> int:
+def coboundary_rank(x: MComplex) -> int:
     """Dimension of the codimension-one coboundaries: the number of singular
-    values of B_{d-1} above `tol`."""
+    values of B_{d-1} above `TOL`."""
     import numpy as np
 
     b = boundary_matrix(x, x.d - 1).matrix
     if b.size == 0:
         return 0
-    return int((np.linalg.svd(b, compute_uv=False) > tol).sum())
+    return int((np.linalg.svd(b, compute_uv=False) > TOL).sum())
 
 
-def spectral_gap(x: MComplex, tol: float = 1e-9) -> float:
+def spectral_gap(x: MComplex) -> float:
     """Minimum of the upper Laplacian spectrum restricted to the orthogonal
     complement of the codimension-one coboundaries; see `gap_from_spectrum`.
 
     Raises SpectralGapUndefined when that complement is zero-dimensional."""
-    return gap_from_spectrum(spectrum(x), coboundary_rank(x, tol), tol, x.d)
+    return gap_from_spectrum(spectrum(x), coboundary_rank(x), x.d)
 
 
-def gap_from_spectrum(eigs: np.ndarray, rank: int, tol: float, d: int) -> float:
+def gap_from_spectrum(eigs: np.ndarray, rank: int, d: int) -> float:
     """The spectral gap of a d-dimensional complex from its ascending
     upper-Laplacian spectrum `eigs` and its coboundary rank.
 
@@ -102,12 +104,12 @@ def gap_from_spectrum(eigs: np.ndarray, rank: int, tol: float, d: int) -> float:
     of the eigensolver a few ulps below zero; it is returned as 0.0.
 
     Raises SpectralGapUndefined when the complement is zero-dimensional,
-    ValueError when an eigenvalue is below -tol."""
+    ValueError when an eigenvalue is below -TOL."""
     if rank == len(eigs):
         raise SpectralGapUndefined(
             f"all {d - 1}-forms are coboundaries (rank {rank} of {len(eigs)})"
         )
-    if eigs[0] < -tol:
+    if eigs[0] < -TOL:
         raise ValueError(f"upper Laplacian not positive semidefinite: {eigs[0]}")
     return max(0.0, float(eigs[rank]))
 

@@ -21,10 +21,16 @@ from multiforge.complexes import (
     validate_structure,
 )
 from multiforge.gallery import coxeter_kernel_rep
-from multiforge.graphs import EXACT_BOUND, check_decomposition, parse_multigraph
+from multiforge.graphs import (
+    EXACT_BOUND,
+    check_decomposition,
+    format_multigraph,
+    parse_multigraph,
+    to_dot,
+)
 from multiforge.lcc import link_connected_cover
 from multiforge.permrep import format_rep, parse_rep, validate
-from multiforge.quotient import build_quotient
+from multiforge.quotient import build_quotient, complex_line_graph
 from multiforge.spectral import boundary_matrix, up_laplacian
 from multiforge.words import Params
 from conftest import seeded_rep
@@ -402,6 +408,11 @@ REP_ERRORS = {
         lambda text: "1 2 3 1\n(1 2)(2 3)\n(1 2)\n",
         "error: permutation of generator 0: the cycles repeat point 2",
     ),
+    "unclosed-cycle": (
+        lambda text: "1 2 3 1\n(1 2\n(2 3)\n",
+        "error: permutation of generator 0: cycle notation needs parenthesized groups, "
+        "got '(1 2'",
+    ),
 }
 
 
@@ -666,6 +677,22 @@ def test_line_graph_dot_colors_each_edge_by_generator(tmp_path):
                ((int(u), int(v), c) for u, v, c in edges))  # top t is point t of the rep
 
 
+@pytest.mark.parametrize("d, k", [(1, 2), (2, 3), (3, 2)])
+def test_line_graph_prints_the_line_graph_of_the_quotient(tmp_path, capsys, d, k):
+    """`line-graph` reads the Schreier graph off the rep, and prints the
+    bytes of the line graph of the rep's quotient complex, with and without
+    `--dot`."""
+    path = tmp_path / "rep.txt"
+    for seed in (1, 2, 3):
+        rep = seeded_rep(d, k, 24, seed)
+        path.write_text(format_rep(rep))
+        g = complex_line_graph(build_quotient(rep).complex)
+        for flags, expected in (([], format_multigraph(g)), (["--dot"], to_dot(g))):
+            capsys.readouterr()
+            assert run(["line-graph", "--rep", path, *flags]) == 0
+            assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--rep"], ["decompose", "--k", 3], ["gallery", "coxeter", "--gens"],
 ])
@@ -751,6 +778,10 @@ GENERATOR_ERRORS = {
     "identity-after-a-comment": ("3\n2 1 3\n# identity\n1 2 3\n", "error: line 4: not an involution"),
     "three-cycle": ("3\n2 3 1\n1 3 2\n", "error: line 2: not an involution"),
     "repeated-point": ("3\n(1 2)\n(1 2)(2 3)\n", "error: line 3: the cycles repeat point 2"),
+    "unclosed-cycle": (
+        "3\n(1 2\n(2 3)\n",
+        "error: line 2: cycle notation needs parenthesized groups, got '(1 2'",
+    ),
     "group-over-the-cap": (  # the adjacent transpositions of S_8, of order 40,320
         "8\n" + "".join(f"({i} {i + 1})\n" for i in range(1, 8)),
         "error: group exceeds cap 20000",
@@ -767,6 +798,13 @@ def test_generator_file_error_names_the_line(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [expected]
+
+
+def test_spectra_takes_no_tolerance_option(capsys):
+    """The rank and gap tolerance is the fixed `spectral.TOL`."""
+    with pytest.raises(SystemExit) as exc:
+        run(["spectra", "x.json", "--tol", "1e-6"])
+    assert exc.value.code == 2
 
 
 def test_verify_all_takes_no_suite_option(capsys):

@@ -267,6 +267,16 @@ def test_multiplicity_and_merge():
         merge_vertices(x, vs[0], vs[0])
 
 
+def test_merge_refuses_vertex_ids_out_of_range():
+    """A negative id would index the vertex colors from the end, and so
+    merge another vertex; one past the last would raise IndexError."""
+    x = build_quotient(seeded_rep(2, 2, 12, 1)).complex
+    assert x.vertex_colors == [0, 1, 1, 2, 2, 2]
+    for v_keep, v_gone in [(-1, 3), (0, 6)]:
+        with pytest.raises(ValueError, match=r"vertex ids must lie in 0\.\.5"):
+            merge_vertices(x, v_keep, v_gone)
+
+
 def test_merge_of_unordered_complex_stays_unordered():
     x = flag_complex(4, 2)
     assert x.ordering is None

@@ -116,11 +116,13 @@ def modules_after(*argv) -> set[str]:
     ("analyze", {"dataclasses", "inspect"}),
     ("lcc", {"dataclasses", "inspect"}),
     ("spectra", {"multiforge.permrep"}),
+    ("line-graph", {"multiforge.complexes", "multiforge.quotient"}),
 ])
 def test_each_command_starts_without_what_it_does_not_run(tmp_path, command, absent):
     """`random`, `build`, `analyze` and `lcc` load neither `dataclasses` nor
-    `inspect` (`random` not even `json`), and `spectra` reads and validates
-    its complex without `multiforge.permrep`."""
+    `inspect` (`random` not even `json`), `spectra` reads and validates
+    its complex without `multiforge.permrep`, and `line-graph` reads the
+    Schreier graph off the rep without building the quotient complex."""
     rep, x_path = tmp_path / "rep.txt", tmp_path / "x.json"
     assert cli.main(["random", "--d", "2", "--k", "3", "--n", "30", "--seed", "5",
                      "--out", str(rep)]) == 0
@@ -131,6 +133,7 @@ def test_each_command_starts_without_what_it_does_not_run(tmp_path, command, abs
         "analyze": ["analyze", x_path],
         "lcc": ["lcc", x_path],
         "spectra": ["spectra", x_path],
+        "line-graph": ["line-graph", "--rep", rep],
     }[command]
     loaded = modules_after(*argv, "--out", tmp_path / "out")
     assert "multiforge.cli" in loaded and not loaded & absent, loaded & absent

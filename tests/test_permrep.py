@@ -450,10 +450,19 @@ def test_rep_text_round_trip():
 
 
 def test_parse_permutation_cycle_notation():
+    """Cycle notation is parenthesized groups with only whitespace between
+    them; anything else is refused with one message naming the text."""
     assert parse_permutation("(1 2)(3 4)", 5) == (1, 0, 3, 2, 4)
     assert parse_permutation("3 1 2", 3) == (2, 0, 1)
     with pytest.raises(ValueError):
         parse_permutation("1 1 2", 3)
+    assert parse_permutation("()", 4) == (0, 1, 2, 3)
+    assert parse_permutation("(1 2) (3 4)", 4) == parse_permutation("(1 2)(3 4)", 4) == (1, 0, 3, 2)
+    assert parse_permutation("(1,2)(3)", 4) == (1, 0, 2, 3)
+    for text in ["(1 2", "(1 2) 3 4", "(1 2)x(3)", "((1 2))"]:
+        with pytest.raises(ValueError) as exc:
+            parse_permutation(text, 4)
+        assert str(exc.value) == f"cycle notation needs parenthesized groups, got {text!r}"
 
 
 # -- exactness of the linear-time sampler ---------------------------------------
