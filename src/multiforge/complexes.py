@@ -16,8 +16,7 @@ Complex files are mcomplex/2 JSON, one object with the keys `format`,
 `params` ({d, k}), `vertex_colors`, `cells`, `ordering`, `root` and
 `boundary`.  The facet of a cell that drops one of its colors J[p] has
 the other colors, so a cell is fixed by its vertices and the indices of
-its facets.  `MComplex` stores exactly these columns and no coface index:
-the in-memory layout is the file layout.
+its facets.  `MComplex` stores the same columns and no coface index.
 
 - `cells` holds one record per color set J with |J| >= 2, in (size,
   colors) order: {"colors": J, "vertices": [...], "faces": [...]}, two
@@ -28,7 +27,9 @@ the in-memory layout is the file layout.
 - `ordering` is null or holds one record per color set J of size d:
   {"colors": J, "cycles": [...]}, one entry per (d-1)-cell of J in index
   order, the indices of its top cofaces in cycle order (null where a cell
-  has no cycle).  `MComplex.ordering` holds these lists, keyed by J.
+  has no cycle).  `MComplex.ordering` maps J to one `Cycles`: the same
+  cycles as two flat columns, the tops cell after cell and an offsets
+  column, read in one pass and written back as per-cell lists.
 - `root` is null or a multicell id [colors, index]; `boundary` lists ids.
 
 A morphism is a `CellMap`, read-only behind `Mapping`: one image column of
@@ -44,8 +45,8 @@ from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Mapping
 from functools import cache
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, groupby, repeat
-from operator import eq, is_, is_not, itemgetter, ne, not_
+from itertools import accumulate, chain, combinations, compress, count, groupby, repeat
+from operator import add, is_, is_not, itemgetter, mod, ne, not_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -86,6 +87,109 @@ class Cells(Record):
         return zip(*[iter(self.vertices)] * len(self.colors))
 
 
+class Cycles(Record):
+    """The ordering cycles of the (d-1)-cells of one color set as two flat
+    columns.  `tops` lists each cell's top cofaces in cycle order, cell
+    after cell in index order, and cell i's cycle is
+    tops[offsets[i] : offsets[i + 1]]; the last offset is len(tops).  A
+    cell with no cycle (null in the file) has an empty span whose start is
+    stored as ~start, a negative int, so that it differs from an empty
+    cycle."""
+
+    __slots__ = _fields = ("tops", "offsets")
+
+    def __init__(self, tops: list[int], offsets: list[int]):
+        self.tops, self.offsets = tops, offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def starts(self) -> list[int]:
+        """The offsets with each ~start read back as its start."""
+        return self.offsets if min(self.offsets) >= 0 else [o if o >= 0 else ~o for o in self.offsets]
+
+    def nones(self) -> list[int]:
+        """The cells with no cycle."""
+        return list(compress(count(), map((0).__gt__, self.offsets)))
+
+    def cycle(self, i: int) -> list[int] | None:
+        """Cell i's cycle as a new list, or None where it has none."""
+        start, end = self.offsets[i], self.offsets[i + 1]
+        return None if start < 0 else self.tops[start : end if end >= 0 else ~end]
+
+    def sizes(self) -> list[int]:
+        """The length of each cell's cycle, -1 where it has none."""
+        starts = self.starts()
+        sizes = list(map(sub, starts[1:], starts))
+        if starts is not self.offsets:
+            deque(map(sizes.__setitem__, self.nones(), repeat(-1)), 0)
+        return sizes
+
+    def owners(self) -> list[int]:
+        """The cell of each entry of `tops`."""
+        starts = self.starts()
+        return self._owners(starts, list(map(sub, starts[1:], starts)))
+
+    def steps(self) -> tuple[list[int], list[int]]:
+        """Two columns over `tops`: the entry after each entry in its cycle
+        (the last entry of a cycle steps to the first), and its cell."""
+        tops, starts = self.tops, self.starts()
+        sizes = list(map(sub, starts[1:], starts))  # 0 where a cell has no cycle
+        heads, ends = starts[:-1], starts[1:]
+        if sizes and min(sizes) == 0:  # keep the cycles with entries
+            kept = list(compress(count(), sizes))
+            heads, ends = list(map(heads.__getitem__, kept)), list(map(ends.__getitem__, kept))
+        shifted = [0] + tops[1:] + tops[:1]  # shifted[e + 1] is the entry after e
+        deque(map(shifted.__setitem__, ends, map(tops.__getitem__, heads)), 0)
+        return shifted[1:], self._owners(starts, sizes)
+
+    def _owners(self, starts: list[int], sizes: list[int]) -> list[int]:
+        if sizes and min(sizes) > 0:  # each cell has entries: mark where each next one starts
+            marks = [0] * len(self.tops)
+            deque(map(marks.__setitem__, starts[1:-1], repeat(1)), 0)
+            return list(accumulate(marks))
+        return list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+
+    def lists(self) -> list[list[int] | None]:
+        """The file's `cycles`: each cell's cycle as a list, or None."""
+        tops, starts = self.tops, self.starts()
+        cycles = [tops[start:end] for start, end in zip(starts, starts[1:])]
+        if starts is not self.offsets:
+            deque(map(cycles.__setitem__, self.nones(), repeat(None)), 0)
+        return cycles
+
+    @classmethod
+    def of_sizes(cls, tops: list[int], sizes: list[int]) -> Cycles:
+        """The cycles of the given lengths (-1: no cycle) read off `tops`
+        in turn."""
+        if not sizes or min(sizes) >= 0:
+            return cls(tops, list(accumulate(sizes, initial=0)))
+        offsets = list(accumulate(map(max, sizes, repeat(0)), initial=0))
+        for i in compress(count(), map((0).__gt__, sizes)):
+            offsets[i] = ~offsets[i]
+        return cls(tops, offsets)
+
+    @classmethod
+    def of_lists(cls, cycles: list[list[int] | None]) -> Cycles:
+        """The column of per-cell cycles, each a list or None."""
+        sizes = [-1 if cyc is None else len(cyc) for cyc in cycles] if None in cycles else list(map(len, cycles))
+        return cls.of_sizes(list(chain.from_iterable(filter(None, cycles))), sizes)
+
+    @classmethod
+    def fitted(cls, cycles: Cycles | None, n: int) -> Cycles:
+        """`cycles` over n cells: cells past its end have no cycle, and
+        cycles past n are dropped (None: no cell has a cycle)."""
+        if cycles is None:
+            return cls([], [-1] * n + [0])
+        if len(cycles) >= n:
+            if len(cycles) == n:
+                return cycles
+            end = cycles.starts()[n]
+            return cls(cycles.tops[:end], cycles.offsets[:n] + [end])
+        end = len(cycles.tops)
+        return cls(cycles.tops, cycles.offsets[:-1] + [~end] * (n - len(cycles)) + [end])
+
+
 class Multicell(NamedTuple):
     """A read-only view of one multicell, made by `MComplex.cell`."""
 
@@ -121,25 +225,26 @@ class MComplex:
     (`coface_counts` and `top_faces` read the faces columns on each
     call).  The vertex color sets come from `vertex_colors` (index =
     rank among same-color vertices); `cell` and `multicells` are views.
-    `ordering` maps each color set J of size d to its file `cycles` list:
+    `ordering` maps each color set J of size d to its `Cycles` columns:
     for (d-1)-cell i of J, its top cofaces' indices in the order the
-    generator missing from J steps through them, or None.  `boundary`
-    flags (d-1)-cells with incomplete cycles (radius cutoffs)."""
+    generator missing from J steps through them, or no cycle (`cycle`
+    reads one).  `boundary` flags (d-1)-cells with incomplete cycles
+    (radius cutoffs)."""
 
     def __init__(
         self,
         params: Params,
         vertex_colors: list[int],
         cells: dict[tuple[int, ...], Cells],
-        ordering: dict[tuple[int, ...], list[list[int] | None]] | None = None,
+        ordering: dict[tuple[int, ...], Cycles] | None = None,
         root: MId | None = None,
         boundary: frozenset[MId] = frozenset(),
     ):
         self.params = params
         self.vertex_colors = list(vertex_colors)
         self.cells = {tuple(k): v for k, v in cells.items() if len(k) >= 2}
-        for v, c in enumerate(self.vertex_colors):
-            self.cells.setdefault((c,), Cells((c,), [], [])).vertices.append(v)
+        for c in dict.fromkeys(self.vertex_colors):  # by first appearance
+            self.cells[(c,)] = Cells((c,), list(compress(count(), map(c.__eq__, self.vertex_colors))), [])
         self.ordering = dict(ordering) if ordering is not None else None
         self.root = root
         self.boundary = frozenset(boundary)
@@ -191,7 +296,7 @@ class MComplex:
     def cycle(self, mid: MId) -> list[int] | None:
         """The ordering cycle of a (d-1)-multicell as top indices, or None."""
         cycles = self.ordering.get(mid[0]) if self.ordering else None
-        return cycles[mid[1]] if cycles and 0 <= mid[1] < len(cycles) else None
+        return cycles.cycle(mid[1]) if cycles is not None and 0 <= mid[1] < len(cycles) else None
 
 
 # -- cofaces, read off the faces columns ------------------------------------------
@@ -322,9 +427,10 @@ def _validate_structure(x: MComplex, cofaces: dict[tuple[int, ...], list[int]]) 
     if x.ordering is not None:
         msgs += ordering_faults(x)
         for J, cycles in sorted(x.ordering.items()):
-            for i, cyc in enumerate(cycles):
-                if cyc is not None and (not cyc or k % len(cyc)) and (J, i) not in x.boundary:
-                    msgs.append(f"{(J, i)}: cycle length {len(cyc)} does not divide k")
+            sizes = cycles.sizes()
+            bad = {size for size in set(sizes) if size == 0 or size > 0 and k % size}
+            msgs += [f"{(J, i)}: cycle length {sizes[i]} does not divide k"
+                     for i in compress(count(), map(bad.__contains__, sizes)) if (J, i) not in x.boundary]
     for mid in sorted(x.boundary):
         if len(mid[0]) != d or not x.has_cell(mid):
             msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
@@ -337,19 +443,38 @@ def ordering_faults(x: MComplex) -> Iterator[str]:
     """The one audit of an ordering, by (d-1)-multicell in id order: the
     cycle of each must list each of its top cofaces once and nothing else.
     A top whose facet index names no cell comes first in its color set, as
-    a facet with no ordering cycle.  x must be ordered."""
+    a facet with no ordering cycle.  x must be ordered.
+
+    A color set passes when its tops column, read at the cycles' entries,
+    is each entry's own cell and the entries are the tops, each once.
+    Otherwise an entry is faulty if it is no coface of its cell or a
+    coface listed twice, and a top if no cycle lists it as a coface;
+    messages are written for the cells of these and the cells with no
+    cycle only."""
     full = tuple(x.params.colors)
     tops = x.cells[full].faces if full in x.cells else []
+    n = len(tops) // len(full)
     for p in reversed(range(len(full))):  # the color sets of size d, increasing
         J = full[:p] + full[p + 1 :]
-        cofaces: list[list[int]] = [[] for _ in range(len(x.cells.get(J, ())))]
-        for t, f in enumerate(tops[p :: len(full)]):
-            if 0 <= f < len(cofaces):
+        m, facets = len(x.cells.get(J, ())), tops[p :: len(full)]
+        cycles = Cycles.fitted(x.ordering.get(J), m)
+        flat, owner = cycles.tops, cycles.owners()
+        if facets and not 0 <= min(facets) <= max(facets) < m:
+            yield from (f"the facet {(J, f)} has no ordering cycle" for f in facets if not 0 <= f < m)
+        elif min(cycles.offsets) >= 0 and _is_permutation(flat, n) and list(map(facets.__getitem__, flat)) == owner:
+            continue
+        own = [0 <= t < n and facets[t] == o for t, o in zip(flat, owner)]
+        listed = Counter(compress(flat, own))
+        faulty = set(compress(owner, map(not_, own)))
+        faulty.update(o for t, o, ok in zip(flat, owner, own) if ok and listed[t] > 1)
+        faulty.update(f for t, f in enumerate(facets) if 0 <= f < m and not listed[t])
+        faulty.update(cycles.nones())
+        cofaces: dict[int, list[int]] = {i: [] for i in faulty}
+        for t, f in enumerate(facets):
+            if f in cofaces:
                 cofaces[f].append(t)
-            else:
-                yield f"the facet {(J, f)} has no ordering cycle"
-        cycles = (x.ordering.get(J) or []) + [None] * len(cofaces)
-        for i, (mine, cyc) in enumerate(zip(cofaces, cycles)):
+        for i in sorted(faulty):
+            mine, cyc = cofaces[i], cycles.cycle(i)
             if cyc is None:
                 yield f"the facet {(J, i)} has no ordering cycle"
             elif sorted(cyc) != mine:
@@ -360,6 +485,15 @@ def ordering_faults(x: MComplex) -> Iterator[str]:
                     else f"leaves out its coface {(full, missing[0])}" if missing
                     else "lists a coface twice"
                 )
+
+
+def _is_permutation(column: list[int], n: int) -> bool:
+    """Whether the column lists each of 0..n-1 once, marked in a bytearray."""
+    if len(column) != n or column and not 0 <= min(column) <= max(column) < n:
+        return False
+    seen = bytearray(n)
+    deque(map(seen.__setitem__, column, repeat(1)), 0)
+    return seen.count(0) == 0
 
 
 def is_lower_path_connected(x: MComplex, j: int) -> bool:
@@ -469,6 +603,7 @@ def _class_complex(
     carries x's cycles, boundary flags and root over to y."""
     p, full = Params(len(colors) - 1, x.params.k), tuple(x.params.colors)
     f, classes = {(full, t): (tuple(p.colors), i) for i, t in enumerate(tops)}, {}
+    carried = {}  # J of size y.d -> x's cycles of y's cells, in y's index order
     for J in (J for size in range(1, len(colors)) for J in combinations(p.colors, size)):
         face = tuple(sorted(own + tuple(colors[t] for t in J)))
         column = list(map(top_faces(x, face).__getitem__, tops))
@@ -478,17 +613,30 @@ def _class_complex(
             index: dict[int, int] = {}
             classes[J] = [index.setdefault(i, len(index)) for i in column]
             f.update(zip(zip(repeat(face), column), zip(repeat(J), classes[J])))
+            if x.ordering is not None and len(J) == p.d:
+                carried[J] = _gathered(Cycles.fitted(x.ordering.get(face), len(x.cells[face])), list(index))
     y = complex_from_classes(p, classes, 0, vertex_colors=vertex_colors)
     if relabel is not None:
         f.update((x.vertex_cell(v), y.vertex_cell(w)) for v, w in enumerate(relabel))
     if x.ordering is not None:
-        y.ordering = {J: [None] * len(y.cells[J]) for J in y.cells if len(J) == p.d}
-        for m, (J, i) in f.items():
-            if J in y.ordering and (cyc := x.cycle(m)) is not None:
-                y.ordering[J][i] = [f[(full, t)][1] for t in cyc]
+        at = dict(zip(tops, count()))  # x's top -> y's; a top of no y top raises KeyError
+        y.ordering = {J: Cycles(list(map(at.__getitem__, cycles.tops)), list(cycles.offsets))
+                      for J, cycles in carried.items()}
     y.boundary = frozenset(f[m] for m in x.boundary if m in f)
     y.root = f.get(x.root)
     return y, f
+
+
+def _gathered(cycles: Cycles, cells: list[int]) -> Cycles:
+    """The cycles of `cells`, in that order, as one column."""
+    if cells == list(range(len(cycles))):
+        return cycles
+    starts = cycles.starts()
+    heads, ends = list(map(starts.__getitem__, cells)), list(map(starts[1:].__getitem__, cells))
+    tops = list(chain.from_iterable(map(cycles.tops.__getitem__, map(slice, heads, ends))))
+    if starts is cycles.offsets:  # every cell has a cycle
+        return Cycles(tops, list(accumulate(map(sub, ends, heads), initial=0)))
+    return Cycles.of_sizes(tops, list(map(cycles.sizes().__getitem__, cells)))
 
 
 # -- nerve ----------------------------------------------------------------------
@@ -618,9 +766,12 @@ def check_morphism(f: Mapping[MId, MId], x: MComplex, y: MComplex) -> Diagnostic
     elif f[x.root] != y.root:
         msgs.append(f"root {x.root} maps to {f[x.root]} != {y.root}")
     if x.ordering is not None and y.ordering is not None:
-        tops = keys.get(tuple(x.params.colors), [])
+        tops, skips = keys.get(tuple(x.params.colors), []), {}  # skips: the boundary cells by color set
+        for J, i in x.boundary:
+            skips.setdefault(J, set()).add(i)
         for J in (J for J in order if len(J) == x.d):
-            msgs += [message for _, message in sorted(_cycle_faults(x, y, J, keys[J], index[J], tops))]
+            faults = _cycle_faults(x, y, J, keys[J], index[J], tops, skips.get(J, set()))
+            msgs += [message for _, message in sorted(faults)]
     return Diagnostics(not msgs, msgs)
 
 
@@ -630,53 +781,47 @@ def _nones(column: list) -> list[int]:
 
 
 def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], key: list, index: list[int],
-                  tops: list) -> list[tuple[int, str]]:
+                  tops: list, skip: set[int]) -> list[tuple[int, str]]:
     """`check_morphism`'s ordering fault of each cell of J off the domain's
-    boundary, with its index: the cell has no cycle, its cycle lists a top
-    missing in the domain, its image has no cycle, or the image column of
-    the tops does not carry a step along its cycle to a step along the
-    image's (named at the first top where it fails; in one cycle a top's
-    last listing sets its step).  `key` and `index` are J's image and index
-    columns, and `tops` is the image column of the top cells."""
-    full, mine = tuple(x.params.colors), x.ordering.get(J) or []
-    cells = list(map(itemgetter(1), filterfalse(x.boundary.__contains__,
-                                                zip(repeat(J), range(len(key))))))
-    cycles = list(map((mine + [None] * len(key)).__getitem__, cells))
-    flat, after, owner = _listed(cycles)
-    (outside, (at,)), (_, (then,)) = _take(flat, tops), _take(after, tops)
+    boundary (the cells `skip`), with its index: the cell has no cycle, its
+    cycle lists a top missing in the domain, its image has no cycle, or the
+    image column of the tops does not carry a step along its cycle to a
+    step along the image's (named at the first top where it fails; in one
+    cycle a top's last listing sets its step).  `key` and `index` are J's
+    image and index columns, and `tops` is the image column of the top
+    cells.  The cycles of the cells off the boundary, and those of their
+    images, are first gathered into one column each."""
+    full, keep = tuple(x.params.colors), [True] * len(key)
+    deque(map(keep.__setitem__, skip, repeat(False)), 0)
+    cells = list(compress(range(len(key)), keep))
+    mine = _gathered(Cycles.fitted(x.ordering.get(J), len(key)), cells)
+    flat = mine.tops
+    outside, (at,) = _take(flat, tops)  # the cycles mapped through the tops' images
+    then, owner = Cycles(at, mine.offsets).steps()  # owner: a position in `cells`
     strays: dict[int, int] = {}
     for e in outside:
         strays.setdefault(owner[e], flat[e])
-    outside, (theirs,) = _take(list(map(index.__getitem__, cells)), y.ordering.get(J) or [])
-    for o in outside:  # an image of other colors, or none
-        theirs[o] = y.cycle(img if type(img := key[cells[o]]) is tuple else (J, img))
     owners = list(map(key.__getitem__, cells))  # the image of each cell in `cells`
-    distinct = dict(zip(owners, theirs))  # one cycle per image
-    their_flat, their_after, their_owner = _listed(list(distinct.values()))
-    step = dict(zip(zip(map(list(distinct).__getitem__, their_owner), their_flat), their_after))
+    images, cycles = list(map(index.__getitem__, cells)), y.ordering.get(J) or Cycles([], [0])
+    if images and not 0 <= min(images) <= max(images) < len(cycles):  # an image of other colors, or none
+        theirs = Cycles.of_lists([cycles.cycle(j) if 0 <= j < len(cycles) else y.cycle(img if type(img) is tuple
+                                  else (J, img)) for j, img in zip(images, owners)])
+    else:
+        theirs = _gathered(cycles, images)
+    their_after, their_owner = theirs.steps()
+    step = dict(zip(zip(map(owners.__getitem__, their_owner), theirs.tops), their_after))  # (image, top) -> next
+    lacking = set(theirs.nones())
     first: dict[int, int] = {}
     for e in _differ(list(map(step.get, zip(map(owners.__getitem__, owner), at))), then):
-        if owner[e] not in strays and theirs[owner[e]] is not None:
+        if owner[e] not in strays and owner[e] not in lacking:
             first.setdefault(owner[e], flat[e])
-    return ([(cells[o], f"{(J, cells[o])}: domain has no ordering cycle") for o in _nones(cycles)]
+    return ([(cells[o], f"{(J, cells[o])}: domain has no ordering cycle") for o in mine.nones()]
             + [(cells[o], f"{(J, cells[o])}: ordering cycle lists {(full, t)}, missing in domain")
                for o, t in strays.items()]
-            + [(cells[o], f"{(J, cells[o])}: image has no ordering cycle") for o in _nones(theirs)
-               if cycles[o] is not None and o not in strays]
+            + [(cells[o], f"{(J, cells[o])}: image has no ordering cycle") for o in lacking
+               if mine.offsets[o] >= 0 and o not in strays]
             + [(cells[o], f"{(J, cells[o])}: ordering not equivariant at {(full, t)}")
                for o, t in first.items()])
-
-
-def _listed(cycles: list[list[int] | None]) -> tuple[list[int], list[int], list[int]]:
-    """The entries of the cycles that are not None, in order, each with the
-    entry after it in its cycle and the position of its cycle in the list."""
-    kept = [c for c, cyc in enumerate(cycles) if cyc]
-    sizes = list(map(len, map(cycles.__getitem__, kept)))
-    flat = list(chain.from_iterable(map(cycles.__getitem__, kept)))
-    after = flat[1:] + flat[:1]
-    for start, end in zip(accumulate([0] + sizes), accumulate(sizes)):
-        after[end - 1] = flat[start]  # the last entry of a cycle steps to its first
-    return flat, after, list(chain.from_iterable(map(repeat, kept, sizes)))
 
 
 def is_surjective(f: Mapping[MId, MId], y: MComplex) -> bool:
@@ -752,12 +897,20 @@ def _moves(x: MComplex, i: int) -> tuple[list[int], list[int], list[int | None]]
     full = tuple(x.params.colors)
     n = len(x.cells.get(full, ()))
     facets = x.cells[full].faces[i :: len(full)] if n else []
-    flat, after, owner = _listed(x.ordering.get(full[:i] + full[i + 1 :]) or [])
-    listed_in_own = map(eq, map(dict(enumerate(facets)).get, flat), owner)
-    steps = dict(reversed(list(compress(zip(flat, after), listed_in_own))))  # first listing wins
-    if steps and not 0 <= min(steps.values()) <= max(steps.values()) < n:
-        steps = {t: s if 0 <= s < n else None for t, s in steps.items()}
-    return facets, list(map(Counter(owner).get, facets, repeat(0))), list(map(steps.get, range(n)))
+    cycles = x.ordering.get(full[:i] + full[i + 1 :]) or Cycles([], [0])
+    flat, (after, owner) = cycles.tops, cycles.steps()
+    if flat and not 0 <= min(flat) <= max(flat) < n or list(map(facets.__getitem__, flat)) != owner:
+        own = [0 <= t < n and facets[t] == o for t, o in zip(flat, owner)]  # listed in its own facet
+        flat, after = list(compress(flat, own)), list(compress(after, own))
+    steps: list[int | None] = [None] * n
+    deque(map(steps.__setitem__, reversed(flat), reversed(after)), 0)  # the first listing is set last
+    if after and not 0 <= min(after) <= max(after) < n:
+        steps = [s if s is None or 0 <= s < n else None for s in steps]
+    sizes = cycles.sizes()
+    deque(map(sizes.__setitem__, cycles.nones(), repeat(0)), 0)
+    if facets and not 0 <= min(facets) <= max(facets) < len(sizes):
+        return facets, [sizes[f] if 0 <= f < len(sizes) else 0 for f in facets], steps
+    return facets, list(map(sizes.__getitem__, facets)), steps
 
 
 def extend_down(tops: Sequence[int], x: MComplex, y: MComplex) -> CellMap | MId:
@@ -829,34 +982,41 @@ def complex_from_classes(
     root: int,
     successors: Sequence[Sequence[int | None]] | None = None,
     vertex_colors: list[int] | None = None,
+    firsts: Mapping[tuple[int, ...], Sequence[int]] | None = None,
 ) -> MComplex:
     """The complex whose multicells of color set J are the classes of its
     top cells under J: the one construction behind quotients, coset balls,
     Coxeter complexes, simplicial input, links and vertex merges.
 
     `classes[J][t]` is top t's class under each proper color set J, numbered
-    by first appearance; a cell is read off its first top.  Top t is the
-    multicell (all colors, t), and top `root` the root.  Vertices are
+    by first appearance; a cell is read off its first top, firsts[J][c]
+    for class c where the caller knows it (the partition reps of an orbit
+    complex).  Top t is the multicell (all colors, t), and top `root` the
+    root.  Vertices are
     numbered by color, then class, unless `vertex_colors` is given: then a
     single color's column holds vertex ids.  `successors[i][t]` is the top
     generator i moves top t to, or None (outside a ball): a (d-1)-cell's
-    cycle walks these steps from its first top, and a None step marks it as
-    boundary.  Without `successors` the complex is left unordered."""
+    cycle walks these steps from its first top, straight into the flat
+    `Cycles` column, and a None step marks it as boundary.  Without
+    `successors` the complex is left unordered."""
     full = tuple(params.colors)
     n = len(classes[full[:1]])
-    first = {J: dict(zip(reversed(col), range(n - 1, -1, -1)))  # class -> its first top
-             for J, col in classes.items() if len(J) >= 2 or len(full) == 2}
+    walked = successors is not None and vertex_colors is None  # then size-d classes are dense, also at d = 1
+    firsts = {J: firsts[J] if firsts and J in firsts else _firsts(column)
+              for J, column in classes.items() if len(J) >= 2 or walked and len(J) == params.d}
     vert, at = {}, {}  # class -> vertex id, unless the columns hold ids: id -> vertex cell
     if vertex_colors is None:
         counts = [max(classes[(c,)], default=-1) + 1 for c in full]
         vertex_colors = [c for c, m in zip(full, counts) for _ in range(m)]
         vert = {c: list(range(o, o + m)) for c, o, m in zip(full, accumulate([0] + counts), counts)}
     x = MComplex(params, vertex_colors, {})
-    if not vert:
-        at = dict.fromkeys([(c,) for c in full], [x.vertex_cell(v)[1] for v in range(x.n_vertices)])
+    if not vert:  # each vertex's rank among the vertices of its color
+        ranks = [0] * x.n_vertices
+        for cells in (x.cells[(c,)] for c in full if (c,) in x.cells):
+            deque(map(ranks.__setitem__, cells.vertices, range(len(cells))), 0)
+        at = dict.fromkeys([(c,) for c in full], ranks)
     for J in sorted((J for J in classes if len(J) >= 2), key=_by_size) + [full]:
-        tops = range(n) if J == full else list(map(first[J].__getitem__, range(len(first[J]))))
-        size = len(J)
+        tops, size = range(n) if J == full else firsts[J], len(J)
         vertices, faces = [0] * (len(tops) * size), [0] * (len(tops) * size)
         for q, c in enumerate(J):
             column = map(classes[(c,)].__getitem__, tops)
@@ -870,19 +1030,33 @@ def complex_from_classes(
         return x
     x.ordering, boundary = {}, set()
     for i in reversed(range(len(full))):
-        J, step = full[:i] + full[i + 1 :], successors[i]
-        cycles = x.ordering[J] = [None] * len(x.cells[J])
-        for cls, t in first[J].items():
-            cyc, nxt = [t], step[t]
+        J, step, walk, offsets = full[:i] + full[i + 1 :], successors[i], [], []
+        if J in firsts:
+            heads = firsts[J]
+        else:  # the classes are vertex ids, and a vertex in no top has no first top
+            first = dict(zip(reversed(classes[J]), range(n - 1, -1, -1)))
+            heads = list(map(first.get, x.cells[J].vertices))
+        for cell, t in enumerate(heads):
+            if t is None:  # a vertex in no top has no cycle
+                offsets.append(~len(walk))
+                continue
+            offsets.append(len(walk))
+            walk.append(t)
+            nxt = step[t]
             while nxt is not None and nxt != t:
-                cyc.append(nxt)
+                walk.append(nxt)
                 nxt = step[nxt]
-            cell = at[J][cls] if J in at else cls
             if nxt is None:
                 boundary.add((J, cell))
-            cycles[cell] = cyc
+        x.ordering[J] = Cycles(walk, offsets + [len(walk)])
     x.boundary = frozenset(boundary)
     return x
+
+
+def _firsts(column: Sequence[int]) -> list[int]:
+    """The first top of each class of a column numbered by first appearance."""
+    first = dict(zip(reversed(column), range(len(column) - 1, -1, -1)))
+    return list(map(first.__getitem__, range(len(first))))
 
 
 def from_simplicial(
@@ -894,20 +1068,34 @@ def from_simplicial(
     of its top cells, top t being the multicell (all colors, t), rooted at
     top 0.  The ordering cycles the tops around each (d-1)-cell in
     ascending id order, a guarantee that `build_ball` relies on; it is
-    valid only when each (d-1)-cell degree divides k."""
-    tops = []
-    for t in map(set, top_vertex_sets):
-        by_color = {vertex_colors[v]: v for v in t}
-        if len(t) != params.d + 1 or sorted(by_color) != list(params.colors):
-            raise ValueError(f"top cell {sorted(t)} needs one vertex of each color 0..{params.d}")
-        tops.append(by_color)
-    classes = class_columns(params, tops, lambda by_color, cs: tuple(map(by_color.__getitem__, cs)))
-    classes.update({(c,): [by_color[c] for by_color in tops] for c in params.colors})  # vertex ids
+    valid only when each (d-1)-cell degree divides k.
+
+    The tops' vertices are placed by color into one column, slot t·(d+1) + c
+    for top t's vertex of color c, and the classes are read off its slices:
+    the vertex ids, and the zipped ids of each color set."""
+    full, size = tuple(params.colors), len(params.colors)
+    sets = list(map(set, top_vertex_sets))
+    flat = list(chain.from_iterable(sets))
+    colors, slots = list(map(vertex_colors.__getitem__, flat)), [None] * len(flat)
+    if set(map(len, sets)) <= {size} and (not colors or 0 <= min(colors) and max(colors) < size):
+        places = map(add, map(sub, range(len(flat)), map(mod, range(len(flat)), repeat(size))), colors)
+        deque(map(slots.__setitem__, places, flat), 0)  # a repeated color leaves a slot empty
+    if None in slots:
+        for t in sets:
+            if sorted(vertex_colors[v] for v in t) != list(full):
+                raise ValueError(f"top cell {sorted(t)} needs one vertex of each color 0..{params.d}")
+    classes = {(c,): slots[c::size] for c in full}  # vertex ids
+    for J in (J for size in range(2, len(full)) for J in combinations(full, size)):
+        keys = list(zip(*map(classes.__getitem__, zip(J))))  # each top's vertex ids of colors J
+        rank = dict(zip(dict.fromkeys(keys), count()))  # by first appearance
+        classes[J] = list(map(rank.__getitem__, keys))
     x = complex_from_classes(params, classes, 0, vertex_colors=vertex_colors)
-    full = tuple(params.colors)
-    x.ordering = {J: [[] for _ in range(len(x.cells[J]))] for J in _drops(full)}
-    for e, f in enumerate(x.cells[full].faces):  # top e // |full| joins its facets' cycles
-        x.ordering[_drops(full)[e % len(full)]][f].append(e // len(full))
+    x.ordering = {}
+    for p, J in enumerate(_drops(full)):  # the tops around each facet, by one stable sort
+        facets = x.cells[full].faces[p :: len(full)]
+        counts = Counter(facets)
+        x.ordering[J] = Cycles(sorted(range(len(facets)), key=facets.__getitem__),
+                               list(accumulate(map(counts.__getitem__, range(len(x.cells[J]))), initial=0)))
     return x
 
 
@@ -1000,7 +1188,8 @@ def _params(doc: dict) -> Params:
 
 def to_json_dict(x: MComplex) -> dict:
     """The mcomplex/2 document of x (layout in the module docstring).  The
-    `cells` and `ordering` records hold x's own lists, not copies."""
+    `cells` records hold x's own columns, not copies; the `ordering`
+    records' per-cell `cycles` lists are built from the cycle columns."""
     by_size = sorted(x.cells, key=_by_size)
     cells = [
         {"colors": list(J), "vertices": x.cells[J].vertices, "faces": x.cells[J].faces}
@@ -1009,7 +1198,7 @@ def to_json_dict(x: MComplex) -> dict:
     ]
     ordering = None
     if x.ordering is not None:
-        ordering = [{"colors": list(J), "cycles": x.ordering[J]} for J in sorted(x.ordering)]
+        ordering = [{"colors": list(J), "cycles": x.ordering[J].lists()} for J in sorted(x.ordering)]
     return {
         "format": FORMAT,
         "params": {"d": x.params.d, "k": x.params.k},
@@ -1029,10 +1218,17 @@ def to_json(x: MComplex) -> str:
 
 
 def from_json_dict(doc: dict) -> MComplex:
-    """Read an mcomplex/2 document, keeping its columns.  A document of
+    """Read an mcomplex/2 document, keeping its cell columns; the ordering
+    records' `cycles` lists are read into `Cycles` columns.  A document of
     another format or of the wrong shape raises a one-line ValueError naming
     the format found or the first missing or wrongly typed field; every
     vertex, color, index and facet must be an int."""
+    return _from_doc(doc, keep=True)
+
+
+def _from_doc(doc: dict, keep: bool) -> MComplex:
+    """`from_json_dict`; unless `keep`, each ordering record drops its
+    `cycles` lists once they are read, so that their memory is reused."""
     if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT:
@@ -1074,12 +1270,28 @@ def from_json_dict(doc: dict) -> MComplex:
                 raise ValueError(
                     f"{where}: {len(cycles)} cycles for the {n} cells of colors {list(colors)}"
                 )
-            for i, cyc in enumerate(cycles):
-                if cyc is not None:
-                    _ints(cyc, f"{where}: cycle {i}")
-            x.ordering[colors] = cycles
+            x.ordering[colors] = _cycle_column(cycles, where)
+            if not keep:
+                rec["cycles"] = None
     return x
 
 
+def _cycle_column(cycles: list, where: str) -> Cycles:
+    """A file's `cycles` list as one `Cycles` column, its entries checked
+    by one `_ints` over the flattened column; on a fault, the first cycle
+    that is neither null nor a list of ints is named."""
+    try:
+        if not set(map(type, cycles)) <= {list, type(None)}:
+            raise ValueError(where)
+        column = Cycles.of_lists(cycles)
+        _ints(column.tops, where)
+    except ValueError:
+        for i, cyc in enumerate(cycles):
+            if cyc is not None:
+                _ints(cyc, f"{where}: cycle {i}")
+        raise
+    return column
+
+
 def from_json(text: str) -> MComplex:
-    return from_json_dict(json.loads(text))
+    return _from_doc(json.loads(text), keep=False)

@@ -9,9 +9,11 @@ ends.  A vertex covered by a loop meets no other edge of that factor.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
+from operator import itemgetter
 from typing import Iterator
 
-from .permrep import PermRep, numbered_lines, partition, perm_cycles, require_valid
+from .permrep import PermRep, numbered_lines, partition, require_valid
 from .records import Record
 
 Edge = tuple[int, int, object]  # (u, v, label) with u <= v; u == v is a loop
@@ -31,7 +33,10 @@ class Multigraph(Record):
         self.edges.append((u, v, label))
 
     def sort_edges(self) -> None:
-        self.edges.sort(key=lambda e: (e[0], e[1], repr(e[2])))
+        """Sort the edges stably by (u, v, repr(label)), with one repr per
+        distinct label."""
+        text = {label: repr(label) for label in dict.fromkeys(map(itemgetter(2), self.edges))}
+        self.edges.sort(key=lambda e: (e[0], e[1], text[e[2]]))
 
     def edge_multiset(self) -> list:
         return sorted((u, v, repr(l)) for u, v, l in self.edges)
@@ -60,13 +65,14 @@ def generator_classes(k: int) -> list[tuple[int, bool]]:
 def schreier_multigraph(rep: PermRep) -> Multigraph:
     """Quotient of the Cayley graph by the subgroup: one vertex per point,
     and per generator-power class the matching/2-factor edge rules applied
-    along each cycle of the generator image."""
-    require_valid(rep)
-    k = rep.params.k
-    g = Multigraph(rep.n)
-    for i, beta in enumerate(rep.betas):
-        for cyc in perm_cycles(beta):
-            cycle_edges(g, cyc, i, k)
+    along each cycle of the generator image, read off the walks that
+    `validate` made to find those cycles."""
+    parts, k = require_valid(rep).partitions, rep.params.k
+    g, full = Multigraph(rep.n), tuple(range(len(rep.betas)))
+    for i in full:
+        cycles = parts[full[:i] + full[i + 1 :]]
+        for start, end in zip(cycles.offsets, cycles.offsets[1:]):
+            cycle_edges(g, cycles.walk[start:end], i, k)
     g.sort_edges()
     return g
 
@@ -386,9 +392,7 @@ def counterexample_graph(k: int) -> Multigraph:
 # -- text and DOT -----------------------------------------------------------------
 
 def format_multigraph(g: Multigraph) -> str:
-    counts: dict[tuple[int, int], int] = {}
-    for u, v, _ in g.edges:
-        counts[(u, v)] = counts.get((u, v), 0) + 1
+    counts = Counter(map(itemgetter(0, 1), g.edges))  # edges per endpoint pair
     lines = [str(g.n)]
     for (u, v), c in sorted(counts.items()):
         lines.append(f"{u + 1} {v + 1}" + (f" {c}" if c > 1 else ""))

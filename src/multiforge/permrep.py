@@ -46,7 +46,9 @@ every color set J, from all colors (the points) down to the empty set (the
 orbits of the group), each as one `partition` of the classes of J + {a},
 a the least color missing from J, joined along beta_a.  When J misses one
 color a, those classes are the points, and one walk along the cycles of
-beta_a labels its orbits instead (`_cycle_classes`).  Class ids are
+beta_a labels its orbits instead (`_cycle_classes`); the partition keeps
+that walk, which is the ordering of the orbit complex and the cycle list
+of the Schreier graph.  Class ids are
 ordered by minimal point at every J, so a set's ids are the ids of the
 direct union-find, and `complex_from_classes` and the fixture digests
 read them as cell indices.  `validate` reads the order and transitivity
@@ -89,10 +91,15 @@ class RepDiagnostics(NamedTuple):
 
 class OrbitPartition(NamedTuple):
     """Classes of the points 0..n-1, dense and ordered by minimal point,
-    such as the orbits of a color set (module docstring, Orbits)."""
+    such as the orbits of a color set (module docstring, Orbits).  The
+    cycles of one permutation also keep the walk that found them: `walk`
+    lists each class's points in cycle order from its minimal point, class
+    after class, and class c is walk[offsets[c] : offsets[c + 1]]."""
 
     class_ids: list[int]  # point -> class id
     reps: list[int]  # class id -> minimal point
+    walk: list[int] | None = None
+    offsets: list[int] | None = None
 
     @property
     def count(self) -> int:
@@ -149,17 +156,20 @@ def perm_cycles(perm: Perm) -> list[list[int]]:
 def _cycle_classes(perm: Perm, points: list[int]) -> OrbitPartition:
     """The cycles of a permutation of `points`, which is range(n) as a list,
     as classes, labeled by one walk along each cycle from its minimal point,
-    in increasing point order.  The reps are items of `points`, not new
-    ints."""
-    class_ids, reps = [-1] * len(perm), []
+    in increasing point order; the partition keeps that walk.  The reps are
+    items of `points`, not new ints."""
+    class_ids, reps, walk, offsets = [-1] * len(perm), [], [], []
     for p in points:
         if class_ids[p] < 0:
             q, c = p, len(reps)
             reps.append(p)
+            offsets.append(len(walk))
             while class_ids[q] < 0:
                 class_ids[q] = c
+                walk.append(q)
                 q = perm[q]
-    return OrbitPartition(class_ids, reps)
+    offsets.append(len(walk))
+    return OrbitPartition(class_ids, reps, walk, offsets)
 
 
 def orbit_partitions(rep: PermRep) -> dict[tuple[int, ...], OrbitPartition]:

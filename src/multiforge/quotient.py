@@ -9,7 +9,7 @@ line-graph / Schreier identification, and the classification round trip.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import chain
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .complexes import (
     CellMap,
     MComplex,
+    Cycles,
     _links_connected,
-    _listed,
     _validate_structure,
     base_complex,
     check_consistency,
@@ -59,8 +59,10 @@ def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitP
     of the missing generator from the orbit minimum, and the root is the
     class of the root point.  Point p is the top multicell (all colors, p).
     The class ids of `orbit_partitions` (permrep docstring, Orbits) are the
-    columns of `complex_from_classes` and the generators its successor
-    maps.  Returns the complex and the partitions of the nonempty color sets.
+    columns of `complex_from_classes`, and the walks that found the
+    generators' cycles are its ordering columns as they stand, so no cycle
+    is walked twice.  Returns the complex and the partitions of the
+    nonempty color sets.
     """
     return _orbit_complex(rep, orbit_partitions(rep))
 
@@ -68,7 +70,9 @@ def orbit_quotient(rep: PermRep) -> tuple[MComplex, dict[tuple[int, ...], OrbitP
 def _orbit_complex(rep: PermRep, partitions: dict[tuple[int, ...], OrbitPartition]):
     parts = {J: part for J, part in partitions.items() if J}
     classes = {J: part.class_ids for J, part in parts.items() if len(J) <= rep.params.d}
-    return complex_from_classes(rep.params, classes, rep.root, rep.betas), parts
+    x = complex_from_classes(rep.params, classes, rep.root, firsts={J: parts[J].reps for J in classes})
+    x.ordering = {J: Cycles(parts[J].walk, parts[J].offsets) for J in classes if len(J) == rep.params.d}
+    return x, parts
 
 
 def complex_line_graph(x: MComplex) -> Multigraph:
@@ -81,7 +85,8 @@ def complex_line_graph(x: MComplex) -> Multigraph:
     full, k = tuple(x.params.colors), x.params.k
     g = Multigraph(len(x.cells.get(full, ())))
     for i in full:
-        for cyc in x.ordering.get(full[:i] + full[i + 1 :], []):
+        cycles = x.ordering.get(full[:i] + full[i + 1 :])
+        for cyc in cycles.lists() if cycles is not None else ():
             cycle_edges(g, cyc, i, k)
     g.sort_edges()
     return g
@@ -160,14 +165,16 @@ def associated_subgroup_rep(x: MComplex) -> PermRep:
         raise ValueError(f"the root {x.root} is not a top cell")
     faces, betas = x.cells[full].faces, []
     for i in full:
-        m = len(x.cells.get(full[:i] + full[i + 1 :], ()))
-        cycles = (x.ordering.get(full[:i] + full[i + 1 :]) or [])[:m]
-        flat, after, owner = _listed(cycles)
-        betas.append(tuple(map(dict(zip(flat, after)).get, range(n))))
+        J = full[:i] + full[i + 1 :]
+        cycles = Cycles.fitted(x.ordering.get(J), len(x.cells.get(J, ())))
+        flat, (after, owner) = cycles.tops, cycles.steps()
         facets = faces[i :: len(full)]  # each top's own facet
-        if (len(cycles) != m or None in cycles or len(flat) != n or None in betas[-1]
-                or list(map(facets.__getitem__, flat)) != owner):
+        if (min(cycles.offsets) < 0 or len(flat) != n or flat and not 0 <= min(flat) <= max(flat) < n
+                or len(set(flat)) != n or list(map(facets.__getitem__, flat)) != owner):
             raise ValueError(next(ordering_faults(x)))
+        beta = [0] * n
+        deque(map(beta.__setitem__, flat, after), 0)
+        betas.append(tuple(beta))
     return PermRep(x.params, n, tuple(betas), x.root[1])
 
 

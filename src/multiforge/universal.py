@@ -8,7 +8,7 @@ invariant ordering (cofaces cycled by ascending generator exponent).
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from typing import NamedTuple
 
 from .complexes import MComplex, MId, complex_from_classes, from_simplicial
@@ -69,9 +69,8 @@ def build_ball(p: Params, n: int) -> Ball:
     # by exponent.  That is the invariant ordering.  A cell with fewer than
     # k tops was never attached along: it lies on the boundary.
     x = from_simplicial(p, vertex_colors, tops)
-    x.boundary = frozenset(
-        (J, i) for J, cycles in x.ordering.items() for i, cyc in enumerate(cycles) if len(cyc) < k
-    )
+    x.boundary = frozenset((J, i) for J, cycles in x.ordering.items()
+                           for i in compress(count(), map(k.__gt__, cycles.sizes())))
     return Ball(x, n, {(tuple(p.colors), t): w for t, w in enumerate(words)})
 
 

@@ -57,8 +57,8 @@ def validate_structure_oracle(x: MComplex) -> Diagnostics:
                  for i, deg in enumerate(cofaces[J]) if deg > k]
     if x.ordering is not None:
         msgs += ordering_faults(x)
-        for J, cycles in sorted(x.ordering.items()):
-            for i, cyc in enumerate(cycles):
+        for J in sorted(x.ordering):
+            for i, cyc in enumerate(map(x.cycle, ((J, i) for i in range(len(x.ordering[J]))))):
                 if cyc is not None and (not cyc or k % len(cyc)) and (J, i) not in x.boundary:
                     msgs.append(f"{(J, i)}: cycle length {len(cyc)} does not divide k")
     for mid in sorted(x.boundary):

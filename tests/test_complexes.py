@@ -244,7 +244,9 @@ def test_check_morphism_names_a_cell_missing_in_the_domain(edit, message):
     y = build_quotient(seeded_rep(2, 3, 12, 1)).complex
     x, f = from_json(to_json(y)), {mid: mid for mid in y.mids()}
     if edit == "cycle":
-        x.ordering[(1, 2)][0].append(99)
+        doc = json.loads(to_json(y))
+        doc["ordering"][2]["cycles"][0].append(99)  # the record of colors (1, 2)
+        x = from_json_dict(doc)
     elif edit == "facet":
         x.cells[(0, 1, 2)].faces[5 * 3] = -1
     elif edit == "vertex":
@@ -290,11 +292,13 @@ def test_rotated_boundary_cycle_survives_link_and_merge():
     flagged as boundary, is carried over as it stands."""
     x = build_quotient(m_subgroup_rep(Params(2, 3))).complex
     facet = x.cell(((0, 1), 0))
-    cycle = x.ordering[(0, 1)][0]
+    cycle = x.cycle(facet.mid)
     rotated = cycle[1:] + cycle[:1]
     assert rotated != sorted(rotated)
-    x.ordering[(0, 1)][0] = rotated
-    x.boundary = frozenset({facet.mid})
+    doc = json.loads(to_json(x))
+    doc["ordering"][0]["cycles"][0] = rotated  # the record of colors (0, 1)
+    doc["boundary"] = [[[0, 1], 0]]
+    x = from_json_dict(doc)
 
     merged = merge_vertices(x, 6, 7)  # two vertices of color 2
     assert merged.cycle(facet.mid) == rotated
@@ -703,7 +707,7 @@ def test_cycle_is_none_off_the_cells():
     x = build_quotient(seeded_rep(2, 3, 12, 1)).complex
     J = (0, 1)
     n = len(x.cells[J])
-    assert [x.cycle((J, i)) for i in range(n)] == x.ordering[J]
+    assert [x.cycle((J, i)) for i in range(n)] == json.loads(to_json(x))["ordering"][0]["cycles"]
     for i in (-1, -n, n, n + 3):
         assert not x.has_cell((J, i)) and x.cycle((J, i)) is None
     y = from_json(to_json(x))
@@ -734,16 +738,24 @@ def test_roots_of_other_colors_or_of_no_cell_are_refused_with_a_reason():
 CYCLE_EDITS = ["none", "rotate", "drop", "stranger", "repeat", "replace", "swap", "no-cycle", "dangle"]
 
 
-def edit_cycle(x: MComplex, edit: str, data) -> tuple[tuple[int, ...], int | None]:
-    """Apply one of CYCLE_EDITS to a drawn ordering cycle of x, or, for
-    "dangle", point one top's facet of the drawn color set at no cell.
-    Returns the color set and the dangling facet index (None if none)."""
+def edit_cycle(x: MComplex, edit: str, data) -> tuple[MComplex, tuple[int, ...], int | None]:
+    """Apply one of CYCLE_EDITS to a drawn ordering cycle of x's JSON
+    document, or, for "dangle", point one top's facet of the drawn color
+    set at no cell, and read the document back.  A color set with more
+    cells than cycles (a vertex added by hand) gets None cycles for the
+    rest, as the reader requires.  Returns the edited copy, the color set
+    and the dangling facet index (None if none)."""
+    doc = json.loads(to_json(x))
+    ordering = {tuple(rec["colors"]): rec["cycles"] for rec in doc["ordering"]}
+    for J, cycles in ordering.items():
+        cycles += [None] * (len(x.cells[J]) - len(cycles))
     full = tuple(range(x.d + 1))
-    J = data.draw(st.sampled_from(sorted(x.ordering)))
-    i = data.draw(st.integers(0, len(x.ordering[J]) - 1))
-    cyc, n = x.ordering[J][i], len(x.cells[full])
+    J = data.draw(st.sampled_from(sorted(ordering)))
+    cycles = ordering[J]
+    i = data.draw(st.integers(0, len(cycles) - 1))
+    cyc, n = cycles[i], len(x.cells[full])
     if edit == "rotate":
-        x.ordering[J][i] = cyc[1:] + cyc[:1]
+        cycles[i] = cyc[1:] + cyc[:1]
     elif edit == "drop":
         del cyc[data.draw(st.integers(0, len(cyc) - 1))]
     elif edit == "stranger":
@@ -755,18 +767,19 @@ def edit_cycle(x: MComplex, edit: str, data) -> tuple[tuple[int, ...], int | Non
         t = data.draw(st.integers(0, len(cyc) - 1))
         cyc[t] = data.draw(st.sampled_from([s for s in cyc if s != cyc[t]] + [n]))
     elif edit == "swap":
-        j = data.draw(st.sampled_from([j for j in range(len(x.ordering[J])) if j != i] or [i]))
-        assume(j != i and cyc and x.ordering[J][j])
-        cyc[0], x.ordering[J][j][0] = x.ordering[J][j][0], cyc[0]
+        j = data.draw(st.sampled_from([j for j in range(len(cycles)) if j != i] or [i]))
+        assume(j != i and cyc and cycles[j])
+        cyc[0], cycles[j][0] = cycles[j][0], cyc[0]
     elif edit == "no-cycle":
-        x.ordering[J][i] = None
+        cycles[i] = None
     elif edit == "dangle":
         (missing,) = set(full) - set(J)
         top = data.draw(st.integers(0, n - 1))
         f = data.draw(st.sampled_from([-1, len(x.cells[J]), len(x.cells[J]) + 3]))
-        x.cells[full].faces[top * (x.d + 1) + missing] = f
-        return J, f
-    return J, None
+        (tops,) = [rec for rec in doc["cells"] if tuple(rec["colors"]) == full]
+        tops["faces"][top * (x.d + 1) + missing] = f
+        return from_json_dict(doc), J, f
+    return from_json_dict(doc), J, None
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -781,10 +794,10 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
     raises iff `ordering_faults` reports a fault, with that fault's text,
     and then `validate_structure` fails too; without a fault it builds the
     rep without running the audit, and a rotated cycle gives the same rep;
-    and the reader keeps the document's own `cycles` lists."""
+    and the writer gives back the document's own `cycles` lists."""
     x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
     before = associated_subgroup_rep(x)
-    J, f = edit_cycle(x, edit, data)
+    x, J, f = edit_cycle(x, edit, data)
     faults = list(ordering_faults(x))
     assert bool(faults) == (edit not in ("none", "rotate"))
     if edit == "dangle":
@@ -799,8 +812,116 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
             assert associated_subgroup_rep(x) == before
     doc = json.loads(to_json(x))
     y = from_json_dict(doc)
-    assert all(y.ordering[tuple(rec["colors"])] is rec["cycles"] for rec in doc["ordering"])
+    assert json.loads(to_json(y))["ordering"] == doc["ordering"]
     assert sorted(y.ordering) == sorted(x.ordering)
+
+
+def _ordering_case(case: str) -> tuple[MComplex, MComplex]:
+    """An unedited complex y and its copy x with one ORDERING_CASES edit
+    applied to the JSON document and read back.  The quotient is the
+    6-point (2,3) one of seed 1, whose cycles are (0,1): [0,2,5] [1,3,4];
+    (0,2): [0,4,5] [1,2,3]; (1,2): [0,5,3] [1] [2] [4].  The d = 1
+    quotient has (0,): [0,4,5] [1,2,3]; (1,): [0,5,3] [1] [2] [4].  The
+    two-triangle complex glues two (2,3) tops along one (0,1)-edge."""
+    if case in ("short-cycle", "short-cycle-on-boundary"):
+        y = from_simplicial(Params(2, 3), [0, 1, 2, 2], [(0, 1, 2), (0, 1, 3)])
+    else:
+        y = build_quotient(seeded_rep(1 if case == "d1" else 2, 3, 6, 1)).complex
+    doc = json.loads(to_json(y))
+    cycles = {tuple(rec["colors"]): rec["cycles"] for rec in doc["ordering"]}
+    if case == "null-beside-empty":
+        cycles[(0, 1)][:] = [None, []]
+    elif case == "stray-top":
+        cycles[(0, 2)][0].append(2)  # a coface of ((0, 2), 1)
+        cycles[(1, 2)][1].append(99)  # no top
+    elif case == "repeated-top":
+        cycles[(0, 1)][1].append(3)
+    elif case == "missing-coface":
+        cycles[(1, 2)][0].remove(5)
+    elif case == "short-cycle-on-boundary":
+        doc["boundary"] = [[[0, 1], 0]]
+    elif case == "d1":
+        cycles[(0,)][0] = None
+        cycles[(1,)][0].append(5)
+        cycles[(1,)][1] = []
+    return from_json_dict(doc), y
+
+
+ORDERING_CASES = {
+    # case: (validate_structure, ordering_faults, check_morphism x -> y,
+    #        check_morphism y -> x, propagate_from_root x -> y, y -> x)
+    "null-beside-empty": (
+        ["the facet ((0, 1), 0) has no ordering cycle",
+         "the ordering cycle of the facet ((0, 1), 1) leaves out its coface ((0, 1, 2), 1)",
+         "((0, 1), 1): cycle length 0 does not divide k"],
+        ["the facet ((0, 1), 0) has no ordering cycle",
+         "the ordering cycle of the facet ((0, 1), 1) leaves out its coface ((0, 1, 2), 1)"],
+        ["((0, 1), 0): domain has no ordering cycle"],
+        ["((0, 1), 0): image has no ordering cycle",
+         "((0, 1), 1): ordering not equivariant at ((0, 1, 2), 1)"],
+        "cycle length mismatch at ((0, 1), 0)",
+        "cycle length mismatch at ((0, 1), 0)"),
+    "stray-top": (
+        ["the ordering cycle of the facet ((0, 2), 0) lists ((0, 1, 2), 2), not a coface",
+         "the ordering cycle of the facet ((1, 2), 1) lists ((0, 1, 2), 99), not a coface",
+         "((0, 2), 0): cycle length 4 does not divide k",
+         "((1, 2), 1): cycle length 2 does not divide k"],
+        ["the ordering cycle of the facet ((0, 2), 0) lists ((0, 1, 2), 2), not a coface",
+         "the ordering cycle of the facet ((1, 2), 1) lists ((0, 1, 2), 99), not a coface"],
+        ["((0, 2), 0): ordering not equivariant at ((0, 1, 2), 5)",
+         "((1, 2), 1): ordering cycle lists ((0, 1, 2), 99), missing in domain"],
+        ["((0, 2), 0): ordering not equivariant at ((0, 1, 2), 5)",
+         "((1, 2), 1): ordering not equivariant at ((0, 1, 2), 1)"],
+        "cycle length mismatch at ((0, 2), 0)",
+        "cycle length mismatch at ((0, 2), 0)"),
+    "repeated-top": (
+        ["the ordering cycle of the facet ((0, 1), 1) lists a coface twice",
+         "((0, 1), 1): cycle length 4 does not divide k"],
+        ["the ordering cycle of the facet ((0, 1), 1) lists a coface twice"],
+        ["((0, 1), 1): ordering not equivariant at ((0, 1, 2), 4)"],
+        ["((0, 1), 1): ordering not equivariant at ((0, 1, 2), 3)"],
+        "cycle length mismatch at ((0, 1), 1)",
+        "cycle length mismatch at ((0, 1), 1)"),
+    "missing-coface": (
+        ["the ordering cycle of the facet ((1, 2), 0) leaves out its coface ((0, 1, 2), 5)",
+         "((1, 2), 0): cycle length 2 does not divide k"],
+        ["the ordering cycle of the facet ((1, 2), 0) leaves out its coface ((0, 1, 2), 5)"],
+        ["((1, 2), 0): ordering not equivariant at ((0, 1, 2), 0)"],
+        ["((1, 2), 0): ordering not equivariant at ((0, 1, 2), 0)"],
+        "cycle length mismatch at ((1, 2), 0)",
+        "cycle length mismatch at ((1, 2), 0)"),
+    "short-cycle": (["((0, 1), 0): cycle length 2 does not divide k"], [], [], [], "ok", "ok"),
+    "short-cycle-on-boundary": ([], [], [], [], "root component does not reach every top cell", "ok"),
+    "d1": (
+        ["the facet ((0,), 0) has no ordering cycle",
+         "the ordering cycle of the facet ((1,), 0) lists a coface twice",
+         "the ordering cycle of the facet ((1,), 1) leaves out its coface ((0, 1), 1)",
+         "((1,), 0): cycle length 4 does not divide k",
+         "((1,), 1): cycle length 0 does not divide k"],
+        ["the facet ((0,), 0) has no ordering cycle",
+         "the ordering cycle of the facet ((1,), 0) lists a coface twice",
+         "the ordering cycle of the facet ((1,), 1) leaves out its coface ((0, 1), 1)"],
+        ["((0,), 0): domain has no ordering cycle",
+         "((1,), 0): ordering not equivariant at ((0, 1), 3)"],
+        ["((0,), 0): image has no ordering cycle",
+         "((1,), 0): ordering not equivariant at ((0, 1), 5)",
+         "((1,), 1): ordering not equivariant at ((0, 1), 1)"],
+        "cycle length mismatch at ((1,), 0)",
+        "cycle length mismatch at ((1,), 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDERING_CASES))
+def test_ordering_fault_messages_are_pinned(case):
+    """Each ordering edit, made to the JSON document and read back, gives
+    these messages in this order from `validate_structure`,
+    `ordering_faults`, `check_morphism` of the identity both ways and
+    `propagate_from_root` both ways."""
+    x, y = _ordering_case(case)
+    f = {mid: mid for mid in y.mids()}
+    got = (validate_structure(x).messages, list(ordering_faults(x)), check_morphism(f, x, y).messages,
+           check_morphism(f, y, x).messages, propagate_from_root(x, y)[1], propagate_from_root(y, x)[1])
+    assert got == ORDERING_CASES[case]
 
 
 def map_or_none(fn, *args):
@@ -842,8 +963,10 @@ def test_propagation_matches_the_per_cycle_oracle(d, k, m, seed, case, edit, sid
         x = link_connected_cover(y)[0] if case == "cover-to-merged" else from_json(to_json(y))
     else:
         x, y = q, from_json(to_json(q))
-        for z in ([x] if side == "domain" else [y] if side == "codomain" else [x, y]):
-            edit_cycle(z, edit, data)
+        if side in ("domain", "both"):
+            x = edit_cycle(x, edit, data)[0]
+        if side in ("codomain", "both"):
+            y = edit_cycle(y, edit, data)[0]
     assert map_or_none(propagate_from_root, x, y) == map_or_none(propagate_oracle, x, y)
 
 
@@ -927,8 +1050,10 @@ def test_check_morphism_matches_the_per_cell_oracle(d, k, m, seed, case, edit, s
     corrupt_map(f, y, edit, first, data)
     if others:
         corrupt_map(f, y, second, data.draw(st.sampled_from(others)), data)
-    if cycle_edit is not None:
-        edit_cycle(x if side == "domain" else y, cycle_edit, data)
+    if cycle_edit is not None and side == "domain":
+        x = edit_cycle(x, cycle_edit, data)[0]
+    elif cycle_edit is not None:
+        y = edit_cycle(y, cycle_edit, data)[0]
     assert check_morphism(f, x, y) == check_morphism_oracle(f, x, y)
 
 
@@ -958,8 +1083,10 @@ def test_cell_map_reads_as_its_dict_copy(d, k, m, seed, case, cycle_edit, side, 
         with pytest.raises(KeyError):
             f[mid]
     for edit in (None, cycle_edit):
-        if edit is not None:
-            edit_cycle(x if side == "domain" else y, edit, data)
+        if edit is not None and side == "domain":
+            x = edit_cycle(x, edit, data)[0]
+        elif edit is not None:
+            y = edit_cycle(y, edit, data)[0]
         assert check_morphism(f, x, y) == check_morphism(copy, x, y)
         assert is_surjective(f, y) == is_surjective(copy, y)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -279,3 +281,25 @@ def test_universality_reports_unordered_input():
     assert verify_universality(q.complex, ident, unordered, ident) == (
         False, None, "both complexes must be ordered"
     )
+
+
+def test_cover_leaves_few_gc_tracked_objects():
+    """The cover of a 3,000-point (2,2) quotient with two vertices merged
+    leaves few GC-tracked objects alive: counted as the growth of the
+    collector's generation-0 count across the call, with the collector off.
+    Its ordering is one pair of flat columns per color set, not one object
+    per cell."""
+    rep = seeded_rep(2, 2, 3000, 1)
+    base = build_quotient(rep).complex
+    color0 = [v for v in range(base.n_vertices) if base.vertex_colors[v] == 0]
+    merged = merge_vertices(base, color0[0], color0[1])
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        cover = link_connected_cover(merged)
+        left = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert cover[0].ordering is not None
+    assert left <= 1000, left
