@@ -12,7 +12,7 @@ from importlib import import_module
 
 _MODULE = {name: module for module, names in {
     "words": "Params Word multiply reduce_word theta word_length",
-    "permrep": "PermRep evaluate intersect_reps orbits random_rep validate",
+    "permrep": "PermRep evaluate intersect_reps random_rep validate",
     "complexes": "MComplex is_link_connected is_lower_path_connected link_with_map nerve",
     "universal": "Ball ball_from_cosets build_ball unique_non_backtracking",
     "quotient": "QuotientObject associated_subgroup_rep build_quotient"

@@ -134,10 +134,22 @@ def cmd_spectra(args) -> int:
     return 0
 
 
+MAX_BALL_TOPS = 4_000_000  # at (2,3) radius 10 has 2,097,151 tops (335 MiB), 11 has 8,388,607
+
+
 def cmd_ball(args) -> int:
+    """Refuses a ball of more than MAX_BALL_TOPS top cells before building:
+    radius r has 1 + (d+1)(k-1)·Σ_{i<r} (d(k-1))^i of them."""
     from .universal import ball_from_cosets, build_ball
     from .words import Params
     p = Params(args.d, args.k)
+    q, r = p.d * (p.k - 1), max(args.radius, 0)
+    # past radius 64 with q >= 2 this is the count of radius 64, a lower bound
+    tops = 1 + (p.d + 1) * (p.k - 1) * (r if q == 1 else (q ** min(r, 64) - 1) // (q - 1))
+    if tops > MAX_BALL_TOPS:
+        at_least = "at least " if q > 1 and r > 64 else ""
+        raise ValueError(f"a radius-{r} ball at (d, k) = ({p.d}, {p.k}) has {at_least}{tops:,} "
+                         f"top cells, more than the limit of {MAX_BALL_TOPS:,}")
     ball = ball_from_cosets(p, args.radius) if args.via_cosets else build_ball(p, args.radius)
     _write(args.out, _ball_json(ball))
     return 0

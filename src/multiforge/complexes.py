@@ -30,6 +30,9 @@ its facets.  `MComplex` stores the same columns and no coface index.
   has no cycle).  `MComplex.ordering` maps J to one `Cycles`: the same
   cycles as two flat columns, the tops cell after cell and an offsets
   column, read in one pass and written back as per-cell lists.
+- `from_json(text)` is the one reader.  It keeps the parsed `cells`
+  columns as x's own and drops each `cycles` list once it is read, so
+  that its memory is reused.
 - `root` is null or a multicell id [colors, index]; `boundary` lists ids.
 
 A morphism is a `CellMap`, read-only behind `Mapping`: one image column of
@@ -46,7 +49,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from functools import cache
 from itertools import accumulate, chain, combinations, compress, count, groupby, repeat
-from operator import add, is_, is_not, itemgetter, mod, ne, not_, sub
+from operator import add, is_, is_not, itemgetter, mod, mul, ne, not_, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -508,13 +511,18 @@ def is_lower_path_connected(x: MComplex, j: int) -> bool:
     sets = sorted((J for J in x.cells if len(J) in (j, j + 1)), key=lambda J: -len(J))
     *offsets, total = accumulate((len(x.cells[J]) for J in sets), initial=0)
     start = dict(zip(sets, offsets))
-    pairs = (
-        (start[J] + i, start[sub] + f)
-        for J in sets if len(J) == j + 1
-        for p, sub in enumerate(_drops(J)) if sub in start
-        for i, f in enumerate(x.cells[J].faces[p :: j + 1]) if 0 <= f < len(x.cells[sub])
-    )
-    ids = partition(total, pairs).class_ids
+
+    def pairs(J: tuple[int, ...], p: int, sub: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+        faces, n = x.cells[J].faces[p :: j + 1], len(x.cells[sub])
+        rows = range(start[J], start[J] + len(faces))
+        if faces and not 0 <= min(faces) <= max(faces) < n:  # drop the facets out of range
+            keep = [0 <= f < n for f in faces]
+            rows, faces = compress(rows, keep), compress(faces, keep)
+        return zip(rows, map(add, faces, repeat(start[sub])))
+
+    columns = (pairs(J, p, sub) for J in sets if len(J) == j + 1
+               for p, sub in enumerate(_drops(J)) if sub in start)
+    ids = partition(total, chain.from_iterable(columns)).class_ids
     return not any(ids[: sum(len(x.cells[J]) for J in sets if len(J) == j + 1)])
 
 
@@ -540,14 +548,14 @@ def _links_connected(x: MComplex, counts: dict[tuple[int, ...], list[int]]) -> b
         *offsets, total = accumulate((len(x.cells[c].faces) for c in sets), initial=0)
         start = dict(zip(sets, offsets))
         pairs = (
-            (start[drops[pa]] + u * (size - 1) + pb - 1, start[drops[pb]] + w * (size - 1) + pa)
+            zip(map(add, map(mul, cells.faces[pa::size], repeat(size - 1)), repeat(start[drops[pa]] + pb - 1)),
+                map(add, map(mul, cells.faces[pb::size], repeat(size - 1)), repeat(start[drops[pb]] + pa)))
             for colors, cells in x.cells.items()
             if (size := len(colors)) == j + 3 and (drops := _drops(colors))
             for pa, pb in combinations(range(size), 2)
-            for u, w in zip(cells.faces[pa::size], cells.faces[pb::size])
         )
-        if partition(total, pairs).count != sum(len(c) - c.count(0) for J, c in counts.items()
-                                                if len(J) == j + 1):
+        links = partition(total, chain.from_iterable(pairs)).count
+        if links != sum(len(c) - c.count(0) for J, c in counts.items() if len(J) == j + 1):
             return False
     return True
 
@@ -1099,11 +1107,6 @@ def from_simplicial(
     return x
 
 
-def single_simplex(params: Params) -> MComplex:
-    d = params.d
-    return from_simplicial(params, list(range(d + 1)), [tuple(range(d + 1))])
-
-
 def merge_vertices(x: MComplex, v_keep: int, v_gone: int) -> MComplex:
     """Identify two same-color vertices (the classical way to leave the
     link-connected world without changing the line graph).  d >= 2 only,
@@ -1217,18 +1220,12 @@ def to_json(x: MComplex) -> str:
     return json.dumps(to_json_dict(x), separators=(",", ":")) + "\n"
 
 
-def from_json_dict(doc: dict) -> MComplex:
-    """Read an mcomplex/2 document, keeping its cell columns; the ordering
-    records' `cycles` lists are read into `Cycles` columns.  A document of
+def from_json(text: str) -> MComplex:
+    """Read an mcomplex/2 document (module docstring).  A document of
     another format or of the wrong shape raises a one-line ValueError naming
     the format found or the first missing or wrongly typed field; every
     vertex, color, index and facet must be an int."""
-    return _from_doc(doc, keep=True)
-
-
-def _from_doc(doc: dict, keep: bool) -> MComplex:
-    """`from_json_dict`; unless `keep`, each ordering record drops its
-    `cycles` lists once they are read, so that their memory is reused."""
+    doc = json.loads(text)
     if type(doc) is not dict:
         raise ValueError(f"complex JSON must be an object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT:
@@ -1270,28 +1267,15 @@ def _from_doc(doc: dict, keep: bool) -> MComplex:
                 raise ValueError(
                     f"{where}: {len(cycles)} cycles for the {n} cells of colors {list(colors)}"
                 )
-            x.ordering[colors] = _cycle_column(cycles, where)
-            if not keep:
-                rec["cycles"] = None
+            try:  # one `_ints` over the flattened column
+                if not set(map(type, cycles)) <= {list, type(None)}:
+                    raise ValueError(where)
+                x.ordering[colors] = Cycles.of_lists(cycles)
+                _ints(x.ordering[colors].tops, where)
+            except ValueError:  # name the first cycle that is neither null nor a list of ints
+                for i, cyc in enumerate(cycles):
+                    if cyc is not None:
+                        _ints(cyc, f"{where}: cycle {i}")
+                raise
+            rec["cycles"] = None
     return x
-
-
-def _cycle_column(cycles: list, where: str) -> Cycles:
-    """A file's `cycles` list as one `Cycles` column, its entries checked
-    by one `_ints` over the flattened column; on a fault, the first cycle
-    that is neither null nor a list of ints is named."""
-    try:
-        if not set(map(type, cycles)) <= {list, type(None)}:
-            raise ValueError(where)
-        column = Cycles.of_lists(cycles)
-        _ints(column.tops, where)
-    except ValueError:
-        for i, cyc in enumerate(cycles):
-            if cyc is not None:
-                _ints(cyc, f"{where}: cycle {i}")
-        raise
-    return column
-
-
-def from_json(text: str) -> MComplex:
-    return _from_doc(json.loads(text), keep=False)

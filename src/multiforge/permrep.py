@@ -136,23 +136,6 @@ def partition(n: int, pairs: Iterable[tuple[int, int]]) -> OrbitPartition:
     return OrbitPartition(class_ids, reps)
 
 
-def perm_cycles(perm: Perm) -> list[list[int]]:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        q = perm[start]
-        while q != start:
-            cyc.append(q)
-            seen[q] = True
-            q = perm[q]
-        cycles.append(cyc)
-    return cycles
-
-
 def _cycle_classes(perm: Perm, points: list[int]) -> OrbitPartition:
     """The cycles of a permutation of `points`, which is range(n) as a list,
     as classes, labeled by one walk along each cycle from its minimal point,
@@ -239,12 +222,6 @@ def evaluate(w: Word, point: int, rep: PermRep) -> int:
         for _ in range(l % k):
             point = beta[point]
     return point
-
-
-def orbits(rep: PermRep, color_set: frozenset[int] | set[int]) -> OrbitPartition:
-    """The orbits of the generators outside `color_set`: the j-multicells
-    of the quotient for |J| = j+1 (module docstring, Orbits)."""
-    return orbit_partitions(rep)[tuple(c for c in range(len(rep.betas)) if c in color_set)]
 
 
 # -- uniform sampling of permutations with cycle lengths dividing k --------

@@ -104,15 +104,6 @@ def reduce_word(w: Word, p: Params) -> Word:
     return Word(tuple(stack))
 
 
-def is_reduced(w: Word, p: Params) -> bool:
-    for t, (i, l) in enumerate(w.letters):
-        if not 0 <= i <= p.d or not 1 <= l <= p.k - 1:
-            return False
-        if t > 0 and w.letters[t - 1][0] == i:
-            return False
-    return True
-
-
 def multiply(u: Word, v: Word, p: Params) -> Word:
     """Reduced form of the product u*v (v applied first)."""
     return reduce_word(u * v, p)
@@ -127,17 +118,6 @@ def theta(w: Word, i: int, p: Params) -> int:
 
 def word_length(w: Word, p: Params) -> int:
     return len(reduce_word(w, p))
-
-
-def strip_left(w: Word, indices: frozenset[int] | set[int], p: Params) -> Word:
-    """Canonical coset representative: drop leading letters whose index lies
-    in `indices` from a reduced word.  Minimal-length element of the coset
-    of `w` under the subgroup generated by those cyclic factors."""
-    w = reduce_word(w, p)
-    letters = list(w.letters)
-    while letters and letters[0][0] in indices:
-        letters.pop(0)
-    return Word(tuple(letters))
 
 
 def enumerate_reduced_words(p: Params, max_len: int) -> Iterator[Word]:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from multiforge.complexes import MComplex, from_simplicial
 from multiforge.permrep import PermRep, random_rep_retry
 from multiforge.words import Params, Word
 
@@ -11,6 +12,12 @@ from multiforge.words import Params, Word
 def seeded_rep(d: int, k: int, n: int, seed: int) -> PermRep:
     rep, _ = random_rep_retry(Params(d, k), n, seed=seed)
     return rep
+
+
+def single_simplex(params: Params) -> MComplex:
+    """One top cell on the vertices 0..d, one per color."""
+    d = params.d
+    return from_simplicial(params, list(range(d + 1)), [tuple(range(d + 1))])
 
 
 def random_word(p: Params, rng: random.Random, max_len: int = 8) -> Word:

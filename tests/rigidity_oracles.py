@@ -4,6 +4,8 @@
 `ball_from_cosets` read whole index columns.  The functions below do the
 same work one cell, one cycle and one word at a time, with `MId` tuples,
 dict lookups and re-reduced words, and the tests compare the two.
+`is_reduced` and `strip_left`, the normal-form test and the coset
+representative of a word, are written here apart from `words`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,29 @@ from multiforge.complexes import (
     ordering_faults,
 )
 from multiforge.universal import Ball
-from multiforge.words import Params, Word, enumerate_reduced_words, generator, multiply, strip_left
+from multiforge.words import Params, Word, enumerate_reduced_words, generator, multiply, reduce_word
+
+
+def is_reduced(w: Word, p: Params) -> bool:
+    """Whether w is in normal form: indices in 0..d, exponents in 1..k-1
+    and no two adjacent letters of one index."""
+    for t, (i, l) in enumerate(w.letters):
+        if not 0 <= i <= p.d or not 1 <= l <= p.k - 1:
+            return False
+        if t > 0 and w.letters[t - 1][0] == i:
+            return False
+    return True
+
+
+def strip_left(w: Word, indices: frozenset[int] | set[int], p: Params) -> Word:
+    """Canonical coset representative: drop leading letters whose index lies
+    in `indices` from a reduced word.  Minimal-length element of the coset
+    of `w` under the subgroup generated by those cyclic factors."""
+    w = reduce_word(w, p)
+    letters = list(w.letters)
+    while letters and letters[0][0] in indices:
+        letters.pop(0)
+    return Word(tuple(letters))
 
 
 def validate_structure_oracle(x: MComplex) -> Diagnostics:

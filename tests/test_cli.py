@@ -15,7 +15,6 @@ from multiforge import cli
 from multiforge.complexes import (
     from_json,
     merge_vertices,
-    single_simplex,
     to_json,
     to_json_dict,
     validate_structure,
@@ -32,8 +31,9 @@ from multiforge.lcc import link_connected_cover
 from multiforge.permrep import format_rep, parse_rep, validate
 from multiforge.quotient import build_quotient, complex_line_graph
 from multiforge.spectral import boundary_matrix, up_laplacian
+from multiforge.universal import build_ball
 from multiforge.words import Params
-from conftest import seeded_rep
+from conftest import seeded_rep, single_simplex
 from test_complexes import figure_two_complex
 
 
@@ -156,6 +156,34 @@ def test_bad_path_or_word_is_one_error_line(tmp_path, capsys, argv, problem):
     errors = [line for line in captured.err.splitlines() if not line.startswith("note: ")]
     assert captured.out == "" and len(errors) == 1, captured.err
     assert errors[0].startswith("error: ") and problem in errors[0]
+
+
+@pytest.mark.parametrize("via", [[], ["--via-cosets"]], ids=["inductive", "cosets"])
+def test_a_ball_past_the_top_cell_limit_is_one_error_line(tmp_path, capsys, monkeypatch, via):
+    """Radius 11 at (2,3) has 8,388,607 top cells, radius 10 has 2,097,151:
+    the first is refused before either builder runs."""
+    for name in ("build_ball", "ball_from_cosets"):
+        monkeypatch.setattr(f"multiforge.universal.{name}", None)
+    out = tmp_path / "ball.json"
+    assert run(["ball", "--d", 2, "--k", 3, "--radius", 11, *via, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "error: a radius-11 ball at (d, k) = (2, 3) has 8,388,607 top cells, "
+        f"more than the limit of {cli.MAX_BALL_TOPS:,}"]
+    assert 2_097_151 <= cli.MAX_BALL_TOPS < 8_388_607
+
+
+@pytest.mark.parametrize("d, k, radius", [(1, 2, 5), (1, 4, 3), (2, 2, 3), (2, 3, 3), (3, 2, 2)])
+def test_the_ball_limit_counts_the_top_cells_of_the_ball(tmp_path, capsys, monkeypatch, d, k, radius):
+    """The closed-form count that `ball` checks is the built ball's: a limit
+    one below it refuses the ball, a limit equal to it builds the ball."""
+    tops = len(build_ball(Params(d, k), radius).complex.cells[tuple(range(d + 1))])
+    argv = ["ball", "--d", d, "--k", k, "--radius", radius, "--out", tmp_path / "ball.json"]
+    monkeypatch.setattr(cli, "MAX_BALL_TOPS", tops - 1)
+    assert run(argv) == 1 and f" has {tops:,} top cells, " in capsys.readouterr().err
+    monkeypatch.setattr(cli, "MAX_BALL_TOPS", tops)
+    assert run(argv) == 0
 
 
 def test_random_seed_defaults_to_zero_whatever_the_environment(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_rep
+from conftest import seeded_rep, single_simplex
 from multiforge.acceptance import _merge_fixture
 from multiforge.complexes import (
     EMPTY_CELL,
@@ -25,7 +25,6 @@ from multiforge.complexes import (
     extend_down,
     find_isomorphism,
     from_json,
-    from_json_dict,
     from_simplicial,
     is_link_connected,
     is_lower_path_connected,
@@ -35,7 +34,6 @@ from multiforge.complexes import (
     nerve,
     ordering_faults,
     propagate_from_root,
-    single_simplex,
     to_json,
     top_faces,
     validate_structure,
@@ -190,6 +188,9 @@ def test_lower_path_connected_examples():
     assert is_lower_path_connected(x, 2)
     two = from_simplicial(Params(2, 2), [0, 1, 2, 0, 1, 2], [(0, 1, 2), (3, 4, 5)])
     assert not is_lower_path_connected(two, 2)
+    for f in (-1, 2, 5):  # out of range of the two (0,1)-edges: no cell, no join
+        two.cells[(0, 1, 2)].faces[1 * 3 + 2] = f
+        assert not is_lower_path_connected(two, 2), f
     assert not is_lower_path_connected(WEDGE, 2)
     with pytest.raises(ValueError):
         is_lower_path_connected(x, 0)
@@ -246,7 +247,7 @@ def test_check_morphism_names_a_cell_missing_in_the_domain(edit, message):
     if edit == "cycle":
         doc = json.loads(to_json(y))
         doc["ordering"][2]["cycles"][0].append(99)  # the record of colors (1, 2)
-        x = from_json_dict(doc)
+        x = from_json(json.dumps(doc))
     elif edit == "facet":
         x.cells[(0, 1, 2)].faces[5 * 3] = -1
     elif edit == "vertex":
@@ -298,7 +299,7 @@ def test_rotated_boundary_cycle_survives_link_and_merge():
     doc = json.loads(to_json(x))
     doc["ordering"][0]["cycles"][0] = rotated  # the record of colors (0, 1)
     doc["boundary"] = [[[0, 1], 0]]
-    x = from_json_dict(doc)
+    x = from_json(json.dumps(doc))
 
     merged = merge_vertices(x, 6, 7)  # two vertices of color 2
     assert merged.cycle(facet.mid) == rotated
@@ -642,13 +643,17 @@ def test_coface_index_matches_columns(d, k, m, seed, edit, data):
     dangling: `coface_counts` gives each multicell the size of its brute-
     force up set one dimension up (`gluing_oracle`), a dangling facet index
     left out, not raised; `top_faces` agrees with the facet-by-facet walk
-    `face`, and raises KeyError where that walk does; and `cell(mid)` is a
-    read-only view that agrees with the columns."""
+    `face`, and raises KeyError where that walk does; `cell(mid)` is a
+    read-only view that agrees with the columns; and in every dimension
+    `is_lower_path_connected` agrees with the breadth-first
+    `lower_path_oracle`, which steps over a dangling facet."""
     x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
     if edit == "repoint":
         repoint_facet(x, data, lambda n: st.integers(0, n - 1))
     if edit == "dangle":
         repoint_facet(x, data, lambda n: st.sampled_from([-1, n, n + 3]))
+    for j in range(1, d + 1):
+        assert is_lower_path_connected(x, j) == lower_path_oracle(x, j), j
     _, up, _ = gluing_oracle(x)
     counts = coface_counts(x)
     assert counts == {J: [sum(len(m[0]) == len(J) + 1 for m in up[(J, i)])
@@ -778,8 +783,8 @@ def edit_cycle(x: MComplex, edit: str, data) -> tuple[MComplex, tuple[int, ...],
         f = data.draw(st.sampled_from([-1, len(x.cells[J]), len(x.cells[J]) + 3]))
         (tops,) = [rec for rec in doc["cells"] if tuple(rec["colors"]) == full]
         tops["faces"][top * (x.d + 1) + missing] = f
-        return from_json_dict(doc), J, f
-    return from_json_dict(doc), J, None
+        return from_json(json.dumps(doc)), J, f
+    return from_json(json.dumps(doc)), J, None
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -811,7 +816,7 @@ def test_one_audit_reads_the_generator_action(d, k, m, seed, edit, data):
         with patch("multiforge.quotient.ordering_faults", side_effect=AssertionError("audit ran")):
             assert associated_subgroup_rep(x) == before
     doc = json.loads(to_json(x))
-    y = from_json_dict(doc)
+    y = from_json(json.dumps(doc))
     assert json.loads(to_json(y))["ordering"] == doc["ordering"]
     assert sorted(y.ordering) == sorted(x.ordering)
 
@@ -844,7 +849,7 @@ def _ordering_case(case: str) -> tuple[MComplex, MComplex]:
         cycles[(0,)][0] = None
         cycles[(1,)][0].append(5)
         cycles[(1,)][1] = []
-    return from_json_dict(doc), y
+    return from_json(json.dumps(doc)), y
 
 
 ORDERING_CASES = {

@@ -25,11 +25,10 @@ from multiforge.permrep import (
     evaluate,
     format_rep,
     intersect_reps,
-    orbits,
+    orbit_partitions,
     parse_permutation,
     parse_rep,
     partition,
-    perm_cycles,
     random_order_dividing,
     random_rep,
     require_valid,
@@ -158,14 +157,14 @@ def test_evaluate_respects_multiply(rng):
 
 def test_orbits_full_color_set_is_discrete():
     rep = seeded_rep(2, 2, 8, 1)
-    part = orbits(rep, frozenset({0, 1, 2}))
+    part = orbit_partitions(rep)[(0, 1, 2)]
     assert part.count == rep.n
     assert part.reps == list(range(rep.n))
 
 
 def test_orbits_m22_single_color():
     rep = m_subgroup_rep(Params(2, 2))  # points (Z/2)^3
-    part = orbits(rep, frozenset({0}))
+    part = orbit_partitions(rep)[(0,)]
     assert part.count == 2
     assert sorted(len(m) for m in part.members()) == [4, 4]
     # orbit id tracks the first coordinate
@@ -175,19 +174,21 @@ def test_orbits_m22_single_color():
 
 def test_orbits_trivial_rep():
     rep = PermRep(Params(2, 2), 1, ((0,), (0,), (0,)), 0)
+    parts = orbit_partitions(rep)
     for size in (1, 2, 3):
         for colors in itertools.combinations(range(3), size):
-            assert orbits(rep, frozenset(colors)).count == 1
+            assert parts[colors].count == 1
 
 
 def test_orbit_refinement(rng):
     rep = seeded_rep(3, 2, 12, 2)
+    parts = orbit_partitions(rep)
     for _ in range(30):
         small = frozenset(
             rng.sample(range(4), rng.randint(1, 3))
         )
         big = small | {rng.randrange(4)}
-        coarse, fine = orbits(rep, small), orbits(rep, big)
+        coarse, fine = parts[tuple(sorted(small))], parts[tuple(sorted(big))]
         for orbit in fine.members():
             assert len({coarse.class_ids[p] for p in orbit}) == 1
 
@@ -467,8 +468,14 @@ def test_parse_permutation_cycle_notation():
 
 # -- exactness of the linear-time sampler ---------------------------------------
 
+def _cycle_lengths(sigma: tuple[int, ...]) -> list[int]:
+    """The length of each cycle of sigma, as the sizes of the classes
+    that joining each point to its image makes."""
+    return list(Counter(partition(len(sigma), enumerate(sigma)).class_ids).values())
+
+
 def _cycle_type(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(len(c) for c in perm_cycles(sigma)))
+    return tuple(sorted(_cycle_lengths(sigma)))
 
 
 def _cycle_type_law(n: int, k: int) -> dict[tuple[int, ...], float]:
@@ -543,7 +550,7 @@ def test_cycle_counts_at_1e5_points_match_their_exact_means():
     of l-cycles for each l | 6 lies within 4 standard errors of E[c_l]."""
     n, k, draws = 100_000, 6, 20
     law = permrep._CycleLengthLaw(n, k)
-    counts = [Counter(map(len, perm_cycles(law.draw(random.Random(seed))))) for seed in range(draws)]
+    counts = [Counter(_cycle_lengths(law.draw(random.Random(seed)))) for seed in range(draws)]
     for l, expected in _expected_cycle_counts(n, k).items():
         sample = [c[l] for c in counts]
         mean = sum(sample) / draws

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import accumulate, combinations
 from math import comb
 
@@ -12,7 +13,7 @@ from multiforge.complexes import (
     check_morphism,
     coface_counts,
     find_isomorphism,
-    from_json_dict,
+    from_json,
     is_link_connected,
     is_surjective,
     merge_vertices,
@@ -20,7 +21,7 @@ from multiforge.complexes import (
     validate_structure,
 )
 from multiforge.gallery import coxeter_complex, coxeter_kernel_rep, m_subgroup_rep
-from multiforge.permrep import PermRep, evaluate, orbits, same_up_to_relabeling, validate
+from multiforge.permrep import PermRep, evaluate, orbit_partitions, same_up_to_relabeling, validate
 from multiforge.quotient import (
     analyze,
     associated_subgroup_rep,
@@ -170,16 +171,14 @@ def test_complete_skeleton_matches_orbit_oracle():
     sets of its vertices intersect (the nerve picture)."""
     from itertools import combinations, product
 
-    from multiforge.permrep import orbits
-
     found_incomplete = False
     for seed in range(12):
         rep = seeded_rep(2, 2, 6 + seed % 5, 800 + seed)
         q = build_quotient(rep)
-        parts = {c: orbits(rep, frozenset({c})) for c in range(3)}
+        parts = orbit_partitions(rep)
         expected = True
         for ca, cb in combinations(range(3), 2):
-            for oa, ob in product(parts[ca].members(), parts[cb].members()):
+            for oa, ob in product(parts[(ca,)].members(), parts[(cb,)].members()):
                 if not set(oa) & set(ob):
                     expected = False
         assert complex_has_complete_skeleton(q.complex) == expected, seed
@@ -251,7 +250,8 @@ def test_analyze_flags_are_the_public_predicates():
     same_color = [v for v, c in enumerate(q.vertex_colors) if c == 0][:2]
     xs = [build_ball(Params(2, 3), 2).complex, build_ball(Params(3, 2), 2).complex, q,
           build_quotient(m_subgroup_rep(Params(2, 3))).complex,
-          merge_vertices(q, *same_color), from_json_dict(relabeled), from_json_dict(impure)]
+          merge_vertices(q, *same_color), from_json(json.dumps(relabeled)),
+          from_json(json.dumps(impure))]
     seen = set()
     for x in xs:
         report = dict(line.split(": ", 1) for line in analyze(x).splitlines())
@@ -295,15 +295,15 @@ def test_coxeter_chambers_are_the_kernel_quotient():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), k=st.integers(2, 4), m=st.integers(1, 4), seed=st.integers(0, 10**6))
 def test_orbit_quotient_matches_an_assembly_from_orbits(d, k, m, seed):
-    """`orbit_quotient` against an assembly read straight off `orbits`:
-    vertices numbered by color, then orbit; cell i of J has the vertices
-    and facets of its orbit's least point reps[i]; the cycle of each
-    (d-1)-cell is the orbit of that point under the missing generator,
-    walked from it; the root is the class of the root point."""
+    """`orbit_quotient` against an assembly read straight off
+    `orbit_partitions`: vertices numbered by color, then orbit; cell i of J
+    has the vertices and facets of its orbit's least point reps[i]; the
+    cycle of each (d-1)-cell is the orbit of that point under the missing
+    generator, walked from it; the root is the class of the root point."""
     rep = seeded_rep(d, k, m * k, seed)
     x, _ = orbit_quotient(rep)
     full = tuple(range(d + 1))
-    parts = {J: orbits(rep, frozenset(J)) for size in range(1, d + 2) for J in combinations(full, size)}
+    parts = {J: part for J, part in orbit_partitions(rep).items() if J}
     first = dict(zip(full, accumulate((parts[(c,)].count for c in full), initial=0)))
     assert x.vertex_colors == [c for c in full for _ in range(parts[(c,)].count)]
     for J in (J for J in parts if len(J) >= 2):

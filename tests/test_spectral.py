@@ -6,9 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import seeded_rep
+from conftest import seeded_rep, single_simplex
 from multiforge.acceptance import up_laplacian_formula
-from multiforge.complexes import single_simplex
 from multiforge.gallery import m_subgroup_rep
 from multiforge.quotient import build_quotient, complex_is_simplicial
 from multiforge.spectral import (

@@ -17,11 +17,10 @@ from multiforge.words import (
     EMPTY_WORD,
     Params,
     enumerate_reduced_words,
-    is_reduced,
     multiply,
     word_length,
 )
-from rigidity_oracles import coset_ball_oracle
+from rigidity_oracles import coset_ball_oracle, is_reduced
 
 
 def test_radius_zero_is_single_simplex():

@@ -12,13 +12,13 @@ from multiforge.words import (
     enumerate_reduced_words,
     format_word,
     generator,
-    is_reduced,
     multiply,
     parse_word,
     reduce_word,
     theta,
     word_length,
 )
+from rigidity_oracles import is_reduced
 
 
 # -- oracle: closure under the elementary moves -------------------------------
