@@ -28,8 +28,9 @@ its facets.  `MComplex` stores the same columns and no coface index.
   {"colors": J, "cycles": [...]}, one entry per (d-1)-cell of J in index
   order, the indices of its top cofaces in cycle order (null where a cell
   has no cycle).  `MComplex.ordering` maps J to one `Cycles`: the same
-  cycles as two flat columns, the tops cell after cell and an offsets
-  column, read in one pass and written back as per-cell lists.
+  cycles as two flat columns, the tops cell after cell and their offsets,
+  and the set of cells whose cycle is null, read in one pass and written
+  back as per-cell lists.
 - `from_json(text)` is the one reader.  It keeps the parsed `cells`
   columns as x's own and drops each `cycles` list once it is read, so
   that its memory is reused.
@@ -94,103 +95,74 @@ class Cycles(Record):
     """The ordering cycles of the (d-1)-cells of one color set as two flat
     columns.  `tops` lists each cell's top cofaces in cycle order, cell
     after cell in index order, and cell i's cycle is
-    tops[offsets[i] : offsets[i + 1]]; the last offset is len(tops).  A
-    cell with no cycle (null in the file) has an empty span whose start is
-    stored as ~start, a negative int, so that it differs from an empty
-    cycle."""
+    tops[offsets[i] : offsets[i + 1]]; the offsets do not decrease and the
+    last is len(tops).  `missing` holds the cells with no cycle (null in
+    the file), whose spans are empty: it tells them from empty cycles."""
 
-    __slots__ = _fields = ("tops", "offsets")
+    __slots__ = _fields = ("tops", "offsets", "missing")
 
-    def __init__(self, tops: list[int], offsets: list[int]):
-        self.tops, self.offsets = tops, offsets
+    def __init__(self, tops: list[int], offsets: list[int], missing: frozenset[int] = frozenset()):
+        self.tops, self.offsets, self.missing = tops, offsets, missing
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def starts(self) -> list[int]:
-        """The offsets with each ~start read back as its start."""
-        return self.offsets if min(self.offsets) >= 0 else [o if o >= 0 else ~o for o in self.offsets]
-
-    def nones(self) -> list[int]:
-        """The cells with no cycle."""
-        return list(compress(count(), map((0).__gt__, self.offsets)))
-
     def cycle(self, i: int) -> list[int] | None:
         """Cell i's cycle as a new list, or None where it has none."""
-        start, end = self.offsets[i], self.offsets[i + 1]
-        return None if start < 0 else self.tops[start : end if end >= 0 else ~end]
+        return None if i in self.missing else self.tops[self.offsets[i] : self.offsets[i + 1]]
 
     def sizes(self) -> list[int]:
-        """The length of each cell's cycle, -1 where it has none."""
-        starts = self.starts()
-        sizes = list(map(sub, starts[1:], starts))
-        if starts is not self.offsets:
-            deque(map(sizes.__setitem__, self.nones(), repeat(-1)), 0)
-        return sizes
+        """The length of each cell's cycle, 0 where it has none."""
+        return list(map(sub, self.offsets[1:], self.offsets))
 
     def owners(self) -> list[int]:
         """The cell of each entry of `tops`."""
-        starts = self.starts()
-        return self._owners(starts, list(map(sub, starts[1:], starts)))
+        offsets, sizes = self.offsets, self.sizes()
+        if sizes and min(sizes) > 0:  # each cell has entries: mark where each next one starts
+            marks = [0] * len(self.tops)
+            deque(map(marks.__setitem__, offsets[1:-1], repeat(1)), 0)
+            return list(accumulate(marks))
+        return list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
 
     def steps(self) -> tuple[list[int], list[int]]:
         """Two columns over `tops`: the entry after each entry in its cycle
         (the last entry of a cycle steps to the first), and its cell."""
-        tops, starts = self.tops, self.starts()
-        sizes = list(map(sub, starts[1:], starts))  # 0 where a cell has no cycle
-        heads, ends = starts[:-1], starts[1:]
+        tops, heads, ends, sizes = self.tops, self.offsets[:-1], self.offsets[1:], self.sizes()
         if sizes and min(sizes) == 0:  # keep the cycles with entries
             kept = list(compress(count(), sizes))
             heads, ends = list(map(heads.__getitem__, kept)), list(map(ends.__getitem__, kept))
         shifted = [0] + tops[1:] + tops[:1]  # shifted[e + 1] is the entry after e
         deque(map(shifted.__setitem__, ends, map(tops.__getitem__, heads)), 0)
-        return shifted[1:], self._owners(starts, sizes)
-
-    def _owners(self, starts: list[int], sizes: list[int]) -> list[int]:
-        if sizes and min(sizes) > 0:  # each cell has entries: mark where each next one starts
-            marks = [0] * len(self.tops)
-            deque(map(marks.__setitem__, starts[1:-1], repeat(1)), 0)
-            return list(accumulate(marks))
-        return list(chain.from_iterable(map(repeat, range(len(sizes)), sizes)))
+        return shifted[1:], self.owners()
 
     def lists(self) -> list[list[int] | None]:
         """The file's `cycles`: each cell's cycle as a list, or None."""
-        tops, starts = self.tops, self.starts()
-        cycles = [tops[start:end] for start, end in zip(starts, starts[1:])]
-        if starts is not self.offsets:
-            deque(map(cycles.__setitem__, self.nones(), repeat(None)), 0)
+        tops, offsets = self.tops, self.offsets
+        cycles = [tops[start:end] for start, end in zip(offsets, offsets[1:])]
+        for i in self.missing:
+            cycles[i] = None
         return cycles
-
-    @classmethod
-    def of_sizes(cls, tops: list[int], sizes: list[int]) -> Cycles:
-        """The cycles of the given lengths (-1: no cycle) read off `tops`
-        in turn."""
-        if not sizes or min(sizes) >= 0:
-            return cls(tops, list(accumulate(sizes, initial=0)))
-        offsets = list(accumulate(map(max, sizes, repeat(0)), initial=0))
-        for i in compress(count(), map((0).__gt__, sizes)):
-            offsets[i] = ~offsets[i]
-        return cls(tops, offsets)
 
     @classmethod
     def of_lists(cls, cycles: list[list[int] | None]) -> Cycles:
         """The column of per-cell cycles, each a list or None."""
-        sizes = [-1 if cyc is None else len(cyc) for cyc in cycles] if None in cycles else list(map(len, cycles))
-        return cls.of_sizes(list(chain.from_iterable(filter(None, cycles))), sizes)
+        missing = frozenset(_nones(cycles))
+        sizes = [0 if cyc is None else len(cyc) for cyc in cycles] if missing else map(len, cycles)
+        tops = list(chain.from_iterable(filter(None, cycles)))
+        return cls(tops, list(accumulate(sizes, initial=0)), missing)
 
     @classmethod
     def fitted(cls, cycles: Cycles | None, n: int) -> Cycles:
         """`cycles` over n cells: cells past its end have no cycle, and
         cycles past n are dropped (None: no cell has a cycle)."""
         if cycles is None:
-            return cls([], [-1] * n + [0])
-        if len(cycles) >= n:
-            if len(cycles) == n:
-                return cycles
-            end = cycles.starts()[n]
-            return cls(cycles.tops[:end], cycles.offsets[:n] + [end])
-        end = len(cycles.tops)
-        return cls(cycles.tops, cycles.offsets[:-1] + [~end] * (n - len(cycles)) + [end])
+            cycles = cls([], [0])
+        m, offsets = len(cycles), cycles.offsets
+        if m > n:
+            return cls(cycles.tops[: offsets[n]], offsets[: n + 1], frozenset(filter(n.__gt__, cycles.missing)))
+        if m == n:
+            return cycles
+        return cls(cycles.tops, offsets + offsets[-1:] * (n - m), cycles.missing.union(range(m, n)))
 
 
 class Multicell(NamedTuple):
@@ -230,9 +202,9 @@ class MComplex:
     rank among same-color vertices); `cell` and `multicells` are views.
     `ordering` maps each color set J of size d to its `Cycles` columns:
     for (d-1)-cell i of J, its top cofaces' indices in the order the
-    generator missing from J steps through them, or no cycle (`cycle`
-    reads one).  `boundary` flags (d-1)-cells with incomplete cycles
-    (radius cutoffs)."""
+    generator missing from J steps through them, or no cycle where i is in
+    the record's `missing` set (`cycle` reads one).  `boundary` flags
+    (d-1)-cells with incomplete cycles (radius cutoffs)."""
 
     def __init__(
         self,
@@ -431,9 +403,10 @@ def _validate_structure(x: MComplex, cofaces: dict[tuple[int, ...], list[int]]) 
         msgs += ordering_faults(x)
         for J, cycles in sorted(x.ordering.items()):
             sizes = cycles.sizes()
-            bad = {size for size in set(sizes) if size == 0 or size > 0 and k % size}
+            bad = {size for size in set(sizes) if size == 0 or k % size}
             msgs += [f"{(J, i)}: cycle length {sizes[i]} does not divide k"
-                     for i in compress(count(), map(bad.__contains__, sizes)) if (J, i) not in x.boundary]
+                     for i in compress(count(), map(bad.__contains__, sizes))
+                     if (J, i) not in x.boundary and i not in cycles.missing]
     for mid in sorted(x.boundary):
         if len(mid[0]) != d or not x.has_cell(mid):
             msgs.append(f"boundary {mid}: not a {d - 1}-multicell")
@@ -464,14 +437,14 @@ def ordering_faults(x: MComplex) -> Iterator[str]:
         flat, owner = cycles.tops, cycles.owners()
         if facets and not 0 <= min(facets) <= max(facets) < m:
             yield from (f"the facet {(J, f)} has no ordering cycle" for f in facets if not 0 <= f < m)
-        elif min(cycles.offsets) >= 0 and _is_permutation(flat, n) and list(map(facets.__getitem__, flat)) == owner:
+        elif not cycles.missing and _is_permutation(flat, n) and list(map(facets.__getitem__, flat)) == owner:
             continue
         own = [0 <= t < n and facets[t] == o for t, o in zip(flat, owner)]
         listed = Counter(compress(flat, own))
         faulty = set(compress(owner, map(not_, own)))
         faulty.update(o for t, o, ok in zip(flat, owner, own) if ok and listed[t] > 1)
         faulty.update(f for t, f in enumerate(facets) if 0 <= f < m and not listed[t])
-        faulty.update(cycles.nones())
+        faulty.update(cycles.missing)
         cofaces: dict[int, list[int]] = {i: [] for i in faulty}
         for t, f in enumerate(facets):
             if f in cofaces:
@@ -535,9 +508,14 @@ def is_link_connected(x: MComplex) -> bool:
     t is t as a vertex of the link of its facet dropping t's p-th color, and
     a cell two dimensions up joins its facets dropping a and b over the face
     dropping both.  On a consistent complex the links are connected iff
-    these classes are as many as the j-cells with cofaces.
+    these classes are as many as the j-cells with cofaces.  A facet index
+    that names no cell, which the coface counts leave out, raises
+    ValueError with `check_consistency`'s first message, as `analyze` does.
     """
-    return _links_connected(x, coface_counts(x))
+    counts = coface_counts(x)
+    if sum(map(sum, counts.values())) != sum(len(cells.faces) for cells in x.cells.values()):
+        raise ValueError(check_consistency(x).messages[0])
+    return _links_connected(x, counts)
 
 
 def _links_connected(x: MComplex, counts: dict[tuple[int, ...], list[int]]) -> bool:
@@ -628,7 +606,7 @@ def _class_complex(
         f.update((x.vertex_cell(v), y.vertex_cell(w)) for v, w in enumerate(relabel))
     if x.ordering is not None:
         at = dict(zip(tops, count()))  # x's top -> y's; a top of no y top raises KeyError
-        y.ordering = {J: Cycles(list(map(at.__getitem__, cycles.tops)), list(cycles.offsets))
+        y.ordering = {J: Cycles(list(map(at.__getitem__, cycles.tops)), list(cycles.offsets), cycles.missing)
                       for J, cycles in carried.items()}
     y.boundary = frozenset(f[m] for m in x.boundary if m in f)
     y.root = f.get(x.root)
@@ -639,12 +617,11 @@ def _gathered(cycles: Cycles, cells: list[int]) -> Cycles:
     """The cycles of `cells`, in that order, as one column."""
     if cells == list(range(len(cycles))):
         return cycles
-    starts = cycles.starts()
-    heads, ends = list(map(starts.__getitem__, cells)), list(map(starts[1:].__getitem__, cells))
+    offsets = cycles.offsets
+    heads, ends = list(map(offsets.__getitem__, cells)), list(map(offsets[1:].__getitem__, cells))
     tops = list(chain.from_iterable(map(cycles.tops.__getitem__, map(slice, heads, ends))))
-    if starts is cycles.offsets:  # every cell has a cycle
-        return Cycles(tops, list(accumulate(map(sub, ends, heads), initial=0)))
-    return Cycles.of_sizes(tops, list(map(cycles.sizes().__getitem__, cells)))
+    missing = cycles.missing and frozenset(compress(count(), map(cycles.missing.__contains__, cells)))
+    return Cycles(tops, list(accumulate(map(sub, ends, heads), initial=0)), missing)
 
 
 # -- nerve ----------------------------------------------------------------------
@@ -798,7 +775,8 @@ def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], key: list, index
     cycle a top's last listing sets its step).  `key` and `index` are J's
     image and index columns, and `tops` is the image column of the top
     cells.  The cycles of the cells off the boundary, and those of their
-    images, are first gathered into one column each."""
+    images, are first gathered into one column each, whose `missing` sets
+    name the cells and images with no cycle."""
     full, keep = tuple(x.params.colors), [True] * len(key)
     deque(map(keep.__setitem__, skip, repeat(False)), 0)
     cells = list(compress(range(len(key)), keep))
@@ -818,16 +796,15 @@ def _cycle_faults(x: MComplex, y: MComplex, J: tuple[int, ...], key: list, index
         theirs = _gathered(cycles, images)
     their_after, their_owner = theirs.steps()
     step = dict(zip(zip(map(owners.__getitem__, their_owner), theirs.tops), their_after))  # (image, top) -> next
-    lacking = set(theirs.nones())
     first: dict[int, int] = {}
     for e in _differ(list(map(step.get, zip(map(owners.__getitem__, owner), at))), then):
-        if owner[e] not in strays and owner[e] not in lacking:
+        if owner[e] not in strays and owner[e] not in theirs.missing:
             first.setdefault(owner[e], flat[e])
-    return ([(cells[o], f"{(J, cells[o])}: domain has no ordering cycle") for o in mine.nones()]
+    return ([(cells[o], f"{(J, cells[o])}: domain has no ordering cycle") for o in mine.missing]
             + [(cells[o], f"{(J, cells[o])}: ordering cycle lists {(full, t)}, missing in domain")
                for o, t in strays.items()]
-            + [(cells[o], f"{(J, cells[o])}: image has no ordering cycle") for o in lacking
-               if mine.offsets[o] >= 0 and o not in strays]
+            + [(cells[o], f"{(J, cells[o])}: image has no ordering cycle") for o in theirs.missing
+               if o not in mine.missing and o not in strays]
             + [(cells[o], f"{(J, cells[o])}: ordering not equivariant at {(full, t)}")
                for o, t in first.items()])
 
@@ -899,9 +876,9 @@ def propagate_from_root(x: MComplex, y: MComplex) -> tuple[CellMap | None, str]:
 def _moves(x: MComplex, i: int) -> tuple[list[int], list[int], list[int | None]]:
     """Generator i on the top cells of an ordered x, as three columns over
     the tops: the index of each top's facet that misses color i, the length
-    of that facet's cycle (0 if it has none), and the top after it in that
-    cycle, from its first listing (None if the cycle does not list it, or
-    lists no top after it)."""
+    of that facet's cycle (0 if it has none, since its span is empty), and
+    the top after it in that cycle, from its first listing (None if the
+    cycle does not list it, or lists no top after it)."""
     full = tuple(x.params.colors)
     n = len(x.cells.get(full, ()))
     facets = x.cells[full].faces[i :: len(full)] if n else []
@@ -915,7 +892,6 @@ def _moves(x: MComplex, i: int) -> tuple[list[int], list[int], list[int | None]]
     if after and not 0 <= min(after) <= max(after) < n:
         steps = [s if s is None or 0 <= s < n else None for s in steps]
     sizes = cycles.sizes()
-    deque(map(sizes.__setitem__, cycles.nones(), repeat(0)), 0)
     if facets and not 0 <= min(facets) <= max(facets) < len(sizes):
         return facets, [sizes[f] if 0 <= f < len(sizes) else 0 for f in facets], steps
     return facets, list(map(sizes.__getitem__, facets)), steps
@@ -1038,17 +1014,17 @@ def complex_from_classes(
         return x
     x.ordering, boundary = {}, set()
     for i in reversed(range(len(full))):
-        J, step, walk, offsets = full[:i] + full[i + 1 :], successors[i], [], []
+        J, step, walk, offsets, missing = full[:i] + full[i + 1 :], successors[i], [], [], []
         if J in firsts:
             heads = firsts[J]
         else:  # the classes are vertex ids, and a vertex in no top has no first top
             first = dict(zip(reversed(classes[J]), range(n - 1, -1, -1)))
             heads = list(map(first.get, x.cells[J].vertices))
         for cell, t in enumerate(heads):
-            if t is None:  # a vertex in no top has no cycle
-                offsets.append(~len(walk))
-                continue
             offsets.append(len(walk))
+            if t is None:  # a vertex in no top has no cycle
+                missing.append(cell)
+                continue
             walk.append(t)
             nxt = step[t]
             while nxt is not None and nxt != t:
@@ -1056,7 +1032,7 @@ def complex_from_classes(
                 nxt = step[nxt]
             if nxt is None:
                 boundary.add((J, cell))
-        x.ordering[J] = Cycles(walk, offsets + [len(walk)])
+        x.ordering[J] = Cycles(walk, offsets + [len(walk)], frozenset(missing))
     x.boundary = frozenset(boundary)
     return x
 

@@ -169,7 +169,7 @@ def associated_subgroup_rep(x: MComplex) -> PermRep:
         cycles = Cycles.fitted(x.ordering.get(J), len(x.cells.get(J, ())))
         flat, (after, owner) = cycles.tops, cycles.steps()
         facets = faces[i :: len(full)]  # each top's own facet
-        if (min(cycles.offsets) < 0 or len(flat) != n or flat and not 0 <= min(flat) <= max(flat) < n
+        if (cycles.missing or len(flat) != n or flat and not 0 <= min(flat) <= max(flat) < n
                 or len(set(flat)) != n or list(map(facets.__getitem__, flat)) != owner):
             raise ValueError(next(ordering_faults(x)))
         beta = [0] * n

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from unittest.mock import patch
 
 import pytest
@@ -40,8 +40,8 @@ from multiforge.complexes import (
 )
 from multiforge.gallery import coxeter_complex, flag_complex, m_subgroup_rep
 from multiforge.lcc import link_connected_cover, verify_universality
-from multiforge.permrep import evaluate
-from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient, quotient_map
+from multiforge.permrep import PermRep, evaluate
+from multiforge.quotient import analyze, associated_subgroup_rep, build_quotient, orbit_quotient, quotient_map
 from multiforge.universal import ball_from_cosets, build_ball
 from multiforge.words import Params
 from rigidity_oracles import check_morphism_oracle, propagate_oracle, validate_structure_oracle
@@ -162,6 +162,20 @@ def test_link_connected_examples():
     for seed in range(5):
         q = build_quotient(seeded_rep(2, 2, 8, 100 + seed))
         assert is_link_connected(q.complex)
+
+
+def test_link_connected_refuses_a_dangling_gluing():
+    """A facet index below or past the cells of its color set is refused
+    with the gluing fault, not read as the last cell (-1) or raised as an
+    IndexError."""
+    for f in (-1, 10**6):
+        x = build_quotient(seeded_rep(2, 3, 30, 1)).complex
+        x.cells[(0, 1, 2)].faces[0] = f  # top 0's facet that drops color 0
+        message = f"dangling gluing reference ((1, 2), {f}) from ((0, 1, 2), 0)"
+        assert check_consistency(x).messages[0] == message
+        with pytest.raises(ValueError) as raised:
+            is_link_connected(x)
+        assert str(raised.value) == message
 
 
 def links_lower_path_connected(x: MComplex) -> bool:
@@ -309,6 +323,57 @@ def test_rotated_boundary_cycle_survives_link_and_merge():
     (lid,) = [m for m, orig in back.items() if orig == facet.mid]
     assert [back[((0, 1), t)] for t in lk.cycle(lid)] == [((0, 1, 2), t) for t in rotated]
     assert lk.boundary == {lid}
+
+
+def _with_null_cycle(x: MComplex, J: tuple[int, ...], i: int) -> tuple[dict, MComplex]:
+    """x's document with the cycle of (J, i) set to null, and its reading."""
+    doc = json.loads(to_json(x))
+    (cycles,) = [rec["cycles"] for rec in doc["ordering"] if tuple(rec["colors"]) == J]
+    cycles[i] = None
+    return doc, from_json(json.dumps(doc))
+
+
+def test_null_cycle_is_written_back_as_null():
+    """A cell with no cycle is not an empty cycle: the writer gives back
+    the document it read, null where it was null."""
+    doc, x = _with_null_cycle(build_quotient(seeded_rep(2, 3, 12, 1)).complex, (0, 2), 1)
+    assert x.cycle(((0, 2), 1)) is None
+    assert json.loads(to_json(x)) == doc
+    assert json.loads(to_json(x))["ordering"][1]["cycles"][1] is None
+
+
+def test_null_cycle_survives_link_and_merge():
+    """A cell with no cycle keeps none through the class map of a vertex
+    merge and of the link of one of its vertices; the other cycles carry
+    over as lists."""
+    x = build_quotient(m_subgroup_rep(Params(2, 3))).complex
+    facet = x.cell(((0, 1), 0))
+    _, x = _with_null_cycle(x, (0, 1), 0)
+
+    merged = merge_vertices(x, 6, 7)  # two vertices of color 2
+    assert merged.cycle(facet.mid) is None
+    assert merged.cycle(((0, 1), 1)) == x.cycle(((0, 1), 1))
+
+    lk, back = link_with_map(x, x.vertex_cell(facet.vertices[0]))
+    (lid,) = [m for m, orig in back.items() if orig == facet.mid]
+    assert lk.cycle(lid) is None
+    assert all(lk.cycle(m) is not None for m in lk.mids(lk.d - 1) if m != lid)
+
+
+def test_check_morphism_names_a_null_cycle_off_the_boundary():
+    """On a radius-2 ball the boundary cells are skipped, so the cycles of
+    the others are gathered into one column before they are compared: a
+    null cycle among them is named on either side of the identity."""
+    y = build_ball(Params(2, 3), 2).complex
+    J = (0, 1)
+    i = max(i for i in range(len(y.cells[J])) if (J, i) not in y.boundary)
+    _, x = _with_null_cycle(y, J, i)
+    f = {mid: mid for mid in y.mids()}
+    assert y.boundary and x.boundary == y.boundary
+    assert check_morphism(f, x, y) == check_morphism_oracle(f, x, y) == Diagnostics(
+        False, [f"{(J, i)}: domain has no ordering cycle"])
+    assert check_morphism(f, y, x) == check_morphism_oracle(f, y, x) == Diagnostics(
+        False, [f"{(J, i)}: image has no ordering cycle"])
 
 
 def test_json_round_trip_stable():
@@ -634,20 +699,34 @@ def test_malformed_gluing_is_reported_not_raised():
         assert not report.ok and message in report.messages
 
 
+def side_by_side(a: PermRep, b: PermRep) -> PermRep:
+    """The action of a and b on the disjoint union of their points, b's
+    points after a's: not transitive, so its orbit complex has two
+    lower-path components."""
+    return a._replace(n=a.n + b.n, betas=tuple(
+        tuple(chain(pa, (q + a.n for q in pb))) for pa, pb in zip(a.betas, b.betas)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(d=st.integers(1, 3), k=st.integers(2, 3), m=st.integers(1, 4),
-       seed=st.integers(0, 10**6), edit=st.sampled_from(["none", "repoint", "dangle"]),
-       data=st.data())
-def test_coface_index_matches_columns(d, k, m, seed, edit, data):
-    """On a small quotient, as built or with one facet re-pointed or left
-    dangling: `coface_counts` gives each multicell the size of its brute-
-    force up set one dimension up (`gluing_oracle`), a dangling facet index
-    left out, not raised; `top_faces` agrees with the facet-by-facet walk
-    `face`, and raises KeyError where that walk does; `cell(mid)` is a
-    read-only view that agrees with the columns; and in every dimension
+       seed=st.integers(0, 10**6), two=st.booleans(),
+       edit=st.sampled_from(["none", "repoint", "dangle"]), data=st.data())
+def test_coface_index_matches_columns(d, k, m, seed, two, edit, data):
+    """On a small quotient, or the orbit complex of two side by side (which
+    is not lower-path-connected, so a wrong join shows), as built or with
+    one facet re-pointed or left dangling: `coface_counts` gives each
+    multicell the size of its brute-force up set one dimension up
+    (`gluing_oracle`), a dangling facet index left out, not raised;
+    `top_faces` agrees with the facet-by-facet walk `face`, and raises
+    KeyError where that walk does; `cell(mid)` is a read-only view that
+    agrees with the columns; and in every dimension
     `is_lower_path_connected` agrees with the breadth-first
     `lower_path_oracle`, which steps over a dangling facet."""
-    x = build_quotient(seeded_rep(d, k, m * k, seed)).complex
+    rep = seeded_rep(d, k, m * k, seed)
+    if two:
+        x = orbit_quotient(side_by_side(rep, seeded_rep(d, k, k, seed + 1)))[0]
+    else:
+        x = build_quotient(rep).complex
     if edit == "repoint":
         repoint_facet(x, data, lambda n: st.integers(0, n - 1))
     if edit == "dangle":
